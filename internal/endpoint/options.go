@@ -27,13 +27,13 @@ type Option func(*options)
 
 // options is the merged settings bag the constructors read.
 type options struct {
-	timeout     time.Duration
-	httpClient  *http.Client
-	policy      *Policy
-	registry    *obs.Registry
-	slow        *obs.SlowLog
-	maxQueryLen int
-	workers     *int
+	timeout      time.Duration
+	httpClient   *http.Client
+	policy       *Policy
+	registry     *obs.Registry
+	slow         *obs.SlowLog
+	maxQueryLen  int
+	workers      *int
 	traceSink    *obs.OTLPSink
 	queryLog     *obs.QueryRing
 	ready        func() error

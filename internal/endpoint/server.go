@@ -328,12 +328,12 @@ func (s *Server) recordRing(query string, wall time.Duration, pt sparql.PhaseTim
 		return
 	}
 	rec := obs.QueryRecord{
-		Source:     "server",
-		Step:       meta.Step,
-		Plan:       meta.Plan,
-		WallMS:     float64(wall) / float64(time.Millisecond),
-		Rows:       rows,
-		PhaseMS:    obs.PhaseMS(pt.Map()),
+		Source:        "server",
+		Step:          meta.Step,
+		Plan:          meta.Plan,
+		WallMS:        float64(wall) / float64(time.Millisecond),
+		Rows:          rows,
+		PhaseMS:       obs.PhaseMS(pt.Map()),
 		Shards:        meta.Shards,
 		Incomplete:    meta.Incomplete,
 		SkippedShards: meta.SkippedShards,

@@ -12,7 +12,7 @@ func TestQueryRingEviction(t *testing.T) {
 	r := NewQueryRing(3)
 	r.now = func() time.Time { return time.Unix(1700000000, 0) }
 	for i := 0; i < 5; i++ {
-		r.Record(QueryRecord{Query: strings.Repeat("q", i + 1)})
+		r.Record(QueryRecord{Query: strings.Repeat("q", i+1)})
 	}
 	if got := r.Len(); got != 3 {
 		t.Fatalf("Len = %d, want 3", got)

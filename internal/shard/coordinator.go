@@ -23,8 +23,10 @@ import (
 // pass it through WithConfig. New code composes the With* Options
 // directly (see options.go).
 type Config struct {
-	// Workers bounds scatter concurrency and the local engine workers
-	// on the gather path; <= 0 means one goroutine per shard.
+	// Workers bounds scatter concurrency — shards in flight, and on the
+	// gather path also one shard's fetch queries in flight — and the
+	// local engine workers on the gather path; <= 0 means one goroutine
+	// per shard (and per fetch query).
 	Workers int
 	// Degraded serves partial results when shards fail: failed shards
 	// are skipped and the answer's QueryMeta.Incomplete is set, with

@@ -296,8 +296,8 @@ func TestSkippedShardIndices(t *testing.T) {
 	}
 	defer c.Close()
 	for _, q := range []string{
-		`SELECT ?s ?v WHERE { ?s <http://t/value> ?v } ORDER BY ?s`, // colocated
-		`SELECT (COUNT(?v) AS ?n) WHERE { ?s <http://t/value> ?v }`, // partial agg
+		`SELECT ?s ?v WHERE { ?s <http://t/value> ?v } ORDER BY ?s`,                            // colocated
+		`SELECT (COUNT(?v) AS ?n) WHERE { ?s <http://t/value> ?v }`,                            // partial agg
 		`SELECT ?s ?c WHERE { ?s <http://t/region> ?r . ?r <http://t/partOf> ?c } ORDER BY ?s`, // gather
 	} {
 		_, meta, err := c.QueryX(context.Background(), endpoint.Request{Query: q})
@@ -559,4 +559,4 @@ func benchScatter(b *testing.B, replicas int) {
 }
 
 func BenchmarkScatterSingleReplica(b *testing.B) { benchScatter(b, 1) }
-func BenchmarkScatterReplicated(b *testing.B)   { benchScatter(b, 2) }
+func BenchmarkScatterReplicated(b *testing.B)    { benchScatter(b, 2) }

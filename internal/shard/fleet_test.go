@@ -231,13 +231,13 @@ func TestFleetBackgroundMode(t *testing.T) {
 
 func TestMetricsURL(t *testing.T) {
 	for spec, want := range map[string]string{
-		"http://h:1/sparql":          "http://h:1/metrics",
-		"https://h/sparql?x=1#f":     "https://h/metrics",
-		"http://h":                   "http://h/metrics",
-		"local":                      "",
-		"client:0/1":                 "",
-		"unix:///tmp/sock":           "",
-		"ftp://h/sparql":             "",
+		"http://h:1/sparql":      "http://h:1/metrics",
+		"https://h/sparql?x=1#f": "https://h/metrics",
+		"http://h":               "http://h/metrics",
+		"local":                  "",
+		"client:0/1":             "",
+		"unix:///tmp/sock":       "",
+		"ftp://h/sparql":         "",
 	} {
 		got, ok := metricsURL(spec)
 		if (want == "") == ok || got != want {

@@ -1,9 +1,11 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"re2xolap/internal/endpoint"
@@ -21,9 +23,10 @@ import (
 // closures, subselects, NOT EXISTS negation, and non-decomposable
 // aggregates all evaluate with single-node semantics. Determinism
 // holds because the gathered triple set is the union over shards
-// (topology-independent) and is canonically sorted before loading, so
-// the local store — and therefore the engine's output — is identical
-// on every topology.
+// (topology-independent) and the local store's dictionary is numbered
+// from the canonically sorted set alone (see assembleGather), so the
+// local store — and therefore the engine's output — is identical on
+// every topology.
 
 // fetchSpec is one triple-access pattern to pull from the shards.
 type fetchSpec struct {
@@ -200,10 +203,10 @@ func buildFetchSpec(tp sparql.TriplePattern) fetchSpec {
 		fq.Ask = true
 		spec.ask = true
 	} else {
-		// DISTINCT costs the shard a dedup pass but the projection can
-		// collapse rows only when a variable repeats, and it caps the
-		// transfer at the matching-triple count.
-		fq.Distinct = true
+		// No DISTINCT: a shard's store is a set and the pattern's
+		// projection onto all of its variables is injective over the
+		// matching triples, so the rows are already distinct — and the
+		// coordinator dedupes the union across shards anyway.
 		for _, g := range sel {
 			fq.Select = append(fq.Select, sparql.SelectItem{Var: g})
 		}
@@ -212,49 +215,80 @@ func buildFetchSpec(tp sparql.TriplePattern) fetchSpec {
 	return spec
 }
 
-// triplesFromResult reconstructs the triples a shard reported for one
-// fetch pattern.
-func (f fetchSpec) triples(res *sparql.Results) []rdf.Triple {
-	if f.ask {
-		if res.Boolean {
-			return []rdf.Triple{{S: f.tp.S.Term, P: f.tp.P.Term, O: f.tp.O.Term}}
-		}
-		return nil
+// gatherPart is a set of gathered triples in ID space: a term table
+// and triples whose components index into it. Each shard's fetch task
+// fills its own, so a term is hashed where its row arrives and every
+// later step — union, dedupe, sort, store build — moves integers.
+type gatherPart struct {
+	ids     map[rdf.Term]uint32
+	terms   []rdf.Term
+	triples [][3]uint32
+}
+
+func newGatherPart() *gatherPart {
+	return &gatherPart{ids: map[rdf.Term]uint32{}}
+}
+
+func (p *gatherPart) intern(t rdf.Term) uint32 {
+	id, ok := p.ids[t]
+	if !ok {
+		id = uint32(len(p.terms))
+		p.ids[t] = id
+		p.terms = append(p.terms, t)
 	}
-	out := make([]rdf.Triple, 0, len(res.Rows))
+	return id
+}
+
+func (p *gatherPart) add(t rdf.Triple) {
+	p.triples = append(p.triples, [3]uint32{p.intern(t.S), p.intern(t.P), p.intern(t.O)})
+}
+
+// collect appends the triples a shard reported for this fetch pattern
+// to p and returns how many there were.
+func (f fetchSpec) collect(res *sparql.Results, p *gatherPart) int {
+	if f.ask {
+		if !res.Boolean {
+			return 0
+		}
+		p.add(rdf.Triple{S: f.tp.S.Term, P: f.tp.P.Term, O: f.tp.O.Term})
+		return 1
+	}
+	// Constant positions are interned once, not once per row.
+	var fixed [3]uint32
+	for pos, n := range [3]sparql.Node{f.tp.S, f.tp.P, f.tp.O} {
+		if f.cols[pos] < 0 {
+			fixed[pos] = p.intern(n.Term)
+		}
+	}
+	before := len(p.triples)
+	p.triples = slices.Grow(p.triples, len(res.Rows))
+rows:
 	for _, r := range res.Rows {
-		var t rdf.Triple
-		ok := true
-		fill := func(col int, n sparql.Node) rdf.Term {
+		t := fixed
+		for pos, col := range f.cols {
 			if col < 0 {
-				return n.Term
+				continue
 			}
 			if col >= len(r) || !sparql.Bound(r[col]) {
-				ok = false
-				return rdf.Term{}
+				continue rows
 			}
-			return r[col]
+			t[pos] = p.intern(r[col])
 		}
-		t.S = fill(f.cols[0], f.tp.S)
-		t.P = fill(f.cols[1], f.tp.P)
-		t.O = fill(f.cols[2], f.tp.O)
-		if ok {
-			out = append(out, t)
-		}
+		p.triples = append(p.triples, t)
 	}
-	return out
+	return len(p.triples) - before
 }
 
 // runGather executes the gather plan: scatter the fetch queries,
-// rebuild the union of the shard contributions in a local store, and
-// run the original query there. Each shard's fetch queries route
-// through its replica set, so every fetch individually fails over —
-// a shard only counts as failed when a fetch exhausts its replicas.
+// assemble the union of the shard contributions into a local store,
+// and run the original query there. Each fetch routes through its
+// shard's replica set, so every fetch individually fails over — a
+// shard only counts as failed when a fetch exhausts its replicas.
 func (c *Coordinator) runGather(ctx context.Context, v *view, q *sparql.Query, step string) (*sparql.Results, []obs.ShardCall, []int, error) {
 	specs := collectFetchSpecs(q)
 	scatterStart := time.Now()
 	n := len(v.groups)
-	shardTriples := make([][]rdf.Triple, n)
+	parts := make([]*gatherPart, n)
 	calls := make([]obs.ShardCall, n)
 	errs := make([]error, n)
 	span := obs.SpanFrom(ctx)
@@ -263,38 +297,49 @@ func (c *Coordinator) runGather(ctx context.Context, v *view, q *sparql.Query, s
 		sp := span.Start(fmt.Sprintf("shard-%d", i))
 		defer sp.End()
 		shardStart := time.Now()
-		// One ShardCall summarizes all fetch queries against shard i:
-		// rows are the triples it contributed, attempts/retries/failovers
-		// sum over the fetches, replica is the last fetch's winner.
-		call := &calls[i]
-		call.Shard = i
-		defer func() {
-			call.WallMS = float64(time.Since(shardStart)) / float64(time.Millisecond)
-			sp.SetAttr("rows", fmt.Sprint(call.Rows))
-		}()
-		for _, spec := range specs {
+		// A shard's fetches are independent, so they go out together: a
+		// remote shard costs its slowest fetch, not the sum of them.
+		outs := make([]groupResult, len(specs))
+		_ = par.Do(c.workersFor(len(specs)), len(specs), func(k int) error {
 			c.m.scatterStart()
 			callStart := time.Now()
-			out := g.query(ctx, endpoint.Request{
-				Query: spec.query,
+			outs[k] = g.query(ctx, endpoint.Request{
+				Query: specs[k].query,
 				Opts:  endpoint.QueryOpts{Step: step, Span: sp},
 			}, c.cfg.HedgeAfter)
 			c.m.scatterEnd()
-			g.shardCallMetrics(time.Since(callStart), out.err)
+			g.shardCallMetrics(time.Since(callStart), outs[k].err)
+			return nil
+		})
+		// One ShardCall summarizes all fetch queries against shard i,
+		// folded in spec order so it does not depend on which fetch
+		// finished first: rows are the triples the shard contributed,
+		// attempts/retries/failovers sum over the fetches, replica is the
+		// last spec's winner, error the first spec's that failed.
+		call := &calls[i]
+		call.Shard = i
+		part := newGatherPart()
+		for k, out := range outs {
 			call.Attempts += out.attempts
 			call.Retries += out.retries
 			call.Failovers += out.failovers
 			call.Replica = out.replica
+			if errs[i] != nil {
+				continue
+			}
 			if out.err != nil {
 				sp.SetAttr("error", out.err.Error())
 				call.Error = out.err.Error()
 				errs[i] = out.err
-				return nil
+				continue
 			}
-			fetched := spec.triples(out.res)
-			call.Rows += len(fetched)
-			shardTriples[i] = append(shardTriples[i], fetched...)
+			call.Rows += specs[k].collect(out.res, part)
 		}
+		if errs[i] == nil {
+			parts[i] = part
+		}
+		call.WallMS = float64(time.Since(shardStart)) / float64(time.Millisecond)
+		sp.SetAttr("rows", fmt.Sprint(call.Rows))
 		return nil
 	})
 	c.m.phase("scatter", time.Since(scatterStart))
@@ -315,16 +360,17 @@ func (c *Coordinator) runGather(ctx context.Context, v *view, q *sparql.Query, s
 			return nil, calls, nil, firstErr
 		}
 		c.m.degraded(len(skipped))
-		for i := range shardTriples {
-			if errs[i] != nil {
-				shardTriples[i] = nil
-			}
-		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, calls, nil, err
 	}
 
 	mergeStart := time.Now()
-	local, err := buildGatherStore(shardTriples)
+	local, err := assembleGather(parts)
 	c.m.phase("merge", time.Since(mergeStart))
+	if err == nil {
+		err = ctx.Err()
+	}
 	if err != nil {
 		return nil, calls, nil, err
 	}
@@ -342,27 +388,91 @@ func (c *Coordinator) runGather(ctx context.Context, v *view, q *sparql.Query, s
 	return res, calls, skipped, nil
 }
 
-// buildGatherStore unions the shard contributions, deduplicates, and
-// loads them canonically sorted — the load order (and so the store's
-// term dictionary) is then a function of the triple set alone, which
-// keeps the local engine's output topology-independent.
-func buildGatherStore(shardTriples [][]rdf.Triple) (*store.Store, error) {
-	seen := map[string]struct{}{}
-	var all []rdf.Triple
-	for _, ts := range shardTriples {
-		for _, t := range ts {
-			k := tripleKey(t)
-			if _, dup := seen[k]; dup {
-				continue
+// absorb unions q into p, re-interning q's distinct terms (not its
+// triples) and remapping its triples through the result.
+func (p *gatherPart) absorb(q *gatherPart) {
+	remap := make([]uint32, len(q.terms))
+	for i, t := range q.terms {
+		remap[i] = p.intern(t)
+	}
+	p.triples = slices.Grow(p.triples, len(q.triples))
+	for _, t := range q.triples {
+		p.triples = append(p.triples, [3]uint32{remap[t[0]], remap[t[1]], remap[t[2]]})
+	}
+}
+
+// canonical returns p's terms in canonical order — by N-Triples
+// rendering, each rendered once — and p's triples re-expressed as
+// indexes into that order, sorted and deduplicated. Sorting the index
+// triples component-wise orders them exactly as sorting on the
+// concatenated "S\x00P\x00O" renderings would: NUL sorts before any
+// byte of a rendering, so a term that is a strict prefix of another
+// comes first either way. p is consumed.
+func (p *gatherPart) canonical() ([]rdf.Term, [][3]uint32) {
+	keys := make([]string, len(p.terms))
+	order := make([]uint32, len(p.terms))
+	for i, t := range p.terms {
+		keys[i] = t.String()
+		order[i] = uint32(i)
+	}
+	slices.SortFunc(order, func(a, b uint32) int {
+		if c := strings.Compare(keys[a], keys[b]); c != 0 {
+			return c
+		}
+		// "x" and "x"^^xsd:string render alike but are distinct terms.
+		return strings.Compare(p.terms[a].Datatype, p.terms[b].Datatype)
+	})
+	rank := make([]uint32, len(order))
+	terms := make([]rdf.Term, len(order))
+	for r, i := range order {
+		rank[i] = uint32(r)
+		terms[r] = p.terms[i]
+	}
+	for i, t := range p.triples {
+		p.triples[i] = [3]uint32{rank[t[0]], rank[t[1]], rank[t[2]]}
+	}
+	slices.SortFunc(p.triples, func(a, b [3]uint32) int {
+		for i := range a {
+			if a[i] != b[i] {
+				return cmp.Compare(a[i], b[i])
 			}
-			seen[k] = struct{}{}
-			all = append(all, t)
+		}
+		return 0
+	})
+	return terms, slices.Compact(p.triples)
+}
+
+// assembleGather unions the shard contributions (nil slots are
+// degraded-mode skips) and builds the local store. Dictionary IDs are
+// handed out in first-appearance order over the canonically sorted
+// triples — what loading them one by one into an empty store assigns —
+// so the dictionary, and with it every order the engine derives from
+// IDs, is a function of the triple set alone: which shard a triple
+// came from, how many shards there are and in which order their
+// answers arrived cannot change a byte of the answer.
+func assembleGather(parts []*gatherPart) (*store.Store, error) {
+	all := newGatherPart()
+	for _, p := range parts {
+		switch {
+		case p == nil:
+		case len(all.terms) == 0:
+			all = p // adopt the first live part as is: nothing to remap
+		default:
+			all.absorb(p)
 		}
 	}
-	sort.Slice(all, func(i, j int) bool { return tripleKey(all[i]) < tripleKey(all[j]) })
-	st := store.New()
-	if err := st.AddAll(all); err != nil {
-		return nil, err
+	terms, triples := all.canonical()
+	ids := make([]store.ID, len(terms))
+	dict := make([]rdf.Term, 0, len(terms))
+	enc := make([][3]store.ID, len(triples))
+	for i, t := range triples {
+		for pos, r := range t {
+			if ids[r] == 0 {
+				dict = append(dict, terms[r])
+				ids[r] = store.ID(len(dict))
+			}
+			enc[i][pos] = ids[r]
+		}
 	}
-	return st, nil
+	return store.Build(dict, enc)
 }

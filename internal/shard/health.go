@@ -120,10 +120,17 @@ func (c *Coordinator) sweep(ctx context.Context, cfg HealthConfig) {
 		return
 	}
 	done := make(chan struct{})
+	// Counted before the first probe starts: a probe that finishes
+	// while later ones are still being launched must not see zero.
 	var pending atomic.Int64
 	for _, g := range v.groups {
+		pending.Add(int64(len(g.replicas)))
+	}
+	if pending.Load() == 0 {
+		return
+	}
+	for _, g := range v.groups {
 		for _, r := range g.replicas {
-			pending.Add(1)
 			go func(r *replica) {
 				defer func() {
 					if pending.Add(-1) == 0 {

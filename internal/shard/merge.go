@@ -3,8 +3,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 
 	"re2xolap/internal/rdf"
 	"re2xolap/internal/sparql"
@@ -48,8 +46,7 @@ func unionResults(q *sparql.Query, results []*sparql.Results) (*sparql.Results, 
 // unionGraphs merges CONSTRUCT outputs: a graph is a set, so the
 // shard graphs are united, deduplicated, and canonically ordered.
 func unionGraphs(results []*sparql.Results) (*sparql.Results, error) {
-	merged := &sparql.Results{IsConstruct: true}
-	seen := map[string]struct{}{}
+	all := newGatherPart()
 	any := false
 	for _, r := range results {
 		if r == nil {
@@ -57,32 +54,18 @@ func unionGraphs(results []*sparql.Results) (*sparql.Results, error) {
 		}
 		any = true
 		for _, t := range r.Triples {
-			k := tripleKey(t)
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
-			merged.Triples = append(merged.Triples, t)
+			all.add(t)
 		}
 	}
 	if !any {
 		return nil, errors.New("shard: no shard results")
 	}
-	sort.Slice(merged.Triples, func(i, j int) bool {
-		return tripleKey(merged.Triples[i]) < tripleKey(merged.Triples[j])
-	})
+	terms, triples := all.canonical()
+	merged := &sparql.Results{IsConstruct: true}
+	for _, t := range triples {
+		merged.Triples = append(merged.Triples, rdf.Triple{S: terms[t[0]], P: terms[t[1]], O: terms[t[2]]})
+	}
 	return merged, nil
-}
-
-// tripleKey is the canonical sort/dedup key of a triple.
-func tripleKey(t rdf.Triple) string {
-	var b strings.Builder
-	b.WriteString(t.S.String())
-	b.WriteByte('\x00')
-	b.WriteString(t.P.String())
-	b.WriteByte('\x00')
-	b.WriteString(t.O.String())
-	return b.String()
 }
 
 func sameVars(a, b []string) bool {

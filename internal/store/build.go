@@ -1,0 +1,141 @@
+package store
+
+import (
+	"fmt"
+	"io"
+
+	"re2xolap/internal/rdf"
+)
+
+// Build constructs a store from scratch out of a term table and
+// dictionary-encoded triples: terms[i] becomes ID i+1 and every triple
+// component must be such an ID. It is the bulk path for callers that
+// already work in ID space (the shard coordinator's gather plan):
+// compared with New+AddAll it hashes each distinct term once instead
+// of once per occurrence and goes straight to the sorted base indexes.
+// Duplicate triples are dropped; duplicate terms and triples that
+// violate the RDF model are errors. Build takes ownership of triples.
+func Build(terms []rdf.Term, triples [][3]ID) (*Store, error) {
+	s := New()
+	if err := s.dict.fill(terms); err != nil {
+		return nil, fmt.Errorf("store: build: %w", err)
+	}
+	for i, t := range triples {
+		for _, id := range t {
+			if id == 0 || int(id) > len(terms) {
+				return nil, fmt.Errorf("store: build: triple %d references unknown term %d", i, id)
+			}
+		}
+		tr := rdf.Triple{S: terms[t[0]-1], P: terms[t[1]-1], O: terms[t[2]-1]}
+		if err := tr.Validate(); err != nil {
+			return nil, fmt.Errorf("store: build: %w", err)
+		}
+	}
+	s.installBase(triples)
+	return s, nil
+}
+
+// fill bulk-interns terms into a new dictionary in order, so terms[i]
+// gets ID i+1, and publishes the read snapshot once.
+func (d *Dict) fill(terms []rdf.Term) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.ids = make(map[rdf.Term]ID, len(terms))
+	d.terms = make([]rdf.Term, 0, len(terms))
+	d.nums = make([]float64, 0, len(terms))
+	d.isN = make([]bool, 0, len(terms))
+	defer d.publishLocked()
+	for _, t := range terms {
+		if _, fresh := d.internLocked(t); !fresh {
+			return fmt.Errorf("duplicate term %v", t)
+		}
+	}
+	return nil
+}
+
+// installBase makes triples the compacted base of a store that holds
+// none yet, skipping everything that only serves a store with data —
+// the delta buffer, its dedupe map and the per-triple base probe. The
+// generation advances as the incremental path would have: once per
+// distinct triple plus one compaction.
+func (s *Store) installBase(triples []spoTriple) {
+	spo := &s.base[0]
+	spo.entries = triples
+	spo.sortEntries()
+	if len(spo.entries) == 0 {
+		return
+	}
+	for i := 1; i < 3; i++ {
+		ix := &s.base[i]
+		ix.entries = make([]spoTriple, len(spo.entries))
+		for j, t := range spo.entries {
+			ix.entries[j] = ix.p.reorder(t)
+		}
+		ix.sortEntries()
+	}
+	// OSP groups triples by object: one visit per distinct object.
+	var last ID
+	for _, e := range s.base[2].entries {
+		if e[0] == last {
+			continue
+		}
+		last = e[0]
+		if obj := s.dict.Decode(last); obj.IsLiteral() {
+			s.text.add(last, obj.Value)
+		}
+	}
+	s.gen.Add(uint64(len(spo.entries)) + 1)
+}
+
+// ingest inserts every triple next yields, until io.EOF, and compacts
+// once at the end; it returns how many triples it read. A store with
+// no triples yet takes the from-scratch path (installBase), anything
+// else goes through the delta buffer.
+func (s *Store) ingest(next func() (rdf.Triple, error)) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.base[0].entries) > 0 || len(s.delta) > 0 {
+		n, err := drain(next, func(t rdf.Triple) {
+			enc := spoTriple{s.dict.Encode(t.S), s.dict.Encode(t.P), s.dict.Encode(t.O)}
+			s.addLocked(enc, t.O)
+		})
+		if err == nil {
+			s.compactLocked()
+		}
+		return n, err
+	}
+	// One dictionary lock hold and one snapshot publish for the batch.
+	// On an error the triples read so far are still installed.
+	d := s.dict
+	d.mu.Lock()
+	intern := func(t rdf.Term) ID {
+		id, _ := d.internLocked(t)
+		return id
+	}
+	var batch []spoTriple
+	n, err := drain(next, func(t rdf.Triple) {
+		batch = append(batch, spoTriple{intern(t.S), intern(t.P), intern(t.O)})
+	})
+	d.publishLocked()
+	d.mu.Unlock()
+	s.installBase(batch)
+	return n, err
+}
+
+// drain feeds add every valid triple next yields until io.EOF and
+// stops at the first decode or validation error.
+func drain(next func() (rdf.Triple, error), add func(rdf.Triple)) (int, error) {
+	for n := 0; ; n++ {
+		t, err := next()
+		if err == io.EOF {
+			return n, nil
+		}
+		if err == nil {
+			err = t.Validate()
+		}
+		if err != nil {
+			return n, err
+		}
+		add(t)
+	}
+}

@@ -75,17 +75,34 @@ func (d *Dict) Encode(t rdf.Term) ID {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if id, ok = d.ids[t]; ok {
-		return id
+	id, fresh := d.internLocked(t)
+	if fresh {
+		d.publishLocked()
+	}
+	return id
+}
+
+// internLocked returns the ID for t, appending it when new (reported
+// by the second result). The caller holds the write lock and must
+// call publishLocked before releasing it if anything was appended;
+// until then new IDs resolve through Decode's locked fallback.
+func (d *Dict) internLocked(t rdf.Term) (ID, bool) {
+	if id, ok := d.ids[t]; ok {
+		return id, false
 	}
 	d.terms = append(d.terms, t)
 	n, isNum := t.Numeric()
 	d.nums = append(d.nums, n)
 	d.isN = append(d.isN, isNum)
-	id = ID(len(d.terms))
+	id := ID(len(d.terms))
 	d.ids[t] = id
+	return id, true
+}
+
+// publishLocked republishes the lock-free read snapshot. Bulk loaders
+// call it once per batch instead of once per new term.
+func (d *Dict) publishLocked() {
 	d.snap.Store(&dictSnap{terms: d.terms, nums: d.nums, isN: d.isN})
-	return id
 }
 
 // Lookup returns the ID for t without assigning one. The second result

@@ -1,10 +1,15 @@
 package store
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // spoTriple is a dictionary-encoded triple in subject/predicate/object
-// order. Index permutations reorder the components.
-type spoTriple [3]ID
+// order. Index permutations reorder the components. It is an alias so
+// Build can adopt a caller's [][3]ID without copying.
+type spoTriple = [3]ID
 
 // perm identifies one of the three index permutations.
 type perm uint8
@@ -49,6 +54,16 @@ func tripleLess(a, b spoTriple) bool {
 	return a[2] < b[2]
 }
 
+// tripleCmp is tripleLess as a three-way comparison for slices.SortFunc.
+func tripleCmp(a, b spoTriple) int {
+	for i := range a {
+		if a[i] != b[i] {
+			return cmp.Compare(a[i], b[i])
+		}
+	}
+	return 0
+}
+
 // index is one sorted permutation of the triple set. Entries are stored
 // in the permutation's key order.
 type index struct {
@@ -58,21 +73,8 @@ type index struct {
 
 // sortEntries sorts and deduplicates the entries.
 func (ix *index) sortEntries() {
-	sort.Slice(ix.entries, func(i, j int) bool { return tripleLess(ix.entries[i], ix.entries[j]) })
-	ix.entries = dedupSorted(ix.entries)
-}
-
-func dedupSorted(ts []spoTriple) []spoTriple {
-	if len(ts) < 2 {
-		return ts
-	}
-	out := ts[:1]
-	for _, t := range ts[1:] {
-		if t != out[len(out)-1] {
-			out = append(out, t)
-		}
-	}
-	return out
+	slices.SortFunc(ix.entries, tripleCmp)
+	ix.entries = slices.Compact(ix.entries)
 }
 
 // scanRange returns the half-open [lo, hi) range of entries matching the

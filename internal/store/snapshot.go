@@ -72,20 +72,14 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 	if version != snapshotVersion {
 		return nil, fmt.Errorf("store: unsupported snapshot version %d", version)
 	}
-	s := New()
 	nTerms, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("store: term count: %w", err)
 	}
 	terms := make([]rdf.Term, nTerms)
 	for i := range terms {
-		t, err := readTerm(br)
-		if err != nil {
+		if terms[i], err = readTerm(br); err != nil {
 			return nil, fmt.Errorf("store: term %d: %w", i, err)
-		}
-		terms[i] = t
-		if id := s.dict.Encode(t); id != ID(i+1) {
-			return nil, fmt.Errorf("store: duplicate term %v in snapshot", t)
 		}
 	}
 	nTriples, err := binary.ReadUvarint(br)
@@ -104,25 +98,9 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 			}
 			entries[i][j] = ID(v)
 		}
-		// Rebuild the full-text index for literal objects.
-		obj := terms[entries[i][2]-1]
-		if obj.IsLiteral() {
-			s.text.add(entries[i][2], obj.Value)
-		}
 	}
-	// The snapshot preserved SPO order; rebuild the other permutations.
-	s.base[0].entries = entries
-	s.base[0].sortEntries()
-	for i := 1; i < 3; i++ {
-		perm := s.base[i].p
-		batch := make([]spoTriple, len(entries))
-		for j, t := range entries {
-			batch[j] = perm.reorder(t)
-		}
-		s.base[i].entries = batch
-		s.base[i].sortEntries()
-	}
-	return s, nil
+	// Build re-derives the POS/OSP permutations and the full-text index.
+	return Build(terms, entries)
 }
 
 func writeUvarint(w *bufio.Writer, v uint64) {

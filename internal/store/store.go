@@ -82,17 +82,15 @@ func (s *Store) Add(t rdf.Triple) error {
 // AddAll bulk-inserts triples and compacts once at the end, which is the
 // fast path for loading a dataset.
 func (s *Store) AddAll(ts []rdf.Triple) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, t := range ts {
-		if err := t.Validate(); err != nil {
-			return err
+	i := 0
+	_, err := s.ingest(func() (rdf.Triple, error) {
+		if i == len(ts) {
+			return rdf.Triple{}, io.EOF
 		}
-		enc := spoTriple{s.dict.Encode(t.S), s.dict.Encode(t.P), s.dict.Encode(t.O)}
-		s.addLocked(enc, t.O)
-	}
-	s.compactLocked()
-	return nil
+		i++
+		return ts[i-1], nil
+	})
+	return err
 }
 
 func (s *Store) addLocked(enc spoTriple, obj rdf.Term) {
@@ -116,26 +114,10 @@ func (s *Store) addLocked(enc spoTriple, obj rdf.Term) {
 // Load reads triples from r (N-Triples or the supported Turtle subset)
 // until EOF and bulk-inserts them.
 func (s *Store) Load(r io.Reader) (int, error) {
-	dec := rdf.NewDecoder(r)
-	n := 0
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		t, err := dec.Decode()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return n, fmt.Errorf("store: load: %w", err)
-		}
-		if verr := t.Validate(); verr != nil {
-			return n, fmt.Errorf("store: load: %w", verr)
-		}
-		enc := spoTriple{s.dict.Encode(t.S), s.dict.Encode(t.P), s.dict.Encode(t.O)}
-		s.addLocked(enc, t.O)
-		n++
+	n, err := s.ingest(rdf.NewDecoder(r).Decode)
+	if err != nil {
+		return n, fmt.Errorf("store: load: %w", err)
 	}
-	s.compactLocked()
 	return n, nil
 }
 
