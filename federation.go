@@ -24,12 +24,6 @@ type (
 	// WithHealth, WithDegraded, WithPlanCache, WithBoundJoinChunk,
 	// WithShardWorkers, WithShardRegistry, WithShardPolicy).
 	ShardOption = shard.Option
-	// ShardConfig is the struct-literal coordinator configuration.
-	//
-	// Deprecated: kept one release as a migration adapter for
-	// WithShardConfig; compose the individual ShardOption values
-	// instead.
-	ShardConfig = shard.Config
 	// ShardHealthConfig configures the background replica prober.
 	ShardHealthConfig = shard.HealthConfig
 	// ShardCall is the per-shard accounting of one federated query
@@ -66,10 +60,6 @@ var (
 	WithShardRegistry = shard.WithRegistry
 	// WithShardPolicy sets the per-replica resilience policy.
 	WithShardPolicy = shard.WithPolicy
-	// WithShardConfig applies a whole ShardConfig bag at once.
-	//
-	// Deprecated: compose the individual options instead.
-	WithShardConfig = shard.WithConfig
 
 	// NewFileShardTopology reads the topology from a JSON file and
 	// re-resolves it on CoordinatorClient.Reload.

@@ -32,11 +32,9 @@ type Server struct {
 	// protocol front end over an arbitrary Client (a scatter-gather
 	// coordinator, a resilient remote). See NewClientServer.
 	client Client
-	// MaxQueryLen bounds accepted query text; defaults to 1 MiB.
-	//
-	// Deprecated: set it via WithMaxQueryLen at construction instead
-	// of mutating the field afterwards.
-	MaxQueryLen int
+	// maxQueryLen bounds accepted query text; defaults to 1 MiB
+	// (WithMaxQueryLen).
+	maxQueryLen int
 
 	reg     *obs.Registry
 	m       *serverMetrics
@@ -84,9 +82,9 @@ const CacheHeader = "X-Re2xolap-Cache"
 // WithMaxQueryLen, WithWorkers.
 func NewServer(st *store.Store, opts ...Option) *Server {
 	o := applyOptions(opts)
-	s := &Server{engine: sparql.NewEngine(st), st: st, MaxQueryLen: 1 << 20, slow: o.slow, traces: o.traceSink, queries: o.queryLog, ready: o.ready, routes: o.routes}
+	s := &Server{engine: sparql.NewEngine(st), st: st, maxQueryLen: 1 << 20, slow: o.slow, traces: o.traceSink, queries: o.queryLog, ready: o.ready, routes: o.routes}
 	if o.maxQueryLen > 0 {
-		s.MaxQueryLen = o.maxQueryLen
+		s.maxQueryLen = o.maxQueryLen
 	}
 	if o.workers != nil {
 		s.engine.Exec.Workers = *o.workers
@@ -112,9 +110,9 @@ func NewServer(st *store.Store, opts ...Option) *Server {
 // via the X-Re2xolap-Incomplete response header.
 func NewClientServer(c Client, opts ...Option) *Server {
 	o := applyOptions(opts)
-	s := &Server{client: c, MaxQueryLen: 1 << 20, slow: o.slow, traces: o.traceSink, queries: o.queryLog, ready: o.ready, tenantHeader: o.tenantHeader, routes: o.routes}
+	s := &Server{client: c, maxQueryLen: 1 << 20, slow: o.slow, traces: o.traceSink, queries: o.queryLog, ready: o.ready, tenantHeader: o.tenantHeader, routes: o.routes}
 	if o.maxQueryLen > 0 {
-		s.MaxQueryLen = o.maxQueryLen
+		s.maxQueryLen = o.maxQueryLen
 	}
 	if reg := o.registry; reg != nil {
 		s.reg = reg
@@ -140,13 +138,6 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 	}
 	return m
 }
-
-// Engine exposes the server's query engine so callers can tune its
-// execution options (e.g. worker count) before serving.
-//
-// Deprecated: prefer WithWorkers/WithRegistry at construction; poking
-// engine fields after the server starts serving races live queries.
-func (s *Server) Engine() *sparql.Engine { return s.engine }
 
 // outcome buckets an execution error for the request counter.
 func requestOutcome(err error) string {
@@ -188,7 +179,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if ct == "application/sparql-query" || strings.HasPrefix(ct, "application/sparql-query;") {
 			// SPARQL 1.1 protocol "query via POST directly": the body
 			// IS the query, so cap the read at the same length bound.
-			body, err := io.ReadAll(io.LimitReader(r.Body, int64(s.MaxQueryLen)+1))
+			body, err := io.ReadAll(io.LimitReader(r.Body, int64(s.maxQueryLen)+1))
 			if err != nil {
 				http.Error(w, "malformed request body", http.StatusBadRequest)
 				s.m.countRequest("bad_request", time.Since(start))
@@ -213,7 +204,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.m.countRequest("bad_request", time.Since(start))
 		return
 	}
-	if len(query) > s.MaxQueryLen {
+	if len(query) > s.maxQueryLen {
 		http.Error(w, "query too long", http.StatusRequestEntityTooLarge)
 		s.m.countRequest("bad_request", time.Since(start))
 		return

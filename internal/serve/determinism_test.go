@@ -52,7 +52,7 @@ func corpusBackends(t *testing.T) map[string]func() endpoint.Client {
 				}
 				backends[i] = endpoint.NewInProcess(st)
 			}
-			c, err := shard.New(backends, shard.WithConfig(shard.Config{}))
+			c, err := shard.New(backends)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,7 +153,7 @@ func TestCorpusInvalidationAcrossTopologies(t *testing.T) {
 			}
 			backends[i] = endpoint.NewInProcess(stores[i])
 		}
-		coord, err := shard.New(backends, shard.WithConfig(shard.Config{}))
+		coord, err := shard.New(backends)
 		if err != nil {
 			t.Fatal(err)
 		}

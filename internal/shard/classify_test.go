@@ -243,7 +243,7 @@ func TestGatherFetchDedupe(t *testing.T) {
 	// and the constant-subject pattern share <knows>.
 	ts := determinismTriples()
 	q := `SELECT ?a ?b ?x WHERE { ?a <http://t/knows>+ ?b . <http://t/p1> <http://t/knows> ?x } ORDER BY ?a ?b ?x`
-	coord := newTopology(t, ts, 3, Config{})
+	coord := newTopology(t, ts, 3)
 	defer coord.Close()
 	res, meta, err := coord.QueryX(context.Background(), endpoint.Request{Query: q})
 	if err != nil {

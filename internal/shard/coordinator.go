@@ -14,15 +14,12 @@ import (
 	"re2xolap/internal/sparql"
 )
 
-// Config tunes a Coordinator. The zero value is usable: full
-// resilience with the default policy, strict (non-degraded) failure
-// handling, scatter width = shard count, no prober, no hedging, no
-// metrics, plan cache on at DefaultPlanCacheSize.
-//
-// Deprecated: Config is kept one release as a migration adapter —
-// pass it through WithConfig. New code composes the With* Options
-// directly (see options.go).
-type Config struct {
+// config is what the With* Options (options.go) fold into. The zero
+// value is usable: full resilience with the default policy, strict
+// (non-degraded) failure handling, scatter width = shard count, no
+// prober, no hedging, no metrics, plan cache on at
+// DefaultPlanCacheSize.
+type config struct {
 	// Workers bounds scatter concurrency — shards in flight, and on the
 	// gather path also one shard's fetch queries in flight — and the
 	// local engine workers on the gather path; <= 0 means one goroutine
@@ -85,7 +82,7 @@ type view struct {
 // set — behind the endpoint.Client and endpoint.QuerierX interfaces.
 // It is safe for concurrent use.
 type Coordinator struct {
-	cfg   Config
+	cfg   config
 	m     *metrics
 	cache *planCache // nil when caching is disabled
 	topo  Topology
@@ -99,7 +96,7 @@ type Coordinator struct {
 	probeCancel context.CancelFunc
 	probeDone   chan struct{}
 
-	fleet *fleetCollector // nil unless Config.Fleet is set
+	fleet *fleetCollector // nil unless WithFleet is set
 }
 
 // New builds a coordinator over single-replica shards (index = shard
@@ -175,7 +172,7 @@ func NewDynamic(topo Topology, dial Dialer, opts ...Option) (*Coordinator, error
 
 // newCoordinator sets up the shared shell: config, metrics whose
 // gauges read whatever view is current, and the plan cache.
-func newCoordinator(cfg Config) *Coordinator {
+func newCoordinator(cfg config) *Coordinator {
 	c := &Coordinator{cfg: cfg}
 	c.m = newMetrics(cfg.Registry,
 		func() float64 { return float64(len(c.currentView().groups)) },

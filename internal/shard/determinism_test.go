@@ -40,7 +40,7 @@ func determinismCorpus() []corpusQuery {
 
 // newTopology splits the dataset over n in-process shard stores and
 // returns a coordinator over them.
-func newTopology(t *testing.T, ts []rdf.Triple, n int, cfg Config) *Coordinator {
+func newTopology(t *testing.T, ts []rdf.Triple, n int, opts ...Option) *Coordinator {
 	t.Helper()
 	parts := Partitioner{N: n}.Split(ts)
 	backends := make([]endpoint.Client, n)
@@ -51,7 +51,7 @@ func newTopology(t *testing.T, ts []rdf.Triple, n int, cfg Config) *Coordinator 
 		}
 		backends[i] = endpoint.NewInProcess(st)
 	}
-	c, err := New(backends, WithConfig(cfg))
+	c, err := New(backends, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestDeterminismAcrossTopologies(t *testing.T) {
 	topologies := []int{1, 2, 3, 5}
 	coords := make([]*Coordinator, len(topologies))
 	for i, n := range topologies {
-		coords[i] = newTopology(t, ts, n, Config{})
+		coords[i] = newTopology(t, ts, n)
 	}
 
 	for _, cq := range determinismCorpus() {
@@ -189,11 +189,11 @@ func TestDeterminismMixedHTTPBackends(t *testing.T) {
 		endpoint.NewInProcess(stores[0]),
 		endpoint.NewHTTPClient(srv.URL),
 		endpoint.NewInProcess(stores[2]),
-	}, WithConfig(Config{}))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := newTopology(t, ts, n, Config{})
+	local := newTopology(t, ts, n)
 
 	ctx := context.Background()
 	for _, cq := range determinismCorpus() {
@@ -218,8 +218,8 @@ func TestDeterminismMixedHTTPBackends(t *testing.T) {
 // chunk size.
 func TestBoundJoinChunkDeterminism(t *testing.T) {
 	ts := determinismTriples()
-	base := newTopology(t, ts, 3, Config{})
-	small := newTopology(t, ts, 3, Config{BoundJoinChunk: 2})
+	base := newTopology(t, ts, 3)
+	small := newTopology(t, ts, 3, WithBoundJoinChunk(2))
 	ctx := context.Background()
 	for _, cq := range determinismCorpus() {
 		res1, _, err := base.QueryX(ctx, endpoint.Request{Query: cq.query})

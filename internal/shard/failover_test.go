@@ -21,7 +21,7 @@ import (
 // has `replicas` FaultClient-wrapped copies of its partition (all
 // replicas of a shard share the partition store — the identical-copy
 // contract). fcfg, when non-nil, picks each replica's fault schedule.
-func newReplicatedFaults(t *testing.T, ts []rdf.Triple, n, replicas int, cfg Config,
+func newReplicatedFaults(t *testing.T, ts []rdf.Triple, n, replicas int, opts []Option,
 	fcfg func(shard, rep int) endpoint.FaultConfig) (*Coordinator, [][]*endpoint.FaultClient) {
 	t.Helper()
 	parts := Partitioner{N: n}.Split(ts)
@@ -39,7 +39,7 @@ func newReplicatedFaults(t *testing.T, ts []rdf.Triple, n, replicas int, cfg Con
 			groups[i] = append(groups[i], f)
 		}
 	}
-	c, err := NewReplicated(groups, WithConfig(cfg))
+	c, err := NewReplicated(groups, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func runCorpusComplete(t *testing.T, c *Coordinator, want map[string][]byte, lab
 // corpusBaseline computes the healthy single-replica answers.
 func corpusBaseline(t *testing.T, ts []rdf.Triple, n int) map[string][]byte {
 	t.Helper()
-	base := newTopology(t, ts, n, Config{})
+	base := newTopology(t, ts, n)
 	want := map[string][]byte{}
 	for _, cq := range determinismCorpus() {
 		res, meta, err := base.QueryX(context.Background(), endpoint.Request{Query: cq.query})
@@ -95,7 +95,7 @@ func TestFailoverOneReplicaDown(t *testing.T) {
 	ts := determinismTriples()
 	const n = 3
 	want := corpusBaseline(t, ts, n)
-	c, _ := newReplicatedFaults(t, ts, n, 2, Config{NoResilience: true},
+	c, _ := newReplicatedFaults(t, ts, n, 2, []Option{WithoutResilience()},
 		func(shard, rep int) endpoint.FaultConfig {
 			return endpoint.FaultConfig{Down: rep == 0} // preferred replica dead
 		})
@@ -109,7 +109,7 @@ func TestFailoverKillMidRun(t *testing.T) {
 	ts := determinismTriples()
 	const n = 3
 	want := corpusBaseline(t, ts, n)
-	c, faults := newReplicatedFaults(t, ts, n, 2, Config{NoResilience: true}, nil)
+	c, faults := newReplicatedFaults(t, ts, n, 2, []Option{WithoutResilience()}, nil)
 	ctx := context.Background()
 	corpus := determinismCorpus()
 	for i, cq := range corpus {
@@ -145,7 +145,7 @@ func TestFailoverFlappyReplica(t *testing.T) {
 	ts := determinismTriples()
 	const n = 3
 	want := corpusBaseline(t, ts, n)
-	c, _ := newReplicatedFaults(t, ts, n, 2, Config{NoResilience: true},
+	c, _ := newReplicatedFaults(t, ts, n, 2, []Option{WithoutResilience()},
 		func(shard, rep int) endpoint.FaultConfig {
 			if rep == 0 {
 				return endpoint.FaultConfig{FlapDown: 1, FlapUp: 2}
@@ -162,7 +162,7 @@ func TestFailoverFlappyReplica(t *testing.T) {
 func TestFailoverConcurrentKill(t *testing.T) {
 	ts := determinismTriples()
 	const n = 3
-	c, faults := newReplicatedFaults(t, ts, n, 2, Config{NoResilience: true}, nil)
+	c, faults := newReplicatedFaults(t, ts, n, 2, []Option{WithoutResilience()}, nil)
 	queries := []string{
 		`SELECT ?s ?v WHERE { ?s <http://t/value> ?v } ORDER BY DESC(?v) LIMIT 4`,
 		`SELECT ?r (COUNT(?v) AS ?n) WHERE { ?s <http://t/region> ?r . ?s <http://t/value> ?v } GROUP BY ?r ORDER BY ?r`,
@@ -370,10 +370,10 @@ func eventually(t *testing.T, d time.Duration, cond func() bool, msg string) {
 func TestProberDownAndRecover(t *testing.T) {
 	ts := determinismTriples()
 	reg := obs.NewRegistry()
-	c, faults := newReplicatedFaults(t, ts, 1, 2, Config{
-		NoResilience: true,
-		Registry:     reg,
-		Health:       HealthConfig{Interval: 3 * time.Millisecond, Timeout: 100 * time.Millisecond},
+	c, faults := newReplicatedFaults(t, ts, 1, 2, []Option{
+		WithoutResilience(),
+		WithRegistry(reg),
+		WithHealth(HealthConfig{Interval: 3 * time.Millisecond, Timeout: 100 * time.Millisecond}),
 	}, nil)
 
 	// First sweep confirms both replicas: ready.
@@ -452,9 +452,9 @@ func TestProberDownAndRecover(t *testing.T) {
 // detected by probe timeout rather than stalling the sweep.
 func TestProberBlackholeReplica(t *testing.T) {
 	ts := determinismTriples()
-	c, faults := newReplicatedFaults(t, ts, 1, 2, Config{
-		NoResilience: true,
-		Health:       HealthConfig{Interval: 3 * time.Millisecond, Timeout: 10 * time.Millisecond},
+	c, faults := newReplicatedFaults(t, ts, 1, 2, []Option{
+		WithoutResilience(),
+		WithHealth(HealthConfig{Interval: 3 * time.Millisecond, Timeout: 10 * time.Millisecond}),
 	}, nil)
 	eventually(t, 5*time.Second, func() bool { return c.Ready() == nil },
 		"never ready")
@@ -471,7 +471,7 @@ func TestProberBlackholeReplica(t *testing.T) {
 // readiness — the coordinator is ready as soon as it is built.
 func TestReadyWithoutProber(t *testing.T) {
 	ts := determinismTriples()
-	c, _ := newReplicatedFaults(t, ts, 2, 1, Config{NoResilience: true}, nil)
+	c, _ := newReplicatedFaults(t, ts, 2, 1, []Option{WithoutResilience()}, nil)
 	if err := c.Ready(); err != nil {
 		t.Fatalf("prober disabled: want immediate readiness, got %v", err)
 	}
@@ -483,10 +483,10 @@ func TestReadyWithoutProber(t *testing.T) {
 func TestHedgedSlowPrimary(t *testing.T) {
 	ts := determinismTriples()
 	reg := obs.NewRegistry()
-	c, _ := newReplicatedFaults(t, ts, 1, 2, Config{
-		NoResilience: true,
-		Registry:     reg,
-		HedgeAfter:   15 * time.Millisecond,
+	c, _ := newReplicatedFaults(t, ts, 1, 2, []Option{
+		WithoutResilience(),
+		WithRegistry(reg),
+		WithHedge(15 * time.Millisecond),
 	}, func(shard, rep int) endpoint.FaultConfig {
 		if rep == 0 {
 			return endpoint.FaultConfig{Latency: 2 * time.Second}

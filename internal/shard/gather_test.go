@@ -348,7 +348,7 @@ func TestGatherFetchesOverlap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	fast := newTopology(t, ts, 3, Config{})
+	fast := newTopology(t, ts, 3)
 	want, err := fast.Query(context.Background(), query)
 	if err != nil {
 		t.Fatal(err)
@@ -386,7 +386,7 @@ func TestGatherFetchesOverlap(t *testing.T) {
 // TestGatherHonoursCancellation: a cancelled context stops the plan
 // with the context's error instead of assembling and executing.
 func TestGatherHonoursCancellation(t *testing.T) {
-	coord := newTopology(t, determinismTriples(), 3, Config{Degraded: true})
+	coord := newTopology(t, determinismTriples(), 3, WithDegraded(true))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, _, err := coord.QueryX(ctx, endpoint.Request{Query: `SELECT ?b WHERE { <http://t/p0> <http://t/knows>+ ?b }`})

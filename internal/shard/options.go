@@ -12,11 +12,11 @@ import (
 // full resilience with the default policy, strict (non-degraded)
 // failure handling, scatter width = shard count, no prober, no
 // hedging, no metrics, plan cache on at DefaultPlanCacheSize.
-type Option func(*Config)
+type Option func(*config)
 
-// applyOptions folds the options over a zero Config.
-func applyOptions(opts []Option) Config {
-	var cfg Config
+// applyOptions folds the options over a zero config.
+func applyOptions(opts []Option) config {
+	var cfg config
 	for _, o := range opts {
 		if o != nil {
 			o(&cfg)
@@ -25,19 +25,10 @@ func applyOptions(opts []Option) Config {
 	return cfg
 }
 
-// WithConfig applies a whole Config bag at once, replacing whatever
-// earlier options set.
-//
-// Deprecated: the struct-literal configuration is kept one release as
-// a migration adapter; compose the individual With* options instead.
-func WithConfig(cfg Config) Option {
-	return func(c *Config) { *c = cfg }
-}
-
 // WithWorkers bounds scatter concurrency and the local engine workers
 // on the gather path; <= 0 means one goroutine per shard.
 func WithWorkers(n int) Option {
-	return func(c *Config) { c.Workers = n }
+	return func(c *config) { c.Workers = n }
 }
 
 // WithDegraded serves partial results when shards fail: failed shards
@@ -46,27 +37,27 @@ func WithWorkers(n int) Option {
 // default) any shard failure fails the query. An all-shards failure
 // is an error in either mode.
 func WithDegraded(on bool) Option {
-	return func(c *Config) { c.Degraded = on }
+	return func(c *config) { c.Degraded = on }
 }
 
 // WithPolicy sets the per-replica resilience policy (each replica not
 // already resilient is wrapped in its own endpoint.NewResilient, so
 // one misbehaving replica trips only its own breaker).
 func WithPolicy(p endpoint.Policy) Option {
-	return func(c *Config) { c.Policy = &p }
+	return func(c *config) { c.Policy = &p }
 }
 
 // WithoutResilience skips the per-replica ResilientClient wrapping
 // (tests, or callers that bring their own).
 func WithoutResilience() Option {
-	return func(c *Config) { c.NoResilience = true }
+	return func(c *config) { c.NoResilience = true }
 }
 
 // WithHealth enables the background replica prober. A zero Interval
 // disables it (failover alone then handles faults, and Ready reports
 // ready immediately).
 func WithHealth(h HealthConfig) Option {
-	return func(c *Config) { c.Health = h }
+	return func(c *config) { c.Health = h }
 }
 
 // WithHedge hedges slow shard calls: if the preferred replica has not
@@ -75,7 +66,7 @@ func WithHealth(h HealthConfig) Option {
 // identical partitions, so hedging cannot change result bytes — only
 // tail latency.
 func WithHedge(after time.Duration) Option {
-	return func(c *Config) { c.HedgeAfter = after }
+	return func(c *config) { c.HedgeAfter = after }
 }
 
 // WithRegistry wires the coordinator metrics: per-shard call
@@ -83,7 +74,7 @@ func WithHedge(after time.Duration) Option {
 // plan-cache counters, fan-out and in-flight gauges, merge-phase
 // timings, hedge, degraded-mode, and topology-reload counters.
 func WithRegistry(r *obs.Registry) Option {
-	return func(c *Config) { c.Registry = r }
+	return func(c *config) { c.Registry = r }
 }
 
 // WithPlanCache sizes the coordinator plan cache (parse + classify +
@@ -91,7 +82,7 @@ func WithRegistry(r *obs.Registry) Option {
 // disables caching; without this option the cache holds
 // DefaultPlanCacheSize plans.
 func WithPlanCache(capacity int) Option {
-	return func(c *Config) {
+	return func(c *config) {
 		if capacity <= 0 {
 			c.PlanCacheSize = -1
 			return
@@ -108,7 +99,7 @@ func WithPlanCache(capacity int) Option {
 // passthrough with an `instance` label, staleness gauges for
 // unreachable replicas — at FleetHandler (/metrics/fleet).
 func WithFleet(cfg FleetConfig) Option {
-	return func(c *Config) { c.Fleet = &cfg }
+	return func(c *config) { c.Fleet = &cfg }
 }
 
 // WithBoundJoinChunk caps the VALUES rows shipped per bound-join
@@ -116,5 +107,5 @@ func WithFleet(cfg FleetConfig) Option {
 // computed on the canonically sorted binding set, so the generated
 // queries stay deterministic at any size.
 func WithBoundJoinChunk(n int) Option {
-	return func(c *Config) { c.BoundJoinChunk = n }
+	return func(c *config) { c.BoundJoinChunk = n }
 }

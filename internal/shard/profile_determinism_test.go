@@ -55,7 +55,7 @@ func TestProfilerDeterminism(t *testing.T) {
 // class and per-shard accounting in QueryMeta.
 func TestCoordinatorShardMeta(t *testing.T) {
 	ts := determinismTriples()
-	coord := newTopology(t, ts, 3, Config{})
+	coord := newTopology(t, ts, 3)
 	ctx := context.Background()
 	for _, tc := range []struct {
 		query string

@@ -132,7 +132,7 @@ func TestDegradedMode(t *testing.T) {
 	if !meta.Incomplete {
 		t.Fatal("degraded answer must set Incomplete")
 	}
-	full := newTopology(t, ts, 3, Config{})
+	full := newTopology(t, ts, 3)
 	fres, _, err := full.QueryX(context.Background(), endpoint.Request{Query: query})
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +184,7 @@ func TestDegradedMode(t *testing.T) {
 func TestCoordinatorConcurrent(t *testing.T) {
 	ts := determinismTriples()
 	reg := obs.NewRegistry()
-	c := newTopology(t, ts, 3, Config{Registry: reg})
+	c := newTopology(t, ts, 3, WithRegistry(reg))
 	queries := []string{
 		`SELECT ?s ?v WHERE { ?s <http://t/value> ?v } ORDER BY DESC(?v) LIMIT 4`,
 		`SELECT ?r (COUNT(?v) AS ?n) WHERE { ?s <http://t/region> ?r . ?s <http://t/value> ?v } GROUP BY ?r ORDER BY ?r`,
@@ -239,7 +239,7 @@ func TestCoordinatorConcurrent(t *testing.T) {
 func TestCoordinatorMetrics(t *testing.T) {
 	ts := determinismTriples()
 	reg := obs.NewRegistry()
-	c := newTopology(t, ts, 3, Config{Registry: reg})
+	c := newTopology(t, ts, 3, WithRegistry(reg))
 	ctx := context.Background()
 	queries := []string{
 		`SELECT ?s WHERE { ?s <http://t/region> ?r } LIMIT 2`,
@@ -290,4 +290,47 @@ func storeFromTriples(t *testing.T, ts []rdf.Triple) *store.Store {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// TestPartialAggMixedTypeAvg: a group holding a number on one shard
+// and a non-numeric literal on the other averages over the values SUM
+// summed, exactly as a single node does — the pushed-down AVG count
+// column must not count the non-numeric value.
+func TestPartialAggMixedTypeAvg(t *testing.T) {
+	iri := func(s string) rdf.Term { return rdf.NewIRI("http://t/" + s) }
+	parts := [][]rdf.Triple{
+		{{S: iri("s0"), P: iri("group"), O: iri("g")}, {S: iri("s0"), P: iri("value"), O: rdf.NewInteger(10)}},
+		{{S: iri("s1"), P: iri("group"), O: iri("g")}, {S: iri("s1"), P: iri("value"), O: rdf.NewString("n/a")}},
+	}
+	coord, err := New([]endpoint.Client{
+		endpoint.NewInProcess(storeFromTriples(t, parts[0])),
+		endpoint.NewInProcess(storeFromTriples(t, parts[1])),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := sparql.NewEngine(storeFromTriples(t, append(parts[0], parts[1]...)))
+	for _, query := range []string{
+		`SELECT ?g (AVG(?v) AS ?a) (COUNT(?v) AS ?n) WHERE { ?s <http://t/group> ?g . ?s <http://t/value> ?v } GROUP BY ?g`,
+		`SELECT (AVG(?v) AS ?a) (COUNT(?v) AS ?n) WHERE { ?s <http://t/value> ?v }`,
+	} {
+		want, err := single.QueryString(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, meta, err := coord.QueryX(context.Background(), endpoint.Request{Query: query})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if meta.Plan != "partial_agg" {
+			t.Fatalf("plan = %q, want partial_agg", meta.Plan)
+		}
+		if g, w := encode(t, got), encode(t, want); !bytes.Equal(g, w) {
+			t.Errorf("%s\nfederated %s\nsingle    %s", query, g, w)
+		}
+		ai, ni := want.Column("a"), want.Column("n")
+		if a, n := want.Rows[0][ai].Value, want.Rows[0][ni].Value; a != "10" || n != "2" {
+			t.Errorf("single node AVG = %s, COUNT = %s, want 10 and 2", a, n)
+		}
+	}
 }

@@ -153,6 +153,6 @@ func (f *FileTopology) Changed() (bool, error) {
 // Dialer turns one replica spec into a client. shard and replica are
 // the spec's position in the view, so a dialer can build partition
 // stores for "local" specs. The coordinator wraps the returned client
-// in its own per-replica ResilientClient (unless Config.NoResilience);
+// in its own per-replica ResilientClient (unless WithoutResilience);
 // dialers should return the bare transport.
 type Dialer func(shard, replica int, spec string) (endpoint.Client, error)

@@ -323,7 +323,7 @@ func TestReloadDrainsInFlight(t *testing.T) {
 // client lists cannot re-resolve.
 func TestStaticTopologyReloadErrors(t *testing.T) {
 	ts := determinismTriples()
-	c := newTopology(t, ts, 2, Config{})
+	c := newTopology(t, ts, 2)
 	if _, err := c.Reload(); err == nil {
 		t.Fatal("static topology must refuse Reload")
 	}

@@ -3,7 +3,6 @@ package sparql
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"re2xolap/internal/rdf"
@@ -110,26 +109,9 @@ func MergeFinalize(q *Query, res *Results) {
 	}
 }
 
-// distAggKind is how one aggregate decomposes into shard-side columns.
-type distAggKind int
-
-const (
-	distCount  distAggKind = iota // one COUNT column; partials add
-	distSum                       // one SUM column; partials add
-	distAvg                       // SUM + COUNT columns; add pairwise, divide at the end
-	distMin                       // one MIN column; keep the orderLess-least
-	distMax                       // one MAX column; keep the orderLess-greatest
-	distSample                    // pushed down as MIN: the canonical sample
-)
-
-// distAgg is the merge plan for one original aggregate.
-type distAgg struct {
-	orig AggExpr
-	kind distAggKind
-	// col/col2 are the shard-result column names carrying the partial
-	// state (col2 is the AVG count column).
-	col, col2 string
-}
+// partialCols names the shard-result columns carrying one aggregate's
+// partial state (cnt is the AVG count column, empty otherwise).
+type partialCols struct{ val, cnt string }
 
 // partialColPrefix names the synthetic shard-query columns. It shares
 // the engine's internal-variable namespace conventions but must not
@@ -141,12 +123,12 @@ const partialColPrefix = "_sg"
 // partial states and finalizes HAVING and the projection. The caller
 // applies MergeFinalize afterwards.
 type PartialAggPlan struct {
-	orig    *Query
-	shard   *Query
-	aggs    []AggExpr
-	aggIdx  map[string]int
-	daggs   []distAgg
-	keyVars []string
+	// spec is the original query's aggregate spec with vars set to the
+	// GROUP BY variables and every SAMPLE replaced by the MIN it is
+	// pushed down as, so shard states merge and finalize as MIN.
+	spec  *aggSpec
+	shard *Query
+	cols  []partialCols // per spec.aggs entry
 }
 
 // ShardQuery returns the rewritten per-shard query. Callers must not
@@ -168,22 +150,15 @@ func (p *PartialAggPlan) ShardQuery() *Query { return p.shard }
 //
 // SAMPLE is decomposed as MIN: the language lets SAMPLE return any
 // group member, and the least member is the only choice every
-// topology agrees on. AVG decomposes into (SUM, COUNT) pairs; for a
-// group mixing numeric and non-numeric values the pushed-down COUNT
-// counts bound rather than numeric-valid values, which can deviate
-// from the sequential AVG (the gather fallback is exact).
+// topology agrees on. AVG decomposes into (SUM, COUNT) pairs whose
+// count column counts exactly the values the sum column summed.
 func PlanPartialAggregation(q *Query) (*PartialAggPlan, bool) {
 	if q.Ask || q.Construct != nil || !q.IsAggregate() || q.Star {
 		return nil, false
 	}
-	aggs, aggIdx := collectAggs(q)
-	for _, a := range aggs {
+	spec := newAggSpec(q)
+	for _, a := range spec.aggs {
 		if a.Distinct || a.Fn == "GROUP_CONCAT" {
-			return nil, false
-		}
-		switch a.Fn {
-		case "COUNT", "SUM", "AVG", "MIN", "MAX", "SAMPLE":
-		default:
 			return nil, false
 		}
 	}
@@ -194,25 +169,8 @@ func PlanPartialAggregation(q *Query) (*PartialAggPlan, bool) {
 	// Every non-aggregated variable reaching the output must be a
 	// GROUP BY key, or its value would come from a topology-dependent
 	// representative row.
-	check := func(e Expr) bool {
-		for _, v := range nonAggVars(e, nil) {
-			if !inGroupBy[v] {
-				return false
-			}
-		}
-		return true
-	}
-	for _, it := range q.Select {
-		if it.Expr == nil {
-			if !inGroupBy[it.Var] {
-				return nil, false
-			}
-		} else if !check(it.Expr) {
-			return nil, false
-		}
-	}
-	for _, h := range q.Having {
-		if !check(h) {
+	for _, v := range spec.vars {
+		if !inGroupBy[v] {
 			return nil, false
 		}
 	}
@@ -225,8 +183,9 @@ func PlanPartialAggregation(q *Query) (*PartialAggPlan, bool) {
 			}
 		}
 	}
+	spec.vars = q.GroupBy
 
-	p := &PartialAggPlan{orig: q, aggs: aggs, aggIdx: aggIdx, keyVars: q.GroupBy}
+	p := &PartialAggPlan{spec: spec, cols: make([]partialCols, len(spec.aggs))}
 	shard := &Query{
 		Where:   q.Where,
 		GroupBy: q.GroupBy,
@@ -235,42 +194,33 @@ func PlanPartialAggregation(q *Query) (*PartialAggPlan, bool) {
 	for _, v := range q.GroupBy {
 		shard.Select = append(shard.Select, SelectItem{Var: v})
 	}
-	for i, a := range aggs {
-		col := func(suffix string) string {
-			return fmt.Sprintf("%s%d_%s", partialColPrefix, i, suffix)
+	for i, a := range spec.aggs {
+		push := func(suffix string, e AggExpr) string {
+			col := fmt.Sprintf("%s%d_%s", partialColPrefix, i, suffix)
+			shard.Select = append(shard.Select, SelectItem{Var: col, Expr: e})
+			return col
 		}
-		var d distAgg
-		d.orig = a
+		c := &p.cols[i]
 		switch a.Fn {
 		case "COUNT":
-			d.kind = distCount
-			d.col = col("n")
-			shard.Select = append(shard.Select, SelectItem{Var: d.col, Expr: a})
+			c.val = push("n", a)
 		case "SUM":
-			d.kind = distSum
-			d.col = col("sum")
-			shard.Select = append(shard.Select, SelectItem{Var: d.col, Expr: a})
+			c.val = push("sum", a)
 		case "AVG":
-			d.kind = distAvg
-			d.col = col("sum")
-			d.col2 = col("cnt")
-			shard.Select = append(shard.Select,
-				SelectItem{Var: d.col, Expr: AggExpr{Fn: "SUM", Arg: a.Arg}},
-				SelectItem{Var: d.col2, Expr: AggExpr{Fn: "COUNT", Arg: a.Arg}})
+			c.val = push("sum", AggExpr{Fn: "SUM", Arg: a.Arg})
+			// arg + 0 evaluates exactly when SUM's Value.numeric() does
+			// (ISNUMERIC would also pass an ill-formed numeric literal).
+			c.cnt = push("cnt", AggExpr{Fn: "COUNT", Arg: BinaryExpr{Op: "+", L: a.Arg, R: ConstExpr{Term: rdf.NewInteger(0)}}})
 		case "MIN":
-			d.kind = distMin
-			d.col = col("min")
-			shard.Select = append(shard.Select, SelectItem{Var: d.col, Expr: a})
+			c.val = push("min", a)
 		case "MAX":
-			d.kind = distMax
-			d.col = col("max")
-			shard.Select = append(shard.Select, SelectItem{Var: d.col, Expr: a})
+			c.val = push("max", a)
 		case "SAMPLE":
-			d.kind = distSample
-			d.col = col("smp")
-			shard.Select = append(shard.Select, SelectItem{Var: d.col, Expr: AggExpr{Fn: "MIN", Arg: a.Arg}})
+			spec.aggs[i] = AggExpr{Fn: "MIN", Arg: a.Arg}
+			c.val = push("smp", spec.aggs[i])
+		default:
+			return nil, false
 		}
-		p.daggs = append(p.daggs, d)
 	}
 	p.shard = shard
 	return p, true
@@ -315,289 +265,68 @@ func nonAggVars(e Expr, dst []string) []string {
 	return dst
 }
 
-// distPartial is the merged cross-shard state of one aggregate within
-// one group.
-type distPartial struct {
-	n    int64   // COUNT, AVG count
-	sum  float64 // SUM / AVG
-	best Value   // MIN / MAX / SAMPLE
-}
-
-// distGroup is one cross-shard group under merge.
-type distGroup struct {
-	key   []rdf.Term // GROUP BY key terms
-	canon string
-	parts []distPartial
-}
-
 // Merge combines per-shard partial-aggregate results (one *Results
 // per shard, in shard order; nil entries — failed shards in degraded
-// mode — are skipped) into the final result rows: groups are united
-// by key, partial states merged, aggregates finalized, HAVING applied,
-// and the projection evaluated. Group order is canonical (by key
-// serialization); the caller applies MergeFinalize for ORDER BY /
+// mode — are skipped) into the final result rows: each shard row loads
+// into a partial state that merges into its group, then groups
+// finalize and emit as on a single node. Group order is canonical (by
+// key serialization); the caller applies MergeFinalize for ORDER BY /
 // DISTINCT / LIMIT.
 func (p *PartialAggPlan) Merge(shardResults []*Results) (*Results, error) {
-	groups := map[string]*distGroup{}
+	t := newAggTable()
 	for _, sr := range shardResults {
 		if sr == nil {
 			continue
 		}
-		cols, err := p.shardColumns(sr)
+		keyCols, cols, err := p.shardColumns(sr)
 		if err != nil {
 			return nil, err
 		}
 		for _, r := range sr.Rows {
-			key := make([]rdf.Term, len(p.keyVars))
-			for i, c := range cols.key {
+			key := make([]rdf.Term, len(keyCols))
+			for i, c := range keyCols {
 				key[i] = r[c]
 			}
 			ck := CanonicalRowKey(key)
-			g, ok := groups[ck]
+			g, ok := t.groups[ck]
 			if !ok {
-				g = &distGroup{key: key, canon: ck, parts: make([]distPartial, len(p.daggs))}
-				groups[ck] = g
+				g = t.add(ck, key, len(p.spec.aggs))
 			}
-			for ai, d := range p.daggs {
-				if err := mergeDistPartial(&g.parts[ai], d.kind, r, cols.col[ai], cols.col2[ai]); err != nil {
+			for ai := range p.spec.aggs {
+				a := &p.spec.aggs[ai]
+				src, err := loadPartial(a, r[cols[ai][0]], r[cols[ai][1]])
+				if err != nil {
 					return nil, err
 				}
+				g.parts[ai].merge(a, &src)
 			}
 		}
 	}
-	// A global aggregate (no GROUP BY) over an all-empty federation
-	// still yields one group so COUNT finalizes to 0 — each shard
-	// already emits its empty-group row, but every entry may have been
-	// nil in degraded mode.
-	if len(groups) == 0 && len(p.keyVars) == 0 {
-		groups[""] = &distGroup{parts: make([]distPartial, len(p.daggs))}
-	}
-	order := make([]string, 0, len(groups))
-	for k := range groups {
-		order = append(order, k)
-	}
-	sort.Strings(order)
-
-	res := &Results{}
-	for _, it := range p.orig.Select {
-		res.Vars = append(res.Vars, it.Var)
-	}
-	for _, ck := range order {
-		g := groups[ck]
-		vals := make([]Value, len(p.daggs))
-		for ai, d := range p.daggs {
-			vals[ai] = finalizeDistPartial(g.parts[ai], d)
-		}
-		b := distBinding{keyVars: p.keyVars, key: g.key, aggVals: vals, aggIdx: p.aggIdx}
-		keep := true
-		for _, h := range p.orig.Having {
-			ok, err := evalBool(substituteAggValues(h, p.aggIdx, vals), b)
-			if err != nil || !ok {
-				keep = false
-				break
-			}
-		}
-		if !keep {
-			continue
-		}
-		line := make([]rdf.Term, len(p.orig.Select))
-		for i, it := range p.orig.Select {
-			var v Value
-			if it.Expr == nil {
-				v = b.value(it.Var)
-			} else {
-				var err error
-				v, err = evalExpr(substituteAggValues(it.Expr, p.aggIdx, vals), b)
-				if err != nil {
-					v = Value{}
-				}
-			}
-			if v.Bound {
-				line[i] = v.Term
-			}
-		}
-		res.Rows = append(res.Rows, line)
-	}
-	return res, nil
+	sort.Strings(t.order)
+	return p.spec.emit(t, func() error { return nil })
 }
 
-// shardCols maps the plan's columns into one shard result's layout.
-type shardCols struct {
-	key  []int
-	col  []int // per dagg: primary column
-	col2 []int // per dagg: AVG count column (-1 otherwise)
-}
-
-func (p *PartialAggPlan) shardColumns(sr *Results) (shardCols, error) {
-	var c shardCols
-	find := func(name string) (int, error) {
+// shardColumns maps the plan's columns into one shard result's
+// layout: the GROUP BY columns, and per aggregate its value and count
+// columns (the value column again where there is no count column).
+func (p *PartialAggPlan) shardColumns(sr *Results) (keyCols []int, cols [][2]int, err error) {
+	find := func(name string) int {
 		i := sr.Column(name)
-		if i < 0 {
-			return 0, fmt.Errorf("sparql: shard result missing column ?%s", name)
+		if i < 0 && err == nil {
+			err = fmt.Errorf("sparql: shard result missing column ?%s", name)
 		}
-		return i, nil
+		return i
 	}
-	for _, v := range p.keyVars {
-		i, err := find(v)
-		if err != nil {
-			return c, err
-		}
-		c.key = append(c.key, i)
+	for _, v := range p.spec.vars {
+		keyCols = append(keyCols, find(v))
 	}
-	for _, d := range p.daggs {
-		i, err := find(d.col)
-		if err != nil {
-			return c, err
+	for _, c := range p.cols {
+		val := find(c.val)
+		cnt := val
+		if c.cnt != "" {
+			cnt = find(c.cnt)
 		}
-		c.col = append(c.col, i)
-		j := -1
-		if d.col2 != "" {
-			if j, err = find(d.col2); err != nil {
-				return c, err
-			}
-		}
-		c.col2 = append(c.col2, j)
+		cols = append(cols, [2]int{val, cnt})
 	}
-	return c, nil
-}
-
-// mergeDistPartial folds one shard row's partial state for one
-// aggregate into the cross-shard state. col/col2 index the row's
-// partial columns (col2 only for AVG's count).
-func mergeDistPartial(dst *distPartial, kind distAggKind, r []rdf.Term, col, col2 int) error {
-	t := r[col]
-	switch kind {
-	case distCount:
-		n, err := termInt(t)
-		if err != nil {
-			return err
-		}
-		dst.n += n
-	case distSum:
-		f, err := termFloat(t)
-		if err != nil {
-			return err
-		}
-		dst.sum += f
-	case distAvg:
-		f, err := termFloat(t)
-		if err != nil {
-			return err
-		}
-		n, err := termInt(r[col2])
-		if err != nil {
-			return err
-		}
-		// A shard whose group had no valid values reports SUM 0,
-		// COUNT 0 — adding both is the identity.
-		dst.sum += f
-		dst.n += n
-	case distMin, distSample:
-		if !Bound(t) {
-			return nil
-		}
-		v := boundValue(t)
-		if !dst.best.Bound || orderLess(v, dst.best) {
-			dst.best = v
-		}
-	case distMax:
-		if !Bound(t) {
-			return nil
-		}
-		v := boundValue(t)
-		if !dst.best.Bound || orderLess(dst.best, v) {
-			dst.best = v
-		}
-	}
-	return nil
-}
-
-// finalizeDistPartial turns a merged state into the aggregate's value
-// using the same numValue rules as the sequential fold.
-func finalizeDistPartial(p distPartial, d distAgg) Value {
-	switch d.kind {
-	case distCount:
-		return numValue(float64(p.n))
-	case distSum:
-		return numValue(p.sum)
-	case distAvg:
-		if p.n == 0 {
-			return Value{}
-		}
-		return numValue(p.sum / float64(p.n))
-	default:
-		return p.best
-	}
-}
-
-func termInt(t rdf.Term) (int64, error) {
-	if !Bound(t) {
-		return 0, fmt.Errorf("sparql: unbound partial count")
-	}
-	n, err := strconv.ParseInt(t.Value, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("sparql: partial count %q: %w", t.Value, err)
-	}
-	return n, nil
-}
-
-func termFloat(t rdf.Term) (float64, error) {
-	if !Bound(t) {
-		// An unbound SUM cannot happen (SUM over nothing is 0), but an
-		// endpoint is free to omit it; treat as the additive identity.
-		return 0, nil
-	}
-	f, ok := t.Numeric()
-	if !ok {
-		return 0, fmt.Errorf("sparql: partial sum %q is not numeric", t.Value)
-	}
-	return f, nil
-}
-
-// distBinding resolves GROUP BY key variables against a merged group.
-type distBinding struct {
-	keyVars []string
-	key     []rdf.Term
-	aggVals []Value
-	aggIdx  map[string]int
-}
-
-func (b distBinding) value(name string) Value {
-	for i, v := range b.keyVars {
-		if v == name && i < len(b.key) && Bound(b.key[i]) {
-			return boundValue(b.key[i])
-		}
-	}
-	return Value{}
-}
-
-// substituteAggValues replaces AggExpr nodes with the merged group's
-// finalized constants, mirroring substituteAggregates for the
-// coordinator-side binding.
-func substituteAggValues(e Expr, aggIdx map[string]int, vals []Value) Expr {
-	switch x := e.(type) {
-	case AggExpr:
-		idx, ok := aggIdx[x.String()]
-		if !ok || !vals[idx].Bound {
-			return VarExpr{Name: internalVarPrefix + "_unboundagg"}
-		}
-		return ConstExpr{Term: vals[idx].Term}
-	case BinaryExpr:
-		return BinaryExpr{Op: x.Op, L: substituteAggValues(x.L, aggIdx, vals), R: substituteAggValues(x.R, aggIdx, vals)}
-	case UnaryExpr:
-		return UnaryExpr{Op: x.Op, E: substituteAggValues(x.E, aggIdx, vals)}
-	case InExpr:
-		list := make([]Expr, len(x.List))
-		for i, y := range x.List {
-			list[i] = substituteAggValues(y, aggIdx, vals)
-		}
-		return InExpr{E: substituteAggValues(x.E, aggIdx, vals), List: list, Not: x.Not}
-	case FuncExpr:
-		args := make([]Expr, len(x.Args))
-		for i, y := range x.Args {
-			args[i] = substituteAggValues(y, aggIdx, vals)
-		}
-		return FuncExpr{Name: x.Name, Args: args}
-	}
-	return e
+	return keyCols, cols, err
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -168,7 +167,7 @@ func (e *Engine) queryPhased(ctx context.Context, q *Query, view *store.View, pt
 		if ex.prof != nil {
 			pn = ex.prof.open("aggregate", aggregateDetail(q), len(rows))
 			if ex.parallel(len(rows)) {
-				pn.Workers = e.Exec.shards()
+				pn.Workers = ex.workers
 			}
 		}
 		res, err = ex.aggregate(q, rows)
@@ -1478,393 +1477,6 @@ func (ex *executor) construct(q *Query, rows []row) (*Results, error) {
 		res.Triples = res.Triples[:q.Limit]
 	}
 	return res, nil
-}
-
-// group holds per-group aggregation state.
-type group struct {
-	rep  row // representative row (first member) for key vars
-	rows []row
-}
-
-// aggGroup is one finished group: its representative row (for GROUP BY
-// key variables) and the precomputed value of every aggregate.
-type aggGroup struct {
-	rep  row
-	vals []Value
-}
-
-// groupKey renders a row's GROUP BY key slots into a map key.
-func groupKey(r row, keySlots []int) string {
-	var kb strings.Builder
-	for _, s := range keySlots {
-		fmt.Fprintf(&kb, "%d,", r[s])
-	}
-	return kb.String()
-}
-
-// collectAggs gathers every distinct aggregate expression used in the
-// projection, HAVING, or ORDER BY, with an index by rendered form.
-func collectAggs(q *Query) ([]AggExpr, map[string]int) {
-	var aggs []AggExpr
-	idx := map[string]int{}
-	collect := func(e Expr) {
-		walkAggregates(e, func(a AggExpr) {
-			if _, dup := idx[a.String()]; !dup {
-				idx[a.String()] = len(aggs)
-				aggs = append(aggs, a)
-			}
-		})
-	}
-	for _, it := range q.Select {
-		if it.Expr != nil {
-			collect(it.Expr)
-		}
-	}
-	for _, h := range q.Having {
-		collect(h)
-	}
-	for _, o := range q.OrderBy {
-		collect(o.Expr)
-	}
-	return aggs, idx
-}
-
-// aggregate builds the result set for a GROUP BY / aggregate query.
-// Two parallel plans exist: when every aggregate is partial-mergeable
-// (non-DISTINCT), the input rows are sharded and each shard folds its
-// rows into per-group partial states that merge exactly (sharded
-// partial aggregation); otherwise groups are built by sharded
-// grouping and each group is evaluated sequentially, with groups
-// spread over the workers. Both plans reproduce the sequential output
-// exactly: shards are contiguous row ranges merged in order, so group
-// first-appearance order and within-group row order are preserved.
-func (ex *executor) aggregate(q *Query, rows []row) (*Results, error) {
-	keySlots := make([]int, len(q.GroupBy))
-	for i, v := range q.GroupBy {
-		keySlots[i] = ex.slot(v)
-	}
-	rows = ex.extendRows(rows)
-	aggs, aggIdx := collectAggs(q)
-
-	var ags []aggGroup
-	if ex.parallel(len(rows)) && mergeableAggs(aggs) {
-		var err error
-		ags, err = ex.aggregateSharded(rows, keySlots, aggs)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		order, groups, err := ex.buildGroups(rows, keySlots)
-		if err != nil {
-			return nil, err
-		}
-		// A query with aggregates but no GROUP BY over zero rows yields
-		// one empty group (COUNT = 0).
-		if len(order) == 0 && len(q.GroupBy) == 0 {
-			groups[""] = &group{rep: make(row, len(ex.varSeq))}
-			order = append(order, "")
-		}
-		ags = make([]aggGroup, len(order))
-		// Each group evaluates independently; with several groups the
-		// per-group work (DISTINCT sets, expression evaluation per row)
-		// spreads over the workers even below the row threshold.
-		ex.runIndexed(len(order), ex.workers > 1 && len(order) > 1, func(w *executor, i int) {
-			g := groups[order[i]]
-			vals := make([]Value, len(aggs))
-			for ai, a := range aggs {
-				vals[ai] = w.computeAggregate(a, g)
-			}
-			ags[i] = aggGroup{rep: g.rep, vals: vals}
-		})
-	}
-	if err := ex.ctxErr(); err != nil {
-		// computeAggregate bails out mid-group on cancellation; do not
-		// emit rows built from partial aggregates.
-		return nil, err
-	}
-
-	res := &Results{}
-	for _, it := range q.Select {
-		res.Vars = append(res.Vars, it.Var)
-	}
-	for _, ag := range ags {
-		if err := ex.ctxErr(); err != nil {
-			return nil, err
-		}
-		gb := groupBinding{ex: ex, rep: ag.rep, aggVals: ag.vals, aggIdx: aggIdx}
-		// HAVING
-		keep := true
-		for _, h := range q.Having {
-			ok, err := evalBool(substituteAggregates(h, gb), gb)
-			if err != nil || !ok {
-				keep = false
-				break
-			}
-		}
-		if !keep {
-			continue
-		}
-		line := make([]rdf.Term, len(q.Select))
-		for i, it := range q.Select {
-			var v Value
-			if it.Expr == nil {
-				v = gb.value(it.Var)
-			} else {
-				var err error
-				v, err = evalExpr(substituteAggregates(it.Expr, gb), gb)
-				if err != nil {
-					v = Value{}
-				}
-			}
-			if v.Bound {
-				line[i] = v.Term
-			}
-		}
-		res.Rows = append(res.Rows, line)
-	}
-	return res, nil
-}
-
-// buildGroups partitions rows into GROUP BY groups, preserving
-// first-appearance group order and within-group row order. Large
-// inputs shard the grouping over the workers and merge the shard
-// tables in shard order, which reproduces the sequential order exactly
-// because shards are contiguous row ranges.
-func (ex *executor) buildGroups(rows []row, keySlots []int) ([]string, map[string]*group, error) {
-	if !ex.parallel(len(rows)) {
-		return ex.buildGroupsSeq(rows, keySlots)
-	}
-	chunks := par.Chunks(len(rows), ex.eng.Exec.shards())
-	type shard struct {
-		order  []string
-		groups map[string]*group
-	}
-	shards := make([]shard, len(chunks))
-	var wg sync.WaitGroup
-	wg.Add(len(chunks))
-	for i, c := range chunks {
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			w := ex.clone()
-			order, groups, _ := w.buildGroupsSeq(rows[lo:hi], keySlots)
-			shards[i] = shard{order: order, groups: groups}
-		}(i, c[0], c[1])
-	}
-	wg.Wait()
-	if err := ex.ctxErr(); err != nil {
-		return nil, nil, err
-	}
-	merged := map[string]*group{}
-	var order []string
-	for _, sh := range shards {
-		for _, k := range sh.order {
-			src := sh.groups[k]
-			dst, ok := merged[k]
-			if !ok {
-				merged[k] = src
-				order = append(order, k)
-				continue
-			}
-			dst.rows = append(dst.rows, src.rows...)
-		}
-	}
-	return order, merged, nil
-}
-
-func (ex *executor) buildGroupsSeq(rows []row, keySlots []int) ([]string, map[string]*group, error) {
-	groups := map[string]*group{}
-	var order []string
-	for _, r := range rows {
-		if ex.cancelled() {
-			return nil, nil, ex.ctxErr()
-		}
-		k := groupKey(r, keySlots)
-		g, ok := groups[k]
-		if !ok {
-			g = &group{rep: r}
-			groups[k] = g
-			order = append(order, k)
-		}
-		g.rows = append(g.rows, r)
-	}
-	return order, groups, nil
-}
-
-// groupBinding resolves group-by variables from the representative row
-// and aggregates from the precomputed values.
-type groupBinding struct {
-	ex      *executor
-	rep     row
-	aggVals []Value
-	aggIdx  map[string]int
-}
-
-func (b groupBinding) value(name string) Value {
-	s, ok := b.ex.slots[name]
-	if !ok || s >= len(b.rep) || b.rep[s] == 0 {
-		return Value{}
-	}
-	return boundValue(b.ex.dict.Decode(b.rep[s]))
-}
-
-// substituteAggregates replaces AggExpr nodes with constants from the
-// group's precomputed values so evalExpr never sees an aggregate.
-func substituteAggregates(e Expr, b groupBinding) Expr {
-	switch x := e.(type) {
-	case AggExpr:
-		idx, ok := b.aggIdx[x.String()]
-		if !ok || !b.aggVals[idx].Bound {
-			// Unbound aggregate: substitute an always-erroring marker by
-			// referencing an unbound variable.
-			return VarExpr{Name: internalVarPrefix + "_unboundagg"}
-		}
-		return ConstExpr{Term: b.aggVals[idx].Term}
-	case BinaryExpr:
-		return BinaryExpr{Op: x.Op, L: substituteAggregates(x.L, b), R: substituteAggregates(x.R, b)}
-	case UnaryExpr:
-		return UnaryExpr{Op: x.Op, E: substituteAggregates(x.E, b)}
-	case InExpr:
-		list := make([]Expr, len(x.List))
-		for i, y := range x.List {
-			list[i] = substituteAggregates(y, b)
-		}
-		return InExpr{E: substituteAggregates(x.E, b), List: list, Not: x.Not}
-	case FuncExpr:
-		args := make([]Expr, len(x.Args))
-		for i, y := range x.Args {
-			args[i] = substituteAggregates(y, b)
-		}
-		return FuncExpr{Name: x.Name, Args: args}
-	}
-	return e
-}
-
-func walkAggregates(e Expr, fn func(AggExpr)) {
-	switch x := e.(type) {
-	case AggExpr:
-		fn(x)
-	case BinaryExpr:
-		walkAggregates(x.L, fn)
-		walkAggregates(x.R, fn)
-	case UnaryExpr:
-		walkAggregates(x.E, fn)
-	case InExpr:
-		walkAggregates(x.E, fn)
-		for _, y := range x.List {
-			walkAggregates(y, fn)
-		}
-	case FuncExpr:
-		for _, y := range x.Args {
-			walkAggregates(y, fn)
-		}
-	}
-}
-
-// computeAggregate evaluates one aggregate over a group.
-func (ex *executor) computeAggregate(a AggExpr, g *group) Value {
-	distinctSeen := map[rdf.Term]struct{}{}
-	isDup := func(t rdf.Term) bool {
-		if !a.Distinct {
-			return false
-		}
-		if _, dup := distinctSeen[t]; dup {
-			return true
-		}
-		distinctSeen[t] = struct{}{}
-		return false
-	}
-	switch a.Fn {
-	case "COUNT":
-		n := 0
-		for _, r := range g.rows {
-			if ex.cancelled() {
-				break
-			}
-			if a.Arg == nil {
-				if a.Distinct {
-					// COUNT(DISTINCT *) — treat the whole row as the key.
-					t := rdf.NewString(fmt.Sprint(r))
-					if isDup(t) {
-						continue
-					}
-				}
-				n++
-				continue
-			}
-			v, err := evalExpr(a.Arg, rowBinding{ex: ex, r: r})
-			if err != nil || !v.Bound || isDup(v.Term) {
-				continue
-			}
-			n++
-		}
-		return numValue(float64(n))
-	case "SUM", "AVG":
-		sum, cnt := 0.0, 0
-		for _, r := range g.rows {
-			if ex.cancelled() {
-				break
-			}
-			v, err := evalExpr(a.Arg, rowBinding{ex: ex, r: r})
-			if err != nil || !v.Bound || isDup(v.Term) {
-				continue
-			}
-			n, err := v.numeric()
-			if err != nil {
-				continue
-			}
-			sum += n
-			cnt++
-		}
-		if a.Fn == "SUM" {
-			return numValue(sum)
-		}
-		if cnt == 0 {
-			return Value{}
-		}
-		return numValue(sum / float64(cnt))
-	case "MIN", "MAX":
-		var best Value
-		for _, r := range g.rows {
-			if ex.cancelled() {
-				break
-			}
-			v, err := evalExpr(a.Arg, rowBinding{ex: ex, r: r})
-			if err != nil || !v.Bound {
-				continue
-			}
-			if !best.Bound {
-				best = v
-				continue
-			}
-			if a.Fn == "MIN" && orderLess(v, best) || a.Fn == "MAX" && orderLess(best, v) {
-				best = v
-			}
-		}
-		return best
-	case "SAMPLE":
-		for _, r := range g.rows {
-			v, err := evalExpr(a.Arg, rowBinding{ex: ex, r: r})
-			if err == nil && v.Bound {
-				return v
-			}
-		}
-		return Value{}
-	case "GROUP_CONCAT":
-		sep := a.Sep
-		if sep == "" {
-			sep = " "
-		}
-		var parts []string
-		for _, r := range g.rows {
-			v, err := evalExpr(a.Arg, rowBinding{ex: ex, r: r})
-			if err != nil || !v.Bound || isDup(v.Term) {
-				continue
-			}
-			parts = append(parts, v.Term.Value)
-		}
-		return boundValue(rdf.NewString(strings.Join(parts, sep)))
-	}
-	return Value{}
 }
 
 // outBinding resolves variables from a projected output row, used by

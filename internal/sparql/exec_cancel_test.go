@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -53,6 +54,47 @@ func TestExecCancelledAggregation(t *testing.T) {
 		`SELECT ?d (SUM(?v) AS ?total) WHERE { ?o <http://ex.org/dest> ?d . ?o <http://ex.org/value> ?v . } GROUP BY ?d`)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestExecCancelStopsSampleAndGroupConcat: the aggregate fold polls for
+// cancellation on every row whatever the function, so a cancelled
+// SAMPLE / GROUP_CONCAT over one large group stops at the first poll —
+// within one cancelCheckInterval — instead of running the group to its
+// end, and the query returns ctx.Err() and no rows.
+func TestExecCancelStopsSampleAndGroupConcat(t *testing.T) {
+	st := chainStore(t, 1)
+	q, err := Parse(`SELECT ?g (SAMPLE(?v) AS ?any) (GROUP_CONCAT(?v) AS ?all) WHERE { ?g <http://ex.org/up> ?v . } GROUP BY ?g`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 4} {
+		ex := &executor{
+			eng: NewEngine(st), view: st.View(), dict: st.Dict(),
+			slots: map[string]int{}, dead: new(atomic.Bool),
+			workers: workers, threshold: DefaultParallelThreshold, ctx: ctx,
+		}
+		g, _ := st.Dict().Lookup(rdf.NewIRI("http://ex.org/a0"))
+		v, _ := st.Dict().Lookup(rdf.NewIRI("http://ex.org/a1"))
+		rows := make([]row, 3*workers*cancelCheckInterval)
+		for i := range rows {
+			rows[i] = row{g, v}
+		}
+		ex.slot("g")
+		ex.slot("v")
+
+		tab := ex.foldRows(newAggSpec(q), []int{0}, rows)
+		if n := len(tab.groups[tab.order[0]].parts[1].parts); n >= cancelCheckInterval {
+			t.Errorf("workers=%d: fold concatenated %d of %d values after the cancel, want < %d",
+				workers, n, len(rows), cancelCheckInterval)
+		}
+
+		res, err := ex.aggregate(q, rows)
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Errorf("workers=%d: aggregate = (%v, %v), want (nil, context.Canceled)", workers, res, err)
+		}
 	}
 }
 

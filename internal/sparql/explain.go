@@ -34,7 +34,7 @@ func (e *Engine) Explain(q *Query) string {
 	if ex.workers > 1 {
 		fmt.Fprintf(&b, "  parallel: %d workers, stages chunk at >=%d rows", ex.workers, ex.threshold)
 		if q.IsAggregate() {
-			fmt.Fprintf(&b, ", %d aggregation shards", e.Exec.shards())
+			fmt.Fprintf(&b, ", %d aggregation chunks", ex.workers)
 		}
 		if q.Ask {
 			b.WriteString(" (ASK runs sequentially: budget 1)")

@@ -20,9 +20,6 @@ type ExecOptions struct {
 	// inputs run sequentially (fan-out overhead would dominate).
 	// 0 means DefaultParallelThreshold.
 	ParallelThreshold int
-	// AggShards is the number of partial-aggregation shards used by
-	// parallel GROUP BY. 0 means the worker count.
-	AggShards int
 }
 
 // DefaultParallelThreshold is the seed-row count below which a stage
@@ -36,13 +33,6 @@ func (o ExecOptions) threshold() int {
 		return o.ParallelThreshold
 	}
 	return DefaultParallelThreshold
-}
-
-func (o ExecOptions) shards() int {
-	if o.AggShards > 0 {
-		return o.AggShards
-	}
-	return o.workers()
 }
 
 // parallel reports whether a stage over n input rows should fan out.

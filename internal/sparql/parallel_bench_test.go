@@ -90,6 +90,12 @@ func BenchmarkGroupBy(b *testing.B) {
 		spec.NS+spec.Dimensions[0].Pred, spec.NS+spec.Measures[0].Pred)
 	b.Run("seq", func(b *testing.B) { benchQuery(b, st, 1, q) })
 	b.Run("par", func(b *testing.B) { benchQuery(b, st, 0, q) })
+	// DISTINCT: the chunk partials merge by ordered seen-set.
+	qd := fmt.Sprintf(
+		`SELECT ?m (COUNT(DISTINCT ?v) AS ?n) WHERE { ?o <%s> ?m . ?o <%s> ?v . } GROUP BY ?m ORDER BY ?m`,
+		spec.NS+spec.Dimensions[0].Pred, spec.NS+spec.Measures[0].Pred)
+	b.Run("distinct-seq", func(b *testing.B) { benchQuery(b, st, 1, qd) })
+	b.Run("distinct-par", func(b *testing.B) { benchQuery(b, st, 0, qd) })
 }
 
 func BenchmarkUnion(b *testing.B) {

@@ -25,9 +25,9 @@ func parQueries(spec datagen.Spec) []string {
 		fmt.Sprintf(`SELECT ?o ?m ?v WHERE { ?o a <%s> . ?o <%s> ?m . ?o <%s> ?v . } ORDER BY ?o ?m ?v LIMIT 200`, obs, dim, meas),
 		// plain LIMIT: exercises the parallel DFS frontier
 		fmt.Sprintf(`SELECT ?o ?m WHERE { ?o a <%s> . ?o <%s> ?m . } LIMIT 137`, obs, dim),
-		// mergeable aggregate battery (sharded partial aggregation)
+		// aggregate battery (chunk partials add / keep the earlier value)
 		fmt.Sprintf(`SELECT ?m (COUNT(?o) AS ?n) (SUM(?v) AS ?total) (AVG(?v) AS ?mean) (MIN(?v) AS ?lo) (MAX(?v) AS ?hi) WHERE { ?o <%s> ?m . ?o <%s> ?v . } GROUP BY ?m ORDER BY DESC(?n) ?m`, dim, meas),
-		// DISTINCT aggregate (per-group sequential fallback)
+		// DISTINCT aggregate (ordered seen-set merge)
 		fmt.Sprintf(`SELECT ?m (COUNT(DISTINCT ?g) AS ?n) WHERE { ?o <%s> ?m . ?o <%s> ?g . } GROUP BY ?m ORDER BY ?m`, dim, dim2),
 		// HAVING over a mergeable aggregate
 		fmt.Sprintf(`SELECT ?m (COUNT(?o) AS ?n) WHERE { ?o <%s> ?m . } GROUP BY ?m HAVING (COUNT(?o) > 3) ORDER BY ?m`, dim),
@@ -63,7 +63,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 			// Low threshold + more workers than cores so the parallel
 			// code paths engage regardless of the host's CPU count.
 			par := NewEngine(st)
-			par.Exec = ExecOptions{Workers: 4, ParallelThreshold: 2, AggShards: 3}
+			par.Exec = ExecOptions{Workers: 4, ParallelThreshold: 2}
 			for qi, q := range parQueries(spec) {
 				want, err := seq.QueryString(q)
 				if err != nil {
@@ -168,12 +168,12 @@ func TestEngineConcurrentMixedQueries(t *testing.T) {
 func TestExplainReportsParallelism(t *testing.T) {
 	st := testStore(t)
 	eng := NewEngine(st)
-	eng.Exec = ExecOptions{Workers: 4, ParallelThreshold: 10, AggShards: 8}
+	eng.Exec = ExecOptions{Workers: 4, ParallelThreshold: 10}
 	plan, err := eng.ExplainString(`SELECT ?m (COUNT(?o) AS ?n) WHERE { ?o <http://ex.org/origin> ?m . } GROUP BY ?m`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"4 workers", ">=10 rows", "8 aggregation shards"} {
+	for _, want := range []string{"4 workers", ">=10 rows", "4 aggregation chunks"} {
 		if !strings.Contains(plan, want) {
 			t.Errorf("explain plan missing %q:\n%s", want, plan)
 		}
