@@ -30,12 +30,13 @@ func TopK(rs *core.ResultSet) []Refinement {
 
 func topKOne(rs *core.ResultSet, col string, desc bool) (Refinement, bool) {
 	idx := make([]int, len(rs.Tuples))
+	vals := make([]float64, len(rs.Tuples)) // the column, read out of the maps once
 	for i := range idx {
 		idx[i] = i
+		vals[i] = rs.Tuples[i].Measures[col]
 	}
 	sort.SliceStable(idx, func(a, b int) bool {
-		va := rs.Tuples[idx[a]].Measures[col]
-		vb := rs.Tuples[idx[b]].Measures[col]
+		va, vb := vals[idx[a]], vals[idx[b]]
 		if desc {
 			return va > vb
 		}
@@ -58,8 +59,7 @@ func topKOne(rs *core.ResultSet, col string, desc bool) (Refinement, bool) {
 		// there is nothing meaningful to cut.
 		return Refinement{}, false
 	}
-	threshold := rs.Tuples[idx[cut+1]].Measures[col]
-	kept := rs.Tuples[idx[cut]].Measures[col]
+	threshold, kept := vals[idx[cut+1]], vals[idx[cut]]
 	if threshold == kept {
 		// Tie between the last kept tuple and the first excluded one: a
 		// pure value filter cannot separate them.

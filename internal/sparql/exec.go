@@ -733,6 +733,12 @@ func (ex *executor) joinPattern(rows []row, tp TriplePattern) ([]row, error) {
 	return ex.joinPatternSeq(rows, tp)
 }
 
+// Output-row slab sizes of joinPatternSeq, in rows.
+const (
+	minSlabRows = 2
+	maxSlabRows = 1024
+)
+
 // joinPatternSeq is the single-goroutine scan loop behind joinPattern.
 func (ex *executor) joinPatternSeq(rows []row, tp TriplePattern) ([]row, error) {
 	type pos struct {
@@ -751,8 +757,18 @@ func (ex *executor) joinPatternSeq(rows []row, tp TriplePattern) ([]row, error) 
 	if ps.slot < 0 && !ps.known || pp.slot < 0 && !pp.known || po.slot < 0 && !po.known {
 		return nil, nil // constant term absent from the data: no matches
 	}
+	// A variable repeated within the pattern (e.g. ?x ?p ?x) constrains
+	// the match itself. Nothing else needs checking per match: a slot
+	// the row already binds was passed to Match as a bound component.
+	sameSP := ps.slot >= 0 && ps.slot == pp.slot
+	sameSO := ps.slot >= 0 && ps.slot == po.slot
+	samePO := pp.slot >= 0 && pp.slot == po.slot
 	rows = ex.extendRows(rows)
 	var out []row
+	// Output rows are carved from slabs that start small, because most
+	// calls are ASK-sized probes producing a row or two, and double.
+	var slab []store.ID
+	slabRows := minSlabRows
 	// A cancelled scan must also stop the loop over the input rows —
 	// on a cartesian product that loop alone can run for minutes.
 	stopped := false
@@ -772,27 +788,24 @@ func (ex *executor) joinPatternSeq(rows []row, tp TriplePattern) ([]row, error) 
 				stopped = true
 				return false
 			}
-			// repeated variable within the pattern (e.g. ?x ?p ?x)
-			if ps.slot >= 0 && ps.slot == po.slot && ts != to {
+			if sameSP && ts != tp2 || sameSO && ts != to || samePO && tp2 != to {
 				return true
 			}
-			nr := append(row(nil), r...)
+			if len(slab) < len(r) {
+				slab = make([]store.ID, slabRows*len(r))
+				slabRows = min(2*slabRows, maxSlabRows)
+			}
+			// Capacity-limited, so a later append cannot reach the next row.
+			nr := row(slab[:len(r):len(r)])
+			slab = slab[len(r):]
+			copy(nr, r)
 			if ps.slot >= 0 {
-				if nr[ps.slot] != 0 && nr[ps.slot] != ts {
-					return true
-				}
 				nr[ps.slot] = ts
 			}
 			if pp.slot >= 0 {
-				if nr[pp.slot] != 0 && nr[pp.slot] != tp2 {
-					return true
-				}
 				nr[pp.slot] = tp2
 			}
 			if po.slot >= 0 {
-				if nr[po.slot] != 0 && nr[po.slot] != to {
-					return true
-				}
 				nr[po.slot] = to
 			}
 			out = append(out, nr)
@@ -1362,7 +1375,11 @@ func (b rowBinding) value(name string) Value {
 	if !ok || s >= len(b.r) || b.r[s] == 0 {
 		return Value{}
 	}
-	return boundValue(b.ex.dict.Decode(b.r[s]))
+	v := Value{Term: b.ex.dict.Decode(b.r[s]), Bound: true, numState: numNo}
+	if n, ok := b.ex.dict.Numeric(b.r[s]); ok {
+		v.num, v.numState = n, numYes
+	}
+	return v
 }
 
 // applyFilter keeps the rows satisfying f. Large inputs are filtered

@@ -354,10 +354,22 @@ func TestExecRepeatedVariable(t *testing.T) {
 	_ = st.AddAll([]rdf.Triple{
 		rdf.NewTriple(ex("a"), ex("p"), ex("a")), // self loop
 		rdf.NewTriple(ex("a"), ex("p"), ex("b")),
+		rdf.NewTriple(ex("p"), ex("p"), ex("b")), // subject = predicate
+		rdf.NewTriple(ex("b"), ex("q"), ex("q")), // predicate = object
+		rdf.NewTriple(ex("q"), ex("q"), ex("q")), // all three
 	})
-	res := runQuery(t, st, `SELECT ?x WHERE { ?x <http://ex.org/p> ?x . }`)
-	if res.Len() != 1 || res.Rows[0][0].Value != "http://ex.org/a" {
-		t.Errorf("self loop rows = %v", res.Rows)
+	for _, tt := range []struct{ pattern, want string }{
+		{`?x <http://ex.org/p> ?x`, "[http://ex.org/a]"},
+		{`?x ?x ?o`, "[http://ex.org/p http://ex.org/q]"},
+		{`?s ?x ?x`, "[http://ex.org/q http://ex.org/q]"},
+		{`?x ?x ?x`, "[http://ex.org/q]"},
+		// The repeated variable arrives bound from an earlier pattern.
+		{`?x <http://ex.org/p> <http://ex.org/b> . ?x ?p ?x`, "[http://ex.org/a]"},
+	} {
+		res := runQuery(t, st, `SELECT ?x WHERE { `+tt.pattern+` . }`)
+		if got := fmt.Sprint(sortedColumn(res, "x")); got != tt.want {
+			t.Errorf("{ %s }: ?x = %s, want %s", tt.pattern, got, tt.want)
+		}
 	}
 }
 

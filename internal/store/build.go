@@ -55,11 +55,11 @@ func (d *Dict) fill(terms []rdf.Term) error {
 
 // installBase makes triples the compacted base of a store that holds
 // none yet, skipping everything that only serves a store with data —
-// the delta buffer, its dedupe map and the per-triple base probe. The
+// the tail, the runs and the per-triple duplicate probe. The
 // generation advances as the incremental path would have: once per
 // distinct triple plus one compaction.
 func (s *Store) installBase(triples []spoTriple) {
-	spo := &s.base[0]
+	spo := &s.base[permSPO]
 	spo.entries = triples
 	spo.sortEntries()
 	if len(spo.entries) == 0 {
@@ -69,13 +69,14 @@ func (s *Store) installBase(triples []spoTriple) {
 		ix := &s.base[i]
 		ix.entries = make([]spoTriple, len(spo.entries))
 		for j, t := range spo.entries {
-			ix.entries[j] = ix.p.reorder(t)
+			ix.entries[j] = perm(i).reorder(t)
 		}
 		ix.sortEntries()
 	}
+	s.base.buildOffsets()
 	// OSP groups triples by object: one visit per distinct object.
 	var last ID
-	for _, e := range s.base[2].entries {
+	for _, e := range s.base[permOSP].entries {
 		if e[0] == last {
 			continue
 		}
@@ -89,12 +90,12 @@ func (s *Store) installBase(triples []spoTriple) {
 
 // ingest inserts every triple next yields, until io.EOF, and compacts
 // once at the end; it returns how many triples it read. A store with
-// no triples yet takes the from-scratch path (installBase), anything
-// else goes through the delta buffer.
+// no triples yet takes the from-scratch path (bulkLoad), anything else
+// goes through the pending layers.
 func (s *Store) ingest(next func() (rdf.Triple, error)) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.base[0].entries) > 0 || len(s.delta) > 0 {
+	if s.layers.len() > 0 {
 		n, err := drain(next, func(t rdf.Triple) {
 			enc := spoTriple{s.dict.Encode(t.S), s.dict.Encode(t.P), s.dict.Encode(t.O)}
 			s.addLocked(enc, t.O)
@@ -104,22 +105,40 @@ func (s *Store) ingest(next func() (rdf.Triple, error)) (int, error) {
 		}
 		return n, err
 	}
-	// One dictionary lock hold and one snapshot publish for the batch.
 	// On an error the triples read so far are still installed.
-	d := s.dict
-	d.mu.Lock()
-	intern := func(t rdf.Term) ID {
-		id, _ := d.internLocked(t)
-		return id
-	}
-	var batch []spoTriple
-	n, err := drain(next, func(t rdf.Triple) {
-		batch = append(batch, spoTriple{intern(t.S), intern(t.P), intern(t.O)})
-	})
-	d.publishLocked()
-	d.mu.Unlock()
-	s.installBase(batch)
+	b := s.beginBulk()
+	n, err := drain(next, b.add)
+	b.finish()
 	return n, err
+}
+
+// bulkLoad fills a store that holds no triples yet: it interns under
+// one dictionary lock hold, publishes the dictionary snapshot once and
+// installs the collected triples as the base.
+type bulkLoad struct {
+	s     *Store
+	batch []spoTriple
+}
+
+// beginBulk starts a bulk load. The caller holds s.mu, and finish must
+// follow: until then the dictionary is locked.
+func (s *Store) beginBulk() *bulkLoad {
+	s.dict.mu.Lock()
+	return &bulkLoad{s: s}
+}
+
+func (b *bulkLoad) add(t rdf.Triple) {
+	d := b.s.dict
+	sub, _ := d.internLocked(t.S)
+	pred, _ := d.internLocked(t.P)
+	obj, _ := d.internLocked(t.O)
+	b.batch = append(b.batch, spoTriple{sub, pred, obj})
+}
+
+func (b *bulkLoad) finish() {
+	b.s.dict.publishLocked()
+	b.s.dict.mu.Unlock()
+	b.s.installBase(b.batch)
 }
 
 // drain feeds add every valid triple next yields until io.EOF and

@@ -128,7 +128,7 @@ func TestBuildEqualsIncremental(t *testing.T) {
 }
 
 // TestBuildThenWrite: a built store is an ordinary store afterwards —
-// later writes go through the delta buffer and see the built base.
+// later writes go through the pending layers and see the built base.
 func TestBuildThenWrite(t *testing.T) {
 	ts, terms, enc := buildFixture(3, 200)
 	s, err := Build(terms, enc)

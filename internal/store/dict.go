@@ -1,7 +1,8 @@
 // Package store implements an in-memory, dictionary-encoded RDF triple
-// store with three sorted index permutations (SPO, POS, OSP), an
-// LSM-style delta buffer for incremental inserts, cardinality statistics
-// for join ordering, and an inverted full-text index over literals.
+// store with three sorted, offset-indexed permutations (SPO, POS, OSP),
+// LSM-style pending layers for incremental inserts (sorted runs plus a
+// short tail, see layers), cardinality statistics for join ordering,
+// and an inverted full-text index over literals.
 //
 // It plays the role of the external triplestore (Virtuoso in the paper):
 // the SPARQL engine in internal/sparql executes against it, and

@@ -3,7 +3,6 @@ package store
 import (
 	"cmp"
 	"slices"
-	"sort"
 )
 
 // spoTriple is a dictionary-encoded triple in subject/predicate/object
@@ -11,7 +10,8 @@ import (
 // Build can adopt a caller's [][3]ID without copying.
 type spoTriple = [3]ID
 
-// perm identifies one of the three index permutations.
+// perm identifies one of the three index permutations; it is also the
+// permutation's position in a run.
 type perm uint8
 
 const (
@@ -64,11 +64,15 @@ func tripleCmp(a, b spoTriple) int {
 	return 0
 }
 
-// index is one sorted permutation of the triple set. Entries are stored
-// in the permutation's key order.
+// index is one sorted permutation of a triple set. Entries are stored
+// in the permutation's key order and are never mutated once a reader
+// can see them. off, when present, is a dense offset array over the
+// leading ID: the entries whose first component is k are
+// entries[off[k]:off[k+1]]. Only the base permutations carry one; the
+// small sorted runs of pending triples are searched whole.
 type index struct {
-	p       perm
 	entries []spoTriple
+	off     []uint32
 }
 
 // sortEntries sorts and deduplicates the entries.
@@ -77,48 +81,102 @@ func (ix *index) sortEntries() {
 	ix.entries = slices.Compact(ix.entries)
 }
 
-// scanRange returns the half-open [lo, hi) range of entries matching the
-// bound prefix (k1 and optionally k2; 0 means unbound). Binding k2
-// without k1 is not a valid prefix and must be handled by the caller
-// through a different permutation or a scan.
-func (ix *index) scanRange(k1, k2 ID) (int, int) {
+// buildOffsets derives the offset array from the sorted entries in one
+// pass. It covers the IDs up to the largest leading one, so it costs
+// at most 4 bytes per dictionary term.
+func (ix *index) buildOffsets() {
 	n := len(ix.entries)
-	if k1 == 0 {
-		return 0, n
+	if n == 0 {
+		ix.off = nil
+		return
 	}
-	lo := sort.Search(n, func(i int) bool {
-		e := ix.entries[i]
-		if e[0] != k1 {
-			return e[0] > k1
+	off := make([]uint32, int(ix.entries[n-1][0])+2)
+	next := 0 // off[:next] is final
+	for i, e := range ix.entries {
+		for ; next <= int(e[0]); next++ {
+			off[next] = uint32(i)
 		}
-		return k2 == 0 || e[1] >= k2
-	})
-	hi := sort.Search(n, func(i int) bool {
-		e := ix.entries[i]
-		if e[0] != k1 {
-			return e[0] > k1
-		}
-		return k2 != 0 && e[1] > k2
-	})
-	return lo, hi
+	}
+	off[next] = uint32(n)
+	ix.off = off
 }
 
-// contains reports whether the fully-bound triple (in permutation key
-// order) is present.
-func (ix *index) contains(t spoTriple) bool {
-	n := len(ix.entries)
-	i := sort.Search(n, func(i int) bool { return !tripleLess(ix.entries[i], t) })
-	return i < n && ix.entries[i] == t
+// scanRange returns the half-open [lo, hi) range of entries matching
+// the bound key prefix (k1, then k2, then k3; 0 means unbound, and
+// nothing bound may follow an unbound component).
+func (ix *index) scanRange(k1, k2, k3 ID) (int, int) {
+	lo, hi := 0, len(ix.entries)
+	switch {
+	case k1 == 0:
+		return lo, hi
+	case ix.off == nil:
+		lo, hi = equalRange(ix.entries, lo, hi, 0, k1)
+	case int(k1) < len(ix.off)-1:
+		lo, hi = int(ix.off[k1]), int(ix.off[k1+1])
+	default:
+		return hi, hi
+	}
+	if k2 == 0 {
+		return lo, hi
+	}
+	lo, hi = equalRange(ix.entries, lo, hi, 1, k2)
+	if k3 == 0 {
+		return lo, hi
+	}
+	return equalRange(ix.entries, lo, hi, 2, k3)
+}
+
+// equalRange narrows e[lo:hi], whose entries agree on every component
+// before c and are therefore sorted by component c, to the entries
+// whose component c equals k.
+func equalRange(e []spoTriple, lo, hi, c int, k ID) (int, int) {
+	a, b := lo, hi
+	for a < b { // first entry with component c >= k
+		m := int(uint(a+b) >> 1)
+		if e[m][c] < k {
+			a = m + 1
+		} else {
+			b = m
+		}
+	}
+	lo = a
+	for b = hi; a < b; { // first entry with component c > k
+		m := int(uint(a+b) >> 1)
+		if e[m][c] <= k {
+			a = m + 1
+		} else {
+			b = m
+		}
+	}
+	return lo, a
+}
+
+// scan visits the entries matching the key prefix (see scanRange) in
+// index order, restored to SPO order, and returns how many there are.
+// A nil fn only counts. The second result is false when fn stopped the
+// iteration.
+func (ix *index) scan(p perm, key spoTriple, fn func(s, p, o ID) bool) (int, bool) {
+	lo, hi := ix.scanRange(key[0], key[1], key[2])
+	if fn != nil {
+		for _, e := range ix.entries[lo:hi] {
+			t := p.restore(e)
+			if !fn(t[0], t[1], t[2]) {
+				return hi - lo, false
+			}
+		}
+	}
+	return hi - lo, true
 }
 
 // merge inserts the (sorted, deduplicated) batch into the index,
-// preserving order.
+// preserving order. The merged entries are a new slice unless one side
+// is empty, so readers of the old entries are undisturbed.
 func (ix *index) merge(batch []spoTriple) {
 	if len(batch) == 0 {
 		return
 	}
 	if len(ix.entries) == 0 {
-		ix.entries = append(ix.entries, batch...)
+		ix.entries = batch
 		return
 	}
 	merged := make([]spoTriple, 0, len(ix.entries)+len(batch))

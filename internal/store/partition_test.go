@@ -1,6 +1,8 @@
 package store
 
 import (
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -44,5 +46,43 @@ func TestLoadPartitioned(t *testing.T) {
 	bad := func(rdf.Term) int { return 7 }
 	if _, _, err := LoadPartitioned(strings.NewReader(nt), 3, bad); err == nil {
 		t.Error("out-of-range shard must fail")
+	}
+}
+
+// TestLoadPartitionedEqualsLoad: every shard store is the store Load
+// builds from that shard's triples alone — contents, dictionary IDs
+// and generation — because both take the same bulk path.
+func TestLoadPartitionedEqualsLoad(t *testing.T) {
+	const n = 3
+	shardOf := func(s rdf.Term) int {
+		h := fnv.New32a()
+		h.Write([]byte(s.Value))
+		return int(h.Sum32() % n)
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		ts, _, _ := buildFixture(seed, 400)
+		var all strings.Builder
+		var parts [n]strings.Builder
+		for _, tr := range ts {
+			fmt.Fprintln(&all, tr)
+			fmt.Fprintln(&parts[shardOf(tr.S)], tr)
+		}
+		stores, total, err := LoadPartitioned(strings.NewReader(all.String()), n, shardOf)
+		if err != nil || total != len(ts) {
+			t.Fatalf("LoadPartitioned = %d triples, %v; want %d", total, err, len(ts))
+		}
+		for i, got := range stores {
+			want := New()
+			if _, err := want.Load(strings.NewReader(parts[i].String())); err != nil {
+				t.Fatal(err)
+			}
+			requireSameContents(t, got, want)
+			if g, w := got.Generation(), want.Generation(); g != w {
+				t.Errorf("seed %d shard %d: generation %d, Load gives %d", seed, i, g, w)
+			}
+			if st := got.Stats(); st.DeltaSize != 0 {
+				t.Errorf("seed %d shard %d: %d triples left pending", seed, i, st.DeltaSize)
+			}
+		}
 	}
 }

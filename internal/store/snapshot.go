@@ -18,7 +18,7 @@ import (
 //	triple count | per triple: s, p, o as dictionary IDs
 //
 // Strings are length-prefixed. The snapshot stores the compacted
-// triple set; the delta is flushed by Compact before writing.
+// triple set; pending triples are compacted before writing.
 
 const (
 	snapshotMagic   = "R2XS"

@@ -346,7 +346,7 @@ func TestIndexPermutations(t *testing.T) {
 }
 
 func TestIndexMerge(t *testing.T) {
-	ix := index{p: permSPO, entries: []spoTriple{{1, 1, 1}, {3, 3, 3}}}
+	ix := index{entries: []spoTriple{{1, 1, 1}, {3, 3, 3}}}
 	ix.merge([]spoTriple{{2, 2, 2}, {3, 3, 3}, {4, 4, 4}})
 	want := []spoTriple{{1, 1, 1}, {2, 2, 2}, {3, 3, 3}, {4, 4, 4}}
 	if len(ix.entries) != len(want) {

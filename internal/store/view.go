@@ -4,19 +4,20 @@ package store
 // a point in time by Store.View. It exists for the parallel query
 // pipeline: Store.Match takes the store's read lock on every call,
 // which is correct but makes concurrent scan workers contend on one
-// RWMutex cache line per lookup. A View captures the base index slice
-// headers (whose backing arrays are never mutated in place after
-// publication — Compact builds fresh merged slices) plus a copy of the
-// small delta buffer, so Match/MatchCount on a View touch no locks at
-// all and many workers can scan simultaneously at memory speed.
+// RWMutex cache line per lookup. A View captures the slice headers of
+// the store's layers — base permutations and offset arrays, the runs
+// slice, the tail up to its current length — none of which is mutated
+// in place after publication (see layers), so taking one copies a
+// couple of hundred bytes however many triples are pending, and
+// Match/MatchCount on it touch no locks at all: many workers can scan
+// simultaneously at memory speed.
 //
 // Writes that happen after View is taken are simply not visible to it,
 // which is exactly the snapshot-isolation contract the SPARQL executor
 // wants: one query sees one version of the data.
 type View struct {
-	st    *Store
-	base  [3]index
-	delta []spoTriple
+	st *Store
+	l  layers // read-only: the slices are shared with the store
 }
 
 // View returns a consistent read-only view of the store's current
@@ -25,15 +26,7 @@ type View struct {
 func (s *Store) View() *View {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	v := &View{st: s, base: s.base}
-	// The delta backing array is recycled by Compact (s.delta[:0]), so
-	// a live slice header into it would observe overwrites; copy it.
-	// The delta is bounded by autoCompact and is empty after any bulk
-	// load, so this is cheap on the query path.
-	if len(s.delta) > 0 {
-		v.delta = append([]spoTriple(nil), s.delta...)
-	}
-	return v
+	return &View{st: s, l: s.layers}
 }
 
 // Dict returns the term dictionary. The dictionary is shared with the
@@ -46,48 +39,17 @@ func (v *View) Dict() *Dict { return v.st.dict }
 // any lock, so concurrent workers never serialize. fn returning false
 // stops the iteration.
 func (v *View) Match(sub, pred, obj ID, fn func(s, p, o ID) bool) {
-	ix, k1, k2 := chooseIndex(&v.base, sub, pred, obj)
-	lo, hi := ix.scanRange(k1, k2)
-	want := spoTriple{sub, pred, obj}
-	for i := lo; i < hi; i++ {
-		t := ix.p.restore(ix.entries[i])
-		if matches(t, want) && !fn(t[0], t[1], t[2]) {
-			return
-		}
-	}
-	for _, t := range v.delta {
-		if matches(t, want) && !fn(t[0], t[1], t[2]) {
-			return
-		}
-	}
+	v.l.scan(sub, pred, obj, fn)
 }
 
 // MatchCount returns the number of triples in the view matching the
 // pattern, lock-free (see Store.MatchCount).
 func (v *View) MatchCount(sub, pred, obj ID) int {
-	ix, k1, k2 := chooseIndex(&v.base, sub, pred, obj)
-	lo, hi := ix.scanRange(k1, k2)
-	want := spoTriple{sub, pred, obj}
-	n := 0
-	if bound(sub)+bound(pred)+bound(obj) == keyedCount(k1, k2) {
-		n = hi - lo
-	} else {
-		for i := lo; i < hi; i++ {
-			if matches(ix.p.restore(ix.entries[i]), want) {
-				n++
-			}
-		}
-	}
-	for _, t := range v.delta {
-		if matches(t, want) {
-			n++
-		}
-	}
-	return n
+	return v.l.scan(sub, pred, obj, nil)
 }
 
 // Len returns the number of distinct triples visible in the view.
-func (v *View) Len() int { return len(v.base[0].entries) + len(v.delta) }
+func (v *View) Len() int { return v.l.len() }
 
 // TextSearch resolves a full-text keyword against the store's inverted
 // index. The text index has no snapshot (it is a set of mutable

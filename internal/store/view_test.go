@@ -60,7 +60,7 @@ func TestViewSnapshotIsolation(t *testing.T) {
 		s.Add(viewTriple(fmt.Sprintf("http://ex/s%d", i), "http://ex/p", "http://ex/o"))
 	}
 	// Leave some triples in the delta so the view must copy it.
-	if len(s.delta) == 0 {
+	if s.pending() == 0 {
 		t.Fatal("test setup: expected a non-empty delta")
 	}
 	v := s.View()
@@ -156,7 +156,9 @@ func BenchmarkDictDecodeParallel(b *testing.B) {
 }
 
 // BenchmarkViewMatch measures the lock-free scan path against the
-// locked Store.Match path on the same data.
+// locked Store.Match path on the same data, then what pending writes
+// cost a reader: point lookups through a view and View() itself with
+// 0, 1 000 and 60 000 triples not yet compacted.
 func BenchmarkViewMatch(b *testing.B) {
 	s := New()
 	for i := 0; i < 5000; i++ {
@@ -176,4 +178,45 @@ func BenchmarkViewMatch(b *testing.B) {
 			v.Match(0, p, 0, func(_, _, _ ID) bool { n++; return true })
 		}
 	})
+	for _, pending := range []int{0, 1000, 60000} {
+		s := New()
+		var ts []rdf.Triple
+		for i := 0; i < 20000; i++ {
+			ts = append(ts, viewTriple(fmt.Sprintf("http://ex/s%d", i/5), fmt.Sprintf("http://ex/p%d", i%5), fmt.Sprintf("http://ex/o%d", i%97)))
+		}
+		if err := s.AddAll(ts); err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < pending; i++ {
+			s.Add(viewTriple(fmt.Sprintf("http://ex/new%d", i/5), fmt.Sprintf("http://ex/p%d", i%5), fmt.Sprintf("http://ex/o%d", i%97)))
+		}
+		if got := s.Stats().DeltaSize; got != pending {
+			b.Fatalf("%d triples pending, want %d", got, pending)
+		}
+		p1, _ := s.Dict().Lookup(rdf.NewIRI("http://ex/p1"))
+		subjects := make([]ID, 1024) // compacted subjects, like a query's probes
+		for i := range subjects {
+			subjects[i], _ = s.Dict().Lookup(rdf.NewIRI(fmt.Sprintf("http://ex/s%d", (i*37)%4000)))
+		}
+		b.Run(fmt.Sprintf("point/delta=%d", pending), func(b *testing.B) {
+			v := s.View()
+			found := 0
+			for i := 0; i < b.N; i++ {
+				v.Match(subjects[i%len(subjects)], p1, 0, func(_, _, _ ID) bool { found++; return true })
+			}
+			if found != b.N {
+				b.Fatalf("%d lookups found %d triples", b.N, found)
+			}
+		})
+		b.Run(fmt.Sprintf("View/delta=%d", pending), func(b *testing.B) {
+			b.ReportAllocs()
+			n := 0
+			for i := 0; i < b.N; i++ {
+				n += s.View().Len()
+			}
+			if n != b.N*(20000+pending) {
+				b.Fatalf("views saw %d triples in total", n)
+			}
+		})
+	}
 }
