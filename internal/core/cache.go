@@ -1,8 +1,9 @@
 package core
 
 import (
-	"container/list"
 	"sync"
+
+	"re2xolap/internal/lru"
 )
 
 // matchCache is a small LRU over MatchItem results, one of the
@@ -11,19 +12,12 @@ import (
 // (synthesis retries, contrast, negatives), and member matching is the
 // only synthesis step that touches the full-text machinery.
 type matchCache struct {
-	mu   sync.Mutex
-	max  int
-	ll   *list.List
-	byKV map[string]*list.Element
+	lru *lru.Cache[[]Match]
 	// inflight holds one flight per key currently being resolved, so
 	// concurrent misses coalesce into a single endpoint query
 	// (single-flight). Entries are removed when the leader finishes.
+	mu       sync.Mutex
 	inflight map[string]*flight
-}
-
-type cacheEntry struct {
-	key     string
-	matches []Match
 }
 
 // flight is one in-progress resolution: the leader closes done after
@@ -35,12 +29,7 @@ type flight struct {
 }
 
 func newMatchCache(max int) *matchCache {
-	return &matchCache{
-		max:      max,
-		ll:       list.New(),
-		byKV:     map[string]*list.Element{},
-		inflight: map[string]*flight{},
-	}
+	return &matchCache{lru: lru.New[[]Match](max), inflight: map[string]*flight{}}
 }
 
 // lookupOrStart atomically checks the cache and the in-flight table:
@@ -51,9 +40,10 @@ func newMatchCache(max int) *matchCache {
 func (c *matchCache) lookupOrStart(key string) ([]Match, bool, *flight, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.byKV[key]; ok {
-		c.ll.MoveToFront(el)
-		return el.Value.(*cacheEntry).matches, true, nil, false
+	// Under mu: a leader publishes to the cache before endFlight takes
+	// mu to retire its flight, so a miss here still finds the flight.
+	if ms, ok := c.lru.Get(key); ok {
+		return ms, true, nil, false
 	}
 	if f, ok := c.inflight[key]; ok {
 		return nil, false, f, false
@@ -72,48 +62,9 @@ func (c *matchCache) endFlight(key string, f *flight, ms []Match, err error) {
 	close(f.done)
 }
 
-// get returns the cached matches and whether the key was present.
-func (c *matchCache) get(key string) ([]Match, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKV[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).matches, true
-}
-
 // put stores matches for key, evicting the least recently used entry
 // beyond capacity.
-func (c *matchCache) put(key string, matches []Match) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKV[key]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).matches = matches
-		return
-	}
-	el := c.ll.PushFront(&cacheEntry{key: key, matches: matches})
-	c.byKV[key] = el
-	for c.ll.Len() > c.max {
-		last := c.ll.Back()
-		c.ll.Remove(last)
-		delete(c.byKV, last.Value.(*cacheEntry).key)
-	}
-}
+func (c *matchCache) put(key string, matches []Match) { c.lru.Put(key, matches) }
 
 // purge empties the cache (called when the data may have changed).
-func (c *matchCache) purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	c.byKV = map[string]*list.Element{}
-}
-
-// len returns the number of cached keys.
-func (c *matchCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
+func (c *matchCache) purge() { c.lru.Purge() }

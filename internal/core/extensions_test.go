@@ -220,27 +220,3 @@ func TestMatchCache(t *testing.T) {
 		t.Error("disabled cache served from cache")
 	}
 }
-
-func TestMatchCacheLRUEviction(t *testing.T) {
-	c := newMatchCache(2)
-	c.put("a", nil)
-	c.put("b", nil)
-	if _, ok := c.get("a"); !ok {
-		t.Fatal("a missing")
-	}
-	c.put("c", nil) // evicts b (least recently used)
-	if _, ok := c.get("b"); ok {
-		t.Error("b not evicted")
-	}
-	if _, ok := c.get("a"); !ok {
-		t.Error("a wrongly evicted")
-	}
-	if c.len() != 2 {
-		t.Errorf("len = %d", c.len())
-	}
-	// Overwrite refreshes.
-	c.put("a", []Match{{}})
-	if ms, ok := c.get("a"); !ok || len(ms) != 1 {
-		t.Errorf("overwrite lost: %v %v", ms, ok)
-	}
-}

@@ -1,76 +1,11 @@
 package serve
 
 import (
-	"container/list"
 	"strconv"
-	"sync"
 
 	"re2xolap/internal/endpoint"
 	"re2xolap/internal/sparql"
 )
-
-// lru is a bounded least-recently-used map. It is the storage behind
-// both the result cache and the canonical-text memo. Safe for
-// concurrent use.
-type lru struct {
-	mu  sync.Mutex
-	max int
-	m   map[string]*list.Element
-	l   *list.List // front = most recently used
-}
-
-// lruEntry is one occupant: the key rides along so eviction can delete
-// the map slot.
-type lruEntry struct {
-	key string
-	val any
-}
-
-func newLRU(max int) *lru {
-	if max <= 0 {
-		max = 1
-	}
-	return &lru{max: max, m: make(map[string]*list.Element), l: list.New()}
-}
-
-// get returns the value and refreshes recency.
-func (c *lru) get(key string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.m[key]
-	if !ok {
-		return nil, false
-	}
-	c.l.MoveToFront(e)
-	return e.Value.(*lruEntry).val, true
-}
-
-// put inserts or refreshes key and returns how many entries were
-// evicted to stay within the bound (0 or 1).
-func (c *lru) put(key string, val any) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.m[key]; ok {
-		e.Value.(*lruEntry).val = val
-		c.l.MoveToFront(e)
-		return 0
-	}
-	c.m[key] = c.l.PushFront(&lruEntry{key: key, val: val})
-	if c.l.Len() <= c.max {
-		return 0
-	}
-	oldest := c.l.Back()
-	c.l.Remove(oldest)
-	delete(c.m, oldest.Value.(*lruEntry).key)
-	return 1
-}
-
-// len returns the current occupancy.
-func (c *lru) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.l.Len()
-}
 
 // cachedAnswer is one result-cache occupant: the shared (immutable by
 // contract) result set plus the execution metadata template hits are

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"re2xolap/internal/endpoint"
+	"re2xolap/internal/lru"
 	"re2xolap/internal/obs"
 	"re2xolap/internal/sparql"
 )
@@ -99,8 +100,8 @@ func WithoutSingleFlight() Option {
 // log, the /debug/queries ring, and HTTP response headers.
 type Stack struct {
 	inner  endpoint.Client
-	cache  *lru // nil = cache disabled
-	canon  *lru // query text → canonical form ("" memoizes a parse failure)
+	cache  *lru.Cache[*cachedAnswer] // nil = cache disabled
+	canon  *lru.Cache[string]        // query text → canonical form ("" memoizes a parse failure)
 	flight *flightGroup
 	adm    *admission // nil = admission disabled
 	m      *metrics
@@ -129,7 +130,7 @@ func New(inner endpoint.Client, opts ...Option) *Stack {
 	names := newTenantNames(maxTenants)
 	s := &Stack{
 		inner:         inner,
-		canon:         newLRU(canonMemoSize),
+		canon:         lru.New[string](canonMemoSize),
 		m:             newMetrics(cfg.reg, names),
 		genFn:         cfg.genFn,
 		defaultTenant: "default",
@@ -141,9 +142,9 @@ func New(inner endpoint.Client, opts ...Option) *Stack {
 		s.slo = newTracker(*cfg.slo, cfg.reg, names)
 	}
 	if cfg.cacheSize > 0 {
-		s.cache = newLRU(cfg.cacheSize)
+		s.cache = lru.New[*cachedAnswer](cfg.cacheSize)
 		cfg.reg.GaugeFunc("re2xolap_result_cache_entries",
-			"Result-cache occupancy.", func() float64 { return float64(s.cache.len()) })
+			"Result-cache occupancy.", func() float64 { return float64(s.cache.Len()) })
 	}
 	if !cfg.noFlight {
 		s.flight = newFlightGroup()
@@ -221,9 +222,8 @@ func (s *Stack) queryX(ctx context.Context, req endpoint.Request) (*sparql.Resul
 
 	key := cacheKey(canonical, s.generation())
 	if s.cache != nil {
-		if v, hit := s.cache.get(key); hit {
+		if ans, hit := s.cache.Get(key); hit {
 			s.m.hit()
-			ans := v.(*cachedAnswer)
 			meta := s.derivedMeta(ans.meta, req, start)
 			meta.CacheHit = true
 			return ans.res, meta, nil
@@ -291,17 +291,16 @@ func (s *Stack) derivedMeta(from endpoint.QueryMeta, req endpoint.Request, start
 // remembers failures too, as ""); the caller falls through to the
 // inner client for the authoritative error.
 func (s *Stack) canonical(query string) (string, bool) {
-	if v, ok := s.canon.get(query); ok {
-		c := v.(string)
+	if c, ok := s.canon.Get(query); ok {
 		return c, c != ""
 	}
 	q, err := sparql.Parse(query)
 	if err != nil {
-		s.canon.put(query, "")
+		s.canon.Put(query, "")
 		return "", false
 	}
 	c := q.String()
-	s.canon.put(query, c)
+	s.canon.Put(query, c)
 	return c, true
 }
 
@@ -339,7 +338,7 @@ type StackStats struct {
 func (s *Stack) Stats() StackStats {
 	var st StackStats
 	if s.cache != nil {
-		st.CacheEntries = int64(s.cache.len())
+		st.CacheEntries = int64(s.cache.Len())
 	}
 	if s.m != nil {
 		st.CacheHits = s.m.cacheHits.Value()
@@ -361,5 +360,5 @@ func (s *Stack) store(key string, res *sparql.Results, meta endpoint.QueryMeta, 
 	if s.cache == nil || err != nil || res == nil || meta.Incomplete {
 		return
 	}
-	s.m.evicted(s.cache.put(key, &cachedAnswer{res: res, meta: meta}))
+	s.m.evicted(s.cache.Put(key, &cachedAnswer{res: res, meta: meta}))
 }

@@ -247,7 +247,7 @@ func TestCacheEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := s.cache.len(); n != 2 {
+	if n := s.cache.Len(); n != 2 {
 		t.Errorf("cache occupancy = %d, want 2", n)
 	}
 	if v := reg.Counter("re2xolap_result_cache_evictions_total", "").Value(); v != 2 {

@@ -1,9 +1,6 @@
 package shard
 
-import (
-	"container/list"
-	"sync"
-)
+import "re2xolap/internal/lru"
 
 // DefaultPlanCacheSize is the plan-cache capacity when none is
 // configured.
@@ -17,26 +14,13 @@ const DefaultPlanCacheSize = 512
 // never go stale (there is nothing to invalidate them against), they
 // only fall out of a full cache.
 type planCache struct {
-	mu  sync.Mutex
-	cap int
-	ent map[string]*list.Element
-	lru list.List // front = most recent; values are *cacheEntry
-
-	m *metrics
-}
-
-type cacheEntry struct {
-	key  string
-	plan queryPlan
+	lru *lru.Cache[queryPlan]
+	m   *metrics
 }
 
 // newPlanCache builds a cache with the given capacity (> 0).
 func newPlanCache(capacity int, m *metrics) *planCache {
-	return &planCache{
-		cap: capacity,
-		ent: make(map[string]*list.Element, capacity),
-		m:   m,
-	}
+	return &planCache{lru: lru.New[queryPlan](capacity), m: m}
 }
 
 // get returns the cached plan for a query text, if present.
@@ -44,16 +28,13 @@ func (c *planCache) get(text string) (queryPlan, bool) {
 	if c == nil {
 		return queryPlan{}, false
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.ent[text]
-	if !ok {
+	p, ok := c.lru.Get(text)
+	if ok {
+		c.m.planCacheHit()
+	} else {
 		c.m.planCacheMiss()
-		return queryPlan{}, false
 	}
-	c.lru.MoveToFront(el)
-	c.m.planCacheHit()
-	return el.Value.(*cacheEntry).plan, true
+	return p, ok
 }
 
 // put stores a plan, evicting the least recently used entry when the
@@ -62,20 +43,9 @@ func (c *planCache) put(text string, p queryPlan) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.ent[text]; ok {
-		c.lru.MoveToFront(el)
-		el.Value.(*cacheEntry).plan = p
-		return
-	}
-	if c.lru.Len() >= c.cap {
-		last := c.lru.Back()
-		c.lru.Remove(last)
-		delete(c.ent, last.Value.(*cacheEntry).key)
+	if c.lru.Put(text, p) > 0 {
 		c.m.planCacheEvict()
 	}
-	c.ent[text] = c.lru.PushFront(&cacheEntry{key: text, plan: p})
 	c.m.planCacheSize(c.lru.Len())
 }
 
@@ -84,7 +54,5 @@ func (c *planCache) len() int {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.lru.Len()
 }

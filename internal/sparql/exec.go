@@ -3,6 +3,7 @@ package sparql
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -111,28 +112,24 @@ func (e *Engine) queryPhased(ctx context.Context, q *Query, view *store.View, pt
 	if pt != nil {
 		mark = time.Now()
 	}
-	ex := &executor{
-		eng: e, view: view, dict: view.Dict(),
-		slots: map[string]int{}, ctx: ctx,
-		workers: e.Exec.workers(), threshold: e.Exec.threshold(),
-		dead: new(atomic.Bool), prof: prof,
-	}
+	ex := e.newExecutor(ctx, view, prof)
 	// Short-circuit budget: ASK and plain LIMIT queries stop the join
 	// as soon as enough full solutions exist, so their cost does not
 	// grow with the number of matching observations (mirroring a real
 	// triplestore's early-exit ASK).
+	budget := 0
 	switch {
 	case q.Ask:
-		ex.limit = 1
+		budget = 1
 	case !q.IsAggregate() && !q.Distinct && len(q.OrderBy) == 0 && q.Limit >= 0:
-		ex.limit = q.Limit + q.Offset
+		budget = q.Limit + q.Offset
 	}
 	if pt != nil {
 		now := time.Now()
 		pt.Plan = now.Sub(mark)
 		mark = now
 	}
-	rows, err := ex.evalWhere(q.Where)
+	rows, err := ex.evalWhere(q.Where, budget)
 	if pt != nil {
 		pt.Join = time.Since(mark)
 	}
@@ -217,9 +214,6 @@ type executor struct {
 	dict   *store.Dict
 	slots  map[string]int
 	varSeq []string // slot → name, in first-seen order
-	// limit > 0 enables the short-circuit DFS join: evaluation stops
-	// once that many full solutions exist.
-	limit int
 	// workers/threshold are the resolved parallelism settings for this
 	// query; clones run with workers = 1.
 	workers   int
@@ -238,6 +232,17 @@ type executor struct {
 	// default, and every worker clone) is the disabled state, costing
 	// one pointer check per operator.
 	prof *profiler
+}
+
+// newExecutor returns the executor of one query over view; a nil ctx
+// never cancels, a nil prof does not profile.
+func (e *Engine) newExecutor(ctx context.Context, view *store.View, prof *profiler) *executor {
+	return &executor{
+		eng: e, view: view, dict: view.Dict(),
+		slots: map[string]int{}, ctx: ctx,
+		workers: e.Exec.workers(), threshold: e.Exec.threshold(),
+		dead: new(atomic.Bool), prof: prof,
+	}
 }
 
 // cancelCheckInterval is how many row extensions pass between context
@@ -289,55 +294,67 @@ type row []store.ID
 func (ex *executor) extendRows(rows []row) []row {
 	n := len(ex.varSeq)
 	for i, r := range rows {
-		for len(r) < n {
-			r = append(r, 0)
+		if len(r) < n {
+			rows[i] = append(make(row, 0, n), r...)[:n]
 		}
-		rows[i] = r
 	}
 	return rows
 }
 
-// evalWhere evaluates the WHERE clause and returns binding rows.
-func (ex *executor) evalWhere(elems []PatternElement) ([]row, error) {
-	var patterns []TriplePattern
-	var filters []Expr
-	var values []ValuesElement
-	var optionals []OptionalElement
-	var unions []UnionElement
-	var closures []ClosurePattern
-	var subs []SubSelectElement
-	var binds []BindElement
+// whereParts is a group graph pattern sorted by element kind, in the
+// order evalWhere joins the kinds.
+type whereParts struct {
+	subs      []SubSelectElement
+	values    []ValuesElement
+	patterns  []TriplePattern
+	filters   []Expr
+	closures  []ClosurePattern
+	unions    []UnionElement
+	optionals []OptionalElement
+	binds     []BindElement
+}
+
+func splitWhere(elems []PatternElement) whereParts {
+	var w whereParts
 	for _, el := range elems {
 		switch x := el.(type) {
 		case TriplePattern:
-			patterns = append(patterns, x)
+			w.patterns = append(w.patterns, x)
 		case FilterElement:
-			filters = append(filters, x.Expr)
+			w.filters = append(w.filters, x.Expr)
 		case ValuesElement:
-			values = append(values, x)
+			w.values = append(w.values, x)
 		case OptionalElement:
-			optionals = append(optionals, x)
+			w.optionals = append(w.optionals, x)
 		case UnionElement:
-			unions = append(unions, x)
+			w.unions = append(w.unions, x)
 		case ClosurePattern:
-			closures = append(closures, x)
+			w.closures = append(w.closures, x)
 		case SubSelectElement:
-			subs = append(subs, x)
+			w.subs = append(w.subs, x)
 		case BindElement:
-			binds = append(binds, x)
+			w.binds = append(w.binds, x)
 		}
 	}
-	// Pre-register pattern variables so slots are stable.
-	for _, tp := range patterns {
-		for _, n := range []Node{tp.S, tp.P, tp.O} {
-			if n.IsVar {
-				ex.slot(n.Var)
-			}
-		}
-	}
+	return w
+}
+
+// open reports whether anything joins after the patterns: then the
+// pattern join can neither stop at a budget nor settle the filters
+// whose variables are still unbound.
+func (w whereParts) open() bool {
+	return len(w.closures)+len(w.unions)+len(w.optionals)+len(w.binds) > 0
+}
+
+// evalWhere evaluates the WHERE clause and returns binding rows;
+// budget > 0 lets it stop once that many exist.
+func (ex *executor) evalWhere(elems []PatternElement, budget int) ([]row, error) {
+	w := splitWhere(elems)
+	// Pattern variables come first in slot order (SELECT * follows it).
+	ex.registerVars(w.patterns)
 	rows := []row{make(row, len(ex.varSeq))}
 	// Subqueries run first: their solutions seed the join like VALUES.
-	for _, sub := range subs {
+	for _, sub := range w.subs {
 		var pn *ProfileNode
 		if ex.prof != nil {
 			pn = ex.prof.open("subquery", sub.Query.String(), len(rows))
@@ -350,21 +367,17 @@ func (ex *executor) evalWhere(elems []PatternElement) ([]row, error) {
 		}
 	}
 	// VALUES blocks join first: they are small and selective.
-	for _, v := range values {
+	for _, v := range w.values {
 		var pn *ProfileNode
 		if ex.prof != nil {
 			pn = ex.prof.open("values", strings.Join(v.Vars, ", "), len(rows))
 		}
-		var err error
-		rows, err = ex.joinValues(rows, v)
+		rows = ex.joinValues(rows, v)
 		ex.profClose(pn, len(rows))
-		if err != nil {
-			return nil, err
-		}
 	}
 	// Full-text rewrite: keyword filters become candidate-set joins.
 	if !ex.eng.DisableTextIndex {
-		for _, f := range filters {
+		for _, f := range w.filters {
 			if v, kw, ok := textConstraint(f); ok {
 				ids := ex.view.TextSearch(kw)
 				var pn *ProfileNode
@@ -377,26 +390,14 @@ func (ex *executor) evalWhere(elems []PatternElement) ([]row, error) {
 			}
 		}
 	}
-	var err error
-	if ex.limit > 0 && len(optionals) == 0 && len(unions) == 0 && len(closures) == 0 && len(subs) == 0 && len(binds) == 0 {
-		if ex.prof == nil {
-			return ex.joinDFS(rows, patterns, filters)
-		}
-		// The DFS interleaves all patterns and filters per solution path,
-		// so it profiles as one operator.
-		pn := ex.prof.open("dfs", fmt.Sprintf("%d patterns, budget %d", len(patterns), ex.limit), len(rows))
-		if ex.workers > 1 && ex.limit != 1 && len(patterns) > 0 {
-			pn.Workers = ex.workers
-		}
-		out, derr := ex.joinDFS(rows, patterns, filters)
-		ex.profClose(pn, len(out))
-		return out, derr
+	if w.open() {
+		budget = 0
 	}
-	rows, err = ex.joinPatterns(rows, patterns, filters)
+	rows, residual, err := ex.joinBGP(rows, w.patterns, w.filters, w.open(), budget)
 	if err != nil {
 		return nil, err
 	}
-	for _, cp := range closures {
+	for _, cp := range w.closures {
 		var pn *ProfileNode
 		if ex.prof != nil {
 			pn = ex.prof.open("closure", cp.String(), len(rows))
@@ -407,7 +408,9 @@ func (ex *executor) evalWhere(elems []PatternElement) ([]row, error) {
 			return nil, err
 		}
 	}
-	for _, u := range unions {
+	// A union or an optional reports as one operator whether its joins
+	// ran here or on clones: only joinBGP profiles its steps.
+	for _, u := range w.unions {
 		var pn *ProfileNode
 		if ex.prof != nil {
 			pn = ex.prof.open("union", fmt.Sprintf("%d branches", len(u.Branches)), len(rows))
@@ -415,29 +418,18 @@ func (ex *executor) evalWhere(elems []PatternElement) ([]row, error) {
 				pn.Workers = ex.workers
 			}
 		}
-		// Branch evaluation re-enters joinPatterns; suppress nested
-		// profiling so the union reports as one operator whether its
-		// branches ran sequentially or on clones.
-		saved := ex.prof
-		ex.prof = nil
 		rows, err = ex.joinUnion(rows, u)
-		ex.prof = saved
 		ex.profClose(pn, len(rows))
 		if err != nil {
 			return nil, err
 		}
 	}
-	for _, opt := range optionals {
+	for _, opt := range w.optionals {
 		var pn *ProfileNode
 		if ex.prof != nil {
 			pn = ex.prof.open("optional", fmt.Sprintf("%d patterns", len(opt.Patterns)), len(rows))
 		}
-		// The left-join re-enters joinPatterns once per input row;
-		// suppress nested profiling for the same reason as UNION.
-		saved := ex.prof
-		ex.prof = nil
 		rows, err = ex.joinOptional(rows, opt)
-		ex.prof = saved
 		ex.profClose(pn, len(rows))
 		if err != nil {
 			return nil, err
@@ -447,14 +439,14 @@ func (ex *executor) evalWhere(elems []PatternElement) ([]row, error) {
 	// joined. A failed or unbound expression leaves the variable unbound
 	// (SPARQL semantics).
 	var bindNode *ProfileNode
-	if ex.prof != nil && len(binds) > 0 {
-		names := make([]string, len(binds))
-		for i, be := range binds {
+	if ex.prof != nil && len(w.binds) > 0 {
+		names := make([]string, len(w.binds))
+		for i, be := range w.binds {
 			names[i] = "?" + be.Var
 		}
 		bindNode = ex.prof.open("bind", strings.Join(names, ", "), len(rows))
 	}
-	for _, be := range binds {
+	for _, be := range w.binds {
 		slot := ex.slot(be.Var)
 		rows = ex.extendRows(rows)
 		for i, r := range rows {
@@ -471,12 +463,8 @@ func (ex *executor) evalWhere(elems []PatternElement) ([]row, error) {
 		}
 	}
 	ex.profClose(bindNode, len(rows))
-	// Any filters not consumed during the pattern join run now
-	// (joinPatterns marks consumed filters by nil-ing them).
-	for _, f := range filters {
-		if f == nil {
-			continue
-		}
+	// The filters the pattern join could not settle run now.
+	for _, f := range residual {
 		var pn *ProfileNode
 		if ex.prof != nil {
 			pn = ex.prof.open("filter", fmt.Sprint(f), len(rows))
@@ -521,13 +509,16 @@ func textConstraint(e Expr) (string, string, bool) {
 func (ex *executor) joinCandidates(rows []row, varName string, ids []store.ID) []row {
 	slot := ex.slot(varName)
 	rows = ex.extendRows(rows)
-	inSet := make(map[store.ID]struct{}, len(ids))
-	for _, id := range ids {
-		inSet[id] = struct{}{}
-	}
+	var inSet map[store.ID]struct{} // built when the first row needs it
 	var out []row
 	for _, r := range rows {
 		if r[slot] != 0 {
+			if inSet == nil {
+				inSet = make(map[store.ID]struct{}, len(ids))
+				for _, id := range ids {
+					inSet[id] = struct{}{}
+				}
+			}
 			if _, ok := inSet[r[slot]]; ok {
 				out = append(out, r)
 			}
@@ -542,475 +533,49 @@ func (ex *executor) joinCandidates(rows []row, varName string, ids []store.ID) [
 	return out
 }
 
-func (ex *executor) joinValues(rows []row, v ValuesElement) ([]row, error) {
-	slots := make([]int, len(v.Vars))
-	for i, name := range v.Vars {
+// joinValues joins an inline data block; UNDEF leaves the variable as
+// the row has it.
+func (ex *executor) joinValues(rows []row, v ValuesElement) []row {
+	table := make([][]store.ID, len(v.Rows))
+	for i, dataRow := range v.Rows {
+		table[i] = make([]store.ID, len(dataRow))
+		for j, term := range dataRow {
+			if term != nil {
+				table[i][j] = ex.dict.Encode(*term)
+			}
+		}
+	}
+	return ex.joinTable(rows, v.Vars, table)
+}
+
+// joinTable joins rows with a table of solutions over vars, where ID 0
+// is an unbound cell: a row and a table row are compatible when they
+// agree wherever both bind, and only compatible pairs are copied.
+func (ex *executor) joinTable(rows []row, vars []string, table [][]store.ID) []row {
+	slots := make([]int, len(vars))
+	for i, name := range vars {
 		slots[i] = ex.slot(name)
 	}
 	rows = ex.extendRows(rows)
 	var out []row
 	for _, r := range rows {
-		for _, dataRow := range v.Rows {
+	next:
+		for _, tr := range table {
+			for i, id := range tr {
+				if cur := r[slots[i]]; id != 0 && cur != 0 && cur != id {
+					continue next
+				}
+			}
 			nr := append(row(nil), r...)
-			ok := true
-			for i, term := range dataRow {
-				if term == nil {
-					continue // UNDEF leaves the var as-is
+			for i, id := range tr {
+				if id != 0 {
+					nr[slots[i]] = id
 				}
-				id := ex.dict.Encode(*term)
-				if nr[slots[i]] != 0 && nr[slots[i]] != id {
-					ok = false
-					break
-				}
-				nr[slots[i]] = id
-			}
-			if ok {
-				out = append(out, nr)
-			}
-		}
-	}
-	return out, nil
-}
-
-// joinPatterns joins all patterns into rows using greedy selectivity
-// ordering, applying filters as soon as their variables are bound.
-// Consumed filters are set to nil in the filters slice.
-func (ex *executor) joinPatterns(rows []row, patterns []TriplePattern, filters []Expr) ([]row, error) {
-	remaining := make([]TriplePattern, len(patterns))
-	copy(remaining, patterns)
-	boundVars := map[string]bool{}
-	// Vars bound by VALUES/text seeding: a var is bound if any row
-	// binds it. (All rows bind the same slots at this point.)
-	if len(rows) > 0 {
-		for name, s := range ex.slots {
-			if s < len(rows[0]) && rows[0][s] != 0 {
-				boundVars[name] = true
-			}
-		}
-	}
-	applyReady := func() {
-		for i, f := range filters {
-			if f == nil {
-				continue
-			}
-			if containsAggregate(f) {
-				continue
-			}
-			ready := true
-			for _, v := range exprVars(f, nil) {
-				if !boundVars[v] {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				var pn *ProfileNode
-				if ex.prof != nil {
-					pn = ex.prof.open("filter", fmt.Sprint(f), len(rows))
-					if ex.parallel(len(rows)) {
-						pn.Workers = ex.workers
-					}
-				}
-				rows = ex.applyFilter(rows, f)
-				ex.profClose(pn, len(rows))
-				filters[i] = nil
-			}
-		}
-	}
-	applyReady()
-	for len(remaining) > 0 {
-		idx := 0
-		if !ex.eng.DisableJoinOrdering {
-			idx = ex.cheapestPattern(remaining, boundVars)
-		}
-		tp := remaining[idx]
-		remaining = append(remaining[:idx], remaining[idx+1:]...)
-		var pn *ProfileNode
-		if ex.prof != nil {
-			op := "scan"
-			for _, n := range []Node{tp.S, tp.P, tp.O} {
-				if n.IsVar && boundVars[n.Var] {
-					op = "index join"
-					break
-				}
-			}
-			pn = ex.prof.open(op, fmt.Sprint(tp), len(rows))
-			pn.Est = int64(ex.view.MatchCount(ex.constID(tp.S), ex.constID(tp.P), ex.constID(tp.O)))
-			if ex.parallel(len(rows)) {
-				pn.Workers = ex.workers
-			}
-		}
-		var err error
-		rows, err = ex.joinPattern(rows, tp)
-		ex.profClose(pn, len(rows))
-		if err != nil {
-			return nil, err
-		}
-		if ex.ctx != nil {
-			if err := ex.ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		for _, n := range []Node{tp.S, tp.P, tp.O} {
-			if n.IsVar {
-				boundVars[n.Var] = true
-			}
-		}
-		applyReady()
-		if len(rows) == 0 {
-			return rows, nil
-		}
-	}
-	return rows, nil
-}
-
-// cheapestPattern estimates each pattern's cost and returns the index
-// of the cheapest. Constant positions use exact index counts; positions
-// holding an already-bound variable divide the estimate since the join
-// will be index-driven per row. Patterns sharing a bound variable are
-// always preferred over disconnected ones — joining a disconnected
-// pattern is a cartesian product, which dwarfs any per-pattern count
-// difference. (Disconnected remains possible when the query itself is
-// a product of independent components.)
-func (ex *executor) cheapestPattern(patterns []TriplePattern, bound map[string]bool) int {
-	anyBound := len(bound) > 0
-	best, bestCost, bestConnected := 0, -1, false
-	for i, tp := range patterns {
-		s, p, o := ex.constID(tp.S), ex.constID(tp.P), ex.constID(tp.O)
-		cost := ex.view.MatchCount(s, p, o)
-		div := 1
-		connected := !anyBound
-		for _, n := range []Node{tp.S, tp.P, tp.O} {
-			if n.IsVar && bound[n.Var] {
-				div *= 16
-				connected = true
-			}
-		}
-		cost = cost/div + 1
-		better := false
-		switch {
-		case bestCost < 0:
-			better = true
-		case connected != bestConnected:
-			better = connected
-		default:
-			better = cost < bestCost
-		}
-		if better {
-			best, bestCost, bestConnected = i, cost, connected
-		}
-	}
-	return best
-}
-
-// constID returns the dictionary ID of a constant node, or 0 for
-// variables and unknown terms.
-func (ex *executor) constID(n Node) store.ID {
-	if n.IsVar {
-		return 0
-	}
-	id, _ := ex.dict.Lookup(n.Term)
-	return id
-}
-
-// joinPattern extends each row with all matches of tp. With enough
-// input rows it fans the scan out over the worker pool: chunks are
-// contiguous and merged in order, so the output is identical to the
-// sequential scan.
-func (ex *executor) joinPattern(rows []row, tp TriplePattern) ([]row, error) {
-	// Register pattern variables on this executor before any fan-out so
-	// the parent and every worker clone agree on slot numbering.
-	for _, n := range []Node{tp.S, tp.P, tp.O} {
-		if n.IsVar {
-			ex.slot(n.Var)
-		}
-	}
-	if ex.parallel(len(rows)) {
-		return ex.runRowChunks(rows, func(w *executor, chunk []row) ([]row, error) {
-			return w.joinPatternSeq(chunk, tp)
-		})
-	}
-	return ex.joinPatternSeq(rows, tp)
-}
-
-// Output-row slab sizes of joinPatternSeq, in rows.
-const (
-	minSlabRows = 2
-	maxSlabRows = 1024
-)
-
-// joinPatternSeq is the single-goroutine scan loop behind joinPattern.
-func (ex *executor) joinPatternSeq(rows []row, tp TriplePattern) ([]row, error) {
-	type pos struct {
-		slot  int // variable slot, -1 for constants
-		id    store.ID
-		known bool // constant exists in the dictionary
-	}
-	mk := func(n Node) pos {
-		if n.IsVar {
-			return pos{slot: ex.slot(n.Var)}
-		}
-		id, ok := ex.dict.Lookup(n.Term)
-		return pos{slot: -1, id: id, known: ok}
-	}
-	ps, pp, po := mk(tp.S), mk(tp.P), mk(tp.O)
-	if ps.slot < 0 && !ps.known || pp.slot < 0 && !pp.known || po.slot < 0 && !po.known {
-		return nil, nil // constant term absent from the data: no matches
-	}
-	// A variable repeated within the pattern (e.g. ?x ?p ?x) constrains
-	// the match itself. Nothing else needs checking per match: a slot
-	// the row already binds was passed to Match as a bound component.
-	sameSP := ps.slot >= 0 && ps.slot == pp.slot
-	sameSO := ps.slot >= 0 && ps.slot == po.slot
-	samePO := pp.slot >= 0 && pp.slot == po.slot
-	rows = ex.extendRows(rows)
-	var out []row
-	// Output rows are carved from slabs that start small, because most
-	// calls are ASK-sized probes producing a row or two, and double.
-	var slab []store.ID
-	slabRows := minSlabRows
-	// A cancelled scan must also stop the loop over the input rows —
-	// on a cartesian product that loop alone can run for minutes.
-	stopped := false
-	for _, r := range rows {
-		if stopped || ex.cancelled() {
-			return nil, ex.ctxErr()
-		}
-		get := func(p pos) store.ID {
-			if p.slot < 0 {
-				return p.id
-			}
-			return r[p.slot]
-		}
-		sID, pID, oID := get(ps), get(pp), get(po)
-		ex.view.Match(sID, pID, oID, func(ts, tp2, to store.ID) bool {
-			if ex.cancelled() {
-				stopped = true
-				return false
-			}
-			if sameSP && ts != tp2 || sameSO && ts != to || samePO && tp2 != to {
-				return true
-			}
-			if len(slab) < len(r) {
-				slab = make([]store.ID, slabRows*len(r))
-				slabRows = min(2*slabRows, maxSlabRows)
-			}
-			// Capacity-limited, so a later append cannot reach the next row.
-			nr := row(slab[:len(r):len(r)])
-			slab = slab[len(r):]
-			copy(nr, r)
-			if ps.slot >= 0 {
-				nr[ps.slot] = ts
-			}
-			if pp.slot >= 0 {
-				nr[pp.slot] = tp2
-			}
-			if po.slot >= 0 {
-				nr[po.slot] = to
 			}
 			out = append(out, nr)
-			return true
-		})
-	}
-	if stopped {
-		return nil, ex.ctxErr()
-	}
-	return out, nil
-}
-
-// joinDFS is the short-circuit join used when a solution budget is
-// set (ASK, plain LIMIT queries): patterns are ordered once with the
-// greedy heuristic, then solutions are produced one at a time by
-// depth-first backtracking, applying each filter at the first depth
-// where its variables are bound, and stopping at ex.limit solutions.
-// With more than one worker and a budget above one, the search runs in
-// parallel over a depth-1 frontier (see joinDFSPar).
-func (ex *executor) joinDFS(seed []row, patterns []TriplePattern, filters []Expr) ([]row, error) {
-	plan := ex.planDFS(seed, patterns, filters)
-	// ASK and EXISTS (budget 1) stay sequential: the expected work is a
-	// single path, and widening the frontier would be pure speculation.
-	if ex.workers > 1 && ex.limit != 1 && len(plan.order) > 0 {
-		return ex.joinDFSPar(seed, plan)
-	}
-	return ex.runDFS(seed, plan, 0)
-}
-
-// schedFilter is a filter pinned to the first DFS depth where its
-// variables are all bound; depth -1 means before any pattern join.
-type schedFilter struct {
-	expr  Expr
-	depth int
-}
-
-// dfsPlan is the static part of a short-circuit DFS join: the greedy
-// pattern order and the filter schedule. A plan is immutable once
-// built, so worker clones share it.
-type dfsPlan struct {
-	order []TriplePattern
-	sched []schedFilter
-}
-
-func (p *dfsPlan) filtersAt(depth int) []Expr {
-	var out []Expr
-	for _, sf := range p.sched {
-		if sf.depth == depth {
-			out = append(out, sf.expr)
 		}
 	}
 	return out
-}
-
-// planDFS computes the greedy pattern order (simulating bound
-// variables) and schedules each filter at the first depth where it is
-// evaluable.
-func (ex *executor) planDFS(seed []row, patterns []TriplePattern, filters []Expr) *dfsPlan {
-	bound := map[string]bool{}
-	if len(seed) > 0 {
-		for name, s := range ex.slots {
-			if s < len(seed[0]) && seed[0][s] != 0 {
-				bound[name] = true
-			}
-		}
-	}
-	order := make([]TriplePattern, 0, len(patterns))
-	remaining := append([]TriplePattern(nil), patterns...)
-	for len(remaining) > 0 {
-		idx := 0
-		if !ex.eng.DisableJoinOrdering {
-			idx = ex.cheapestPattern(remaining, bound)
-		}
-		tp := remaining[idx]
-		remaining = append(remaining[:idx], remaining[idx+1:]...)
-		order = append(order, tp)
-		for _, n := range []Node{tp.S, tp.P, tp.O} {
-			if n.IsVar {
-				bound[n.Var] = true
-			}
-		}
-	}
-	p := &dfsPlan{order: order}
-	for _, f := range filters {
-		if f == nil || containsAggregate(f) {
-			continue
-		}
-		vars := exprVars(f, nil)
-		depth := -1
-		for i := range order {
-			covered := true
-			for _, v := range vars {
-				if !ex.varCoveredBy(v, seed, order[:i+1]) {
-					covered = false
-					break
-				}
-			}
-			if covered {
-				depth = i
-				break
-			}
-			if i == len(order)-1 {
-				depth = i // evaluate at the end; unbound vars error out
-			}
-		}
-		if len(order) == 0 {
-			depth = -1
-		}
-		p.sched = append(p.sched, schedFilter{expr: f, depth: depth})
-	}
-	return p
-}
-
-// runDFS runs the depth-first join over the seed rows, honouring
-// ex.limit. With fromDepth 0 the seed rows are padded and seed filters
-// applied; with a positive fromDepth the rows are assumed to be
-// already-filtered frontier rows from that depth (parallel workers).
-func (ex *executor) runDFS(seed []row, plan *dfsPlan, fromDepth int) ([]row, error) {
-	var out []row
-	// The DFS explores an unbounded search space before reaching its
-	// solution budget; honour cancellation inside the recursion too.
-	cancelled := false
-	var rec func(r row, depth int) bool
-	rec = func(r row, depth int) bool {
-		if ex.cancelled() {
-			cancelled = true
-			return false
-		}
-		if depth == len(plan.order) {
-			out = append(out, r)
-			return len(out) < ex.limit
-		}
-		cont := true
-		for _, nr := range ex.matchOne(r, plan.order[depth]) {
-			ok := true
-			for _, f := range plan.filtersAt(depth) {
-				keep, err := evalBool(f, rowBinding{ex: ex, r: nr})
-				if err != nil || !keep {
-					ok = false
-					break
-				}
-			}
-			if ok && !rec(nr, depth+1) {
-				cont = false
-				break
-			}
-		}
-		return cont
-	}
-	seedFilters := plan.filtersAt(-1)
-	for _, r := range seed {
-		if fromDepth > 0 {
-			if !rec(r, fromDepth) {
-				break
-			}
-			continue
-		}
-		r = ex.extendOne(r)
-		ok := true
-		for _, f := range seedFilters {
-			keep, err := evalBool(f, rowBinding{ex: ex, r: r})
-			if err != nil || !keep {
-				ok = false
-				break
-			}
-		}
-		if ok && !rec(r, 0) {
-			break
-		}
-	}
-	if cancelled {
-		return nil, ex.ctxErr()
-	}
-	return out, nil
-}
-
-// varCoveredBy reports whether the variable is bound by the seed rows
-// or by any of the given patterns.
-func (ex *executor) varCoveredBy(name string, seed []row, patterns []TriplePattern) bool {
-	if s, ok := ex.slots[name]; ok && len(seed) > 0 && s < len(seed[0]) && seed[0][s] != 0 {
-		return true
-	}
-	for _, tp := range patterns {
-		for _, n := range []Node{tp.S, tp.P, tp.O} {
-			if n.IsVar && n.Var == name {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// extendOne pads a single row to the current slot count.
-func (ex *executor) extendOne(r row) row {
-	for len(r) < len(ex.varSeq) {
-		r = append(r, 0)
-	}
-	return r
-}
-
-// matchOne returns the extensions of one row by one pattern (the
-// single-row version of joinPattern).
-func (ex *executor) matchOne(r row, tp TriplePattern) []row {
-	rows, _ := ex.joinPattern([]row{ex.extendOne(r)}, tp)
-	return rows
 }
 
 // joinSubSelect evaluates a nested SELECT with a fresh executor and
@@ -1025,33 +590,16 @@ func (ex *executor) joinSubSelect(rows []row, sub SubSelectElement) ([]row, erro
 	if err != nil {
 		return nil, fmt.Errorf("subquery: %w", err)
 	}
-	slots := make([]int, len(res.Vars))
-	for i, v := range res.Vars {
-		slots[i] = ex.slot(v)
-	}
-	rows = ex.extendRows(rows)
-	var out []row
-	for _, r := range rows {
-		for _, srow := range res.Rows {
-			nr := append(row(nil), r...)
-			ok := true
-			for i, t := range srow {
-				if !Bound(t) {
-					continue
-				}
-				id := ex.dict.Encode(t)
-				if nr[slots[i]] != 0 && nr[slots[i]] != id {
-					ok = false
-					break
-				}
-				nr[slots[i]] = id
-			}
-			if ok {
-				out = append(out, nr)
+	table := make([][]store.ID, len(res.Rows))
+	for i, srow := range res.Rows {
+		table[i] = make([]store.ID, len(srow))
+		for j, t := range srow {
+			if Bound(t) {
+				table[i][j] = ex.dict.Encode(t)
 			}
 		}
 	}
-	return out, nil
+	return ex.joinTable(rows, res.Vars, table), nil
 }
 
 // joinClosure joins a transitive path pattern S <p>+/<p>* O. Bound
@@ -1119,13 +667,18 @@ func (ex *executor) joinClosure(rows []row, cp ClosurePattern) ([]row, error) {
 				out = append(out, nr)
 			}
 		default:
-			// Both unbound: start from every distinct subject of pid.
+			// Both unbound: start from every distinct subject of pid, in
+			// the order Match first delivers each.
 			seen := map[store.ID]bool{}
+			var starts []store.ID
 			ex.view.Match(0, pid, 0, func(sub, _, _ store.ID) bool {
-				seen[sub] = true
+				if !seen[sub] {
+					seen[sub] = true
+					starts = append(starts, sub)
+				}
 				return true
 			})
-			for sub := range seen {
+			for _, sub := range starts {
 				for _, t := range ex.closureFrom(sub, pid, true, cp.MinZero) {
 					nr := append(row(nil), r...)
 					nr[sPos] = sub
@@ -1243,108 +796,59 @@ func (ex *executor) closureFrom(id store.ID, pid store.ID, forward, includeStart
 // each branch is evaluated as an inner join seeded with the current
 // rows, and the branch results are concatenated.
 func (ex *executor) joinUnion(rows []row, u UnionElement) ([]row, error) {
-	// Pre-register branch variables so all branches share slots.
-	for _, br := range u.Branches {
-		for _, el := range br {
-			if tp, ok := el.(TriplePattern); ok {
-				for _, n := range []Node{tp.S, tp.P, tp.O} {
-					if n.IsVar {
-						ex.slot(n.Var)
-					}
-				}
-			}
-		}
+	// Every branch is planned here, before any fan-out, and the variables
+	// of all of them registered before the first is: the branches and
+	// their clones must agree on slots and row width.
+	parts := make([]whereParts, len(u.Branches))
+	for i, br := range u.Branches {
+		parts[i] = splitWhere(br)
+		ex.registerVars(parts[i].patterns)
 	}
-	rows = ex.extendRows(rows)
-	branch := func(w *executor, br []PatternElement) ([]row, error) {
-		var patterns []TriplePattern
-		var filters []Expr
-		for _, el := range br {
-			switch x := el.(type) {
-			case TriplePattern:
-				patterns = append(patterns, x)
-			case FilterElement:
-				filters = append(filters, x.Expr)
-			}
-		}
-		seed := make([]row, len(rows))
-		for i, r := range rows {
-			seed[i] = append(row(nil), r...)
-		}
-		joined, err := w.joinPatterns(seed, patterns, filters)
-		if err != nil {
-			return nil, err
-		}
-		for _, f := range filters {
-			if f != nil {
-				joined = w.applyFilter(joined, f)
-			}
-		}
-		return joined, nil
+	branches := make([][]bgpSegment, len(parts))
+	for i, w := range parts {
+		branches[i], _ = ex.planSeed(rows, w.patterns, w.filters, false)
 	}
 	// Branches are independent inner joins over the same seed, so they
 	// run concurrently (each on a clone); concatenating the branch
 	// results in branch order reproduces the sequential output exactly.
-	if ex.workers > 1 && len(u.Branches) > 1 {
-		outs := make([][]row, len(u.Branches))
-		err := par.Do(ex.workers, len(u.Branches), func(i int) error {
-			berr := error(nil)
-			outs[i], berr = branch(ex.clone(), u.Branches[i])
-			if berr != nil {
-				ex.dead.Store(true)
-			}
-			return berr
-		})
-		if err != nil {
-			return nil, err
+	concurrent := ex.workers > 1 && len(branches) > 1
+	outs := make([][]row, len(branches))
+	err := par.Do(ex.workers, len(branches), func(i int) error {
+		w := ex
+		if concurrent {
+			w = ex.clone()
 		}
-		if err := ex.ctxErr(); err != nil {
-			return nil, err
+		var berr error
+		if outs[i], berr = w.joinSegs(branches[i], 0); berr != nil {
+			ex.dead.Store(true)
 		}
-		var out []row
-		for _, o := range outs {
-			out = append(out, o...)
-		}
-		return ex.extendRows(out), nil
+		return berr
+	})
+	if err != nil {
+		return nil, err
 	}
-	var out []row
-	for _, br := range u.Branches {
-		joined, err := branch(ex, br)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, joined...)
+	if err := ex.ctxErr(); err != nil {
+		return nil, err
 	}
-	return ex.extendRows(out), nil
+	return slices.Concat(outs...), nil
 }
 
-// joinOptional left-joins an OPTIONAL block.
+// joinOptional left-joins an OPTIONAL block: every row is extended by
+// the block's solutions, or kept as it is when there are none.
 func (ex *executor) joinOptional(rows []row, opt OptionalElement) ([]row, error) {
-	for _, tp := range opt.Patterns {
-		for _, n := range []Node{tp.S, tp.P, tp.O} {
-			if n.IsVar {
-				ex.slot(n.Var)
-			}
-		}
-	}
-	rows = ex.extendRows(rows)
 	var out []row
-	for _, r := range rows {
-		sub := []row{append(row(nil), r...)}
-		filters := append([]Expr(nil), opt.Filters...)
-		sub, err := ex.joinPatterns(sub, opt.Patterns, filters)
-		if err != nil {
-			return nil, err
-		}
-		for _, f := range filters {
-			if f != nil {
-				sub = ex.applyFilter(sub, f)
+	segs, _ := ex.planSeed(rows, opt.Patterns, opt.Filters, false)
+	for _, seg := range segs {
+		for i, r := range seg.rows {
+			sub, err := ex.run(seg.rows[i:i+1], seg.plan, 0, len(seg.plan.steps), 0, seg.plan.counts)
+			if err != nil {
+				return nil, err
 			}
-		}
-		if len(sub) == 0 {
-			out = append(out, r)
-		} else {
-			out = append(out, sub...)
+			if len(sub) == 0 {
+				out = append(out, r)
+			} else {
+				out = append(out, sub...)
+			}
 		}
 	}
 	return out, nil
@@ -1360,13 +864,8 @@ type rowBinding struct {
 // inner patterns are joined seeded with the current bindings, stopping
 // at the first solution.
 func (b rowBinding) exists(e ExistsExpr) bool {
-	ex := b.ex
-	saved := ex.limit
-	ex.limit = 1
-	defer func() { ex.limit = saved }()
-	seed := []row{append(row(nil), b.r...)}
-	filters := append([]Expr(nil), e.Filters...)
-	rows, err := ex.joinDFS(seed, e.Patterns, filters)
+	segs, _ := b.ex.planSeed([]row{b.r}, e.Patterns, e.Filters, false)
+	rows, err := b.ex.joinSegs(segs, 1)
 	return err == nil && len(rows) > 0
 }
 

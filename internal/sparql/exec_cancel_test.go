@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -71,11 +70,9 @@ func TestExecCancelStopsSampleAndGroupConcat(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		ex := &executor{
-			eng: NewEngine(st), view: st.View(), dict: st.Dict(),
-			slots: map[string]int{}, dead: new(atomic.Bool),
-			workers: workers, threshold: DefaultParallelThreshold, ctx: ctx,
-		}
+		eng := NewEngine(st)
+		eng.Exec.Workers = workers
+		ex := eng.newExecutor(ctx, st.View(), nil)
 		g, _ := st.Dict().Lookup(rdf.NewIRI("http://ex.org/a0"))
 		v, _ := st.Dict().Lookup(rdf.NewIRI("http://ex.org/a1"))
 		rows := make([]row, 3*workers*cancelCheckInterval)
@@ -117,39 +114,61 @@ func TestExecDeadlineStopsClosurePromptly(t *testing.T) {
 	}
 }
 
-// TestExecCancelStopsCartesianJoin: cancelling mid-query must abort
-// the row loop inside a pattern join — on a cartesian product that
-// loop alone can run for minutes after the client is gone. Found by
-// driving sparqld: killed clients left their in-flight slots occupied.
-func TestExecCancelStopsCartesianJoin(t *testing.T) {
+// TestExecCancelStopsJoin: cancelling mid-query must abort the pattern
+// join wherever it is — on a cartesian product any of its loops alone
+// can run for minutes after the client is gone. Found by driving
+// sparqld: killed clients left their in-flight slots occupied.
+func TestExecCancelStopsJoin(t *testing.T) {
 	st := chainStore(t, 400) // 800 triples → 800³ product rows
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := NewEngine(st).QueryStringContext(ctx,
-			`SELECT (COUNT(?a) AS ?n) WHERE { ?a ?p ?b . ?c ?q ?d . ?e ?r ?f . }`)
-		done <- err
-	}()
-	time.Sleep(50 * time.Millisecond) // let the join get going
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("cartesian join ignored cancellation")
+	const product = `{ ?a ?p ?b . ?c ?q ?d . ?e ?r ?f . }`
+	for _, tc := range []struct {
+		name  string
+		exec  ExecOptions
+		query string
+	}{
+		// One goroutine, the whole time inside the third step's Match.
+		{"deep step", ExecOptions{Workers: 1}, `SELECT (COUNT(?a) AS ?n) WHERE ` + product},
+		// Budget 1 stays sequential under any worker count; the filter
+		// rejects every row of the last step.
+		{"budgeted search", ExecOptions{Workers: 4}, `ASK { ?a ?p ?b . ?c ?q ?d . ?e ?r ?f . FILTER (?a = ?f && ?a != ?a) }`},
+		// The frontier splits after the first step: every clone pipelines
+		// the other two over its chunk.
+		{"worker clones", ExecOptions{Workers: 4, ParallelThreshold: 2}, `SELECT (COUNT(?a) AS ?n) WHERE ` + product},
+		// Never wide enough to split: the pool expands step by step, and
+		// the third expansion loops over an 800² seed.
+		{"seed loop", ExecOptions{Workers: 4, ParallelThreshold: 1 << 30}, `SELECT (COUNT(?a) AS ?n) WHERE ` + product},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := NewEngine(st)
+			eng.Exec = tc.exec
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			go func() {
+				_, err := eng.QueryStringContext(ctx, tc.query)
+				done <- err
+			}()
+			time.Sleep(50 * time.Millisecond) // let the join get going
+			cancel()
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("err = %v, want context.Canceled", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("the join ignored cancellation")
+			}
+		})
 	}
 }
 
-// TestExecCancelStopsDFS: the ASK/LIMIT depth-first join must honour
-// cancellation inside its recursion, not only at pattern boundaries.
-func TestExecCancelStopsDFS(t *testing.T) {
+// TestExecCancelStopsBudgetedJoin: a query that starts under a dead
+// context must notice inside the join's recursion, not only at pattern
+// boundaries: ASK with an unsatisfiable filter explores the whole
+// product space before giving up.
+func TestExecCancelStopsBudgetedJoin(t *testing.T) {
 	st := chainStore(t, 400)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	// ASK with an unsatisfiable filter explores the whole product
-	// space through joinDFS before giving up.
 	_, err := NewEngine(st).QueryStringContext(ctx,
 		`ASK { ?a ?p ?b . ?c ?q ?d . ?e ?r ?f . FILTER (?a = ?f && ?a != ?a) }`)
 	if !errors.Is(err, context.Canceled) {

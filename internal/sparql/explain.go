@@ -2,21 +2,20 @@ package sparql
 
 import (
 	"fmt"
+	"slices"
 	"strings"
-	"sync/atomic"
+
+	"re2xolap/internal/rdf"
 )
 
 // Explain renders the plan the executor would follow for a query
-// without running it: the greedy join order with per-pattern index
-// cardinality estimates, the point where each filter becomes
-// applicable, and the post-join stages. Intended for debugging slow
-// analytical queries and for teaching what the planner does.
+// without running it — the same planBGP plan evalWhere runs: the
+// greedy join order with per-pattern index cardinality estimates, the
+// point where each filter becomes applicable, and the post-join
+// stages. Intended for debugging slow analytical queries and for
+// teaching what the planner does.
 func (e *Engine) Explain(q *Query) string {
-	ex := &executor{
-		eng: e, view: e.st.View(), dict: e.st.Dict(),
-		slots: map[string]int{}, dead: new(atomic.Bool),
-		workers: e.Exec.workers(), threshold: e.Exec.threshold(),
-	}
+	ex := e.newExecutor(nil, e.st.View(), nil)
 	var b strings.Builder
 	switch {
 	case q.Ask:
@@ -44,92 +43,71 @@ func (e *Engine) Explain(q *Query) string {
 		b.WriteString("  parallel: off (1 worker)\n")
 	}
 
-	var patterns []TriplePattern
-	var filters []Expr
-	var extras []string
-	for _, el := range q.Where {
-		switch x := el.(type) {
-		case TriplePattern:
-			patterns = append(patterns, x)
-		case FilterElement:
-			filters = append(filters, x.Expr)
-		case ValuesElement:
-			extras = append(extras, fmt.Sprintf("VALUES seed: %d rows over %s", len(x.Rows), strings.Join(x.Vars, ", ")))
-		case OptionalElement:
-			extras = append(extras, fmt.Sprintf("OPTIONAL left-join: %d patterns", len(x.Patterns)))
-		case UnionElement:
-			extras = append(extras, fmt.Sprintf("UNION: %d branches", len(x.Branches)))
-		case ClosurePattern:
-			extras = append(extras, "transitive closure: "+x.String())
-		case SubSelectElement:
-			extras = append(extras, "subquery seed: "+x.Query.String())
+	// The stages in the order evalWhere runs them. What seeds the
+	// pattern join is known only when it runs; the plan shown is the one
+	// for a seed binding every subquery column, every VALUES column
+	// without UNDEF and every full-text variable.
+	w := splitWhere(q.Where)
+	ex.registerVars(w.patterns)
+	var seedVars []string
+	for _, sub := range w.subs {
+		fmt.Fprintf(&b, "  subquery seed: %s\n", sub.Query)
+		for _, it := range sub.Query.Select {
+			seedVars = append(seedVars, it.Var)
 		}
 	}
-	for _, line := range extras {
-		b.WriteString("  " + line + "\n")
+	for _, v := range w.values {
+		fmt.Fprintf(&b, "  VALUES seed: %d rows over %s\n", len(v.Rows), strings.Join(v.Vars, ", "))
+		for i, name := range v.Vars {
+			if !slices.ContainsFunc(v.Rows, func(r []*rdf.Term) bool { return r[i] == nil }) {
+				seedVars = append(seedVars, name)
+			}
+		}
 	}
-
-	// Full-text rewrites.
 	if !e.DisableTextIndex {
-		for _, f := range filters {
+		for _, f := range w.filters {
 			if v, kw, ok := textConstraint(f); ok {
-				n := len(e.st.TextSearch(kw))
-				fmt.Fprintf(&b, "  full-text seed ?%s: %d candidates for %q\n", v, n, kw)
+				fmt.Fprintf(&b, "  full-text seed ?%s: %d candidates for %q\n", v, len(e.st.TextSearch(kw)), kw)
+				seedVars = append(seedVars, v)
 			}
 		}
 	}
-
-	// Simulate the greedy order.
-	bound := map[string]bool{}
-	remaining := append([]TriplePattern(nil), patterns...)
-	step := 1
-	for len(remaining) > 0 {
-		idx := 0
-		if !e.DisableJoinOrdering {
-			idx = ex.cheapestPattern(remaining, bound)
+	for _, name := range seedVars {
+		ex.slot(name)
+	}
+	seed := make(row, len(ex.varSeq))
+	for _, name := range seedVars {
+		seed[ex.slots[name]] = 1 // any ID: the plan only asks whether it is bound
+	}
+	_, plans := ex.planSeed([]row{seed}, w.patterns, w.filters, w.open())
+	plan := plans[0]
+	for _, f := range plan.seed {
+		fmt.Fprintf(&b, "  seed filter: %s\n", f.expr)
+	}
+	for i, st := range plan.steps {
+		kind := st.op()
+		if !st.joined {
+			kind = "seed scan"
 		}
-		tp := remaining[idx]
-		remaining = append(remaining[:idx], remaining[idx+1:]...)
-		est := e.st.MatchCount(ex.constID(tp.S), ex.constID(tp.P), ex.constID(tp.O))
-		connected := "seed scan"
-		for _, n := range []Node{tp.S, tp.P, tp.O} {
-			if n.IsVar && bound[n.Var] {
-				connected = "index join"
-				break
-			}
-		}
-		fmt.Fprintf(&b, "  %d. %s  [%s, ~%d index entries]\n", step, tp, connected, est)
-		step++
-		for _, n := range []Node{tp.S, tp.P, tp.O} {
-			if n.IsVar {
-				bound[n.Var] = true
-			}
-		}
-		for fi, f := range filters {
-			if f == nil {
-				continue
-			}
-			if _, _, isText := textConstraint(f); isText && !e.DisableTextIndex {
-				filters[fi] = nil
-				continue
-			}
-			ready := true
-			for _, v := range exprVars(f, nil) {
-				if !bound[v] {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				fmt.Fprintf(&b, "     filter: %s\n", f)
-				filters[fi] = nil
-			}
+		fmt.Fprintf(&b, "  %d. %s  [%s, ~%d index entries]\n", i+1, st.tp, kind, st.est)
+		for _, f := range st.filters {
+			fmt.Fprintf(&b, "     filter: %s\n", f.expr)
 		}
 	}
-	for _, f := range filters {
-		if f != nil {
-			fmt.Fprintf(&b, "  post-join filter: %s\n", f)
-		}
+	for _, cp := range w.closures {
+		fmt.Fprintf(&b, "  transitive closure: %s\n", cp)
+	}
+	for _, u := range w.unions {
+		fmt.Fprintf(&b, "  UNION: %d branches\n", len(u.Branches))
+	}
+	for _, opt := range w.optionals {
+		fmt.Fprintf(&b, "  OPTIONAL left-join: %d patterns\n", len(opt.Patterns))
+	}
+	for _, be := range w.binds {
+		fmt.Fprintf(&b, "  BIND ?%s\n", be.Var)
+	}
+	for _, i := range plan.residual {
+		fmt.Fprintf(&b, "  post-join filter: %s\n", w.filters[i])
 	}
 	for i, h := range q.Having {
 		if i == 0 {

@@ -15,9 +15,9 @@ type ExecOptions struct {
 	// Workers bounds the goroutines a single query may fan out to.
 	// 0 means GOMAXPROCS; 1 disables parallelism.
 	Workers int
-	// ParallelThreshold is the minimum number of seed rows a join or
-	// filter stage needs before it is chunked across workers; smaller
-	// inputs run sequentially (fan-out overhead would dominate).
+	// ParallelThreshold is the minimum number of rows a join frontier
+	// or a filter stage needs before it is chunked across workers;
+	// smaller inputs run sequentially (fan-out overhead would dominate).
 	// 0 means DefaultParallelThreshold.
 	ParallelThreshold int
 }
@@ -42,11 +42,11 @@ func (ex *executor) parallel(n int) bool {
 
 // clone returns an executor that shares this executor's engine, store
 // view, dictionary, context, and cancellation latch, but owns its
-// mutable per-evaluation state (slot table, solution budget, tick
-// counter). Worker goroutines run on clones so that state mutated
-// mid-evaluation — EXISTS temporarily overriding the limit, fresh
-// variables registered by nested groups — never races across workers.
-// Clones are sequential (workers=1): fan-out happens at one level only.
+// mutable per-evaluation state (slot table, tick counter). Worker
+// goroutines run on clones so that state mutated mid-evaluation —
+// fresh variables registered by EXISTS groups — never races across
+// workers. Clones are sequential (workers=1): fan-out happens at one
+// level only.
 func (ex *executor) clone() *executor {
 	slots := make(map[string]int, len(ex.slots))
 	for k, v := range ex.slots {
@@ -58,7 +58,6 @@ func (ex *executor) clone() *executor {
 		dict:      ex.dict,
 		slots:     slots,
 		varSeq:    append([]string(nil), ex.varSeq...),
-		limit:     ex.limit,
 		ctx:       ex.ctx,
 		dead:      ex.dead,
 		workers:   1,
@@ -145,64 +144,4 @@ func (ex *executor) runIndexed(n int, wide bool, fn func(w *executor, i int)) {
 		}(c[0], c[1])
 	}
 	wg.Wait()
-}
-
-// joinDFSPar is the parallel form of the short-circuit DFS join. A
-// depth-first search explores one path at a time and so exposes no
-// concurrency; instead the first pattern is expanded breadth-first
-// into a frontier of depth-1 rows, the frontier is chunked over the
-// workers, and each worker runs the remaining DFS with the full
-// solution budget. Concatenating the worker outputs in chunk order and
-// truncating to the budget reproduces the sequential output exactly:
-// the sequential result is the first ex.limit solutions in frontier
-// order, each worker emits its chunk's solutions in that same order,
-// and a worker's own budget can only cut solutions that lie beyond
-// position ex.limit of the concatenation. The trade-off is that the
-// whole depth-1 frontier is materialized even if the budget would have
-// been reached early — acceptable because the planner puts the most
-// selective pattern first, making the frontier the smallest available.
-func (ex *executor) joinDFSPar(seed []row, plan *dfsPlan) ([]row, error) {
-	var frontier []row
-	seedFilters := plan.filtersAt(-1)
-	depth0 := plan.filtersAt(0)
-	for _, r := range seed {
-		if err := ex.ctxErr(); err != nil {
-			return nil, err
-		}
-		r = ex.extendOne(r)
-		ok := true
-		for _, f := range seedFilters {
-			keep, err := evalBool(f, rowBinding{ex: ex, r: r})
-			if err != nil || !keep {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		for _, nr := range ex.matchOne(r, plan.order[0]) {
-			keepRow := true
-			for _, f := range depth0 {
-				keep, err := evalBool(f, rowBinding{ex: ex, r: nr})
-				if err != nil || !keep {
-					keepRow = false
-					break
-				}
-			}
-			if keepRow {
-				frontier = append(frontier, nr)
-			}
-		}
-	}
-	out, err := ex.runRowChunks(frontier, func(w *executor, chunk []row) ([]row, error) {
-		return w.runDFS(chunk, plan, 1)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if ex.limit > 0 && len(out) > ex.limit {
-		out = out[:ex.limit]
-	}
-	return out, nil
 }

@@ -44,6 +44,23 @@ func BenchmarkBGPJoin(b *testing.B) {
 	b.Run("par", func(b *testing.B) { benchQuery(b, st, 0, q) })
 }
 
+// BenchmarkBGP runs the one pattern-join operator in its three budget
+// regimes — first solution, ten solutions, all of them — sequentially
+// and on the pool.
+func BenchmarkBGP(b *testing.B) {
+	st, spec := benchStore(b, 5000)
+	body := fmt.Sprintf(`{ ?o a <%s> . ?o <%s> ?m . ?o <%s> ?v . }`,
+		spec.ObservationClass(), spec.NS+spec.Dimensions[0].Pred, spec.NS+spec.Measures[0].Pred)
+	for _, c := range []struct{ name, query string }{
+		{"ask", "ASK " + body},
+		{"limit10", "SELECT ?o ?m ?v WHERE " + body + " LIMIT 10"},
+		{"full", "SELECT ?o ?m ?v WHERE " + body},
+	} {
+		b.Run(c.name+"/workers=1", func(b *testing.B) { benchQuery(b, st, 1, c.query) })
+		b.Run(c.name+"/workers=N", func(b *testing.B) { benchQuery(b, st, 0, c.query) })
+	}
+}
+
 // BenchmarkBGPJoinObserved measures the observability overhead on the
 // BGP-join workload through the string entry point the protocol layer
 // uses: "nil" is the uninstrumented engine (must match the plain

@@ -24,10 +24,12 @@ import (
 // many rows went in and came out, the planner's cardinality estimate
 // where one existed, and the operator's wall time.
 type ProfileNode struct {
-	// Op names the operator: "query", "scan", "index join", "filter",
-	// "dfs", "values", "text-seed", "subquery", "closure", "union",
+	// Op names the operator: "query", "bgp", "scan", "index join",
+	// "filter", "values", "text-seed", "subquery", "closure", "union",
 	// "optional", "bind", "aggregate", "project", "construct",
-	// "modifiers".
+	// "modifiers". The steps and filters of a pattern join are pipelined,
+	// so they sit under the "bgp" node that timed them and carry counts
+	// but no Wall of their own.
 	Op string
 	// Detail is the operator-specific description (the triple pattern,
 	// filter expression, keyword, ...).
@@ -69,6 +71,28 @@ func (p *profiler) open(op, detail string, rowsIn int) *ProfileNode {
 	top.Children = append(top.Children, n)
 	p.stack = append(p.stack, n)
 	return n
+}
+
+// plan appends the schedule of a pattern-join plan under the current
+// node — the seed filters, then every step with the filters that run
+// after it — each with the row counts the run observed.
+func (p *profiler) plan(bp *bgpPlan) {
+	top := p.stack[len(p.stack)-1]
+	add := func(op, detail string, est int64, c stepCount) {
+		top.Children = append(top.Children, &ProfileNode{
+			Op: op, Detail: detail, Est: est, RowsIn: c.in, RowsOut: c.out, Workers: c.workers,
+		})
+	}
+	filters := func(fs []planFilter) {
+		for _, f := range fs {
+			add("filter", fmt.Sprint(f.expr), -1, bp.counts[f.n])
+		}
+	}
+	filters(bp.seed)
+	for i, st := range bp.steps {
+		add(st.op(), fmt.Sprint(st.tp), int64(st.est), bp.counts[i])
+		filters(st.filters)
+	}
 }
 
 // close finalizes n and pops the stack down to n's parent. Searching
@@ -141,7 +165,10 @@ func writeProfileNode(b *strings.Builder, n *ProfileNode, depth int) {
 	if n.Est >= 0 {
 		fmt.Fprintf(b, "est=%d ", n.Est)
 	}
-	fmt.Fprintf(b, "in=%d out=%d wall=%s", n.RowsIn, n.RowsOut, n.Wall.Round(time.Microsecond))
+	fmt.Fprintf(b, "in=%d out=%d", n.RowsIn, n.RowsOut)
+	if !n.start.IsZero() {
+		fmt.Fprintf(b, " wall=%s", n.Wall.Round(time.Microsecond))
+	}
 	if n.Workers > 1 {
 		fmt.Fprintf(b, " workers=%d", n.Workers)
 	}

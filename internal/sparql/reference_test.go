@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"re2xolap/internal/datagen"
 	"re2xolap/internal/rdf"
 	"re2xolap/internal/store"
 )
@@ -16,60 +17,152 @@ import (
 // This file cross-checks the executor against a brute-force reference
 // evaluator on randomly generated graphs and BGP queries: same
 // solutions, same aggregates, independent of join order, index
-// selection, or the DFS short-circuit path.
+// selection, budget, or worker count.
 
 // refBinding is a variable assignment in the reference evaluator.
 type refBinding map[string]rdf.Term
 
-// refSolve enumerates all solutions of the patterns over the triples
-// by naive backtracking in syntactic order.
-func refSolve(triples []rdf.Triple, patterns []TriplePattern) []refBinding {
+// refGraph is the raw triple list in store order. What Match delivers
+// for a pattern is the matching sublist of: the compacted triples in
+// the key order of the permutation the pattern's bound positions
+// select (subject+predicate or nothing bound: SPO; predicate: POS;
+// object: OSP; compared by dictionary ID), then the pending triples as
+// inserted (fewer than the store's tail holds, so it never sorted them).
+type refGraph struct {
+	sorted [3][]rdf.Triple
+	tail   []rdf.Triple
+	// work bounds the triples one evaluation may visit; running out
+	// sets overflow and the caller drops the trial.
+	work     int
+	overflow bool
+}
+
+// newRefGraph orders compacted by the IDs dict gave its terms.
+func newRefGraph(dict *store.Dict, compacted, tail []rdf.Triple) *refGraph {
+	g := &refGraph{tail: tail, work: 1 << 40}
+	id := func(t rdf.Term) store.ID { v, _ := dict.Lookup(t); return v }
+	keys := [3]func(rdf.Triple) [3]store.ID{
+		func(t rdf.Triple) [3]store.ID { return [3]store.ID{id(t.S), id(t.P), id(t.O)} },
+		func(t rdf.Triple) [3]store.ID { return [3]store.ID{id(t.P), id(t.O), id(t.S)} },
+		func(t rdf.Triple) [3]store.ID { return [3]store.ID{id(t.O), id(t.S), id(t.P)} },
+	}
+	for i, key := range keys {
+		g.sorted[i] = slices.Clone(compacted)
+		slices.SortFunc(g.sorted[i], func(a, b rdf.Triple) int {
+			ka, kb := key(a), key(b)
+			return slices.Compare(ka[:], kb[:])
+		})
+	}
+	return g
+}
+
+// scan returns the whole triple list in the order the store visits it
+// for a pattern with these positions bound.
+func (g *refGraph) scan(s, p, o bool) [2][]rdf.Triple {
+	perm := 0
+	switch {
+	case s && p:
+	case p:
+		perm = 1
+	case o:
+		perm = 2
+	}
+	return [2][]rdf.Triple{g.sorted[perm], g.tail}
+}
+
+// refEnv evaluates filters over a reference solution.
+type refEnv struct {
+	g *refGraph
+	b refBinding
+}
+
+func (e refEnv) value(name string) Value {
+	if t, ok := e.b[name]; ok {
+		return boundValue(t)
+	}
+	return Value{}
+}
+
+func (e refEnv) exists(x ExistsExpr) bool {
+	return len(refBGP(e.g, []refBinding{e.b}, x.Patterns, nil, x.Filters)) > 0
+}
+
+// refMatch extends b so that tp matches tr, if it can.
+func refMatch(tp TriplePattern, tr rdf.Triple, b refBinding) (refBinding, bool) {
+	nb := b
+	for _, pair := range [3]struct {
+		n Node
+		t rdf.Term
+	}{{tp.S, tr.S}, {tp.P, tr.P}, {tp.O, tr.O}} {
+		want := pair.n.Term
+		if pair.n.IsVar {
+			cur, ok := nb[pair.n.Var]
+			if !ok {
+				ext := refBinding{pair.n.Var: pair.t}
+				for k, v := range nb {
+					ext[k] = v
+				}
+				nb = ext
+				continue
+			}
+			want = cur
+		}
+		if want != pair.t {
+			return nil, false
+		}
+	}
+	return nb, true
+}
+
+// refBGP is the naive evaluation of a basic graph pattern: for every
+// seed solution in turn, nested loops over the raw triple list in
+// store order, one loop per pattern, with the filters applied to
+// complete solutions only. Patterns nest in the order given, or — the
+// engine may order them differently for seeds binding different
+// variables — in the order the order function names for the seed.
+func refBGP(g *refGraph, seed []refBinding, patterns []TriplePattern, order func(refBinding) []TriplePattern, filters []Expr) []refBinding {
 	var out []refBinding
-	var rec func(b refBinding, i int)
-	match := func(n Node, t rdf.Term, b refBinding) (refBinding, bool) {
-		if !n.IsVar {
-			if n.Term == t {
-				return b, true
+	for _, b0 := range seed {
+		ps := patterns
+		if order != nil {
+			ps = order(b0)
+		}
+		var rec func(b refBinding, i int)
+		rec = func(b refBinding, i int) {
+			if i == len(ps) {
+				for _, f := range filters {
+					if keep, err := evalBool(f, refEnv{g, b}); err != nil || !keep {
+						return
+					}
+				}
+				out = append(out, b)
+				return
 			}
-			return nil, false
-		}
-		if cur, ok := b[n.Var]; ok {
-			if cur == t {
-				return b, true
+			isBound := func(n Node) bool {
+				_, ok := b[n.Var]
+				return ok || !n.IsVar
 			}
-			return nil, false
+			for _, list := range g.scan(isBound(ps[i].S), isBound(ps[i].P), isBound(ps[i].O)) {
+				if g.work -= len(list); g.work < 0 {
+					g.overflow = true
+					return
+				}
+				for _, tr := range list {
+					if nb, ok := refMatch(ps[i], tr, b); ok {
+						rec(nb, i+1)
+					}
+				}
+			}
 		}
-		nb := refBinding{}
-		for k, v := range b {
-			nb[k] = v
-		}
-		nb[n.Var] = t
-		return nb, true
+		rec(b0, 0)
 	}
-	rec = func(b refBinding, i int) {
-		if i == len(patterns) {
-			out = append(out, b)
-			return
-		}
-		tp := patterns[i]
-		for _, tr := range triples {
-			b1, ok := match(tp.S, tr.S, b)
-			if !ok {
-				continue
-			}
-			b2, ok := match(tp.P, tr.P, b1)
-			if !ok {
-				continue
-			}
-			b3, ok := match(tp.O, tr.O, b2)
-			if !ok {
-				continue
-			}
-			rec(b3, i+1)
-		}
-	}
-	rec(refBinding{}, 0)
 	return out
+}
+
+// refSolve enumerates all solutions of the patterns over the triples,
+// nesting in syntactic order.
+func refSolve(triples []rdf.Triple, patterns []TriplePattern) []refBinding {
+	return refBGP(&refGraph{tail: triples, work: 1 << 40}, []refBinding{{}}, patterns, nil, nil)
 }
 
 // canonical renders a solution multiset deterministically.
@@ -303,40 +396,20 @@ func TestExecutorAggregatesMatchReference(t *testing.T) {
 // refSolveOptional computes the left join of base solutions with an
 // optional pattern group, per SPARQL OPTIONAL semantics.
 func refSolveOptional(triples []rdf.Triple, base []refBinding, optional []TriplePattern) []refBinding {
-	var out []refBinding
-	for _, b := range base {
-		// Substitute bound vars into the optional patterns, then solve.
-		ext := refSolve(triples, substitute(optional, b))
-		if len(ext) == 0 {
-			out = append(out, b)
-			continue
-		}
-		for _, e := range ext {
-			merged := refBinding{}
-			for k, v := range b {
-				merged[k] = v
-			}
-			for k, v := range e {
-				merged[k] = v
-			}
-			out = append(out, merged)
-		}
-	}
-	return out
+	return refLeftJoin(&refGraph{tail: triples, work: 1 << 40}, base, optional, nil)
 }
 
-func substitute(ps []TriplePattern, b refBinding) []TriplePattern {
-	out := make([]TriplePattern, len(ps))
-	for i, tp := range ps {
-		sub := func(n Node) Node {
-			if n.IsVar {
-				if t, ok := b[n.Var]; ok {
-					return NewTermNode(t)
-				}
-			}
-			return n
+// refLeftJoin extends every base solution by the solutions of the
+// group seeded with it that pass the group's filters, or keeps it as
+// it is when there are none.
+func refLeftJoin(g *refGraph, base []refBinding, patterns []TriplePattern, filters []Expr) []refBinding {
+	var out []refBinding
+	for _, b := range base {
+		if ext := refBGP(g, []refBinding{b}, patterns, nil, filters); len(ext) > 0 {
+			out = append(out, ext...)
+		} else {
+			out = append(out, b)
 		}
-		out[i] = TriplePattern{S: sub(tp.S), P: sub(tp.P), O: sub(tp.O)}
 	}
 	return out
 }
@@ -685,4 +758,193 @@ func dropColumns(res *Results, names ...string) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// bgpCube is the data the generated BGPs run over: a small datagen
+// cube plus a few triples no cube has (self-loops, a predicate that is
+// also a subject), so that repeated-variable patterns and variable
+// predicates find something.
+func bgpCube() []rdf.Triple {
+	spec := datagen.Spec{
+		Name: "tiny", NS: "http://c/",
+		Dimensions: []datagen.DimSpec{
+			{Pred: "origin", Label: "Origin", Members: 5,
+				Children: []datagen.LevelSpec{{Pred: "inRegion", Label: "In Region", Members: 2}}},
+			{Pred: "kind", Label: "Kind", Members: 3},
+		},
+		Measures:     []datagen.MeasureSpec{{Pred: "amount", Label: "Amount", Scale: 50}},
+		Observations: 24, Seed: 7, MissingRate: 0.1,
+	}
+	var ts []rdf.Triple
+	spec.Generate(func(t rdf.Triple) { ts = append(ts, t) })
+	iri := func(s string) rdf.Term { return rdf.NewIRI("http://c/" + s) }
+	return append(ts,
+		rdf.NewTriple(iri("loop"), iri("next"), iri("loop")),
+		rdf.NewTriple(iri("loop"), iri("next"), iri("kind")),
+		rdf.NewTriple(iri("kind"), iri("next"), iri("kind")),
+		rdf.NewTriple(iri("next"), iri("next"), iri("next")),
+	)
+}
+
+// bgpGen draws random BGP queries over a triple list: 2–5 patterns,
+// each a triple of the data — usually one that shares a term with an
+// earlier pick, else any, which starts a cartesian component — with
+// some positions turned into variables. A term mostly gets the same
+// variable wherever it occurs, so the picked triples are a solution;
+// now and then it gets a random one (joins that may fail, ?x ?p ?x) or
+// the constant is one the data does not hold. 0–2 filters and an
+// optional VALUES seed with UNDEF cells ride along.
+type bgpGen struct {
+	rng     *rand.Rand
+	triples []rdf.Triple
+	picked  []rdf.Triple
+	varOf   map[rdf.Term]string
+}
+
+var bgpVars = []string{"a", "b", "c", "d", "e"}
+
+func (g *bgpGen) v() string { return "?" + bgpVars[g.rng.Intn(len(bgpVars))] }
+
+// pick draws the next pattern's triple.
+func (g *bgpGen) pick() rdf.Triple {
+	tr := g.triples[g.rng.Intn(len(g.triples))]
+	if len(g.picked) > 0 && g.rng.Intn(10) < 7 {
+		prev := g.picked[g.rng.Intn(len(g.picked))]
+		var linked []rdf.Triple
+		for _, c := range g.triples {
+			if c != prev && (c.S == prev.S || c.S == prev.O || c.O == prev.S || c.O == prev.O) {
+				linked = append(linked, c)
+			}
+		}
+		if len(linked) > 0 {
+			tr = linked[g.rng.Intn(len(linked))]
+		}
+	}
+	g.picked = append(g.picked, tr)
+	return tr
+}
+
+func (g *bgpGen) pattern() string {
+	tr := g.pick()
+	pos := [3]string{}
+	for i, term := range []rdf.Term{tr.S, tr.P, tr.O} {
+		pos[i] = term.String()
+		switch n := g.rng.Intn(100); {
+		case n < []int{60, 20, 55}[i]:
+			if _, ok := g.varOf[term]; !ok && len(g.varOf) < len(bgpVars) {
+				g.varOf[term] = "?" + bgpVars[len(g.varOf)]
+			}
+			if pos[i] = g.varOf[term]; pos[i] == "" || g.rng.Intn(12) == 0 {
+				pos[i] = g.v()
+			}
+		case n >= 98:
+			pos[i] = "<http://c/absent>"
+		}
+	}
+	return strings.Join(pos[:], " ") + " ."
+}
+
+func (g *bgpGen) filter() string {
+	tr := g.picked[g.rng.Intn(len(g.picked))]
+	switch g.rng.Intn(10) {
+	case 0:
+		return fmt.Sprintf("FILTER(%s = %s)", g.v(), tr.O)
+	case 1:
+		return fmt.Sprintf("FILTER(%s != %s)", g.v(), g.v())
+	case 2:
+		return fmt.Sprintf("FILTER(BOUND(%s))", g.v())
+	case 3:
+		return fmt.Sprintf("FILTER(!BOUND(%s))", g.v())
+	case 4:
+		return fmt.Sprintf("FILTER(%s > 20)", g.v())
+	case 5:
+		return fmt.Sprintf("FILTER(%s = %s || !BOUND(%s))", g.v(), g.v(), g.v())
+	case 6:
+		return fmt.Sprintf("FILTER(ISIRI(%s))", g.v())
+	case 7:
+		return fmt.Sprintf("FILTER EXISTS { %s %s ?z }", g.v(), tr.P)
+	case 8:
+		return fmt.Sprintf("FILTER NOT EXISTS { %s %s ?z . FILTER(?z != %s) }", g.v(), tr.P, tr.O)
+	default:
+		return fmt.Sprintf("FILTER(STR(%s) < %q)", g.v(), tr.S.Value)
+	}
+}
+
+// values draws a VALUES block: per cell the term its variable stands
+// for in the picked triples, any other term, or UNDEF.
+func (g *bgpGen) values() string {
+	vars := g.rng.Perm(len(bgpVars))[:1+g.rng.Intn(2)]
+	var b strings.Builder
+	b.WriteString("VALUES (")
+	for _, i := range vars {
+		b.WriteString(" ?" + bgpVars[i])
+	}
+	b.WriteString(" ) {")
+	for r := 1 + g.rng.Intn(4); r > 0; r-- {
+		b.WriteString(" (")
+		for _, i := range vars {
+			cell := "UNDEF"
+			switch n := g.rng.Intn(4); {
+			case n == 0:
+				cell = g.triples[g.rng.Intn(len(g.triples))].S.String()
+			case n < 3:
+				for term, name := range g.varOf {
+					if name == "?"+bgpVars[i] {
+						cell = term.String()
+					}
+				}
+			}
+			b.WriteString(" " + cell)
+		}
+		b.WriteString(" )")
+	}
+	b.WriteString(" }")
+	return b.String()
+}
+
+// where draws the body of one query.
+func (g *bgpGen) where() string {
+	g.picked, g.varOf = nil, map[rdf.Term]string{}
+	var parts []string
+	for n := 2 + g.rng.Intn(4); n > 0; n-- {
+		parts = append(parts, g.pattern())
+	}
+	if g.rng.Intn(5) < 2 {
+		parts = append([]string{g.values()}, parts...)
+	}
+	for n := g.rng.Intn(6) - 3; n > 0; n-- {
+		parts = append(parts, g.filter())
+	}
+	return strings.Join(parts, "\n  ")
+}
+
+// refValues turns VALUES blocks into the seed solutions they join to:
+// the rows of the first, each extended by the compatible rows of the
+// next.
+func refValues(blocks []ValuesElement) []refBinding {
+	seed := []refBinding{{}}
+	for _, v := range blocks {
+		var next []refBinding
+		for _, b := range seed {
+		rows:
+			for _, r := range v.Rows {
+				nb := refBinding{}
+				for k, t := range b {
+					nb[k] = t
+				}
+				for i, t := range r {
+					if t == nil {
+						continue
+					}
+					if cur, ok := nb[v.Vars[i]]; ok && cur != *t {
+						continue rows
+					}
+					nb[v.Vars[i]] = *t
+				}
+				next = append(next, nb)
+			}
+		}
+		seed = next
+	}
+	return seed
 }
