@@ -237,7 +237,7 @@ func (c *HTTPClient) do(ctx context.Context, query string) (*sparql.Results, uin
 		return nil, 0, &StatusError{Code: resp.StatusCode, Body: strings.TrimSpace(string(body))}
 	}
 	gen, _ := strconv.ParseUint(resp.Header.Get(GenerationHeader), 10, 64)
-	res, err := DecodeResults(resp.Body)
+	res, err := decodeBody(resp.Body, resp.ContentLength)
 	if err != nil {
 		// A malformed or truncated body on a 200 is a delivery failure
 		// (connection cut mid-response, broken proxy), not a bad query.

@@ -12,22 +12,54 @@ import (
 	"re2xolap/internal/sparql"
 )
 
-// Satellite: DecodeResults must reject malformed and truncated bodies
-// with an error rather than returning a silently-partial result set.
-// The ResilientClient relies on this to detect a connection cut
+// malformedDocuments are bodies DecodeResults must reject (also seeds of
+// FuzzDecodeResults).
+var malformedDocuments = []struct {
+	name string
+	body string
+}{
+	{"empty body", ""},
+	{"html error page", "<html><body>502 Bad Gateway</body></html>"},
+	{"truncated object", `{"head":{"vars":["a"]},"results":{"bindings":[{"a":{"ty`},
+	{"bare garbage", "definitely not json"},
+	{"unknown term type", `{"head":{"vars":["a"]},"results":{"bindings":[{"a":{"type":"quantum","value":"x"}}]}}`},
+	// A 200 whose body is JSON but not a result document: a gateway's
+	// error page must not read as "no solutions".
+	{"null", "null"},
+	{"array", `[{"head":{}}]`},
+	{"empty object", "{}"},
+	{"json error page", `{"error":"upstream timeout"}`},
+	{"head only", `{"head":{"vars":["a"]}}`},
+	{"results without bindings", `{"head":{"vars":["a"]},"results":{}}`},
+	{"results null", `{"head":{"vars":["a"]},"results":null}`},
+	{"bindings not an array", `{"head":{"vars":["a"]},"results":{"bindings":{}}}`},
+	{"boolean not a boolean", `{"head":{},"boolean":"true"}`},
+	{"boolean and results", `{"head":{"vars":[]},"boolean":true,"results":{"bindings":[]}}`},
+	{"undeclared variable", `{"head":{"vars":["a"]},"results":{"bindings":[{"b":{"type":"uri","value":"http://x"}}]}}`},
+	{"undeclared variable, results first", `{"results":{"bindings":[{"b":{"type":"uri","value":"http://x"}}]},"head":{"vars":["a"]}}`},
+	{"binding without head", `{"results":{"bindings":[{"a":{"type":"uri","value":"http://x"}}]}}`},
+	{"term without value", `{"head":{"vars":["a"]},"results":{"bindings":[{"a":{"type":"uri"}}]}}`},
+	{"term without type", `{"head":{"vars":["a"]},"results":{"bindings":[{"a":{"value":"x"}}]}}`},
+	{"term null", `{"head":{"vars":["a"]},"results":{"bindings":[{"a":null}]}}`},
+	{"value not a string", `{"head":{"vars":["a"]},"results":{"bindings":[{"a":{"type":"literal","value":5}}]}}`},
+	{"variable not a string", `{"head":{"vars":[1]},"results":{"bindings":[]}}`},
+	{"trailing garbage", `{"head":{},"boolean":true}x`},
+	{"two documents", `{"head":{},"boolean":true} {"head":{},"boolean":false}`},
+	{"trailing comma", `{"head":{"vars":["a"]},"results":{"bindings":[{},]}}`},
+	{"missing comma", `{"head":{"vars":["a"]} "results":{"bindings":[]}}`},
+	{"control character in string", "{\"head\":{\"vars\":[\"a\nb\"]},\"results\":{\"bindings\":[]}}"},
+	{"bad escape", `{"head":{"vars":["a\x"]},"results":{"bindings":[]}}`},
+	{"short unicode escape", `{"head":{"vars":["\u12"]},"results":{"bindings":[]}}`},
+	{"bad number in a skipped member", `{"head":{"vars":[]},"link":01,"results":{"bindings":[]}}`},
+	{"bad literal in a skipped member", `{"head":{"vars":[]},"link":nul,"results":{"bindings":[]}}`},
+}
+
+// DecodeResults must reject malformed and truncated bodies with an
+// error rather than returning a silently-partial result set. The
+// ResilientClient relies on this to detect a connection cut
 // mid-response.
 func TestDecodeResultsMalformed(t *testing.T) {
-	tests := []struct {
-		name string
-		body string
-	}{
-		{"empty body", ""},
-		{"html error page", "<html><body>502 Bad Gateway</body></html>"},
-		{"truncated object", `{"head":{"vars":["a"]},"results":{"bindings":[{"a":{"ty`},
-		{"bare garbage", "definitely not json"},
-		{"unknown term type", `{"head":{"vars":["a"]},"results":{"bindings":[{"a":{"type":"quantum","value":"x"}}]}}`},
-	}
-	for _, tt := range tests {
+	for _, tt := range malformedDocuments {
 		t.Run(tt.name, func(t *testing.T) {
 			res, err := DecodeResults(strings.NewReader(tt.body))
 			if err == nil {

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -152,12 +153,12 @@ type failMatching struct {
 	inner  endpoint.Client
 	marker string
 	err    error
-	hits   int
+	hits   atomic.Int64 // Query runs on SynthesizeAll's workers
 }
 
 func (f *failMatching) Query(ctx context.Context, q string) (*sparql.Results, error) {
 	if strings.Contains(q, f.marker) {
-		f.hits++
+		f.hits.Add(1)
 		return nil, f.err
 	}
 	return f.inner.Query(ctx, q)
@@ -196,7 +197,7 @@ func TestSynthesisSkipsTransientAbortsOnCircuitOpen(t *testing.T) {
 	if len(cands) != 0 {
 		t.Errorf("candidates = %d with every witness query failing", len(cands))
 	}
-	if flaky.hits == 0 {
+	if flaky.hits.Load() == 0 {
 		t.Fatal("no witness query issued; marker went stale")
 	}
 	if eng.SkippedCombinations() == 0 {

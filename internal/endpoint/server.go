@@ -268,30 +268,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		res, err = s.engine.QueryStringContext(ctx, query)
 	}
 	if err != nil {
-		switch requestOutcome(err) {
-		case "bad_query":
-			http.Error(w, fmt.Sprintf("malformed query: %v", err), http.StatusBadRequest)
-		case "rejected":
-			// Admission control shed the request before executing it:
-			// 429 + Retry-After, the standard back-off contract (our
-			// StatusError taxonomy already treats 429 as retryable).
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, fmt.Sprintf("overloaded: %v", err), http.StatusTooManyRequests)
-		case "timeout":
-			// The per-request execution deadline expired: 503 tells
-			// well-behaved clients (and our ResilientClient) this is a
-			// load condition worth retrying, not a broken query.
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "query timed out", http.StatusServiceUnavailable)
-		case "canceled":
-			// The client went away; nobody is reading the response.
-		default:
-			http.Error(w, fmt.Sprintf("query execution failed: %v", err), http.StatusInternalServerError)
-		}
-		wall := time.Since(start)
-		s.m.countRequest(requestOutcome(err), wall)
-		s.recordSlow(query, wall, pt, 0, meta, err)
-		s.recordRing(query, wall, pt, meta, 0, err)
+		s.fail(w, query, start, pt, meta, err)
 		return
 	}
 
@@ -299,7 +276,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if timed {
 		serStart = time.Now()
 	}
-	s.serialize(w, r, res)
+	if err := s.serialize(w, r, res); err != nil {
+		// Nothing has been written yet: the answer cannot be rendered.
+		s.fail(w, query, start, pt, meta, err)
+		return
+	}
 	if timed {
 		ser := time.Since(serStart)
 		wall := time.Since(start)
@@ -310,6 +291,35 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.recordSlowWithSerialize(query, wall, pt, res.Len(), meta, ser)
 		s.recordRing(query, wall, pt, meta, res.Len(), nil)
 	}
+}
+
+// fail answers a request whose execution or rendering failed, with the
+// status its outcome maps to, and accounts for it.
+func (s *Server) fail(w http.ResponseWriter, query string, start time.Time, pt sparql.PhaseTimings, meta QueryMeta, err error) {
+	switch requestOutcome(err) {
+	case "bad_query":
+		http.Error(w, fmt.Sprintf("malformed query: %v", err), http.StatusBadRequest)
+	case "rejected":
+		// Admission control shed the request before executing it:
+		// 429 + Retry-After, the standard back-off contract (our
+		// StatusError taxonomy already treats 429 as retryable).
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, fmt.Sprintf("overloaded: %v", err), http.StatusTooManyRequests)
+	case "timeout":
+		// The per-request execution deadline expired: 503 tells
+		// well-behaved clients (and our ResilientClient) this is a
+		// load condition worth retrying, not a broken query.
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, "query timed out", http.StatusServiceUnavailable)
+	case "canceled":
+		// The client went away; nobody is reading the response.
+	default:
+		http.Error(w, fmt.Sprintf("query execution failed: %v", err), http.StatusInternalServerError)
+	}
+	wall := time.Since(start)
+	s.m.countRequest(requestOutcome(err), wall)
+	s.recordSlow(query, wall, pt, 0, meta, err)
+	s.recordRing(query, wall, pt, meta, 0, err)
 }
 
 // recordRing appends one served query's profile summary to the
@@ -393,19 +403,21 @@ func (s *Server) recordSlowWithSerialize(query string, wall time.Duration, pt sp
 	})
 }
 
-// serialize writes res in the negotiated format.
-func (s *Server) serialize(w http.ResponseWriter, r *http.Request, res *sparql.Results) {
+// serialize writes res in the negotiated format. The error is a JSON
+// body that could not be built, reported before anything is written; a
+// failed write (the client went away) is nobody's to report.
+func (s *Server) serialize(w http.ResponseWriter, r *http.Request, res *sparql.Results) error {
 	if res.IsConstruct {
 		// CONSTRUCT results are an RDF graph, served as N-Triples.
 		w.Header().Set("Content-Type", "application/n-triples")
 		enc := rdf.NewEncoder(w)
 		for _, t := range res.Triples {
 			if err := enc.Encode(t); err != nil {
-				return
+				return nil
 			}
 		}
 		_ = enc.Flush()
-		return
+		return nil
 	}
 	// Content negotiation: XML or CSV when the client asks for them,
 	// JSON otherwise (the SPARQL protocol default here).
@@ -413,18 +425,25 @@ func (s *Server) serialize(w http.ResponseWriter, r *http.Request, res *sparql.R
 	if wantsXML(accept) {
 		w.Header().Set("Content-Type", XMLResultsContentType)
 		_ = EncodeResultsXML(w, res)
-		return
+		return nil
 	}
 	if strings.Contains(accept, CSVResultsContentType) && !strings.Contains(accept, ResultsContentType) {
 		w.Header().Set("Content-Type", CSVResultsContentType)
 		_ = EncodeResultsCSV(w, res)
-		return
+		return nil
+	}
+	// The whole body is built before the first byte is sent, so the
+	// response carries its length and goes out in one write.
+	bp := bodyPool.Get().(*[]byte)
+	defer putBody(bp)
+	var err error
+	if *bp, err = appendResults((*bp)[:0], res); err != nil {
+		return err
 	}
 	w.Header().Set("Content-Type", ResultsContentType)
-	if err := EncodeResults(w, res); err != nil {
-		// Headers are already sent; nothing more to do.
-		return
-	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(*bp)))
+	_, _ = w.Write(*bp)
+	return nil
 }
 
 // RoutesConfig configures the full serving mux around a Server.

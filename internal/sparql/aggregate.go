@@ -220,26 +220,74 @@ func (t *aggTable) merge(aggs []AggExpr, src *aggTable) {
 
 // aggSpec is what one aggregate query asks of the algebra.
 type aggSpec struct {
-	q      *Query         // GROUP BY, HAVING and the projection
-	aggs   []AggExpr      // the distinct aggregates, one partial each
-	aggIdx map[string]int // rendered AggExpr → index into aggs
-	vars   []string       // variables emit reads from aggGroup.key
+	q       *Query    // GROUP BY and the projected names
+	aggs    []AggExpr // the distinct aggregates, one partial each
+	having  []Expr    // q.Having with every aggregate resolved to its aggRef
+	project []Expr    // q.Select[i].Expr likewise; nil for a plain variable
+	vars    []string  // variables emit reads from aggGroup.key
 }
 
 func newAggSpec(q *Query) *aggSpec {
-	s := &aggSpec{q: q}
-	s.aggs, s.aggIdx = collectAggs(q)
-	for _, it := range q.Select {
+	aggs, idx := collectAggs(q)
+	s := &aggSpec{q: q, aggs: aggs, project: make([]Expr, len(q.Select))}
+	for i, it := range q.Select {
 		if it.Expr == nil {
 			s.vars = append(s.vars, it.Var)
 		} else {
 			s.vars = nonAggVars(it.Expr, s.vars)
+			s.project[i] = resolveAggregates(it.Expr, idx)
 		}
 	}
 	for _, h := range q.Having {
 		s.vars = nonAggVars(h, s.vars)
+		s.having = append(s.having, resolveAggregates(h, idx))
 	}
 	return s
+}
+
+// aggRef stands for an aggregate inside aggSpec.having and
+// aggSpec.project: the index of its partial in aggSpec.aggs. It has a
+// value only under a groupBinding.
+type aggRef int
+
+func (aggRef) expr() {}
+
+func (r aggRef) String() string { return fmt.Sprintf("aggregate#%d", int(r)) }
+
+// groupBinding is what emit evaluates HAVING and the projection under:
+// the group's variables and its finalized aggregates. An aggregate
+// without a value (AVG or MIN of nothing) reads as unbound, like a
+// variable.
+type groupBinding struct {
+	outBinding
+	vals []Value
+}
+
+// resolveAggregates returns e with every AggExpr replaced by its
+// aggRef, once per query, so that emit neither clones the tree nor
+// renders an aggregate per group.
+func resolveAggregates(e Expr, idx map[string]int) Expr {
+	switch x := e.(type) {
+	case AggExpr:
+		return aggRef(idx[x.String()])
+	case BinaryExpr:
+		return BinaryExpr{Op: x.Op, L: resolveAggregates(x.L, idx), R: resolveAggregates(x.R, idx)}
+	case UnaryExpr:
+		return UnaryExpr{Op: x.Op, E: resolveAggregates(x.E, idx)}
+	case InExpr:
+		list := make([]Expr, len(x.List))
+		for i, y := range x.List {
+			list[i] = resolveAggregates(y, idx)
+		}
+		return InExpr{E: resolveAggregates(x.E, idx), List: list, Not: x.Not}
+	case FuncExpr:
+		args := make([]Expr, len(x.Args))
+		for i, y := range x.Args {
+			args[i] = resolveAggregates(y, idx)
+		}
+		return FuncExpr{Name: x.Name, Args: args}
+	}
+	return e
 }
 
 // collectAggs gathers every distinct aggregate expression used in the
@@ -302,66 +350,34 @@ func (s *aggSpec) emit(t *aggTable, ctxErr func() error) (*Results, error) {
 	for _, it := range s.q.Select {
 		res.Vars = append(res.Vars, it.Var)
 	}
-	vals := make([]Value, len(s.aggs))
+	b := &groupBinding{outBinding: outBinding{vars: s.vars}, vals: make([]Value, len(s.aggs))}
 groups:
 	for _, k := range t.order {
 		if err := ctxErr(); err != nil {
 			return nil, err
 		}
 		g := t.groups[k]
+		b.row = g.key
 		for ai := range s.aggs {
-			vals[ai] = g.parts[ai].finalize(&s.aggs[ai])
+			b.vals[ai] = g.parts[ai].finalize(&s.aggs[ai])
 		}
-		b := outBinding{vars: s.vars, row: g.key}
-		for _, h := range s.q.Having {
-			ok, err := evalBool(substituteAggregates(h, s.aggIdx, vals), b)
+		for _, h := range s.having {
+			ok, err := evalBool(h, b)
 			if err != nil || !ok {
 				continue groups
 			}
 		}
 		line := make([]rdf.Term, len(s.q.Select))
 		for i, it := range s.q.Select {
-			if it.Expr == nil {
+			if s.project[i] == nil {
 				line[i] = b.value(it.Var).Term
-			} else if v, err := evalExpr(substituteAggregates(it.Expr, s.aggIdx, vals), b); err == nil {
+			} else if v, err := evalExpr(s.project[i], b); err == nil {
 				line[i] = v.Term
 			}
 		}
 		res.Rows = append(res.Rows, line)
 	}
 	return res, nil
-}
-
-// substituteAggregates replaces AggExpr nodes with the group's
-// finalized values so evalExpr never sees an aggregate.
-func substituteAggregates(e Expr, aggIdx map[string]int, vals []Value) Expr {
-	switch x := e.(type) {
-	case AggExpr:
-		idx, ok := aggIdx[x.String()]
-		if !ok || !vals[idx].Bound {
-			// Unbound aggregate: substitute an always-erroring marker by
-			// referencing an unbound variable.
-			return VarExpr{Name: internalVarPrefix + "_unboundagg"}
-		}
-		return ConstExpr{Term: vals[idx].Term}
-	case BinaryExpr:
-		return BinaryExpr{Op: x.Op, L: substituteAggregates(x.L, aggIdx, vals), R: substituteAggregates(x.R, aggIdx, vals)}
-	case UnaryExpr:
-		return UnaryExpr{Op: x.Op, E: substituteAggregates(x.E, aggIdx, vals)}
-	case InExpr:
-		list := make([]Expr, len(x.List))
-		for i, y := range x.List {
-			list[i] = substituteAggregates(y, aggIdx, vals)
-		}
-		return InExpr{E: substituteAggregates(x.E, aggIdx, vals), List: list, Not: x.Not}
-	case FuncExpr:
-		args := make([]Expr, len(x.Args))
-		for i, y := range x.Args {
-			args[i] = substituteAggregates(y, aggIdx, vals)
-		}
-		return FuncExpr{Name: x.Name, Args: args}
-	}
-	return e
 }
 
 // aggregate builds the result set for a GROUP BY / aggregate query by

@@ -170,8 +170,9 @@ type existsEvaluator interface {
 	exists(e ExistsExpr) bool
 }
 
-// evalExpr evaluates e under b. Aggregates must have been substituted
-// before calling (see exec.go); hitting one here is an internal error.
+// evalExpr evaluates e under b. An aggregate has a value only as the
+// aggRef aggSpec resolved it to, under emit's groupBinding; anywhere
+// else it is an error.
 func evalExpr(e Expr, b binding) (Value, error) {
 	switch x := e.(type) {
 	case VarExpr:
@@ -225,6 +226,10 @@ func evalExpr(e Expr, b binding) (Value, error) {
 			return Value{}, fmt.Errorf("%w: EXISTS outside pattern context", errExprError)
 		}
 		return boolValue(ev.exists(x) != x.Not), nil
+	case aggRef:
+		if g, ok := b.(*groupBinding); ok {
+			return g.vals[x], nil
+		}
 	case AggExpr:
 		return Value{}, fmt.Errorf("%w: aggregate outside grouping context", errExprError)
 	}
