@@ -305,10 +305,13 @@ func labelKey(labels []Label) string {
 	return string(b)
 }
 
-// lookup returns (creating if needed) the instance for name+labels,
-// enforcing kind consistency. Mis-registering the same name as two
-// kinds is a programming error and panics.
-func (r *Registry) lookup(name, help string, kind metricKind, labels []Label) *instance {
+// lookup returns the instance for name+labels, creating it — and its
+// metric, from bounds for a histogram — under the registry mutex, so
+// two first uses of one series cannot race. It enforces kind
+// consistency: mis-registering the same name as two kinds is a
+// programming error and panics. A non-nil fn replaces a GaugeFunc's
+// sampler, under the same mutex WriteProm calls it under.
+func (r *Registry) lookup(name, help string, kind metricKind, labels []Label, bounds []float64, fn func() float64) *instance {
 	if !validName(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
@@ -328,7 +331,18 @@ func (r *Registry) lookup(name, help string, kind metricKind, labels []Label) *i
 		copy(sorted, labels)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
 		in = &instance{labels: sorted}
+		switch kind {
+		case kindCounter:
+			in.c = &Counter{}
+		case kindGauge:
+			in.g = &Gauge{}
+		case kindHistogram:
+			in.h = NewHistogram(bounds)
+		}
 		f.instances[key] = in
+	}
+	if fn != nil {
+		in.fn = fn
 	}
 	return in
 }
@@ -359,11 +373,7 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	in := r.lookup(name, help, kindCounter, labels)
-	if in.c == nil {
-		in.c = &Counter{}
-	}
-	return in.c
+	return r.lookup(name, help, kindCounter, labels, nil, nil).c
 }
 
 // Gauge returns the gauge for name+labels, creating it on first use.
@@ -371,11 +381,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	in := r.lookup(name, help, kindGauge, labels)
-	if in.g == nil {
-		in.g = &Gauge{}
-	}
-	return in.g
+	return r.lookup(name, help, kindGauge, labels, nil, nil).g
 }
 
 // GaugeFunc registers a gauge whose value is sampled by calling fn at
@@ -385,8 +391,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	if r == nil {
 		return
 	}
-	in := r.lookup(name, help, kindGaugeFunc, labels)
-	in.fn = fn
+	r.lookup(name, help, kindGaugeFunc, labels, nil, fn)
 }
 
 // Histogram returns the histogram for name+labels, creating it with
@@ -397,9 +402,5 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	if r == nil {
 		return nil
 	}
-	in := r.lookup(name, help, kindHistogram, labels)
-	if in.h == nil {
-		in.h = NewHistogram(bounds)
-	}
-	return in.h
+	return r.lookup(name, help, kindHistogram, labels, bounds, nil).h
 }

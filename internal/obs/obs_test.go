@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -25,6 +26,48 @@ func TestCounterGauge(t *testing.T) {
 	g.Add(3)
 	if got := g.Value(); got != 10 {
 		t.Fatalf("gauge = %d, want 10", got)
+	}
+}
+
+// TestRegistryConcurrentFirstUse: many goroutines asking for one new
+// series at once all get the same metric, and none of their updates is
+// lost on a metric another goroutine replaced. Run it under -race.
+func TestRegistryConcurrentFirstUse(t *testing.T) {
+	const n = 16
+	r := NewRegistry()
+	lbl := L("k", "v")
+	counters := make([]*Counter, n)
+	gauges := make([]*Gauge, n)
+	hists := make([]*Histogram, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			defer wg.Done()
+			counters[i] = r.Counter("first_total", "h", lbl)
+			counters[i].Inc()
+			gauges[i] = r.Gauge("first_gauge", "h", lbl)
+			gauges[i].Add(2)
+			hists[i] = r.Histogram("first_seconds", "h", nil, lbl)
+			hists[i].Observe(0.5)
+			r.GaugeFunc("first_sampled", "h", func() float64 { return 1 }, lbl)
+		}(i)
+	}
+	wg.Wait()
+	for i := 1; i < n; i++ {
+		if counters[i] != counters[0] || gauges[i] != gauges[0] || hists[i] != hists[0] {
+			t.Fatalf("goroutine %d got a different metric than goroutine 0", i)
+		}
+	}
+	if c, g, h := counters[0].Value(), gauges[0].Value(), hists[0].Count(); c != n || g != 2*n || h != n {
+		t.Fatalf("counter %d, gauge %d, histogram count %d; want %d, %d, %d", c, g, h, n, 2*n, n)
+	}
+	var b strings.Builder
+	if err := r.WriteProm(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), `first_sampled{k="v"} 1`) {
+		t.Fatalf("the sampled gauge is missing:\n%s", b.String())
 	}
 }
 

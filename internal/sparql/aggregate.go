@@ -18,15 +18,45 @@ import (
 // Exactness: chunks are contiguous row ranges merged in chunk order, so
 // group first-appearance order and within-group value order are those
 // of the left-to-right fold. COUNT partials add; SUM/AVG carry (sum, n)
-// pairs that add; MIN/MAX/SAMPLE keep the earlier chunk's value on
-// ties; GROUP_CONCAT concatenates in chunk order. A DISTINCT aggregate
-// carries its distinct values in first-appearance order and merges by
-// replaying the later chunk's unseen values one at a time, which is the
-// sequential fold itself — float association included. The one caveat
-// is non-DISTINCT floating-point SUM/AVG: addition is reassociated
-// across chunks, which can differ from the one-chunk sum in the last
-// bits for non-integer data (the paper's measures are integers, where
-// addition is exact).
+// pairs that add; SAMPLE keeps the earlier chunk's value; MIN/MAX keep
+// the extreme, and between distinct terms orderLess cannot tell apart
+// ("1" and "1.0"^^xsd:decimal) the one compareTerms puts first, so no
+// row or shard order decides; GROUP_CONCAT concatenates in chunk order.
+// A DISTINCT aggregate carries its distinct values in first-appearance
+// order and merges by replaying the later chunk's unseen values one at
+// a time, which is the sequential fold itself — float association
+// included. The one caveat is non-DISTINCT floating-point SUM/AVG:
+// addition is reassociated across chunks, which can differ from the
+// one-chunk sum in the last bits for non-integer data (the paper's
+// measures are integers, where addition is exact).
+
+// aggKind is an aggregate function, fixed when the spec is built, so
+// that the fold switches on a small integer instead of a name.
+type aggKind uint8
+
+const (
+	aggNone aggKind = iota // a function the algebra does not know: always unbound
+	aggCount
+	aggSum
+	aggAvg
+	aggMin
+	aggMax
+	aggSample
+	aggConcat
+)
+
+var aggKinds = map[string]aggKind{
+	"COUNT": aggCount, "SUM": aggSum, "AVG": aggAvg, "MIN": aggMin,
+	"MAX": aggMax, "SAMPLE": aggSample, "GROUP_CONCAT": aggConcat,
+}
+
+// aggOp is one aggregate as the fold runs it.
+type aggOp struct {
+	kind     aggKind
+	distinct bool
+	sep      string // GROUP_CONCAT's separator, defaulted
+	arg      int    // the aggSpec.args entry feeding it; -1 for COUNT(*)
+}
 
 // aggPartial is the partial state of one aggregate over one group.
 type aggPartial struct {
@@ -40,8 +70,8 @@ type aggPartial struct {
 }
 
 // add folds one bound argument value into the state.
-func (p *aggPartial) add(a *AggExpr, v Value) {
-	if a.Distinct {
+func (p *aggPartial) add(op *aggOp, v *Value) {
+	if op.distinct {
 		if _, dup := p.seen[v.Term]; dup {
 			return
 		}
@@ -50,34 +80,38 @@ func (p *aggPartial) add(a *AggExpr, v Value) {
 		}
 		p.seen[v.Term] = len(p.seen)
 	}
-	switch a.Fn {
-	case "COUNT":
+	switch op.kind {
+	case aggCount:
 		p.n++
-	case "SUM", "AVG":
+	case aggSum, aggAvg:
 		if n, err := v.numeric(); err == nil {
 			p.sum += n
 			p.n++
 		}
-	case "MIN":
-		if !p.best.Bound || orderLess(v, p.best) {
-			p.best = v
-		}
-	case "MAX":
-		if !p.best.Bound || orderLess(p.best, v) {
-			p.best = v
-		}
-	case "SAMPLE":
+	case aggMin, aggMax:
 		if !p.best.Bound {
-			p.best = v
+			p.best = *v
+			break
 		}
-	case "GROUP_CONCAT":
+		c := orderCompare(*v, p.best)
+		if op.kind == aggMax {
+			c = -c
+		}
+		if c < 0 || c == 0 && compareTerms(v.Term, p.best.Term) < 0 {
+			p.best = *v
+		}
+	case aggSample:
+		if !p.best.Bound {
+			p.best = *v
+		}
+	case aggConcat:
 		p.parts = append(p.parts, v.Term.Value)
 	}
 }
 
 // merge folds src, the state of a later chunk (or shard), into p.
-func (p *aggPartial) merge(a *AggExpr, src *aggPartial) {
-	if a.Distinct {
+func (p *aggPartial) merge(op *aggOp, src *aggPartial) {
+	if op.distinct {
 		// Replay src's values in the order it admitted them; add skips
 		// the ones p has seen.
 		vals := make([]rdf.Term, len(src.seen))
@@ -85,21 +119,22 @@ func (p *aggPartial) merge(a *AggExpr, src *aggPartial) {
 			vals[rank] = t
 		}
 		for _, t := range vals {
-			p.add(a, boundValue(t))
+			v := boundValue(t)
+			p.add(op, &v)
 		}
 		return
 	}
-	switch a.Fn {
-	case "COUNT":
+	switch op.kind {
+	case aggCount:
 		p.n += src.n
-	case "SUM", "AVG":
+	case aggSum, aggAvg:
 		p.sum += src.sum
 		p.n += src.n
-	case "MIN", "MAX", "SAMPLE":
+	case aggMin, aggMax, aggSample:
 		if src.best.Bound {
-			p.add(a, src.best)
+			p.add(op, &src.best)
 		}
-	case "GROUP_CONCAT":
+	case aggConcat:
 		p.parts = append(p.parts, src.parts...)
 	}
 }
@@ -107,47 +142,43 @@ func (p *aggPartial) merge(a *AggExpr, src *aggPartial) {
 // finalize turns the state into the aggregate's value. An empty group
 // gives COUNT and SUM 0, AVG/MIN/MAX/SAMPLE unbound, and GROUP_CONCAT
 // the empty string.
-func (p *aggPartial) finalize(a *AggExpr) Value {
-	switch a.Fn {
-	case "COUNT":
+func (p *aggPartial) finalize(op *aggOp) Value {
+	switch op.kind {
+	case aggCount:
 		return numValue(float64(p.n))
-	case "SUM":
+	case aggSum:
 		return numValue(p.sum)
-	case "AVG":
+	case aggAvg:
 		if p.n == 0 {
 			return Value{}
 		}
 		return numValue(p.sum / float64(p.n))
-	case "MIN", "MAX", "SAMPLE":
+	case aggMin, aggMax, aggSample:
 		return p.best
-	case "GROUP_CONCAT":
-		sep := a.Sep
-		if sep == "" {
-			sep = " "
-		}
-		return boundValue(rdf.NewString(strings.Join(p.parts, sep)))
+	case aggConcat:
+		return boundValue(rdf.NewString(strings.Join(p.parts, op.sep)))
 	}
 	return Value{}
 }
 
 // loadPartial reads the partial state one shard computed for aggregate
-// a over one group: val is the pushed-down aggregate's value, cnt the
+// op over one group: val is the pushed-down aggregate's value, cnt the
 // AVG count column.
-func loadPartial(a *AggExpr, val, cnt rdf.Term) (aggPartial, error) {
+func loadPartial(op *aggOp, val, cnt rdf.Term) (aggPartial, error) {
 	var p aggPartial
 	var err error
-	switch a.Fn {
-	case "COUNT":
+	switch op.kind {
+	case aggCount:
 		p.n, err = termInt(val)
-	case "SUM":
+	case aggSum:
 		p.sum, err = termFloat(val)
-	case "AVG":
+	case aggAvg:
 		// A shard whose group had no numeric value reports SUM 0,
 		// COUNT 0 — merging both is the identity.
 		if p.sum, err = termFloat(val); err == nil {
 			p.n, err = termInt(cnt)
 		}
-	case "MIN", "MAX":
+	case aggMin, aggMax:
 		if Bound(val) {
 			p.best = boundValue(val)
 		}
@@ -203,7 +234,7 @@ func (t *aggTable) add(k string, key []rdf.Term, aggs int) *aggGroup {
 }
 
 // merge folds src, the table of the next chunk, into t.
-func (t *aggTable) merge(aggs []AggExpr, src *aggTable) {
+func (t *aggTable) merge(ops []aggOp, src *aggTable) {
 	for _, k := range src.order {
 		sg := src.groups[k]
 		g, ok := t.groups[k]
@@ -212,8 +243,8 @@ func (t *aggTable) merge(aggs []AggExpr, src *aggTable) {
 			t.order = append(t.order, k)
 			continue
 		}
-		for ai := range aggs {
-			g.parts[ai].merge(&aggs[ai], &sg.parts[ai])
+		for ai := range ops {
+			g.parts[ai].merge(&ops[ai], &sg.parts[ai])
 		}
 	}
 }
@@ -222,8 +253,10 @@ func (t *aggTable) merge(aggs []AggExpr, src *aggTable) {
 type aggSpec struct {
 	q       *Query    // GROUP BY and the projected names
 	aggs    []AggExpr // the distinct aggregates, one partial each
+	ops     []aggOp   // aggs as the fold runs them
+	args    []Expr    // the distinct aggregate arguments, each evaluated once per row
 	having  []Expr    // q.Having with every aggregate resolved to its aggRef
-	project []Expr    // q.Select[i].Expr likewise; nil for a plain variable
+	project []Expr    // q.Select[i].Expr likewise; a VarExpr for a plain variable
 	vars    []string  // variables emit reads from aggGroup.key
 }
 
@@ -233,6 +266,7 @@ func newAggSpec(q *Query) *aggSpec {
 	for i, it := range q.Select {
 		if it.Expr == nil {
 			s.vars = append(s.vars, it.Var)
+			s.project[i] = VarExpr{Name: it.Var}
 		} else {
 			s.vars = nonAggVars(it.Expr, s.vars)
 			s.project[i] = resolveAggregates(it.Expr, idx)
@@ -242,26 +276,35 @@ func newAggSpec(q *Query) *aggSpec {
 		s.vars = nonAggVars(h, s.vars)
 		s.having = append(s.having, resolveAggregates(h, idx))
 	}
+	argIdx := map[string]int{}
+	for _, a := range aggs {
+		op := aggOp{kind: aggKinds[a.Fn], distinct: a.Distinct, sep: a.Sep, arg: -1}
+		if op.sep == "" {
+			op.sep = " "
+		}
+		if a.Arg != nil {
+			k := a.Arg.String()
+			i, ok := argIdx[k]
+			if !ok {
+				i = len(s.args)
+				argIdx[k] = i
+				s.args = append(s.args, a.Arg)
+			}
+			op.arg = i
+		}
+		s.ops = append(s.ops, op)
+	}
 	return s
 }
 
 // aggRef stands for an aggregate inside aggSpec.having and
 // aggSpec.project: the index of its partial in aggSpec.aggs. It has a
-// value only under a groupBinding.
+// value only in the term rows emit builds.
 type aggRef int
 
 func (aggRef) expr() {}
 
 func (r aggRef) String() string { return fmt.Sprintf("aggregate#%d", int(r)) }
-
-// groupBinding is what emit evaluates HAVING and the projection under:
-// the group's variables and its finalized aggregates. An aggregate
-// without a value (AVG or MIN of nothing) reads as unbound, like a
-// variable.
-type groupBinding struct {
-	outBinding
-	vals []Value
-}
 
 // resolveAggregates returns e with every AggExpr replaced by its
 // aggRef, once per query, so that emit neither clones the tree nor
@@ -339,9 +382,11 @@ func walkAggregates(e Expr, fn func(AggExpr)) {
 }
 
 // emit finalizes every group of t in t.order, applies HAVING and
-// evaluates the projection. A query with aggregates but no GROUP BY
-// over no input still yields one empty group (COUNT = 0). ctxErr is
-// polled between groups.
+// evaluates the projection. Both are compiled against one term row per
+// group: its key columns (s.vars), then its finalized aggregates, an
+// aggregate without a value (AVG or MIN of nothing) unbound like a
+// variable. A query with aggregates but no GROUP BY over no input still
+// yields one empty group (COUNT = 0). ctxErr is polled between groups.
 func (s *aggSpec) emit(t *aggTable, ctxErr func() error) (*Results, error) {
 	if len(t.order) == 0 && len(s.q.GroupBy) == 0 {
 		t.add("", make([]rdf.Term, len(s.vars)), len(s.aggs))
@@ -350,28 +395,31 @@ func (s *aggSpec) emit(t *aggTable, ctxErr func() error) (*Results, error) {
 	for _, it := range s.q.Select {
 		res.Vars = append(res.Vars, it.Var)
 	}
-	b := &groupBinding{outBinding: outBinding{vars: s.vars}, vals: make([]Value, len(s.aggs))}
+	c := compiler{cols: s.vars, aggBase: len(s.vars)}
+	having := make([]condFn, len(s.having))
+	for i, h := range s.having {
+		having[i] = c.cond(h)
+	}
+	project := c.values(s.project)
+	in := make([]rdf.Term, len(s.vars)+len(s.aggs))
 groups:
 	for _, k := range t.order {
 		if err := ctxErr(); err != nil {
 			return nil, err
 		}
 		g := t.groups[k]
-		b.row = g.key
-		for ai := range s.aggs {
-			b.vals[ai] = g.parts[ai].finalize(&s.aggs[ai])
+		copy(in, g.key)
+		for ai := range s.ops {
+			in[len(s.vars)+ai] = g.parts[ai].finalize(&s.ops[ai]).Term
 		}
-		for _, h := range s.having {
-			ok, err := evalBool(h, b)
-			if err != nil || !ok {
+		for _, h := range having {
+			if ok, err := h(nil, nil, in); err != nil || !ok {
 				continue groups
 			}
 		}
-		line := make([]rdf.Term, len(s.q.Select))
-		for i, it := range s.q.Select {
-			if s.project[i] == nil {
-				line[i] = b.value(it.Var).Term
-			} else if v, err := evalExpr(s.project[i], b); err == nil {
+		line := make([]rdf.Term, len(project))
+		for i, p := range project {
+			if v, err := p(nil, nil, in); err == nil {
 				line[i] = v.Term
 			}
 		}
@@ -380,18 +428,41 @@ groups:
 	return res, nil
 }
 
+// aggFold is an aggSpec compiled against one query's slots: what
+// foldRows reads from each input row.
+type aggFold struct {
+	spec     *aggSpec
+	keySlots []int    // the GROUP BY variables
+	varSlots []int    // aggSpec.vars; -1 for one the query never binds
+	args     []evalFn // aggSpec.args
+}
+
+// compileFold resolves s against ex's slots. A GROUP BY variable the
+// pattern never bound gets its slot here, so call it before padding the
+// rows.
+func (ex *executor) compileFold(s *aggSpec) *aggFold {
+	f := &aggFold{spec: s, keySlots: make([]int, len(s.q.GroupBy)), varSlots: make([]int, len(s.vars))}
+	for i, v := range s.q.GroupBy {
+		f.keySlots[i] = ex.slot(v)
+	}
+	for i, v := range s.vars {
+		f.varSlots[i] = -1
+		if slot, ok := ex.slots[v]; ok {
+			f.varSlots[i] = slot
+		}
+	}
+	for _, a := range s.args {
+		f.args = append(f.args, ex.compile(a))
+	}
+	return f
+}
+
 // aggregate builds the result set for a GROUP BY / aggregate query by
 // streaming the input rows into partial states: one inline chunk below
 // the parallel threshold, one chunk per worker above it, merged in
 // chunk order.
 func (ex *executor) aggregate(q *Query, rows []row) (*Results, error) {
-	s := newAggSpec(q)
-	// Resolve the key slots before padding the rows: a GROUP BY variable
-	// the pattern never bound gets its slot here.
-	keySlots := make([]int, len(q.GroupBy))
-	for i, v := range q.GroupBy {
-		keySlots[i] = ex.slot(v)
-	}
+	f := ex.compileFold(newAggSpec(q))
 	rows = ex.extendRows(rows)
 	chunks := [][2]int{{0, len(rows)}}
 	if ex.parallel(len(rows)) {
@@ -399,7 +470,7 @@ func (ex *executor) aggregate(q *Query, rows []row) (*Results, error) {
 	}
 	tables := make([]*aggTable, len(chunks))
 	ex.runIndexed(len(chunks), true, func(w *executor, i int) {
-		tables[i] = w.foldRows(s, keySlots, rows[chunks[i][0]:chunks[i][1]])
+		tables[i] = w.foldRows(f, rows[chunks[i][0]:chunks[i][1]])
 	})
 	// A cancelled fold stops mid-chunk; do not emit rows built from
 	// what it had seen.
@@ -407,53 +478,57 @@ func (ex *executor) aggregate(q *Query, rows []row) (*Results, error) {
 		return nil, err
 	}
 	for _, t := range tables[1:] {
-		tables[0].merge(s.aggs, t)
+		tables[0].merge(f.spec.ops, t)
 	}
-	return s.emit(tables[0], ex.ctxErr)
+	return f.spec.emit(tables[0], ex.ctxErr)
 }
 
 // foldRows folds a contiguous run of input rows into a fresh table,
-// polling for cancellation on every row.
-func (ex *executor) foldRows(s *aggSpec, keySlots []int, rows []row) *aggTable {
+// polling for cancellation on every row. Each distinct argument is
+// evaluated once per row and fed to every aggregate over it; an error
+// or an unbound value contributes nothing.
+func (ex *executor) foldRows(f *aggFold, rows []row) *aggTable {
+	s := f.spec
 	t := newAggTable()
-	var kb []byte // the row's group key; a string only once per new group
+	vals := make([]Value, len(f.args))
+	star := Value{Bound: true} // COUNT(*): the row itself counts
+	var kb []byte              // the row's group key; a string only once per new group
 	for _, r := range rows {
 		if ex.cancelled() {
 			break
 		}
 		kb = kb[:0]
-		for _, slot := range keySlots {
+		for _, slot := range f.keySlots {
 			kb = binary.LittleEndian.AppendUint32(kb, uint32(r[slot]))
 		}
 		g, ok := t.groups[string(kb)]
 		if !ok {
-			key := make([]rdf.Term, len(s.vars))
-			for i, v := range s.vars {
-				key[i] = rowBinding{ex: ex, r: r}.value(v).Term
+			key := make([]rdf.Term, len(f.varSlots))
+			for i, slot := range f.varSlots {
+				key[i] = ex.slotValue(r, slot).Term
 			}
-			g = t.add(string(kb), key, len(s.aggs))
+			g = t.add(string(kb), key, len(s.ops))
 		}
-		for ai := range s.aggs {
-			ex.update(&g.parts[ai], &s.aggs[ai], r)
+		for i, arg := range f.args {
+			v, err := arg(ex, r, nil)
+			if err != nil {
+				v = Value{}
+			}
+			vals[i] = v
+		}
+		for ai := range s.ops {
+			op, v := &s.ops[ai], &star
+			switch {
+			case op.arg >= 0:
+				if v = &vals[op.arg]; !v.Bound {
+					continue
+				}
+			case op.distinct:
+				// COUNT(DISTINCT *): the whole row is the value.
+				v = &Value{Bound: true, Term: rdf.NewString(fmt.Sprint(r))}
+			}
+			g.parts[ai].add(op, v)
 		}
 	}
 	return t
-}
-
-// update folds one input row into the partial state of aggregate a:
-// the argument is evaluated over the row, and an error or an unbound
-// value contributes nothing.
-func (ex *executor) update(p *aggPartial, a *AggExpr, r row) {
-	v := Value{Bound: true} // COUNT(*): the row itself counts
-	if a.Arg != nil {
-		var err error
-		v, err = evalExpr(a.Arg, rowBinding{ex: ex, r: r})
-		if err != nil || !v.Bound {
-			return
-		}
-	} else if a.Distinct {
-		// COUNT(DISTINCT *): the whole row is the value.
-		v.Term = rdf.NewString(fmt.Sprint(r))
-	}
-	p.add(a, v)
 }

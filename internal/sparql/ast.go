@@ -127,6 +127,14 @@ type SelectItem struct {
 	Expr Expr   // nil for a plain variable projection
 }
 
+// cell is the expression the item projects: its own, or its variable.
+func (it SelectItem) cell() Expr {
+	if it.Expr == nil {
+		return VarExpr{Name: it.Var}
+	}
+	return it.Expr
+}
+
 // OrderKey is one ORDER BY key.
 type OrderKey struct {
 	Expr Expr

@@ -30,9 +30,11 @@ func (p termPos) of(r row) store.ID {
 }
 
 // planFilter is a filter scheduled at the first point where all its
-// variables are bound; n indexes its counter.
+// variables are bound, compiled against the plan's slots; n indexes its
+// counter.
 type planFilter struct {
 	expr Expr
+	test condFn
 	n    int
 }
 
@@ -149,7 +151,7 @@ func (ex *executor) planBGP(patterns []TriplePattern, filters []Expr, r row, ope
 			ready := !scheduled[i] && !slices.ContainsFunc(waits[i], func(s int) bool { return s < 0 || !bound[s] })
 			if ready || force && !scheduled[i] {
 				scheduled[i] = true
-				dst = append(dst, planFilter{expr: f, n: nextCount})
+				dst = append(dst, planFilter{expr: f, test: ex.compileCond(f), n: nextCount})
 				nextCount++
 			}
 		}
@@ -509,7 +511,7 @@ func (b *bgpRun) emit(r row) {
 func (b *bgpRun) pass(filters []planFilter, r row) bool {
 	for _, f := range filters {
 		b.counts[f.n].in++
-		if keep, err := evalBool(f.expr, rowBinding{ex: b.ex, r: r}); err != nil || !keep {
+		if keep, err := f.test(b.ex, r, nil); err != nil || !keep {
 			return false
 		}
 		b.counts[f.n].out++

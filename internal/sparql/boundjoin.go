@@ -542,21 +542,21 @@ func (e *BoundJoinExec) Finalize() (*Results, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	rows := e.rows
+	c := termCompiler(e.vars)
 	if len(e.plan.residual) > 0 {
+		tests := make([]condFn, len(e.plan.residual))
+		for i, f := range e.plan.residual {
+			tests[i] = c.cond(f)
+		}
 		kept := rows[:0:0]
+	rows:
 		for _, row := range rows {
-			b := outBinding{vars: e.vars, row: row}
-			ok := true
-			for _, f := range e.plan.residual {
-				keep, err := evalBool(f, b)
-				if err != nil || !keep {
-					ok = false
-					break
+			for _, test := range tests {
+				if keep, err := test(nil, nil, row); err != nil || !keep {
+					continue rows
 				}
 			}
-			if ok {
-				kept = append(kept, row)
-			}
+			kept = append(kept, row)
 		}
 		rows = kept
 	}
@@ -565,29 +565,16 @@ func (e *BoundJoinExec) Finalize() (*Results, error) {
 		return &Results{IsAsk: true, Boolean: len(rows) > 0}, nil
 	}
 	res := &Results{}
-	cols := make([]int, len(q.Select))
+	cells := make([]evalFn, len(q.Select))
 	for i, it := range q.Select {
 		res.Vars = append(res.Vars, it.Var)
-		cols[i] = -1
-		if it.Expr == nil {
-			for c, v := range e.vars {
-				if v == it.Var {
-					cols[i] = c
-					break
-				}
-			}
-		}
+		cells[i] = c.value(it.cell())
 	}
 	res.Rows = make([][]rdf.Term, len(rows))
 	for ri, row := range rows {
 		line := make([]rdf.Term, len(q.Select))
-		b := outBinding{vars: e.vars, row: row}
-		for i, it := range q.Select {
-			if it.Expr == nil {
-				if cols[i] >= 0 {
-					line[i] = row[cols[i]]
-				}
-			} else if v, err := evalExpr(it.Expr, b); err == nil && v.Bound {
+		for i, cell := range cells {
+			if v, err := cell(nil, nil, row); err == nil && v.Bound {
 				line[i] = v.Term
 			}
 		}

@@ -1,9 +1,11 @@
 package sparql
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"re2xolap/internal/rdf"
 )
@@ -23,8 +25,10 @@ import (
 // merged output byte-compatible with a 1-shard topology.
 
 // CanonicalRowKey serializes a result row into a byte-comparable key.
-// It is the tie-break (and, absent ORDER BY, the entire sort key) the
-// coordinator uses to give merged results a deterministic order.
+// Its order is the tie-break (and, absent ORDER BY, the entire sort
+// order) the coordinator uses to give merged results a deterministic
+// order; MergeFinalize compares rows in that order without building the
+// keys (compareRows).
 func CanonicalRowKey(row []rdf.Term) string {
 	var b strings.Builder
 	for _, t := range row {
@@ -36,11 +40,143 @@ func CanonicalRowKey(row []rdf.Term) string {
 	return b.String()
 }
 
+// compareRows orders two rows as strings.Compare orders their
+// CanonicalRowKeys, without building either: cell by cell, an unbound
+// cell before a bound one, bound cells as compareTerms orders them. It
+// agrees with the keys wherever the keys are sound: no term holds a NUL
+// byte (NUL then sorts below every byte of a rendering, so a cell that
+// is a strict prefix of another sorts first either way).
+func compareRows(a, b []rdf.Term) int {
+	for i := range min(len(a), len(b)) {
+		if c := compareTerms(a[i], b[i]); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(len(a), len(b))
+}
+
+// compareTerms orders two terms as strings.Compare orders their
+// renderings in CanonicalRowKey — Term.String(), nothing for an unbound
+// term — a piece at a time and without allocating.
+func compareTerms(a, b rdf.Term) int {
+	if a == b {
+		return 0
+	}
+	var x, y termText
+	x.init(a)
+	y.init(b)
+	for {
+		xok, yok := x.next(), y.next()
+		if !xok || !yok {
+			return cmp.Compare(b2i(xok), b2i(yok))
+		}
+		n := min(len(x.cur), len(y.cur))
+		if c := strings.Compare(x.cur[:n], y.cur[:n]); c != 0 {
+			return c
+		}
+		x.cur, y.cur = x.cur[n:], y.cur[n:]
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// termText walks the bytes of Term.String() piece by piece: the
+// delimiters, the value, the language or datatype suffix, and — when a
+// literal's value has a character to escape — the value's runs and
+// escapes as escapeLiteral writes them.
+type termText struct {
+	parts [6]string
+	n, i  int
+	esc   bool   // parts[1] is a literal value to escape
+	cur   string // the unread bytes of the current piece
+	body  string // the unread source of the escaped value
+}
+
+func (w *termText) init(t rdf.Term) {
+	switch {
+	case !Bound(t):
+	case t.Kind == rdf.TermIRI:
+		w.parts[0], w.parts[1], w.parts[2], w.n = "<", t.Value, ">", 3
+	case t.Kind == rdf.TermBlank:
+		w.parts[0], w.parts[1], w.n = "_:", t.Value, 2
+	default:
+		w.parts[0], w.parts[1], w.parts[2], w.n = `"`, t.Value, `"`, 3
+		w.esc = strings.ContainsAny(t.Value, "\"\\\n\r\t")
+		if t.Lang != "" {
+			w.parts[3], w.parts[4], w.n = "@", t.Lang, 5
+		} else if t.Datatype != "" && t.Datatype != rdf.XSDString {
+			w.parts[3], w.parts[4], w.parts[5], w.n = "^^<", t.Datatype, ">", 6
+		}
+	}
+}
+
+// next makes cur non-empty, reporting false at the end of the text.
+func (w *termText) next() bool {
+	for w.cur == "" {
+		switch {
+		case w.body != "":
+			w.cur, w.body = escapeRun(w.body)
+		case w.i == w.n:
+			return false
+		case w.i == 1 && w.esc:
+			w.body = w.parts[1]
+			w.i++
+		default:
+			w.cur = w.parts[w.i]
+			w.i++
+		}
+	}
+	return true
+}
+
+// escapeRun splits off the head of a literal value as escapeLiteral
+// renders it: one escape, the replacement character an invalid byte
+// becomes, or the longest run written as it is.
+func escapeRun(s string) (head, rest string) {
+	switch s[0] {
+	case '"':
+		return `\"`, s[1:]
+	case '\\':
+		return `\\`, s[1:]
+	case '\n':
+		return `\n`, s[1:]
+	case '\r':
+		return `\r`, s[1:]
+	case '\t':
+		return `\t`, s[1:]
+	}
+	i := 0
+	for i < len(s) {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c == '"' || c == '\\' || c == '\n' || c == '\r' || c == '\t' {
+				break
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && size == 1 {
+			break
+		}
+		i += size
+	}
+	if i == 0 {
+		return string(utf8.RuneError), s[1:]
+	}
+	return s[:i], s[i:]
+}
+
 // MergeFinalize applies the query's solution modifiers to a merged,
 // cross-shard result set: rows are sorted by the ORDER BY keys with
-// CanonicalRowKey as the final tie-break (or by the canonical key
-// alone when the query has no ORDER BY), then DISTINCT, OFFSET, and
-// LIMIT apply exactly as in the sequential engine.
+// the CanonicalRowKey order (compareRows) as the final tie-break — or
+// by it alone when the query has no ORDER BY — then DISTINCT, OFFSET,
+// and LIMIT apply exactly as in the sequential engine, DISTINCT keeping
+// the first row of each canonical key in sorted order.
 //
 // The canonical tie-break is what makes a scatter-gather merge
 // deterministic: a stable sort (the engine's choice) would leave ties
@@ -49,51 +185,32 @@ func MergeFinalize(q *Query, res *Results) {
 	if res.IsAsk || res.IsConstruct {
 		return
 	}
-	type keyed struct {
-		row   []rdf.Term
-		keys  []Value
-		canon string
-	}
-	ks := make([]keyed, len(res.Rows))
-	for i, r := range res.Rows {
-		k := keyed{row: r, canon: CanonicalRowKey(r)}
-		if len(q.OrderBy) > 0 {
-			b := outBinding{vars: res.Vars, row: r}
-			k.keys = make([]Value, len(q.OrderBy))
-			for j, o := range q.OrderBy {
-				v, err := evalExpr(o.Expr, b)
-				if err == nil {
-					k.keys[j] = v
-				}
-			}
+	n := len(q.OrderBy)
+	keys := sortKeys(q.OrderBy, res)
+	rows := res.Rows
+	sortRows(rows, false, func(i, j int) bool {
+		if c := orderCmp(q.OrderBy, keys[i*n:], keys[j*n:]); c != 0 {
+			return c < 0
 		}
-		ks[i] = k
-	}
-	sort.Slice(ks, func(i, j int) bool {
-		for k, o := range q.OrderBy {
-			a, b := ks[i].keys[k], ks[j].keys[k]
-			if orderLess(a, b) {
-				return !o.Desc
-			}
-			if orderLess(b, a) {
-				return o.Desc
-			}
-		}
-		return ks[i].canon < ks[j].canon
+		return compareRows(rows[i], rows[j]) < 0
 	})
-	for i := range ks {
-		res.Rows[i] = ks[i].row
-	}
 	if q.Distinct {
-		seen := map[string]struct{}{}
-		out := res.Rows[:0]
-		for i, r := range res.Rows {
-			k := ks[i].canon
-			if _, dup := seen[k]; dup {
-				continue
+		// Group sorted positions by canonical key, stably: the first of a
+		// run of equal keys is the first of them in sorted order.
+		pos := make([]int, len(rows))
+		for i := range pos {
+			pos[i] = i
+		}
+		sort.SliceStable(pos, func(i, j int) bool { return compareRows(rows[pos[i]], rows[pos[j]]) < 0 })
+		dup := make([]bool, len(rows))
+		for i := 1; i < len(pos); i++ {
+			dup[pos[i]] = compareRows(rows[pos[i-1]], rows[pos[i]]) == 0
+		}
+		out := rows[:0]
+		for i, r := range rows {
+			if !dup[i] {
+				out = append(out, r)
 			}
-			seen[k] = struct{}{}
-			out = append(out, r)
 		}
 		res.Rows = out
 	}
@@ -217,6 +334,7 @@ func PlanPartialAggregation(q *Query) (*PartialAggPlan, bool) {
 			c.val = push("max", a)
 		case "SAMPLE":
 			spec.aggs[i] = AggExpr{Fn: "MIN", Arg: a.Arg}
+			spec.ops[i].kind = aggMin
 			c.val = push("smp", spec.aggs[i])
 		default:
 			return nil, false
@@ -290,15 +408,15 @@ func (p *PartialAggPlan) Merge(shardResults []*Results) (*Results, error) {
 			ck := CanonicalRowKey(key)
 			g, ok := t.groups[ck]
 			if !ok {
-				g = t.add(ck, key, len(p.spec.aggs))
+				g = t.add(ck, key, len(p.spec.ops))
 			}
-			for ai := range p.spec.aggs {
-				a := &p.spec.aggs[ai]
-				src, err := loadPartial(a, r[cols[ai][0]], r[cols[ai][1]])
+			for ai := range p.spec.ops {
+				op := &p.spec.ops[ai]
+				src, err := loadPartial(op, r[cols[ai][0]], r[cols[ai][1]])
 				if err != nil {
 					return nil, err
 				}
-				g.parts[ai].merge(a, &src)
+				g.parts[ai].merge(op, &src)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -248,9 +249,9 @@ func TestPartialAggMergeMatchesSingleNode(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 40; trial++ {
-		// No MIN/MAX ties between distinct terms: which of them wins depends
-		// on row order, which a split changes.
-		triples := aggGraph(rng, 4+rng.Intn(40), aggPool(false, false))
+		// MIN/MAX ties between distinct terms included: the canonically
+		// least wins on every split.
+		triples := aggGraph(rng, 4+rng.Intn(40), aggPool(true, false))
 		for _, n := range []int{1, 2, 3, 5} {
 			shards := make([]*store.Store, n)
 			up := make([]bool, n) // a down shard leaves a nil slot
@@ -305,6 +306,58 @@ func TestPartialAggMergeMatchesSingleNode(t *testing.T) {
 					t.Fatalf("trial %d, %d shards (up: %v):\n%s\n got %q\nwant %q", trial, n, up, qs, g, w)
 				}
 			}
+		}
+	}
+}
+
+// TestCanonicalCompareMatchesKey holds compareRows to the order of the
+// keys it stands in for: over random rows of IRIs, blank nodes and
+// plain, language-tagged, typed and xsd:string literals — values drawn
+// from an alphabet of escapes, '/', '>', '<', invalid UTF-8 and
+// multi-byte runes, short enough that one value is often a prefix of
+// another — and unbound cells, its sign is that of strings.Compare of
+// the two CanonicalRowKeys.
+func TestCanonicalCompareMatchesKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	alphabet := []string{"a", "b", "/", ">", "<", `"`, `\`, "\n", "\r", "\t", "@", "^", ":", "_", "é", "\xff", "\xe2\x82", "�"}
+	text := func() string {
+		var b strings.Builder
+		for n := rng.Intn(4); n > 0; n-- {
+			b.WriteString(alphabet[rng.Intn(len(alphabet))])
+		}
+		return b.String()
+	}
+	term := func() rdf.Term {
+		switch rng.Intn(8) {
+		case 0:
+			return rdf.Term{}
+		case 1:
+			return rdf.NewIRI(text())
+		case 2:
+			return rdf.NewBlank(text())
+		case 3:
+			return rdf.NewLangString(text(), []string{"en", "e", "en-gb"}[rng.Intn(3)])
+		case 4:
+			return rdf.NewTyped(text(), []string{rdf.XSDInteger, rdf.XSDString, "http://t/" + text()}[rng.Intn(3)])
+		default:
+			return rdf.NewString(text())
+		}
+	}
+	rowOf := func() []rdf.Term {
+		r := make([]rdf.Term, 1+rng.Intn(3))
+		for i := range r {
+			r[i] = term()
+		}
+		return r
+	}
+	sign := func(c int) int { return cmp.Compare(c, 0) }
+	for i := 0; i < 200000; i++ {
+		a, b := rowOf(), rowOf()
+		if i%3 == 0 && len(a) == len(b) {
+			copy(b, a[:len(a)-1]) // rows that differ in the last cell only
+		}
+		if got, want := sign(compareRows(a, b)), sign(strings.Compare(CanonicalRowKey(a), CanonicalRowKey(b))); got != want {
+			t.Fatalf("compareRows(%q, %q) = %d, keys compare %d", CanonicalRowKey(a), CanonicalRowKey(b), got, want)
 		}
 	}
 }

@@ -448,9 +448,10 @@ func (ex *executor) evalWhere(elems []PatternElement, budget int) ([]row, error)
 	}
 	for _, be := range w.binds {
 		slot := ex.slot(be.Var)
+		expr := ex.compile(be.Expr)
 		rows = ex.extendRows(rows)
 		for i, r := range rows {
-			v, err := evalExpr(be.Expr, rowBinding{ex: ex, r: r})
+			v, err := expr(ex, r, nil)
 			if err != nil || !v.Bound {
 				continue
 			}
@@ -854,40 +855,28 @@ func (ex *executor) joinOptional(rows []row, opt OptionalElement) ([]row, error)
 	return out, nil
 }
 
-// rowBinding adapts a row to the expression binding interface.
-type rowBinding struct {
-	ex *executor
-	r  row
-}
-
-// exists evaluates an EXISTS sub-group correlated with this row: the
-// inner patterns are joined seeded with the current bindings, stopping
-// at the first solution.
-func (b rowBinding) exists(e ExistsExpr) bool {
-	segs, _ := b.ex.planSeed([]row{b.r}, e.Patterns, e.Filters, false)
-	rows, err := b.ex.joinSegs(segs, 1)
-	return err == nil && len(rows) > 0
-}
-
-func (b rowBinding) value(name string) Value {
-	s, ok := b.ex.slots[name]
-	if !ok || s >= len(b.r) || b.r[s] == 0 {
+// slotValue is the value slot s of r binds, with the dictionary's
+// numeric cache; unbound when there is no slot (s < 0) or r predates it.
+func (ex *executor) slotValue(r row, s int) Value {
+	if s < 0 || s >= len(r) || r[s] == 0 {
 		return Value{}
 	}
-	v := Value{Term: b.ex.dict.Decode(b.r[s]), Bound: true, numState: numNo}
-	if n, ok := b.ex.dict.Numeric(b.r[s]); ok {
+	v := Value{Term: ex.dict.Decode(r[s]), Bound: true, numState: numNo}
+	if n, ok := ex.dict.Numeric(r[s]); ok {
 		v.num, v.numState = n, numYes
 	}
 	return v
 }
 
-// applyFilter keeps the rows satisfying f. Large inputs are filtered
-// in parallel chunks; since chunks are contiguous and merged in order,
-// the surviving rows keep their input order either way.
+// applyFilter keeps the rows satisfying f, compiled once for all of
+// them. Large inputs are filtered in parallel chunks; since chunks are
+// contiguous and merged in order, the surviving rows keep their input
+// order either way.
 func (ex *executor) applyFilter(rows []row, f Expr) []row {
+	test := ex.compileCond(f)
 	if ex.parallel(len(rows)) {
 		out, err := ex.runRowChunks(rows, func(w *executor, chunk []row) ([]row, error) {
-			return w.applyFilterSeq(chunk, f), nil
+			return w.applyFilterSeq(chunk, test), nil
 		})
 		if err != nil {
 			// Only a context error can land here; drop the rows and let
@@ -896,14 +885,13 @@ func (ex *executor) applyFilter(rows []row, f Expr) []row {
 		}
 		return out
 	}
-	return ex.applyFilterSeq(rows, f)
+	return ex.applyFilterSeq(rows, test)
 }
 
-func (ex *executor) applyFilterSeq(rows []row, f Expr) []row {
+func (ex *executor) applyFilterSeq(rows []row, test condFn) []row {
 	out := rows[:0]
 	for _, r := range rows {
-		keep, err := evalBool(f, rowBinding{ex: ex, r: r})
-		if err == nil && keep {
+		if keep, err := test(ex, r, nil); err == nil && keep {
 			out = append(out, r)
 		}
 	}
@@ -922,24 +910,19 @@ func (ex *executor) project(q *Query, rows []row) (*Results, error) {
 		}
 	}
 	res := &Results{}
-	for _, it := range items {
+	cells := make([]evalFn, len(items))
+	for i, it := range items {
 		res.Vars = append(res.Vars, it.Var)
+		cells[i] = ex.compile(it.cell())
 	}
 	// Rendering decodes one term per output cell; with many rows it
 	// fans out over the workers, each writing its own index range.
 	res.Rows = make([][]rdf.Term, len(rows))
 	ex.runIndexed(len(rows), ex.parallel(len(rows)), func(w *executor, ri int) {
-		b := rowBinding{ex: w, r: rows[ri]}
 		line := make([]rdf.Term, len(items))
-		for i, it := range items {
-			if it.Expr == nil {
-				if v := b.value(it.Var); v.Bound {
-					line[i] = v.Term
-				}
-			} else {
-				if v, err := evalExpr(it.Expr, b); err == nil && v.Bound {
-					line[i] = v.Term
-				}
+		for i, cell := range cells {
+			if v, err := cell(w, rows[ri], nil); err == nil && v.Bound {
+				line[i] = v.Term
 			}
 		}
 		res.Rows[ri] = line
@@ -963,22 +946,29 @@ func (ex *executor) construct(q *Query, rows []row) (*Results, error) {
 		seen[t] = true
 		res.Triples = append(res.Triples, t)
 	}
-	resolve := func(n Node, b rowBinding) (rdf.Term, bool) {
-		if !n.IsVar {
-			return n.Term, true
+	// A template position compiles as the constant or the variable it is.
+	pos := make([][3]evalFn, len(q.Construct))
+	for i, tp := range q.Construct {
+		for k, n := range [3]Node{tp.S, tp.P, tp.O} {
+			if n.IsVar {
+				pos[i][k] = ex.compile(VarExpr{Name: n.Var})
+			} else {
+				pos[i][k] = ex.compile(ConstExpr{Term: n.Term})
+			}
 		}
-		v := b.value(n.Var)
-		return v.Term, v.Bound
 	}
 	for _, r := range rows {
-		b := rowBinding{ex: ex, r: r}
-		for _, tp := range q.Construct {
-			s, ok1 := resolve(tp.S, b)
-			p, ok2 := resolve(tp.P, b)
-			o, ok3 := resolve(tp.O, b)
-			if ok1 && ok2 && ok3 {
-				emit(rdf.Triple{S: s, P: p, O: o})
+	template:
+		for _, p := range pos {
+			var t [3]rdf.Term
+			for k, f := range p {
+				v, _ := f(ex, r, nil)
+				if !v.Bound {
+					continue template
+				}
+				t[k] = v.Term
 			}
+			emit(rdf.Triple{S: t[0], P: t[1], O: t[2]})
 		}
 	}
 	// Respect LIMIT/OFFSET on the constructed graph.
@@ -995,57 +985,76 @@ func (ex *executor) construct(q *Query, rows []row) (*Results, error) {
 	return res, nil
 }
 
-// outBinding resolves variables from a projected output row, used by
-// ORDER BY and DISTINCT.
-type outBinding struct {
-	vars []string
-	row  []rdf.Term
-}
-
-func (b outBinding) value(name string) Value {
-	for i, v := range b.vars {
-		if v == name && Bound(b.row[i]) {
-			return boundValue(b.row[i])
+// sortKeys evaluates the ORDER BY keys of every result row, compiled
+// once against the result's columns: row i's keys start at
+// keys[i*len(order)]. A key that errors sorts as unbound; a bound key
+// carries its numeric value, parsed here once rather than in every
+// comparison.
+func sortKeys(order []OrderKey, res *Results) []Value {
+	c := termCompiler(res.Vars)
+	fns := make([]evalFn, len(order))
+	for j, o := range order {
+		fns[j] = c.value(o.Expr)
+	}
+	keys := make([]Value, len(res.Rows)*len(order))
+	for i, r := range res.Rows {
+		for j, f := range fns {
+			v, err := f(nil, nil, r)
+			switch {
+			case err != nil:
+				continue
+			case v.Bound && v.numState == 0:
+				v = constValue(v.Term)
+			}
+			keys[i*len(order)+j] = v
 		}
 	}
-	return Value{}
+	return keys
+}
+
+// orderCmp compares two rows' ORDER BY keys: negative when a sorts
+// first, zero when no key tells them apart.
+func orderCmp(order []OrderKey, a, b []Value) int {
+	for k, o := range order {
+		if c := orderCompare(a[k], b[k]); c != 0 {
+			if o.Desc {
+				return -c
+			}
+			return c
+		}
+	}
+	return 0
+}
+
+// sortRows sorts rows by an index permutation: less compares the rows
+// at original positions i and j. stable picks sort.SliceStable over
+// sort.Slice.
+func sortRows(rows [][]rdf.Term, stable bool, less func(i, j int) bool) {
+	perm := make([]int, len(rows))
+	for i := range perm {
+		perm[i] = i
+	}
+	by := func(i, j int) bool { return less(perm[i], perm[j]) }
+	if stable {
+		sort.SliceStable(perm, by)
+	} else {
+		sort.Slice(perm, by)
+	}
+	sorted := make([][]rdf.Term, len(rows))
+	for i, p := range perm {
+		sorted[i] = rows[p]
+	}
+	copy(rows, sorted)
 }
 
 // applyModifiers applies ORDER BY, DISTINCT, OFFSET, and LIMIT to a
 // materialized result set.
 func applyModifiers(q *Query, res *Results) error {
-	if len(q.OrderBy) > 0 {
-		type keyed struct {
-			row  []rdf.Term
-			keys []Value
-		}
-		ks := make([]keyed, len(res.Rows))
-		for i, r := range res.Rows {
-			b := outBinding{vars: res.Vars, row: r}
-			keys := make([]Value, len(q.OrderBy))
-			for j, o := range q.OrderBy {
-				v, err := evalExpr(o.Expr, b)
-				if err == nil {
-					keys[j] = v
-				}
-			}
-			ks[i] = keyed{row: r, keys: keys}
-		}
-		sort.SliceStable(ks, func(i, j int) bool {
-			for k, o := range q.OrderBy {
-				a, b := ks[i].keys[k], ks[j].keys[k]
-				if orderLess(a, b) {
-					return !o.Desc
-				}
-				if orderLess(b, a) {
-					return o.Desc
-				}
-			}
-			return false
+	if n := len(q.OrderBy); n > 0 {
+		keys := sortKeys(q.OrderBy, res)
+		sortRows(res.Rows, true, func(i, j int) bool {
+			return orderCmp(q.OrderBy, keys[i*n:], keys[j*n:]) < 0
 		})
-		for i := range ks {
-			res.Rows[i] = ks[i].row
-		}
 	}
 	if q.Distinct {
 		seen := map[string]struct{}{}

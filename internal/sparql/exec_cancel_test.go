@@ -82,7 +82,7 @@ func TestExecCancelStopsSampleAndGroupConcat(t *testing.T) {
 		ex.slot("g")
 		ex.slot("v")
 
-		tab := ex.foldRows(newAggSpec(q), []int{0}, rows)
+		tab := ex.foldRows(ex.compileFold(newAggSpec(q)), rows)
 		if n := len(tab.groups[tab.order[0]].parts[1].parts); n >= cancelCheckInterval {
 			t.Errorf("workers=%d: fold concatenated %d of %d values after the cancel, want < %d",
 				workers, n, len(rows), cancelCheckInterval)

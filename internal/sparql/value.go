@@ -43,11 +43,23 @@ var errExprError = errors.New("sparql: expression error")
 
 func boundValue(t rdf.Term) Value { return Value{Term: t, Bound: true} }
 
+// constValue is boundValue with the numeric state worked out once, for
+// a constant evaluated row after row.
+func constValue(t rdf.Term) Value {
+	v := Value{Term: t, Bound: true, numState: numNo}
+	if n, ok := t.Numeric(); ok {
+		v.num, v.numState = n, numYes
+	}
+	return v
+}
+
+// numValue is the value of a computed number. It carries f, which is
+// exactly what its term parses back to.
 func numValue(f float64) Value {
 	if f == float64(int64(f)) && f >= -1e15 && f <= 1e15 {
-		return boundValue(rdf.NewInteger(int64(f)))
+		return Value{Term: rdf.NewInteger(int64(f)), Bound: true, numState: numYes, num: float64(int64(f))}
 	}
-	return boundValue(rdf.NewDouble(f))
+	return Value{Term: rdf.NewDouble(f), Bound: true, numState: numYes, num: f}
 }
 
 func boolValue(b bool) Value { return boundValue(rdf.NewBoolean(b)) }
@@ -125,10 +137,24 @@ func compareValues(a, b Value) (int, error) {
 	return strings.Compare(a.Term.Value, b.Term.Value), nil
 }
 
-// orderLess is a total order used by ORDER BY and MIN/MAX over mixed
-// terms: unbound < blanks < IRIs < literals; numerics by value;
-// otherwise lexical.
-func orderLess(a, b Value) bool {
+// comparisons are the relational operators.
+var comparisons = map[string]func(a, b Value) (bool, error){
+	"=": equalValues,
+	"!=": func(a, b Value) (bool, error) {
+		eq, err := equalValues(a, b)
+		return !eq && err == nil, err
+	},
+	"<":  func(a, b Value) (bool, error) { c, err := compareValues(a, b); return c < 0, err },
+	">":  func(a, b Value) (bool, error) { c, err := compareValues(a, b); return c > 0, err },
+	"<=": func(a, b Value) (bool, error) { c, err := compareValues(a, b); return c <= 0, err },
+	">=": func(a, b Value) (bool, error) { c, err := compareValues(a, b); return c >= 0, err },
+}
+
+// orderCompare is the order ORDER BY and MIN/MAX use over mixed terms:
+// unbound < blanks < IRIs < literals; numerics by value; otherwise
+// lexical. It is 0 for values it cannot tell apart, distinct terms
+// among them ("1" and "1.0"^^xsd:decimal).
+func orderCompare(a, b Value) int {
 	rank := func(v Value) int {
 		if !v.Bound {
 			return 0
@@ -144,442 +170,187 @@ func orderLess(a, b Value) bool {
 	}
 	ra, rb := rank(a), rank(b)
 	if ra != rb {
-		return ra < rb
+		return ra - rb
 	}
 	if ra == 3 {
 		an, aok := a.number()
 		bn, bok := b.number()
-		if aok && bok {
-			return an < bn
-		}
-		if aok != bok {
-			return aok // numerics sort before strings
+		switch {
+		case aok && bok && an < bn:
+			return -1
+		case aok && bok && an > bn:
+			return 1
+		case aok && bok:
+			return 0
+		case aok != bok:
+			return b2i(bok) - b2i(aok) // numerics sort before strings
 		}
 	}
-	return a.Term.Value < b.Term.Value
+	return strings.Compare(a.Term.Value, b.Term.Value)
 }
 
-// binding provides variable values during expression evaluation.
-type binding interface {
-	value(name string) Value
-}
+func orderLess(a, b Value) bool { return orderCompare(a, b) < 0 }
 
-// existsEvaluator is implemented by bindings that can evaluate
-// EXISTS sub-patterns (row bindings during query execution).
-type existsEvaluator interface {
-	exists(e ExistsExpr) bool
-}
-
-// evalExpr evaluates e under b. An aggregate has a value only as the
-// aggRef aggSpec resolved it to, under emit's groupBinding; anywhere
-// else it is an error.
-func evalExpr(e Expr, b binding) (Value, error) {
-	switch x := e.(type) {
-	case VarExpr:
-		return b.value(x.Name), nil
-	case ConstExpr:
-		return boundValue(x.Term), nil
-	case UnaryExpr:
-		v, err := evalExpr(x.E, b)
-		if err != nil {
-			return Value{}, err
-		}
-		switch x.Op {
-		case "!":
-			t, err := v.ebv()
-			if err != nil {
-				return Value{}, err
-			}
-			return boolValue(!t), nil
-		case "-":
-			n, err := v.numeric()
-			if err != nil {
-				return Value{}, err
-			}
-			return numValue(-n), nil
-		}
-		return Value{}, fmt.Errorf("%w: unknown unary %q", errExprError, x.Op)
-	case BinaryExpr:
-		return evalBinary(x, b)
-	case InExpr:
-		v, err := evalExpr(x.E, b)
-		if err != nil {
-			return Value{}, err
-		}
-		found := false
-		for _, item := range x.List {
-			iv, err := evalExpr(item, b)
-			if err != nil {
-				continue
-			}
-			if eq, err := equalValues(v, iv); err == nil && eq {
-				found = true
-				break
-			}
-		}
-		return boolValue(found != x.Not), nil
-	case FuncExpr:
-		return evalFunc(x, b)
-	case ExistsExpr:
-		ev, ok := b.(existsEvaluator)
-		if !ok {
-			return Value{}, fmt.Errorf("%w: EXISTS outside pattern context", errExprError)
-		}
-		return boolValue(ev.exists(x) != x.Not), nil
-	case aggRef:
-		if g, ok := b.(*groupBinding); ok {
-			return g.vals[x], nil
-		}
-	case AggExpr:
-		return Value{}, fmt.Errorf("%w: aggregate outside grouping context", errExprError)
-	}
-	return Value{}, fmt.Errorf("%w: unknown expression %T", errExprError, e)
-}
-
-func evalBinary(x BinaryExpr, b binding) (Value, error) {
-	switch x.Op {
-	case "||":
-		l, lerr := evalBool(x.L, b)
-		r, rerr := evalBool(x.R, b)
-		// SPARQL: true || error = true
-		if lerr == nil && l || rerr == nil && r {
-			return boolValue(true), nil
-		}
-		if lerr != nil || rerr != nil {
+// unaryFuncs are the one-argument builtins, over the argument's value.
+var unaryFuncs = map[string]func(Value) (Value, error){
+	"STR": func(a Value) (Value, error) {
+		if !a.Bound {
 			return Value{}, errExprError
 		}
-		return boolValue(false), nil
-	case "&&":
-		l, lerr := evalBool(x.L, b)
-		r, rerr := evalBool(x.R, b)
-		if lerr == nil && !l || rerr == nil && !r {
-			return boolValue(false), nil
-		}
-		if lerr != nil || rerr != nil {
-			return Value{}, errExprError
-		}
-		return boolValue(true), nil
-	}
-	l, err := evalExpr(x.L, b)
-	if err != nil {
-		return Value{}, err
-	}
-	r, err := evalExpr(x.R, b)
-	if err != nil {
-		return Value{}, err
-	}
-	switch x.Op {
-	case "=":
-		eq, err := equalValues(l, r)
-		if err != nil {
-			return Value{}, err
-		}
-		return boolValue(eq), nil
-	case "!=":
-		eq, err := equalValues(l, r)
-		if err != nil {
-			return Value{}, err
-		}
-		return boolValue(!eq), nil
-	case "<", ">", "<=", ">=":
-		c, err := compareValues(l, r)
-		if err != nil {
-			return Value{}, err
-		}
-		var res bool
-		switch x.Op {
-		case "<":
-			res = c < 0
-		case ">":
-			res = c > 0
-		case "<=":
-			res = c <= 0
-		default:
-			res = c >= 0
-		}
-		return boolValue(res), nil
-	case "+", "-", "*", "/":
-		ln, err := l.numeric()
-		if err != nil {
-			return Value{}, err
-		}
-		rn, err := r.numeric()
-		if err != nil {
-			return Value{}, err
-		}
-		switch x.Op {
-		case "+":
-			return numValue(ln + rn), nil
-		case "-":
-			return numValue(ln - rn), nil
-		case "*":
-			return numValue(ln * rn), nil
-		default:
-			if rn == 0 {
-				return Value{}, fmt.Errorf("%w: division by zero", errExprError)
-			}
-			return numValue(ln / rn), nil
-		}
-	}
-	return Value{}, fmt.Errorf("%w: unknown operator %q", errExprError, x.Op)
-}
-
-func evalBool(e Expr, b binding) (bool, error) {
-	v, err := evalExpr(e, b)
-	if err != nil {
-		return false, err
-	}
-	return v.ebv()
-}
-
-func evalFunc(x FuncExpr, b binding) (Value, error) {
-	// BOUND and COALESCE/IF need special unbound handling.
-	switch x.Name {
-	case "BOUND":
-		v, ok := x.Args[0].(VarExpr)
-		if !ok {
-			return Value{}, fmt.Errorf("%w: BOUND requires a variable", errExprError)
-		}
-		return boolValue(b.value(v.Name).Bound), nil
-	case "COALESCE":
-		for _, a := range x.Args {
-			v, err := evalExpr(a, b)
-			if err == nil && v.Bound {
-				return v, nil
-			}
-		}
-		return Value{}, errExprError
-	case "IF":
-		c, err := evalBool(x.Args[0], b)
-		if err != nil {
-			return Value{}, err
-		}
-		if c {
-			return evalExpr(x.Args[1], b)
-		}
-		return evalExpr(x.Args[2], b)
-	}
-	args := make([]Value, len(x.Args))
-	for i, a := range x.Args {
-		v, err := evalExpr(a, b)
-		if err != nil {
-			return Value{}, err
-		}
-		args[i] = v
-	}
-	switch x.Name {
-	case "STR":
-		if !args[0].Bound {
-			return Value{}, errExprError
-		}
-		return boundValue(rdf.NewString(args[0].Term.Value)), nil
-	case "LCASE":
-		s, err := args[0].str()
-		if err != nil {
-			return Value{}, err
-		}
-		return boundValue(rdf.NewString(strings.ToLower(s))), nil
-	case "UCASE":
-		s, err := args[0].str()
-		if err != nil {
-			return Value{}, err
-		}
-		return boundValue(rdf.NewString(strings.ToUpper(s))), nil
-	case "STRLEN":
-		s, err := args[0].str()
+		return boundValue(rdf.NewString(a.Term.Value)), nil
+	},
+	"LCASE": stringFunc(strings.ToLower),
+	"UCASE": stringFunc(strings.ToUpper),
+	"STRLEN": func(a Value) (Value, error) {
+		s, err := a.str()
 		if err != nil {
 			return Value{}, err
 		}
 		return numValue(float64(len([]rune(s)))), nil
-	case "CONTAINS", "STRSTARTS", "STRENDS":
-		s, err := args[0].str()
-		if err != nil {
-			return Value{}, err
+	},
+	"ABS": numberFunc(func(n float64) float64 {
+		if n < 0 {
+			return -n
 		}
-		sub, err := args[1].str()
-		if err != nil {
-			return Value{}, err
+		return n
+	}),
+	"ROUND": numberFunc(func(n float64) float64 {
+		if n >= 0 {
+			return float64(int64(n + 0.5))
 		}
-		var res bool
-		switch x.Name {
-		case "CONTAINS":
-			res = strings.Contains(s, sub)
-		case "STRSTARTS":
-			res = strings.HasPrefix(s, sub)
-		default:
-			res = strings.HasSuffix(s, sub)
+		return float64(int64(n - 0.5))
+	}),
+	"FLOOR": numberFunc(func(n float64) float64 {
+		f := float64(int64(n))
+		if n < 0 && f != n {
+			f--
 		}
-		return boolValue(res), nil
-	case "REGEX":
-		if len(args) < 2 || len(args) > 3 {
-			return Value{}, fmt.Errorf("%w: REGEX arity", errExprError)
+		return f
+	}),
+	"CEIL": numberFunc(func(n float64) float64 {
+		f := float64(int64(n))
+		if n > 0 && f != n {
+			f++
 		}
-		s, err := args[0].str()
-		if err != nil {
-			return Value{}, err
-		}
-		pat, err := args[1].str()
-		if err != nil {
-			return Value{}, err
-		}
-		if len(args) == 3 {
-			flags, _ := args[2].str()
-			if strings.Contains(flags, "i") {
-				pat = "(?i)" + pat
-			}
-		}
-		re, err := regexp.Compile(pat)
-		if err != nil {
-			return Value{}, fmt.Errorf("%w: bad regex: %v", errExprError, err)
-		}
-		return boolValue(re.MatchString(s)), nil
-	case "ABS", "ROUND", "FLOOR", "CEIL":
-		n, err := args[0].numeric()
-		if err != nil {
-			return Value{}, err
-		}
-		switch x.Name {
-		case "ABS":
-			if n < 0 {
-				n = -n
-			}
-		case "ROUND":
-			if n >= 0 {
-				n = float64(int64(n + 0.5))
-			} else {
-				n = float64(int64(n - 0.5))
-			}
-		case "FLOOR":
-			f := float64(int64(n))
-			if n < 0 && f != n {
-				f--
-			}
-			n = f
-		default: // CEIL
-			f := float64(int64(n))
-			if n > 0 && f != n {
-				f++
-			}
-			n = f
-		}
-		return numValue(n), nil
-	case "CONCAT":
-		var b strings.Builder
-		for _, a := range args {
-			s, err := a.str()
-			if err != nil {
-				return Value{}, err
-			}
-			b.WriteString(s)
-		}
-		return boundValue(rdf.NewString(b.String())), nil
-	case "STRBEFORE", "STRAFTER":
-		s, err := args[0].str()
-		if err != nil {
-			return Value{}, err
-		}
-		sub, err := args[1].str()
-		if err != nil {
-			return Value{}, err
-		}
-		i := strings.Index(s, sub)
-		if i < 0 {
-			return boundValue(rdf.NewString("")), nil
-		}
-		if x.Name == "STRBEFORE" {
-			return boundValue(rdf.NewString(s[:i])), nil
-		}
-		return boundValue(rdf.NewString(s[i+len(sub):])), nil
-	case "REPLACE":
-		if len(args) != 3 {
-			return Value{}, fmt.Errorf("%w: REPLACE arity", errExprError)
-		}
-		s, err := args[0].str()
-		if err != nil {
-			return Value{}, err
-		}
-		pat, err := args[1].str()
-		if err != nil {
-			return Value{}, err
-		}
-		repl, err := args[2].str()
-		if err != nil {
-			return Value{}, err
-		}
-		re, err := regexp.Compile(pat)
-		if err != nil {
-			return Value{}, fmt.Errorf("%w: bad regex: %v", errExprError, err)
-		}
-		return boundValue(rdf.NewString(re.ReplaceAllString(s, repl))), nil
-	case "SUBSTR":
-		if len(args) < 2 || len(args) > 3 {
-			return Value{}, fmt.Errorf("%w: SUBSTR arity", errExprError)
-		}
-		s, err := args[0].str()
-		if err != nil {
-			return Value{}, err
-		}
-		startF, err := args[1].numeric()
-		if err != nil {
-			return Value{}, err
-		}
-		runes := []rune(s)
-		// SPARQL SUBSTR is 1-based.
-		start := int(startF) - 1
-		if start < 0 {
-			start = 0
-		}
-		if start > len(runes) {
-			start = len(runes)
-		}
-		end := len(runes)
-		if len(args) == 3 {
-			lengthF, err := args[2].numeric()
-			if err != nil {
-				return Value{}, err
-			}
-			if e := start + int(lengthF); e < end {
-				end = e
-			}
-			if end < start {
-				end = start
-			}
-		}
-		return boundValue(rdf.NewString(string(runes[start:end]))), nil
-	case "ISIRI", "ISURI":
-		if !args[0].Bound {
+		return f
+	}),
+	"ISIRI":     termTest(rdf.Term.IsIRI),
+	"ISURI":     termTest(rdf.Term.IsIRI),
+	"ISLITERAL": termTest(rdf.Term.IsLiteral),
+	"ISBLANK":   termTest(rdf.Term.IsBlank),
+	"ISNUMERIC": termTest(rdf.Term.IsNumeric),
+	"LANG": func(a Value) (Value, error) {
+		if !a.Bound || !a.Term.IsLiteral() {
 			return Value{}, errExprError
 		}
-		return boolValue(args[0].Term.IsIRI()), nil
-	case "ISLITERAL":
-		if !args[0].Bound {
+		return boundValue(rdf.NewString(a.Term.Lang)), nil
+	},
+	"DATATYPE": func(a Value) (Value, error) {
+		if !a.Bound || !a.Term.IsLiteral() {
 			return Value{}, errExprError
 		}
-		return boolValue(args[0].Term.IsLiteral()), nil
-	case "ISBLANK":
-		if !args[0].Bound {
-			return Value{}, errExprError
-		}
-		return boolValue(args[0].Term.IsBlank()), nil
-	case "ISNUMERIC":
-		if !args[0].Bound {
-			return Value{}, errExprError
-		}
-		return boolValue(args[0].Term.IsNumeric()), nil
-	case "LANG":
-		if !args[0].Bound || !args[0].Term.IsLiteral() {
-			return Value{}, errExprError
-		}
-		return boundValue(rdf.NewString(args[0].Term.Lang)), nil
-	case "DATATYPE":
-		if !args[0].Bound || !args[0].Term.IsLiteral() {
-			return Value{}, errExprError
-		}
-		dt := args[0].Term.Datatype
+		dt := a.Term.Datatype
 		if dt == "" {
 			dt = rdf.XSDString
 		}
 		return boundValue(rdf.NewIRI(dt)), nil
+	},
+}
+
+func stringFunc(f func(string) string) func(Value) (Value, error) {
+	return func(a Value) (Value, error) {
+		s, err := a.str()
+		if err != nil {
+			return Value{}, err
+		}
+		return boundValue(rdf.NewString(f(s))), nil
 	}
-	return Value{}, fmt.Errorf("%w: unknown function %s", errExprError, x.Name)
+}
+
+func numberFunc(f func(float64) float64) func(Value) (Value, error) {
+	return func(a Value) (Value, error) {
+		n, err := a.numeric()
+		if err != nil {
+			return Value{}, err
+		}
+		return numValue(f(n)), nil
+	}
+}
+
+func termTest(f func(rdf.Term) bool) func(Value) (Value, error) {
+	return func(a Value) (Value, error) {
+		if !a.Bound {
+			return Value{}, errExprError
+		}
+		return boolValue(f(a.Term)), nil
+	}
+}
+
+// binaryFuncs are the two-argument builtins, over two strings.
+var binaryFuncs = map[string]func(s, sub string) Value{
+	"CONTAINS":  func(s, sub string) Value { return boolValue(strings.Contains(s, sub)) },
+	"STRSTARTS": func(s, sub string) Value { return boolValue(strings.HasPrefix(s, sub)) },
+	"STRENDS":   func(s, sub string) Value { return boolValue(strings.HasSuffix(s, sub)) },
+	"STRBEFORE": func(s, sub string) Value {
+		if i := strings.Index(s, sub); i >= 0 {
+			return boundValue(rdf.NewString(s[:i]))
+		}
+		return boundValue(rdf.NewString(""))
+	},
+	"STRAFTER": func(s, sub string) Value {
+		if i := strings.Index(s, sub); i >= 0 {
+			return boundValue(rdf.NewString(s[i+len(sub):]))
+		}
+		return boundValue(rdf.NewString(""))
+	},
+}
+
+// concat is CONCAT over its evaluated arguments.
+func concat(args []Value) (Value, error) {
+	var b strings.Builder
+	for _, a := range args {
+		s, err := a.str()
+		if err != nil {
+			return Value{}, err
+		}
+		b.WriteString(s)
+	}
+	return boundValue(rdf.NewString(b.String())), nil
+}
+
+// substr is SPARQL's 1-based SUBSTR over two or three evaluated
+// arguments.
+func substr(args []Value) (Value, error) {
+	s, err := args[0].str()
+	if err != nil {
+		return Value{}, err
+	}
+	startF, err := args[1].numeric()
+	if err != nil {
+		return Value{}, err
+	}
+	runes := []rune(s)
+	start := min(max(int(startF)-1, 0), len(runes))
+	end := len(runes)
+	if len(args) == 3 {
+		lengthF, err := args[2].numeric()
+		if err != nil {
+			return Value{}, err
+		}
+		end = max(min(start+int(lengthF), end), start)
+	}
+	return boundValue(rdf.NewString(string(runes[start:end]))), nil
+}
+
+// compileRegex compiles a REGEX or REPLACE pattern; flags containing
+// "i" make it case-insensitive. A bad pattern is an expression error.
+func compileRegex(pat, flags string) (*regexp.Regexp, error) {
+	if strings.Contains(flags, "i") {
+		pat = "(?i)" + pat
+	}
+	re, err := regexp.Compile(pat)
+	if err != nil {
+		return nil, fmt.Errorf("%w: bad regex: %v", errExprError, err)
+	}
+	return re, nil
 }

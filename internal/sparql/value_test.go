@@ -8,7 +8,8 @@ import (
 	"re2xolap/internal/rdf"
 )
 
-// mapBinding is a test binding backed by a map.
+// mapBinding is a test row given by variable name; it is also a
+// binding of the reference evaluator.
 type mapBinding map[string]rdf.Term
 
 func (m mapBinding) value(name string) Value {
@@ -18,7 +19,18 @@ func (m mapBinding) value(name string) Value {
 	return Value{}
 }
 
-func evalString(t *testing.T, src string, b binding) (Value, error) {
+// terms lays m out as a term row.
+func (m mapBinding) terms() (cols []string, row []rdf.Term) {
+	for name, t := range m {
+		cols = append(cols, name)
+		row = append(row, t)
+	}
+	return cols, row
+}
+
+// evalString compiles the filter expression src against m's columns
+// and evaluates it over m.
+func evalString(t *testing.T, src string, m mapBinding) (Value, error) {
 	t.Helper()
 	full := "SELECT ?x WHERE { ?x <http://p> ?y . FILTER (" + src + ") }"
 	q, err := Parse(full)
@@ -31,7 +43,8 @@ func evalString(t *testing.T, src string, b binding) (Value, error) {
 			f = fe.Expr
 		}
 	}
-	return evalExpr(f, b)
+	cols, row := m.terms()
+	return termCompiler(cols).value(f)(nil, nil, row)
 }
 
 func TestEvalArithmetic(t *testing.T) {
