@@ -36,13 +36,3 @@ func BenchmarkSynthesizeAll(b *testing.B) {
 	b.Run("seq", func(b *testing.B) { run(b, 1) })
 	b.Run("par", func(b *testing.B) { run(b, 0) })
 }
-
-// BenchmarkParallelReport exercises the cmd/bench measurement path at
-// the small scale (the CI smoke target).
-func BenchmarkParallelReport(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := RunParallelReport("small", Scale{Eurostat: 1000, Production: 1000, DBpedia: 1000}, 0, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -64,11 +64,15 @@ func Triples() []rdf.Triple {
 // (same rows, same order), "set" (same rows, any order — for queries
 // whose order the language leaves unspecified), "skip" (a coordinator
 // legitimately picks a different representative: SAMPLE, GROUP_CONCAT,
-// bare LIMIT without a total order).
+// bare LIMIT without a total order). Plan is the coordinator plan class
+// the query must classify as (colocated, partial_agg, bound_join,
+// gather); classification depends on the text alone, so it holds at
+// every shard count.
 type Query struct {
 	Name          string
 	Query         string
 	EngineCompare string
+	Plan          string
 }
 
 // Queries is the full 33-query determinism corpus: ORDER BY+LIMIT,
@@ -78,106 +82,106 @@ func Queries() []Query {
 	return []Query{
 		{"star-order-limit-offset",
 			`SELECT ?s ?v WHERE { ?s <http://t/region> ?r . ?s <http://t/value> ?v } ORDER BY DESC(?v) LIMIT 5 OFFSET 2`,
-			"exact"},
+			"exact", "colocated"},
 		{"star-order-asc",
 			`SELECT ?s ?v WHERE { ?s <http://t/value> ?v } ORDER BY ASC(?v)`,
-			"exact"},
+			"exact", "colocated"},
 		{"distinct",
 			`SELECT DISTINCT ?r WHERE { ?s <http://t/region> ?r }`,
-			"set"},
+			"set", "colocated"},
 		{"bare-limit",
 			`SELECT ?s WHERE { ?s <http://t/region> ?r } LIMIT 3`,
-			"skip"}, // no total order: any 3 rows are a correct answer
+			"skip", "colocated"}, // no total order: any 3 rows are a correct answer
 		{"count-group",
 			`SELECT ?r (COUNT(?v) AS ?n) WHERE { ?s <http://t/region> ?r . ?s <http://t/value> ?v } GROUP BY ?r`,
-			"set"},
+			"set", "partial_agg"},
 		{"count-star-group",
 			`SELECT ?r (COUNT(*) AS ?n) WHERE { ?s <http://t/region> ?r } GROUP BY ?r ORDER BY ?r`,
-			"exact"},
+			"exact", "partial_agg"},
 		{"sum-avg",
 			`SELECT ?r (SUM(?v) AS ?t) (AVG(?v) AS ?a) WHERE { ?s <http://t/region> ?r . ?s <http://t/value> ?v } GROUP BY ?r ORDER BY ?r`,
-			"exact"},
+			"exact", "partial_agg"},
 		{"min-max",
 			`SELECT ?r (MIN(?v) AS ?lo) (MAX(?v) AS ?hi) WHERE { ?s <http://t/region> ?r . ?s <http://t/value> ?v } GROUP BY ?r ORDER BY ?r`,
-			"exact"},
+			"exact", "partial_agg"},
 		{"global-agg",
 			`SELECT (COUNT(?v) AS ?n) (SUM(?v) AS ?t) WHERE { ?s <http://t/value> ?v }`,
-			"exact"},
+			"exact", "partial_agg"},
 		{"global-agg-empty",
 			`SELECT (COUNT(?v) AS ?n) WHERE { ?s <http://t/nosuch> ?v }`,
-			"exact"},
+			"exact", "partial_agg"},
 		{"having",
 			`SELECT ?r (COUNT(?v) AS ?n) WHERE { ?s <http://t/region> ?r . ?s <http://t/value> ?v } GROUP BY ?r HAVING (COUNT(?v) >= 3) ORDER BY ?r`,
-			"exact"},
+			"exact", "partial_agg"},
 		{"agg-expr-projection",
 			`SELECT ?r ((SUM(?v) + COUNT(?v)) AS ?mix) WHERE { ?s <http://t/region> ?r . ?s <http://t/value> ?v } GROUP BY ?r ORDER BY ?r`,
-			"exact"},
+			"exact", "partial_agg"},
 		{"sample",
 			`SELECT ?r (SAMPLE(?v) AS ?any) WHERE { ?s <http://t/region> ?r . ?s <http://t/value> ?v } GROUP BY ?r ORDER BY ?r`,
-			"skip"}, // coordinator's canonical sample may differ from the engine's
+			"skip", "partial_agg"}, // coordinator's canonical sample may differ from the engine's
 		{"group-concat-gather",
 			`SELECT ?r (GROUP_CONCAT(?v) AS ?all) WHERE { ?s <http://t/region> ?r . ?s <http://t/value> ?v } GROUP BY ?r ORDER BY ?r`,
 			// Concatenation order is implementation-defined (row order),
 			// and the gather store's canonical load order differs from
 			// the original store's insert order — topologies agree with
 			// each other, not with the engine's element order.
-			"skip"},
+			"skip", "gather"},
 		{"count-distinct-gather",
 			`SELECT ?r (COUNT(DISTINCT ?v) AS ?n) WHERE { ?s <http://t/region> ?r . ?s <http://t/value> ?v } GROUP BY ?r ORDER BY ?r`,
-			"exact"},
+			"exact", "gather"},
 		{"union",
 			`SELECT ?s WHERE { { ?s <http://t/region> <http://t/r0> } UNION { ?s <http://t/region> <http://t/r1> } } ORDER BY ?s`,
-			"exact"},
+			"exact", "colocated"},
 		{"optional",
 			`SELECT ?s ?v WHERE { ?s <http://t/region> ?r . OPTIONAL { ?s <http://t/value> ?v } } ORDER BY ?s`,
-			"exact"},
+			"exact", "colocated"},
 		{"filter-contains",
 			`SELECT ?s WHERE { ?s <http://t/label> ?l . FILTER (CONTAINS(LCASE(STR(?l)), "special")) } ORDER BY ?s`,
-			"exact"},
+			"exact", "colocated"},
 		{"filter-not-exists",
 			`SELECT ?s WHERE { ?s <http://t/region> ?r . FILTER NOT EXISTS { ?s <http://t/value> ?v } } ORDER BY ?s`,
-			"exact"},
+			"exact", "colocated"},
 		{"closure-gather",
 			`SELECT ?b WHERE { <http://t/p0> <http://t/knows>+ ?b } ORDER BY ?b`,
-			"exact"},
+			"exact", "gather"},
 		{"join-bound",
 			`SELECT ?s ?c WHERE { ?s <http://t/region> ?r . ?r <http://t/partOf> ?c } ORDER BY ?s`,
-			"exact"},
+			"exact", "bound_join"},
 		{"join-bound-chain",
 			`SELECT ?a ?c ?d WHERE { ?a <http://t/knows> ?b . ?b <http://t/knows> ?c . ?c <http://t/knows> ?d } ORDER BY ?a ?c ?d`,
-			"exact"},
+			"exact", "bound_join"},
 		{"join-bound-pushed-filter",
 			`SELECT ?s ?c WHERE { ?s <http://t/region> ?r . ?r <http://t/partOf> ?c . FILTER(?c = <http://t/cA>) } ORDER BY ?s`,
-			"exact"},
+			"exact", "bound_join"},
 		{"join-bound-residual-filter",
 			`SELECT ?s ?c WHERE { ?s <http://t/region> ?r . ?r <http://t/partOf> ?c . FILTER(?s != ?c) } ORDER BY ?s`,
-			"exact"},
+			"exact", "bound_join"},
 		{"join-bound-distinct",
 			`SELECT DISTINCT ?c WHERE { ?s <http://t/region> ?r . ?r <http://t/partOf> ?c }`,
-			"set"},
+			"set", "bound_join"},
 		{"join-bound-expr-projection",
 			`SELECT ?s (STR(?c) AS ?cs) WHERE { ?s <http://t/region> ?r . ?r <http://t/partOf> ?c } ORDER BY ?s`,
-			"exact"},
+			"exact", "bound_join"},
 		{"join-bound-empty",
 			`SELECT ?s ?x WHERE { ?s <http://t/region> ?r . ?r <http://t/nosuch> ?x } ORDER BY ?s`,
-			"exact"},
+			"exact", "bound_join"},
 		{"join-bound-ask",
 			`ASK { ?a <http://t/knows> ?b . ?b <http://t/knows> ?c }`,
-			"exact"},
+			"exact", "bound_join"},
 		{"values",
 			`SELECT ?s ?v WHERE { VALUES ?r { <http://t/r0> <http://t/r2> } ?s <http://t/region> ?r . ?s <http://t/value> ?v } ORDER BY ?s`,
-			"exact"},
+			"exact", "colocated"},
 		{"subselect-gather",
 			`SELECT ?s ?v WHERE { { SELECT ?s WHERE { ?s <http://t/region> <http://t/r1> } } ?s <http://t/value> ?v } ORDER BY ?s`,
-			"exact"},
+			"exact", "gather"},
 		{"ask-true",
 			`ASK { ?s <http://t/region> <http://t/r2> }`,
-			"exact"},
+			"exact", "colocated"},
 		{"ask-false",
 			`ASK { ?s <http://t/region> <http://t/r9> }`,
-			"exact"},
+			"exact", "colocated"},
 		{"mixed-dataset-agg",
 			`SELECT ?p (COUNT(*) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p ORDER BY ?p`,
-			"exact"},
+			"exact", "partial_agg"},
 	}
 }

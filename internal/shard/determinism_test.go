@@ -10,6 +10,7 @@ import (
 
 	"re2xolap/internal/corpus"
 	"re2xolap/internal/endpoint"
+	"re2xolap/internal/obs"
 	"re2xolap/internal/rdf"
 	"re2xolap/internal/sparql"
 	"re2xolap/internal/store"
@@ -25,6 +26,7 @@ type corpusQuery struct {
 	name          string
 	query         string
 	engineCompare string
+	plan          string
 }
 
 // determinismCorpus adapts the shared 33-query corpus to the local
@@ -33,7 +35,7 @@ func determinismCorpus() []corpusQuery {
 	qs := corpus.Queries()
 	out := make([]corpusQuery, len(qs))
 	for i, q := range qs {
-		out[i] = corpusQuery{name: q.Name, query: q.Query, engineCompare: q.EngineCompare}
+		out[i] = corpusQuery{name: q.Name, query: q.Query, engineCompare: q.EngineCompare, plan: q.Plan}
 	}
 	return out
 }
@@ -86,10 +88,58 @@ func canonRows(res *sparql.Results) []string {
 	return out
 }
 
+// shipped3 pins what the 3-shard coordinator moves for each corpus
+// query: rows, the rows its shards return (Σ meta.Shards[i].Rows), and
+// bindings, the distinct join bindings a bound join ships back as
+// VALUES (the re2xolap_shard_bound_bindings_total delta). The counts
+// follow from corpus.Triples(): observation obsI links region r(I%4),
+// obs7 has no value, obs0/5/10 carry "special" labels, and at 3
+// shards the subjects split as {obs0,5,6,9,10, r0, p2} /
+// {obs3,4,8,11, r3, p1} / {obs1,2,7, r1, r2, p0}. A plan sliding back
+// toward gather, or shipping a relation where its bindings would do,
+// fails here with a number.
+var shipped3 = map[string]struct{ rows, bindings int }{
+	"star-order-limit-offset":    {11, 0}, // the 11 valued observations; ORDER BY/LIMIT/OFFSET run at the coordinator
+	"star-order-asc":             {11, 0}, // the 11 value triples
+	"distinct":                   {8, 0},  // per-shard distinct regions 3+2+3
+	"bare-limit":                 {12, 0}, // the 12 region triples; LIMIT runs at the coordinator
+	"count-group":                {7, 0},  // per-shard regions of valued observations 3+2+2 (obs7 is shard 2's only r3)
+	"count-star-group":           {8, 0},  // per-shard distinct regions 3+2+3
+	"sum-avg":                    {7, 0},  // as count-group
+	"min-max":                    {7, 0},  // as count-group
+	"global-agg":                 {3, 0},  // one partial row per shard
+	"global-agg-empty":           {3, 0},  // one (zero-count) partial row per shard
+	"having":                     {7, 0},  // as count-group; HAVING runs at the coordinator
+	"agg-expr-projection":        {7, 0},  // as count-group
+	"sample":                     {7, 0},  // as count-group
+	"group-concat-gather":        {23, 0}, // gathers the 12 region + 11 value triples
+	"count-distinct-gather":      {23, 0}, // gathers the 12 region + 11 value triples
+	"union":                      {6, 0},  // obs0/4/8 in r0 + obs1/5/9 in r1
+	"optional":                   {12, 0}, // one row per region triple, obs7's ?v unbound
+	"filter-contains":            {3, 0},  // obs0/5/10, all on shard 0
+	"filter-not-exists":          {1, 0},  // obs7
+	"closure-gather":             {4, 0},  // gathers the 4 knows triples
+	"join-bound":                 {16, 4}, // 12 region rows + 4 partOf rows for the 4 distinct ?r
+	"join-bound-chain":           {8, 5},  // 4 knows rows, 3 for ?b∈{p1,p2,p3}, 1 for ?c∈{p2,p3}
+	"join-bound-pushed-filter":   {8, 2},  // 2 partOf rows with ?c=cA (r0,r1), then their 6 observations
+	"join-bound-residual-filter": {16, 4}, // as join-bound; the filter runs at the coordinator
+	"join-bound-distinct":        {16, 4}, // as join-bound; DISTINCT runs at the coordinator
+	"join-bound-expr-projection": {16, 4}, // as join-bound
+	"join-bound-empty":           {12, 4}, // 12 region rows, their 4 distinct ?r match no nosuch triple
+	"join-bound-ask":             {7, 3},  // 4 knows rows + 3 for ?b∈{p1,p2,p3}
+	"values":                     {6, 0},  // obs0/4/8 in r0 + obs2/6/10 in r2, all valued
+	"subselect-gather":           {14, 0}, // gathers the 3 r1 region triples + 11 value triples
+	"ask-true":                   {0, 0},  // a shard answers ASK with a boolean, not rows
+	"ask-false":                  {0, 0},  // a shard answers ASK with a boolean, not rows
+	"mixed-dataset-agg":          {48, 0}, // every shard holds all 16 predicates: 3×16 partial rows
+}
+
 // TestDeterminismAcrossTopologies is the acceptance test: for the
 // full corpus, every topology (1, 2, 3, 5 shards) returns
-// byte-identical JSON, and the answers agree with a single-node
-// engine under each query's comparison mode.
+// byte-identical JSON, the answers agree with a single-node engine
+// under each query's comparison mode, every topology picks the
+// query's plan class, and the 3-shard topology ships exactly the rows
+// and bindings pinned in shipped3.
 func TestDeterminismAcrossTopologies(t *testing.T) {
 	ts := determinismTriples()
 	single := store.New()
@@ -101,21 +151,45 @@ func TestDeterminismAcrossTopologies(t *testing.T) {
 
 	topologies := []int{1, 2, 3, 5}
 	coords := make([]*Coordinator, len(topologies))
+	reg := obs.NewRegistry()
 	for i, n := range topologies {
-		coords[i] = newTopology(t, ts, n)
+		var opts []Option
+		if n == 3 {
+			opts = append(opts, WithRegistry(reg))
+		}
+		coords[i] = newTopology(t, ts, n, opts...)
 	}
+	bindings := reg.Counter("re2xolap_shard_bound_bindings_total", "")
 
 	for _, cq := range determinismCorpus() {
 		t.Run(cq.name, func(t *testing.T) {
 			var first []byte
 			var firstRes *sparql.Results
 			for i, n := range topologies {
+				before := bindings.Value()
 				res, meta, err := coords[i].QueryX(ctx, endpoint.Request{Query: cq.query})
 				if err != nil {
 					t.Fatalf("%d shards: %v", n, err)
 				}
 				if meta.Incomplete {
 					t.Fatalf("%d shards: unexpected incomplete flag", n)
+				}
+				if meta.Plan != cq.plan {
+					t.Errorf("%d shards: plan %s, want %s", n, meta.Plan, cq.plan)
+				}
+				if n == 3 {
+					want, ok := shipped3[cq.name]
+					if !ok {
+						t.Fatalf("no shipped3 entry for %s", cq.name)
+					}
+					rows := 0
+					for _, sc := range meta.Shards {
+						rows += sc.Rows
+					}
+					if got := bindings.Value() - before; rows != want.rows || got != int64(want.bindings) {
+						t.Errorf("3 shards: shipped %d rows and %d bindings, want %d and %d",
+							rows, got, want.rows, want.bindings)
+					}
 				}
 				enc := encode(t, res)
 				if first == nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"strings"
 
 	"re2xolap/internal/rdf"
 )
@@ -23,6 +24,14 @@ import (
 const (
 	snapshotMagic   = "R2XS"
 	snapshotVersion = 1
+	// snapshotPresize caps how many terms, triples or string bytes
+	// ReadSnapshot allocates on the word of a count it has not read yet;
+	// past it, slices and strings grow with the input that arrives.
+	snapshotPresize = 1 << 16
+	// snapshotBuffer sizes the bufio reader and writer: large enough to
+	// batch I/O, small enough that a small snapshot does not pay for
+	// clearing a megabyte on every read and write.
+	snapshotBuffer = 1 << 16
 )
 
 // WriteSnapshot serializes the store. The store is compacted first.
@@ -30,7 +39,7 @@ func (s *Store) WriteSnapshot(w io.Writer) error {
 	s.Compact()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	bw := bufio.NewWriterSize(w, 1<<20)
+	bw := bufio.NewWriterSize(w, snapshotBuffer)
 	if _, err := bw.WriteString(snapshotMagic); err != nil {
 		return err
 	}
@@ -57,7 +66,7 @@ func (s *Store) WriteSnapshot(w io.Writer) error {
 // ReadSnapshot deserializes a snapshot written by WriteSnapshot into a
 // fresh store.
 func ReadSnapshot(r io.Reader) (*Store, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+	br := bufio.NewReaderSize(r, snapshotBuffer)
 	magic := make([]byte, 4)
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("store: snapshot header: %w", err)
@@ -76,19 +85,24 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: term count: %w", err)
 	}
-	terms := make([]rdf.Term, nTerms)
-	for i := range terms {
-		if terms[i], err = readTerm(br); err != nil {
+	// A forged count ends in an EOF error below, not in an allocation
+	// the input never backs.
+	terms := make([]rdf.Term, 0, min(nTerms, snapshotPresize))
+	for i := uint64(0); i < nTerms; i++ {
+		t, err := readTerm(br)
+		if err != nil {
 			return nil, fmt.Errorf("store: term %d: %w", i, err)
 		}
+		terms = append(terms, t)
 	}
 	nTriples, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("store: triple count: %w", err)
 	}
-	entries := make([]spoTriple, nTriples)
-	for i := range entries {
-		for j := 0; j < 3; j++ {
+	entries := make([]spoTriple, 0, min(nTriples, snapshotPresize))
+	for i := uint64(0); i < nTriples; i++ {
+		var e spoTriple
+		for j := range e {
 			v, err := binary.ReadUvarint(br)
 			if err != nil {
 				return nil, fmt.Errorf("store: triple %d: %w", i, err)
@@ -96,8 +110,9 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 			if v == 0 || v > nTerms {
 				return nil, fmt.Errorf("store: triple %d references unknown term %d", i, v)
 			}
-			entries[i][j] = ID(v)
+			e[j] = ID(v)
 		}
+		entries = append(entries, e)
 	}
 	// Build re-derives the POS/OSP permutations and the full-text index.
 	return Build(terms, entries)
@@ -122,6 +137,13 @@ func readString(r *bufio.Reader) (string, error) {
 	}
 	if n > 1<<28 {
 		return "", fmt.Errorf("string length %d too large", n)
+	}
+	if n > snapshotPresize {
+		var sb strings.Builder
+		if _, err := io.CopyN(&sb, r, int64(n)); err != nil {
+			return "", err
+		}
+		return sb.String(), nil
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {

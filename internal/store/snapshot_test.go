@@ -2,8 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -81,6 +83,31 @@ func TestSnapshotErrors(t *testing.T) {
 	for i, b := range bad {
 		if _, err := ReadSnapshot(bytes.NewReader(b)); err == nil {
 			t.Errorf("case %d: bad snapshot accepted", i)
+		}
+	}
+}
+
+// TestSnapshotForgedCounts: a header announcing far more terms,
+// triples or string bytes than the input holds ends in an error after a
+// bounded allocation, not one of the announced size (a count of 1<<62
+// used to panic in makeslice, a string length of 1<<28 allocated
+// 256 MB).
+func TestSnapshotForgedCounts(t *testing.T) {
+	huge := binary.AppendUvarint(nil, 1<<62)
+	for name, b := range map[string][]byte{
+		"terms":   append([]byte("R2XS\x01"), huge...),
+		"triples": append([]byte("R2XS\x01\x00"), huge...),
+		"string":  append([]byte("R2XS\x01\x01\x00"), binary.AppendUvarint(nil, 1<<28)...),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadSnapshot(bytes.NewReader(b))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: forged snapshot accepted", name)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 16<<20 {
+			t.Errorf("%s: forged snapshot allocated %d bytes", name, n)
 		}
 	}
 }
