@@ -489,17 +489,14 @@ func buildHandler(cfg handlerConfig, reg *obs.Registry, opts []endpoint.Option) 
 	}
 }
 
-// storeServer serves a local store: directly (the engine-embedded
-// server) without serve-layer flags, or as an in-process client behind
-// the serving stack with them. The wrapped form keeps the store gauge
-// NewServer would have registered.
+// storeServer serves a local store: an in-process client, behind the
+// serving stack when a serve-layer flag asks for one, fronted by the
+// protocol server. The in-process client gets only the registry and
+// the worker count; the request sinks (slow log, traces, query ring) in
+// opts belong to the server, which records each request once.
 func (cfg handlerConfig) storeServer(st *store.Store, reg *obs.Registry, opts []endpoint.Option) *endpoint.Server {
-	if !cfg.serving() {
-		return endpoint.NewServer(st, opts...)
-	}
-	reg.GaugeFunc("re2xolap_store_triples", "Triples in the served store.",
-		func() float64 { return float64(st.Len()) })
-	client, stack := cfg.wrapServe(endpoint.NewInProcess(st, opts...), reg)
+	inproc := endpoint.NewInProcess(st, endpoint.WithRegistry(reg), endpoint.WithWorkers(cfg.Workers))
+	client, stack := cfg.wrapServe(inproc, reg)
 	opts = append(opts, cfg.fleetRoutes("single", nil, stack, reg)...)
 	return endpoint.NewClientServer(client, opts...)
 }

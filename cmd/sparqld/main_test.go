@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -153,5 +154,38 @@ func TestBuildHandlerTopologyFile(t *testing.T) {
 	}
 	if reps := coord.Replicas(); len(reps) != 2 || reps[0] != 2 || reps[1] != 1 {
 		t.Fatalf("replicas = %v, want [2 1]", reps)
+	}
+}
+
+// TestSlowQueryLoggedOnce: behind the serving stack (-result-cache) a
+// store-backed sparqld writes exactly one slow-log line per request,
+// from the server; the in-process client under it records nothing.
+func TestSlowQueryLoggedOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "data.ttl")
+	src := "<http://ex.org/obs1> <http://ex.org/value> 10 .\n<http://ex.org/obs2> <http://ex.org/value> 20 .\n"
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var slow bytes.Buffer
+	reg := obs.NewRegistry()
+	opts := []endpoint.Option{endpoint.WithRegistry(reg), endpoint.WithSlowQueryLog(obs.NewSlowLog(&slow, 0))}
+	srv, _, _, err := buildHandler(handlerConfig{Data: path, ResultCache: 8, Addr: ":0"}, reg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	resp, err := http.PostForm(ts.URL, url.Values{"query": {`SELECT ?v WHERE { ?o <http://ex.org/value> ?v }`}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	lines := strings.Split(strings.TrimSpace(slow.String()), "\n")
+	if len(lines) != 1 || !strings.Contains(lines[0], `"source":"server"`) {
+		t.Fatalf("want exactly one server slow-log line, got %d:\n%s", len(lines), slow.String())
 	}
 }

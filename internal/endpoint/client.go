@@ -75,22 +75,9 @@ func (c *InProcess) QueryX(ctx context.Context, req Request) (*sparql.Results, Q
 	meta.Generation = c.Generation()
 	ctx, span := querySpan(ctx, req, "sparql")
 	start := time.Now()
-	var res *sparql.Results
-	var err error
-	if req.Opts.Profile {
-		var prof *sparql.Profile
-		res, prof, err = c.Engine.Profile(ctx, req.Query)
-		if prof != nil {
-			meta.Profile = prof
-			meta.Phases = prof.Phases
-			meta.Rows = prof.Phases.Rows
-		}
-	} else {
-		var pt sparql.PhaseTimings
-		res, pt, err = c.Engine.QueryStringTimed(ctx, req.Query)
-		meta.Phases = pt
-		meta.Rows = pt.Rows
-	}
+	res, pt, err := c.Engine.QueryStringTimed(ctx, req.Query)
+	meta.Phases = pt
+	meta.Rows = pt.Rows
 	if err != nil {
 		err = classifyLocal(ctx, err)
 	}
@@ -107,7 +94,7 @@ func (c *InProcess) QueryX(ctx context.Context, req Request) (*sparql.Results, Q
 			m.errors[errorKind(err)].Inc()
 		}
 	}
-	recordSlow(c.slow, req.Query, meta, err)
+	recordQuery(c.slow, nil, req.Query, meta, 0, err)
 	return res, meta, err
 }
 
@@ -190,7 +177,7 @@ func (c *HTTPClient) QueryX(ctx context.Context, req Request) (*sparql.Results, 
 	}
 	span.End()
 	c.m.record(meta.Wall, err)
-	recordSlow(c.slow, req.Query, meta, err)
+	recordQuery(c.slow, nil, req.Query, meta, 0, err)
 	return res, meta, err
 }
 

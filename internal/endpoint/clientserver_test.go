@@ -5,14 +5,17 @@ import (
 	"context"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"re2xolap/internal/corpus"
 	"re2xolap/internal/obs"
 	"re2xolap/internal/rdf"
 	"re2xolap/internal/sparql"
@@ -254,36 +257,202 @@ func TestServerQueryLog(t *testing.T) {
 	}
 }
 
-// TestInProcessProfileOption checks the opt-in QueryX profile: the
-// meta carries a per-operator tree whose root row count matches the
-// result, with estimated-vs-actual deltas for the scans.
-func TestInProcessProfileOption(t *testing.T) {
+// planText joins an EXPLAIN result set's one-column plan rows.
+func planText(t *testing.T, res *sparql.Results) string {
+	t.Helper()
+	if len(res.Vars) != 1 || res.Vars[0] != "plan" || res.Len() == 0 {
+		t.Fatalf("not a plan result set: vars %v, %d rows", res.Vars, res.Len())
+	}
+	var b strings.Builder
+	for _, row := range res.Rows {
+		b.WriteString(row[0].Value)
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestInProcessExplainAnalyzeProfile checks the two ways a profile
+// leaves the engine: Engine.Profile returns a per-operator tree whose
+// root row count matches the result, with estimated-vs-actual deltas
+// for the scans, and results identical to a bare query; EXPLAIN
+// ANALYZE through QueryX renders the same tree as plan rows.
+func TestInProcessExplainAnalyzeProfile(t *testing.T) {
 	st := clientServerStore(t)
 	c := NewInProcess(st)
-	res, meta, err := c.QueryX(context.Background(),
-		Request{Query: `SELECT ?s ?v WHERE { ?s <http://t/v> ?v } ORDER BY ?v`, Opts: QueryOpts{Profile: true}})
+	ctx := context.Background()
+	const q = `SELECT ?s ?v WHERE { ?s <http://t/v> ?v } ORDER BY ?v`
+	bare, err := c.Query(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Profile == nil {
-		t.Fatal("Opts.Profile set but meta.Profile nil")
+	res, prof, err := c.Engine.Profile(ctx, q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := meta.Profile.Root.RowsOut; got != res.Len() {
+	if got := prof.Root.RowsOut; got != res.Len() {
 		t.Errorf("profile root rows = %d, result rows = %d", got, res.Len())
 	}
-	if len(meta.Profile.Deltas()) == 0 {
+	if len(prof.Deltas()) == 0 {
 		t.Error("no cardinality deltas in profile")
-	}
-	// Without the option the profile stays nil and results match.
-	bare, meta2, err := c.QueryX(context.Background(),
-		Request{Query: `SELECT ?s ?v WHERE { ?s <http://t/v> ?v } ORDER BY ?v`})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta2.Profile != nil {
-		t.Error("profile filled without Opts.Profile")
 	}
 	if res.String() != bare.String() {
 		t.Errorf("profiled results diverge from bare:\n%s\nvs\n%s", res, bare)
+	}
+
+	plan, meta, err := c.QueryX(ctx, Request{Query: "EXPLAIN ANALYZE " + q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := planText(t, plan)
+	for _, want := range []string{fmt.Sprintf("rows=%d", bare.Len()), "est=", "in=", "out="} {
+		if !strings.Contains(text, want) {
+			t.Errorf("EXPLAIN ANALYZE lacks %q:\n%s", want, text)
+		}
+	}
+	if !meta.HasPhases || meta.Rows != plan.Len() {
+		t.Errorf("meta = %+v, want phases and %d plan rows", meta, plan.Len())
+	}
+}
+
+// TestServerExplainAnalyze: EXPLAIN ANALYZE over HTTP to the
+// store-backed server returns the profile as plan rows.
+func TestServerExplainAnalyze(t *testing.T) {
+	srv := httptest.NewServer(NewServer(clientServerStore(t)))
+	defer srv.Close()
+	res, err := NewHTTPClient(srv.URL).Query(context.Background(),
+		`EXPLAIN ANALYZE SELECT ?s ?v WHERE { ?s <http://t/v> ?v } ORDER BY ?v`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := planText(t, res)
+	for _, want := range []string{"est=", "in=", "out="} {
+		if !strings.Contains(text, want) {
+			t.Errorf("plan rows lack %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestServerSinksAgree: with the slow log (threshold 0) and the
+// /debug/queries ring both attached, one request writes one record to
+// each, and the two are equal apart from their timestamps.
+func TestServerSinksAgree(t *testing.T) {
+	var slow syncBuffer
+	ring := obs.NewQueryRing(4)
+	srv := httptest.NewServer(NewServer(clientServerStore(t),
+		WithSlowQueryLog(obs.NewSlowLog(&slow, 0)), WithQueryLog(ring)))
+	defer srv.Close()
+	resp, err := http.PostForm(srv.URL, url.Values{"query": {`SELECT ?s WHERE { ?s <http://t/v> ?o }`}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+
+	lines := strings.Split(strings.TrimSpace(slow.String()), "\n")
+	if len(lines) != 1 {
+		t.Fatalf("want 1 slow-log line, got %d:\n%s", len(lines), slow.String())
+	}
+	var fromLog, fromRing obs.QueryRecord
+	if err := json.Unmarshal([]byte(lines[0]), &fromLog); err != nil {
+		t.Fatal(err)
+	}
+	recs := ring.Snapshot()
+	if len(recs) != 1 {
+		t.Fatalf("want 1 ring record, got %d", len(recs))
+	}
+	b, err := json.Marshal(recs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, &fromRing); err != nil {
+		t.Fatal(err)
+	}
+	fromLog.Time, fromRing.Time = "", ""
+	if !reflect.DeepEqual(fromLog, fromRing) {
+		t.Errorf("slow log and ring disagree:\nlog  %+v\nring %+v", fromLog, fromRing)
+	}
+	if fromLog.Source != "server" || fromLog.Rows != 3 || fromLog.PhaseMS["serialize"] <= 0 {
+		t.Errorf("record = %+v, want a server record of 3 rows with a serialize phase", fromLog)
+	}
+}
+
+// TestStoreServerShape pins what the store-backed server looks like
+// now that it fronts an in-process client: the trace root is still
+// sparql-request with the engine phases under the client's sparql
+// span, /metrics keeps the request, engine and store series, and every
+// corpus body equals the explicit NewClientServer(NewInProcess(st))
+// composition byte for byte.
+func TestStoreServerShape(t *testing.T) {
+	st := store.New()
+	if err := st.AddAll(corpus.Triples()); err != nil {
+		t.Fatal(err)
+	}
+	var traces syncBuffer
+	reg := obs.NewRegistry()
+	s := NewServer(st, WithRegistry(reg), WithTraceExport(obs.NewOTLPSink(&traces, "sparqld")))
+	srv := httptest.NewServer(s.Routes(RoutesConfig{}))
+	defer srv.Close()
+	plain := httptest.NewServer(NewClientServer(NewInProcess(st)))
+	defer plain.Close()
+
+	post := func(base, query string) []byte {
+		t.Helper()
+		resp, err := http.PostForm(base, url.Values{"query": {query}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	queries := corpus.Queries()
+	for _, cq := range queries {
+		if a, b := post(srv.URL+"/sparql", cq.Query), post(plain.URL, cq.Query); !bytes.Equal(a, b) {
+			t.Errorf("%s: NewServer body differs from NewClientServer(NewInProcess):\n%s\nvs\n%s", cq.Name, a, b)
+		}
+	}
+
+	var req struct {
+		ResourceSpans []struct {
+			ScopeSpans []struct {
+				Spans []struct{ SpanID, ParentSpanID, Name string }
+			}
+		}
+	}
+	first := strings.SplitN(traces.String(), "\n", 2)[0]
+	if err := json.Unmarshal([]byte(first), &req); err != nil {
+		t.Fatal(err)
+	}
+	spans := req.ResourceSpans[0].ScopeSpans[0].Spans
+	if len(spans) == 0 || spans[0].Name != "sparql-request" {
+		t.Fatalf("trace root is not sparql-request: %+v", spans)
+	}
+	byID := map[string]string{} // span ID -> name
+	for _, sp := range spans {
+		byID[sp.SpanID] = sp.Name
+	}
+	parent := map[string]string{} // span name -> parent span name
+	for _, sp := range spans {
+		parent[sp.Name] = byID[sp.ParentSpanID]
+	}
+	if parent["sparql"] != "sparql-request" || parent["join"] != "sparql" || parent["parse"] != "sparql" {
+		t.Errorf("span parents = %v, want sparql under sparql-request and the engine phases under sparql", parent)
+	}
+
+	var prom bytes.Buffer
+	if err := reg.WriteProm(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		fmt.Sprintf(`re2xolap_server_requests_total{outcome="ok"} %d`, len(queries)),
+		"re2xolap_sparql_query_seconds_bucket",
+		fmt.Sprintf("re2xolap_store_triples %d", st.Len()),
+	} {
+		if !strings.Contains(prom.String(), want) {
+			t.Errorf("metrics lack %s", want)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"log"
 	"net/http"
 	"runtime/debug"
-	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -85,14 +84,4 @@ func Harden(h http.Handler, cfg HardenConfig) http.Handler {
 	h = Recover(h)
 	h = LimitInFlight(h, cfg.MaxInFlight)
 	return h
-}
-
-// RetryAfter formats a Retry-After value for d (helper for handlers
-// that shed with a custom hint).
-func RetryAfter(d time.Duration) string {
-	s := int(d / time.Second)
-	if s < 1 {
-		s = 1
-	}
-	return strconv.Itoa(s)
 }

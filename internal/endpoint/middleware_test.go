@@ -141,12 +141,3 @@ func TestHardenStackOrder(t *testing.T) {
 		}
 	}
 }
-
-func TestRetryAfter(t *testing.T) {
-	if got := RetryAfter(0); got != "1" {
-		t.Errorf("RetryAfter(0) = %s", got)
-	}
-	if got := RetryAfter(90 * time.Second); got != "90" {
-		t.Errorf("RetryAfter(90s) = %s", got)
-	}
-}

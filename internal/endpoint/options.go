@@ -9,9 +9,10 @@ import (
 
 // Option configures a client or server at construction time. One
 // option vocabulary covers all constructors (NewInProcess,
-// NewHTTPClient, NewResilient, NewServer); each constructor applies
-// the options it understands and ignores the rest, so a deployment
-// can thread the same observability options through every layer:
+// NewHTTPClient, NewResilient, NewServer, NewClientServer); each
+// constructor applies the options it understands and ignores the rest,
+// so a deployment can thread the same observability options through
+// every layer:
 //
 //	reg := obs.NewRegistry()
 //	slow := obs.NewSlowLog(os.Stderr, 500*time.Millisecond)
@@ -20,9 +21,9 @@ import (
 //	                endpoint.WithRegistry(reg), endpoint.WithSlowQueryLog(slow)),
 //	        endpoint.WithPolicy(policy), endpoint.WithRegistry(reg))
 //
-// Options replace the old post-construction field pokes; the struct
-// fields they shadow remain exported for compatibility but are
-// deprecated (see the field doc comments).
+// Options replace the old post-construction field pokes. The one
+// shadow field left is HTTPClient.HTTP (WithHTTPClient/WithTimeout),
+// exported for compatibility and deprecated.
 type Option func(*options)
 
 // options is the merged settings bag the constructors read.

@@ -26,11 +26,6 @@ type QueryOpts struct {
 	// Span, when non-nil, overrides the trace span from the context as
 	// the parent for this query's spans.
 	Span *obs.Span
-	// Profile asks the executing engine for a per-operator runtime
-	// profile (EXPLAIN ANALYZE data: rows in/out, wall time, estimated
-	// vs actual cardinality). Only the in-process client can honor it;
-	// remote clients ignore the flag and leave QueryMeta.Profile nil.
-	Profile bool
 }
 
 // QueryMeta is the per-query execution metadata QuerierX reports
@@ -71,11 +66,6 @@ type QueryMeta struct {
 	// Shards is the per-shard accounting (rows, wall time,
 	// attempts/retries) a coordinator reports for federated queries.
 	Shards []obs.ShardCall
-	// Profile is the per-operator runtime profile, filled only when the
-	// request set QueryOpts.Profile and the executing client is
-	// in-process. Profile.Deltas() gives estimated-vs-actual
-	// cardinality per operator.
-	Profile *sparql.Profile
 	// Generation is the data-version token of the store(s) that
 	// answered: the store's mutation counter for a single backend, a
 	// composed token for a shard coordinator. Zero when the executing
@@ -193,34 +183,63 @@ func (m *clientMetrics) record(wall time.Duration, err error) {
 	}
 }
 
-// recordSlow feeds the slow-query log from QueryMeta. Safe on a nil
-// log.
-func recordSlow(l *obs.SlowLog, query string, meta QueryMeta, err error) {
-	if !l.Slow(meta.Wall) {
+// recordQuery feeds one finished query to the sinks that take it: the
+// slow-query log when meta.Wall meets its threshold, the
+// /debug/queries ring when one is attached. The record is built only
+// then, so a query path without sinks pays two nil checks. ser is the
+// serialization time the HTTP server adds to the engine phases (zero
+// for clients). Both sinks are nil-safe.
+func recordQuery(slow *obs.SlowLog, ring *obs.QueryRing, query string, meta QueryMeta, ser time.Duration, err error) {
+	toSlow := slow.Slow(meta.Wall)
+	if !toSlow && ring == nil {
 		return
 	}
-	entry := obs.SlowQuery{
+	var p sparql.PhaseTimings
+	if meta.HasPhases {
+		p = meta.Phases
+	}
+	var phases map[string]float64
+	for _, ph := range [...]struct {
+		name string
+		d    time.Duration
+	}{
+		{"parse", p.Parse}, {"plan", p.Plan}, {"join", p.Join},
+		{"aggregate", p.Aggregate}, {"sort", p.Sort}, {"serialize", ser},
+	} {
+		if ph.d > 0 {
+			if phases == nil {
+				phases = make(map[string]float64, 6)
+			}
+			phases[ph.name] = ms(ph.d)
+		}
+	}
+	rec := obs.QueryRecord{
 		Source:        meta.Source,
 		Step:          meta.Step,
-		WallMS:        float64(meta.Wall) / float64(time.Millisecond),
+		WallMS:        ms(meta.Wall),
+		PhaseMS:       phases,
 		Rows:          meta.Rows,
 		Retries:       meta.Retries,
 		Plan:          meta.Plan,
 		Shards:        meta.Shards,
+		Incomplete:    meta.Incomplete,
 		SkippedShards: meta.SkippedShards,
 		CacheHit:      meta.CacheHit,
 		Coalesced:     meta.Coalesced,
-		QueueWaitMS:   float64(meta.QueueWait) / float64(time.Millisecond),
+		QueueWaitMS:   ms(meta.QueueWait),
 		Query:         query,
 	}
-	if meta.HasPhases {
-		entry.PhaseMS = obs.PhaseMS(meta.Phases.Map())
-	}
 	if err != nil {
-		entry.Error = err.Error()
+		rec.Error = err.Error()
 	}
-	l.Record(entry)
+	if toSlow {
+		slow.Record(rec)
+	}
+	ring.Record(rec)
 }
+
+// ms converts a duration to the records' fractional milliseconds.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // querySpan opens the per-query trace span: the explicit span from
 // the request wins, the ambient context span otherwise. Returns the

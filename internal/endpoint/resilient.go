@@ -220,7 +220,7 @@ func (c *ResilientClient) QueryX(ctx context.Context, req Request) (*sparql.Resu
 		}
 		span.End()
 		c.m.record(meta.Wall, err)
-		recordSlow(c.slow, req.Query, meta, err)
+		recordQuery(c.slow, nil, req.Query, meta, 0, err)
 		return res, meta, err
 	}
 

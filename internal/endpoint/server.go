@@ -20,18 +20,18 @@ import (
 )
 
 // Server is an http.Handler implementing the SPARQL 1.1 protocol query
-// operation over a local store: GET with ?query=, POST with a form
-// body, or POST with an application/sparql-query body, returning
-// application/sparql-results+json by default. With WithRegistry
-// it publishes request metrics and can expose /metrics, /healthz, and
-// pprof through Routes.
+// operation over a Client: GET with ?query=, POST with a form body, or
+// POST with an application/sparql-query body, returning
+// application/sparql-results+json by default. Every request is one
+// QueryX call on the client and one record in the request sinks. With
+// WithRegistry it publishes request metrics and can expose /metrics,
+// /healthz, and pprof through Routes.
 type Server struct {
-	engine *sparql.Engine
-	st     *store.Store
-	// client, when non-nil, replaces the local engine: the server is a
-	// protocol front end over an arbitrary Client (a scatter-gather
-	// coordinator, a resilient remote). See NewClientServer.
 	client Client
+	// st is the local store at the end of the client's Unwrap chain, nil
+	// when there is none (a remote endpoint, a shard coordinator).
+	// /healthz reports its size and the registry its triple gauge.
+	st *store.Store
 	// maxQueryLen bounds accepted query text; defaults to 1 MiB
 	// (WithMaxQueryLen).
 	maxQueryLen int
@@ -76,51 +76,63 @@ const GenerationHeader = "X-Re2xolap-Generation"
 // execution). Absent on plain executions.
 const CacheHeader = "X-Re2xolap-Cache"
 
-// NewServer returns a SPARQL protocol handler over st. Supported
-// options: WithRegistry (request counters, latency histograms, engine
-// phase metrics, store and worker-pool gauges), WithSlowQueryLog,
-// WithMaxQueryLen, WithWorkers.
+// NewServer returns a SPARQL protocol handler over st: a
+// NewClientServer over an in-process client. The in-process client
+// takes WithRegistry (engine phase metrics) and WithWorkers; the
+// request sinks (WithSlowQueryLog, WithTraceExport, WithQueryLog) stay
+// with the server, which records each request once.
 func NewServer(st *store.Store, opts ...Option) *Server {
 	o := applyOptions(opts)
-	s := &Server{engine: sparql.NewEngine(st), st: st, maxQueryLen: 1 << 20, slow: o.slow, traces: o.traceSink, queries: o.queryLog, ready: o.ready, routes: o.routes}
+	inner := []Option{WithRegistry(o.registry)}
+	if o.workers != nil {
+		inner = append(inner, WithWorkers(*o.workers))
+	}
+	return NewClientServer(NewInProcess(st, inner...), opts...)
+}
+
+// NewClientServer returns a SPARQL protocol handler that delegates
+// query execution to c: an in-process client, a serve stack, a
+// scatter-gather coordinator (internal/shard), a resilient remote.
+// Supported options: WithRegistry (request counters, latency and
+// serialization histograms, worker-pool gauge, and the store gauge when
+// c unwraps to an InProcess), WithSlowQueryLog, WithTraceExport,
+// WithQueryLog, WithMaxQueryLen, WithReadiness, WithTenantHeader,
+// WithRoute. A degraded partial answer (QueryMeta.Incomplete) is
+// flagged to HTTP callers via the X-Re2xolap-Incomplete response
+// header.
+func NewClientServer(c Client, opts ...Option) *Server {
+	o := applyOptions(opts)
+	s := &Server{client: c, st: localStore(c), maxQueryLen: 1 << 20, slow: o.slow, traces: o.traceSink, queries: o.queryLog, ready: o.ready, tenantHeader: o.tenantHeader, routes: o.routes}
 	if o.maxQueryLen > 0 {
 		s.maxQueryLen = o.maxQueryLen
 	}
-	if o.workers != nil {
-		s.engine.Exec.Workers = *o.workers
-	}
 	if reg := o.registry; reg != nil {
 		s.reg = reg
-		s.engine.Instrument(reg)
 		s.m = newServerMetrics(reg)
-		reg.GaugeFunc("re2xolap_store_triples", "Triples in the served store.",
-			func() float64 { return float64(st.Len()) })
+		if st := s.st; st != nil {
+			reg.GaugeFunc("re2xolap_store_triples", "Triples in the served store.",
+				func() float64 { return float64(st.Len()) })
+		}
 		reg.GaugeFunc("re2xolap_par_active_workers", "Worker-pool goroutines currently running.",
 			func() float64 { return float64(par.Active()) })
 	}
 	return s
 }
 
-// NewClientServer returns a SPARQL protocol handler that delegates
-// query execution to c instead of a local store — the front end a
-// scatter-gather coordinator (internal/shard) serves through. The
-// same option vocabulary applies; WithWorkers is meaningless here
-// (execution lives behind the client) and is ignored. A degraded
-// partial answer (QueryMeta.Incomplete) is flagged to HTTP callers
-// via the X-Re2xolap-Incomplete response header.
-func NewClientServer(c Client, opts ...Option) *Server {
-	o := applyOptions(opts)
-	s := &Server{client: c, maxQueryLen: 1 << 20, slow: o.slow, traces: o.traceSink, queries: o.queryLog, ready: o.ready, tenantHeader: o.tenantHeader, routes: o.routes}
-	if o.maxQueryLen > 0 {
-		s.maxQueryLen = o.maxQueryLen
+// localStore walks the Unwrap chain from c to an in-process client and
+// returns its store; nil when the chain ends anywhere else.
+func localStore(c Client) *store.Store {
+	for c != nil {
+		if ip, ok := c.(*InProcess); ok {
+			return ip.Engine.Store()
+		}
+		u, ok := c.(Unwrapper)
+		if !ok {
+			return nil
+		}
+		c = u.Unwrap()
 	}
-	if reg := o.registry; reg != nil {
-		s.reg = reg
-		s.m = newServerMetrics(reg)
-		reg.GaugeFunc("re2xolap_par_active_workers", "Worker-pool goroutines currently running.",
-			func() float64 { return float64(par.Active()) })
-	}
-	return s
+	return nil
 }
 
 // newServerMetrics registers the request-level server series.
@@ -228,74 +240,45 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}()
 	}
 
-	var res *sparql.Results
-	var pt sparql.PhaseTimings
-	var meta QueryMeta
-	var err error
-	timed := s.m != nil || s.slow != nil || s.queries != nil
-	switch {
-	case s.client != nil:
-		if s.tenantHeader != "" {
-			ctx = ContextWithTenant(ctx, r.Header.Get(s.tenantHeader))
-		}
-		res, meta, err = QueryX(ctx, s.client, Request{Query: query})
-		if meta.HasPhases {
-			pt = meta.Phases
-		}
-		if err == nil {
-			if meta.Generation != 0 {
-				w.Header().Set(GenerationHeader, strconv.FormatUint(meta.Generation, 10))
-			}
-			switch {
-			case meta.CacheHit:
-				w.Header().Set(CacheHeader, "hit")
-			case meta.Coalesced:
-				w.Header().Set(CacheHeader, "coalesced")
-			}
-		}
-		if meta.Incomplete && err == nil {
-			// Header, not an error status: the answer is valid, just
-			// degraded. Clients that care can check it — and see which
-			// partitions are missing, not just that one is.
-			w.Header().Set("X-Re2xolap-Incomplete", "true")
-			if len(meta.SkippedShards) > 0 {
-				w.Header().Set("X-Re2xolap-Skipped-Shards", joinInts(meta.SkippedShards))
-			}
-		}
-	case timed:
-		res, pt, err = s.engine.QueryStringTimed(ctx, query)
-	default:
-		res, err = s.engine.QueryStringContext(ctx, query)
+	if s.tenantHeader != "" {
+		ctx = ContextWithTenant(ctx, r.Header.Get(s.tenantHeader))
 	}
+	res, meta, err := QueryX(ctx, s.client, Request{Query: query})
 	if err != nil {
-		s.fail(w, query, start, pt, meta, err)
+		s.fail(w, query, start, meta, err)
 		return
+	}
+	if meta.Generation != 0 {
+		w.Header().Set(GenerationHeader, strconv.FormatUint(meta.Generation, 10))
+	}
+	switch {
+	case meta.CacheHit:
+		w.Header().Set(CacheHeader, "hit")
+	case meta.Coalesced:
+		w.Header().Set(CacheHeader, "coalesced")
+	}
+	if meta.Incomplete {
+		// Header, not an error status: the answer is valid, just
+		// degraded. Clients that care can check it — and see which
+		// partitions are missing, not just that one is.
+		w.Header().Set("X-Re2xolap-Incomplete", "true")
+		if len(meta.SkippedShards) > 0 {
+			w.Header().Set("X-Re2xolap-Skipped-Shards", joinInts(meta.SkippedShards))
+		}
 	}
 
-	var serStart time.Time
-	if timed {
-		serStart = time.Now()
-	}
+	serStart := time.Now()
 	if err := s.serialize(w, r, res); err != nil {
 		// Nothing has been written yet: the answer cannot be rendered.
-		s.fail(w, query, start, pt, meta, err)
+		s.fail(w, query, start, meta, err)
 		return
 	}
-	if timed {
-		ser := time.Since(serStart)
-		wall := time.Since(start)
-		s.m.countRequest("ok", wall)
-		if s.m != nil {
-			s.m.serialize.ObserveDuration(ser)
-		}
-		s.recordSlowWithSerialize(query, wall, pt, res.Len(), meta, ser)
-		s.recordRing(query, wall, pt, meta, res.Len(), nil)
-	}
+	s.account(query, start, meta, res.Len(), time.Since(serStart), nil)
 }
 
 // fail answers a request whose execution or rendering failed, with the
 // status its outcome maps to, and accounts for it.
-func (s *Server) fail(w http.ResponseWriter, query string, start time.Time, pt sparql.PhaseTimings, meta QueryMeta, err error) {
+func (s *Server) fail(w http.ResponseWriter, query string, start time.Time, meta QueryMeta, err error) {
 	switch requestOutcome(err) {
 	case "bad_query":
 		http.Error(w, fmt.Sprintf("malformed query: %v", err), http.StatusBadRequest)
@@ -316,91 +299,20 @@ func (s *Server) fail(w http.ResponseWriter, query string, start time.Time, pt s
 	default:
 		http.Error(w, fmt.Sprintf("query execution failed: %v", err), http.StatusInternalServerError)
 	}
+	s.account(query, start, meta, 0, 0, err)
+}
+
+// account counts one executed request by outcome and records it once
+// in the request sinks, with the server's wall time (serialization
+// included) and row count in place of the client's.
+func (s *Server) account(query string, start time.Time, meta QueryMeta, rows int, ser time.Duration, err error) {
 	wall := time.Since(start)
 	s.m.countRequest(requestOutcome(err), wall)
-	s.recordSlow(query, wall, pt, 0, meta, err)
-	s.recordRing(query, wall, pt, meta, 0, err)
-}
-
-// recordRing appends one served query's profile summary to the
-// /debug/queries ring. nil-safe (ring absent).
-func (s *Server) recordRing(query string, wall time.Duration, pt sparql.PhaseTimings, meta QueryMeta, rows int, err error) {
-	if s.queries == nil {
-		return
+	if s.m != nil && err == nil {
+		s.m.serialize.ObserveDuration(ser)
 	}
-	rec := obs.QueryRecord{
-		Source:        "server",
-		Step:          meta.Step,
-		Plan:          meta.Plan,
-		WallMS:        float64(wall) / float64(time.Millisecond),
-		Rows:          rows,
-		PhaseMS:       obs.PhaseMS(pt.Map()),
-		Shards:        meta.Shards,
-		Incomplete:    meta.Incomplete,
-		SkippedShards: meta.SkippedShards,
-		CacheHit:      meta.CacheHit,
-		Coalesced:     meta.Coalesced,
-		QueueWaitMS:   float64(meta.QueueWait) / float64(time.Millisecond),
-		Query:         query,
-	}
-	if err != nil {
-		rec.Error = err.Error()
-	}
-	s.queries.Record(rec)
-}
-
-// recordSlow feeds the structured slow-query log from the server side
-// (phase breakdown, no serialize component).
-func (s *Server) recordSlow(query string, wall time.Duration, pt sparql.PhaseTimings, rows int, meta QueryMeta, err error) {
-	if !s.slow.Slow(wall) {
-		return
-	}
-	entry := obs.SlowQuery{
-		Source:        "server",
-		Step:          meta.Step,
-		WallMS:        float64(wall) / float64(time.Millisecond),
-		PhaseMS:       obs.PhaseMS(pt.Map()),
-		Rows:          rows,
-		Retries:       meta.Retries,
-		Plan:          meta.Plan,
-		Shards:        meta.Shards,
-		SkippedShards: meta.SkippedShards,
-		CacheHit:      meta.CacheHit,
-		Coalesced:     meta.Coalesced,
-		QueueWaitMS:   float64(meta.QueueWait) / float64(time.Millisecond),
-		Query:         query,
-	}
-	if err != nil {
-		entry.Error = err.Error()
-	}
-	s.slow.Record(entry)
-}
-
-// recordSlowWithSerialize adds the serialization phase to the
-// breakdown.
-func (s *Server) recordSlowWithSerialize(query string, wall time.Duration, pt sparql.PhaseTimings, rows int, meta QueryMeta, ser time.Duration) {
-	if !s.slow.Slow(wall) {
-		return
-	}
-	phases := pt.Map()
-	if ser > 0 {
-		phases["serialize"] = ser
-	}
-	s.slow.Record(obs.SlowQuery{
-		Source:        "server",
-		Step:          meta.Step,
-		WallMS:        float64(wall) / float64(time.Millisecond),
-		PhaseMS:       obs.PhaseMS(phases),
-		Rows:          rows,
-		Retries:       meta.Retries,
-		Plan:          meta.Plan,
-		Shards:        meta.Shards,
-		SkippedShards: meta.SkippedShards,
-		CacheHit:      meta.CacheHit,
-		Coalesced:     meta.Coalesced,
-		QueueWaitMS:   float64(meta.QueueWait) / float64(time.Millisecond),
-		Query:         query,
-	})
+	meta.Source, meta.Wall, meta.Rows = "server", wall, rows
+	recordQuery(s.slow, s.queries, query, meta, ser, err)
 }
 
 // serialize writes res in the negotiated format. The error is a JSON

@@ -181,11 +181,11 @@ func TestSlowLog(t *testing.T) {
 	var buf strings.Builder
 	l := NewSlowLog(&buf, 100*time.Millisecond)
 	l.now = func() time.Time { return time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC) }
-	l.Record(SlowQuery{Source: "test", WallMS: 50, Query: "SELECT fast"})
+	l.Record(QueryRecord{Source: "test", WallMS: 50, Query: "SELECT fast"})
 	if buf.Len() != 0 {
 		t.Fatalf("fast query logged: %q", buf.String())
 	}
-	l.Record(SlowQuery{
+	l.Record(QueryRecord{
 		Source: "test", Step: "witness", WallMS: 250, Rows: 3,
 		PhaseMS: map[string]float64{"join": 200.5},
 		Query:   "SELECT slow",
@@ -210,21 +210,8 @@ func TestSlowLog(t *testing.T) {
 func TestSlowLogTruncatesQuery(t *testing.T) {
 	var buf strings.Builder
 	l := NewSlowLog(&buf, 0)
-	l.Record(SlowQuery{Source: "test", WallMS: 1, Query: strings.Repeat("x", 3*maxSlowQueryLen)})
+	l.Record(QueryRecord{Source: "test", WallMS: 1, Query: strings.Repeat("x", 3*maxSlowQueryLen)})
 	if !strings.Contains(buf.String(), "...(truncated)") {
 		t.Fatal("oversized query was not truncated")
-	}
-}
-
-func TestPhaseMS(t *testing.T) {
-	out := PhaseMS(map[string]time.Duration{
-		"join":  150 * time.Millisecond,
-		"parse": 0, // dropped
-	})
-	if len(out) != 1 || out["join"] != 150 {
-		t.Fatalf("PhaseMS = %v", out)
-	}
-	if PhaseMS(nil) != nil {
-		t.Fatal("PhaseMS(nil) != nil")
 	}
 }

@@ -25,31 +25,53 @@ type ShardCall struct {
 	Error     string  `json:"error,omitempty"`
 }
 
-// QueryRecord is one entry of the query ring buffer: a structured
-// profile summary of one served query, the JSON the /debug/queries
-// endpoint returns.
+// QueryRecord is one served query's profile summary: the JSON line
+// the slow-query log writes and the entry the /debug/queries ring
+// holds, so both sinks report the same fields for the same request.
+// Durations are milliseconds so the records are directly plottable.
 type QueryRecord struct {
-	Time   string `json:"time"`
-	Source string `json:"source,omitempty"`
-	Step   string `json:"step,omitempty"` // issuing workflow step tag
-	// Plan is the federation plan class (colocated/partial_agg/gather)
-	// when the query went through a shard coordinator.
-	Plan       string             `json:"plan,omitempty"`
-	WallMS     float64            `json:"wall_ms"`
-	Rows       int                `json:"rows"`
-	PhaseMS    map[string]float64 `json:"phase_ms,omitempty"`
-	Shards     []ShardCall        `json:"shards,omitempty"`
-	Incomplete bool               `json:"incomplete,omitempty"`
-	// SkippedShards lists the shard indices a degraded-mode answer was
-	// served without (Incomplete is then true).
+	Time   string  `json:"time"`
+	Source string  `json:"source"`         // "inprocess", "http", "resilient", "server"
+	Step   string  `json:"step,omitempty"` // issuing workflow step tag
+	WallMS float64 `json:"wall_ms"`
+	// PhaseMS breaks the wall time into engine phases (parse, plan,
+	// join, aggregate, sort) and serialization, when the executing layer
+	// reports them; zero phases are absent.
+	PhaseMS map[string]float64 `json:"phase_ms,omitempty"`
+	Rows    int                `json:"rows"`
+	Retries int                `json:"retries,omitempty"`
+	// Plan and Shards describe federated execution: the coordinator's
+	// plan class (colocated/partial_agg/bound_join/gather) and the
+	// per-shard attempt/retry/row accounting.
+	Plan   string      `json:"plan,omitempty"`
+	Shards []ShardCall `json:"shards,omitempty"`
+	// Incomplete marks a degraded-mode answer; SkippedShards lists the
+	// shard indices it was served without.
+	Incomplete    bool  `json:"incomplete,omitempty"`
 	SkippedShards []int `json:"skipped_shards,omitempty"`
-	// CacheHit and Coalesced report serve-layer handling; QueueWaitMS
-	// is admission-control queue time (see SlowQuery for semantics).
+	// CacheHit and Coalesced report serve-layer handling: answered
+	// from the result cache, or deduplicated onto a concurrent
+	// identical execution. QueueWaitMS is admission-control queue time
+	// — a "slow" query that spent its wall time queued is then
+	// distinguishable from one that was slow to join.
 	CacheHit    bool    `json:"cache_hit,omitempty"`
 	Coalesced   bool    `json:"coalesced,omitempty"`
 	QueueWaitMS float64 `json:"queue_wait_ms,omitempty"`
 	Error       string  `json:"error,omitempty"`
 	Query       string  `json:"query"`
+}
+
+// maxSlowQueryLen bounds the recorded query text so one enormous
+// VALUES block cannot bloat a sink.
+const maxSlowQueryLen = 2048
+
+// stamp fills the timestamp and truncates oversized query text, the
+// normalization both sinks apply on Record.
+func (q *QueryRecord) stamp(now time.Time) {
+	q.Time = now.UTC().Format(time.RFC3339Nano)
+	if len(q.Query) > maxSlowQueryLen {
+		q.Query = q.Query[:maxSlowQueryLen] + "...(truncated)"
+	}
 }
 
 // QueryRing keeps the last N query records in a fixed ring. A nil
@@ -80,10 +102,7 @@ func (r *QueryRing) Record(q QueryRecord) {
 	if r == nil {
 		return
 	}
-	q.Time = r.now().UTC().Format(time.RFC3339Nano)
-	if len(q.Query) > maxSlowQueryLen {
-		q.Query = q.Query[:maxSlowQueryLen] + "...(truncated)"
-	}
+	q.stamp(r.now())
 	r.mu.Lock()
 	r.buf[r.next] = q
 	r.next++

@@ -98,8 +98,8 @@ func TestNewRotatingSlowLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	l.Record(SlowQuery{Source: "server", WallMS: 5, Query: "SELECT 1"})
-	l.Record(SlowQuery{Source: "server", WallMS: 0.1, Query: "fast"}) // below threshold
+	l.Record(QueryRecord{Source: "server", WallMS: 5, Query: "SELECT 1"})
+	l.Record(QueryRecord{Source: "server", WallMS: 0.1, Query: "fast"}) // below threshold
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -8,42 +8,6 @@ import (
 	"time"
 )
 
-// SlowQuery is one structured slow-query log entry, serialized as a
-// single JSON line. Durations are milliseconds so the log is directly
-// plottable; PhaseMS breaks the wall time into engine phases when the
-// executing layer reports them.
-type SlowQuery struct {
-	Time    string             `json:"time"`
-	Source  string             `json:"source"`         // "inprocess", "http", "resilient", "server"
-	Step    string             `json:"step,omitempty"` // issuing workflow step tag
-	WallMS  float64            `json:"wall_ms"`
-	PhaseMS map[string]float64 `json:"phase_ms,omitempty"` // parse/plan/join/aggregate/sort/serialize
-	Rows    int                `json:"rows"`
-	Retries int                `json:"retries,omitempty"`
-	// Plan and Shards describe federated execution: the coordinator's
-	// plan class (colocated/partial_agg/gather) and the per-shard
-	// attempt/retry/row accounting.
-	Plan   string      `json:"plan,omitempty"`
-	Shards []ShardCall `json:"shards,omitempty"`
-	// SkippedShards lists the shard indices a degraded-mode answer was
-	// served without.
-	SkippedShards []int `json:"skipped_shards,omitempty"`
-	// CacheHit and Coalesced report serve-layer handling: answered
-	// from the result cache, or deduplicated onto a concurrent
-	// identical execution. QueueWaitMS is admission-control queue time
-	// — a "slow" query that spent its wall time queued is then
-	// distinguishable from one that was slow to join.
-	CacheHit    bool    `json:"cache_hit,omitempty"`
-	Coalesced   bool    `json:"coalesced,omitempty"`
-	QueueWaitMS float64 `json:"queue_wait_ms,omitempty"`
-	Error       string  `json:"error,omitempty"`
-	Query       string  `json:"query"`
-}
-
-// maxSlowQueryLen bounds the logged query text so one enormous VALUES
-// block cannot bloat the log.
-const maxSlowQueryLen = 2048
-
 // SlowLog writes queries slower than a threshold as JSON lines. A nil
 // *SlowLog is the disabled state: Slow reports false and Record
 // no-ops, so callers need no separate branch. Safe for concurrent use
@@ -78,14 +42,11 @@ func (l *SlowLog) Logged() int64 {
 // Record writes one entry if q.WallMS meets the threshold, filling
 // the timestamp and truncating oversized query text. Call it
 // unconditionally after each query; the threshold check is inside.
-func (l *SlowLog) Record(q SlowQuery) {
+func (l *SlowLog) Record(q QueryRecord) {
 	if l == nil || time.Duration(q.WallMS*float64(time.Millisecond)) < l.threshold {
 		return
 	}
-	q.Time = l.now().UTC().Format(time.RFC3339Nano)
-	if len(q.Query) > maxSlowQueryLen {
-		q.Query = q.Query[:maxSlowQueryLen] + "...(truncated)"
-	}
+	q.stamp(l.now())
 	line, err := json.Marshal(q)
 	if err != nil {
 		return
@@ -95,20 +56,4 @@ func (l *SlowLog) Record(q SlowQuery) {
 	_, _ = l.w.Write(line)
 	l.mu.Unlock()
 	l.logged.Add(1)
-}
-
-// PhaseMS converts a set of named durations into the milliseconds map
-// a SlowQuery carries, dropping zero phases.
-func PhaseMS(phases map[string]time.Duration) map[string]float64 {
-	var out map[string]float64
-	for k, d := range phases {
-		if d <= 0 {
-			continue
-		}
-		if out == nil {
-			out = make(map[string]float64, len(phases))
-		}
-		out[k] = float64(d) / float64(time.Millisecond)
-	}
-	return out
 }

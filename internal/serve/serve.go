@@ -92,12 +92,12 @@ func WithoutSingleFlight() Option {
 //
 //	canonicalize → cache lookup → single-flight → admission → inner
 //
-// Profile requests and unparseable queries bypass cache and
-// deduplication (both need a real execution / the inner client's real
-// error) but still pass admission. Stack implements
-// endpoint.QuerierX; cache hits and coalesced answers are flagged in
-// QueryMeta (CacheHit, Coalesced) so they are visible in the slow
-// log, the /debug/queries ring, and HTTP response headers.
+// Queries that do not parse as SPARQL — EXPLAIN ANALYZE among them —
+// bypass cache and deduplication (a profile needs a real execution, a
+// bad query the inner client's real error) but still pass admission.
+// Stack implements endpoint.QuerierX; cache hits and coalesced answers
+// are flagged in QueryMeta (CacheHit, Coalesced) so they are visible in
+// the slow log, the /debug/queries ring, and HTTP response headers.
 type Stack struct {
 	inner  endpoint.Client
 	cache  *lru.Cache[*cachedAnswer] // nil = cache disabled
@@ -208,13 +208,8 @@ func (s *Stack) tenantOf(ctx context.Context) string {
 func (s *Stack) queryX(ctx context.Context, req endpoint.Request) (*sparql.Results, endpoint.QueryMeta, error) {
 	start := time.Now()
 
-	// Profile requests need a real execution (the profile is a side
-	// effect of running), and unparseable queries need the inner
-	// client's real error; both bypass cache and dedup but not
-	// admission.
-	if req.Opts.Profile {
-		return s.execute(ctx, req)
-	}
+	// Unparseable queries, EXPLAIN ANALYZE among them, need a real
+	// execution: they bypass cache and dedup but not admission.
 	canonical, ok := s.canonical(req.Query)
 	if !ok {
 		return s.execute(ctx, req)

@@ -174,28 +174,43 @@ func TestGenerationInvalidation(t *testing.T) {
 	}
 }
 
-// TestProfileAndUnparseableBypassCache: profile requests and queries
-// that fail to parse must always reach the inner client.
+// TestProfileAndUnparseableBypassCache: EXPLAIN ANALYZE profile
+// requests and queries that fail to parse must always reach the inner
+// client.
 func TestProfileAndUnparseableBypassCache(t *testing.T) {
 	st := newTestStore(t)
 	inner := &countingClient{inner: endpoint.NewInProcess(st)}
-	s := New(inner, WithResultCache(16))
+	reg := obs.NewRegistry()
+	s := New(inner, WithResultCache(16), WithRegistry(reg))
 	ctx := context.Background()
+	executions := reg.Counter("re2xolap_serve_executions_total", "")
 
 	for i := 0; i < 2; i++ {
-		_, meta, err := s.QueryX(ctx, endpoint.Request{Query: valueQuery, Opts: endpoint.QueryOpts{Profile: true}})
+		res, meta, err := s.QueryX(ctx, endpoint.Request{Query: "EXPLAIN ANALYZE " + valueQuery})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if meta.CacheHit {
+		if meta.CacheHit || meta.Coalesced {
 			t.Error("profile request served from cache")
 		}
-		if meta.Profile == nil {
-			t.Error("profile request lost its profile")
+		var plan strings.Builder
+		for _, row := range res.Rows {
+			plan.WriteString(row[0].Value)
+		}
+		for _, want := range []string{"est=", "in=", "out="} {
+			if !strings.Contains(plan.String(), want) {
+				t.Errorf("profile request lost its profile (no %q):\n%s", want, plan.String())
+			}
 		}
 	}
 	if n := inner.n.Load(); n != 2 {
 		t.Errorf("profile requests executed %d times, want 2", n)
+	}
+	if v := executions.Value(); v != 2 {
+		t.Errorf("serve executions = %d, want 2", v)
+	}
+	if stats := s.Stats(); stats.CacheEntries != 0 {
+		t.Errorf("profile answers cached: %+v", stats)
 	}
 
 	if _, _, err := s.QueryX(ctx, endpoint.Request{Query: "NOT SPARQL AT ALL"}); err == nil {

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"re2xolap/internal/obs"
 	"re2xolap/internal/par"
 	"re2xolap/internal/rdf"
 	"re2xolap/internal/store"
@@ -33,8 +32,7 @@ type Engine struct {
 	DisableJoinOrdering bool
 
 	// metrics holds the pre-registered observability series; nil until
-	// Instrument is called. The query path checks this one pointer to
-	// decide between the timed and the bare execution paths.
+	// Instrument is called.
 	metrics *engineMetrics
 }
 
@@ -58,26 +56,6 @@ func (e *Engine) QueryString(src string) (*Results, error) {
 		return nil, err
 	}
 	return e.Query(q)
-}
-
-// QueryStringContext parses and executes src under ctx: cancellation
-// or deadline expiry aborts the join mid-flight. When the engine is
-// instrumented (Instrument) or ctx carries a trace span, execution is
-// routed through the timed path so phase metrics and spans are
-// recorded; otherwise this is the zero-overhead path.
-func (e *Engine) QueryStringContext(ctx context.Context, src string) (*Results, error) {
-	if rest, analyze, ok := explainPrefix(src); ok {
-		return e.runExplain(ctx, rest, analyze)
-	}
-	if e.metrics != nil || obs.SpanFrom(ctx) != nil {
-		res, _, err := e.QueryStringTimed(ctx, src)
-		return res, err
-	}
-	q, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return e.QueryContext(ctx, q)
 }
 
 // Query executes a parsed query without cancellation.

@@ -36,7 +36,7 @@ func TestExecCancelledClosure(t *testing.T) {
 	st := chainStore(t, 300)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := NewEngine(st).QueryStringContext(ctx,
+	_, _, err := NewEngine(st).QueryStringTimed(ctx,
 		`SELECT ?x WHERE { <http://ex.org/a0> <http://ex.org/up>+ ?x . }`)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -49,7 +49,7 @@ func TestExecCancelledAggregation(t *testing.T) {
 	st := testStore(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := NewEngine(st).QueryStringContext(ctx,
+	_, _, err := NewEngine(st).QueryStringTimed(ctx,
 		`SELECT ?d (SUM(?v) AS ?total) WHERE { ?o <http://ex.org/dest> ?d . ?o <http://ex.org/value> ?v . } GROUP BY ?d`)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -104,7 +104,7 @@ func TestExecDeadlineStopsClosurePromptly(t *testing.T) {
 	defer cancel()
 	time.Sleep(5 * time.Millisecond) // let the deadline pass before work starts
 	t0 := time.Now()
-	_, err := NewEngine(st).QueryStringContext(ctx,
+	_, _, err := NewEngine(st).QueryStringTimed(ctx,
 		`SELECT ?x ?y WHERE { ?x <http://ex.org/up>+ ?y . }`)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
@@ -144,7 +144,7 @@ func TestExecCancelStopsJoin(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			done := make(chan error, 1)
 			go func() {
-				_, err := eng.QueryStringContext(ctx, tc.query)
+				_, _, err := eng.QueryStringTimed(ctx, tc.query)
 				done <- err
 			}()
 			time.Sleep(50 * time.Millisecond) // let the join get going
@@ -169,7 +169,7 @@ func TestExecCancelStopsBudgetedJoin(t *testing.T) {
 	st := chainStore(t, 400)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := NewEngine(st).QueryStringContext(ctx,
+	_, _, err := NewEngine(st).QueryStringTimed(ctx,
 		`ASK { ?a ?p ?b . ?c ?q ?d . ?e ?r ?f . FILTER (?a = ?f && ?a != ?a) }`)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

@@ -914,7 +914,7 @@ func TestExecContextCancellation(t *testing.T) {
 	// Already-cancelled context: the heavy product query must abort.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := eng.QueryStringContext(ctx, `SELECT (COUNT(*) AS ?n) WHERE {
+	_, _, err := eng.QueryStringTimed(ctx, `SELECT (COUNT(*) AS ?n) WHERE {
 		?a <http://ex.org/p> ?x .
 		?b <http://ex.org/q> ?y .
 	}`)
@@ -925,7 +925,7 @@ func TestExecContextCancellation(t *testing.T) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 	// The same query succeeds with a live context.
-	res, err := eng.QueryStringContext(context.Background(), `SELECT (COUNT(*) AS ?n) WHERE {
+	res, _, err := eng.QueryStringTimed(context.Background(), `SELECT (COUNT(*) AS ?n) WHERE {
 		?a <http://ex.org/p> ?x .
 		?b <http://ex.org/q> ?y .
 	}`)
@@ -951,7 +951,7 @@ func TestExecDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	time.Sleep(time.Millisecond)
-	if _, err := eng.QueryStringContext(ctx, `SELECT (COUNT(*) AS ?n) WHERE {
+	if _, _, err := eng.QueryStringTimed(ctx, `SELECT (COUNT(*) AS ?n) WHERE {
 		?a <http://ex.org/p> ?x . ?b <http://ex.org/p> ?y . ?c <http://ex.org/p> ?z .
 	}`); err == nil {
 		t.Fatal("deadline-expired query succeeded")

@@ -78,7 +78,7 @@ func BenchmarkBGPJoinObserved(b *testing.B) {
 		ctx := context.Background()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.QueryStringContext(ctx, q); err != nil {
+			if _, _, err := eng.QueryStringTimed(ctx, q); err != nil {
 				b.Fatal(err)
 			}
 		}

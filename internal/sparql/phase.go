@@ -32,23 +32,6 @@ func (p PhaseTimings) Total() time.Duration {
 	return p.Parse + p.Plan + p.Join + p.Aggregate + p.Sort
 }
 
-// Map returns the non-zero phases by name, for slow-query logging.
-func (p PhaseTimings) Map() map[string]time.Duration {
-	m := make(map[string]time.Duration, 5)
-	for _, ph := range []struct {
-		name string
-		d    time.Duration
-	}{
-		{"parse", p.Parse}, {"plan", p.Plan}, {"join", p.Join},
-		{"aggregate", p.Aggregate}, {"sort", p.Sort},
-	} {
-		if ph.d > 0 {
-			m[ph.name] = ph.d
-		}
-	}
-	return m
-}
-
 // engineMetrics caches the engine's registry series so the per-query
 // cost of metrics is a handful of atomic adds — no registry lookups
 // on the hot path.
@@ -62,10 +45,10 @@ type engineMetrics struct {
 
 var phaseNames = [5]string{"parse", "plan", "join", "aggregate", "sort"}
 
-// Instrument registers the engine's query metrics in reg and routes
-// string-entry queries (QueryStringContext and the protocol layer
-// above it) through the timed path. Call it at construction time,
-// before the engine serves queries; a nil reg disables metrics again.
+// Instrument registers the engine's query metrics in reg; the timed
+// entry points (QueryStringTimed, Profile) publish to them. Call it at
+// construction time, before the engine serves queries; a nil reg
+// disables metrics again.
 func (e *Engine) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		e.metrics = nil
@@ -84,11 +67,10 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 	e.metrics = m
 }
 
-// Instrumented reports whether Instrument installed a registry.
-func (e *Engine) Instrumented() bool { return e.metrics != nil }
-
-// QueryStringTimed parses and executes src like QueryStringContext,
-// additionally reporting the per-phase wall-time breakdown. Metrics
+// QueryStringTimed parses and executes src under ctx (cancellation or
+// deadline expiry aborts the join mid-flight), reporting the per-phase
+// wall-time breakdown. An EXPLAIN or EXPLAIN ANALYZE prefix returns the
+// plan or the runtime profile as a one-column result set. Metrics
 // (if instrumented) and trace spans (if ctx carries one) are recorded
 // as a side effect. The protocol layer uses this to fill QueryMeta
 // and feed the slow-query log.
