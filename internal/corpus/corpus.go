@@ -1,5 +1,5 @@
 // Package corpus holds the shared determinism test corpus: a fully
-// deterministic dataset plus the 33-query suite covering every query
+// deterministic dataset plus the 34-query suite covering every query
 // shape and federation plan class. The shard determinism tests and the
 // serve-layer cache tests both run it — the contract is that any
 // serving configuration (shard count, replica failover, result cache
@@ -75,7 +75,7 @@ type Query struct {
 	Plan          string
 }
 
-// Queries is the full 33-query determinism corpus: ORDER BY+LIMIT,
+// Queries is the full 34-query determinism corpus: ORDER BY+LIMIT,
 // DISTINCT, HAVING, each aggregate, plus every fallback-triggering
 // shape.
 func Queries() []Query {
@@ -143,6 +143,11 @@ func Queries() []Query {
 			"exact", "colocated"},
 		{"closure-gather",
 			`SELECT ?b WHERE { <http://t/p0> <http://t/knows>+ ?b } ORDER BY ?b`,
+			"exact", "gather"},
+		{"closure-zero-length-gather",
+			// r0 has no knows edge, so the gathered store does not hold
+			// it: the zero-length path must still bind ?b to it.
+			`SELECT ?b WHERE { <http://t/r0> <http://t/knows>* ?b } ORDER BY ?b`,
 			"exact", "gather"},
 		{"join-bound",
 			`SELECT ?s ?c WHERE { ?s <http://t/region> ?r . ?r <http://t/partOf> ?c } ORDER BY ?s`,

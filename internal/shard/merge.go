@@ -46,7 +46,7 @@ func unionResults(q *sparql.Query, results []*sparql.Results) (*sparql.Results, 
 // unionGraphs merges CONSTRUCT outputs: a graph is a set, so the
 // shard graphs are united, deduplicated, and canonically ordered.
 func unionGraphs(results []*sparql.Results) (*sparql.Results, error) {
-	all := newGatherPart()
+	all := newGatherPart(0, 0)
 	any := false
 	for _, r := range results {
 		if r == nil {

@@ -594,6 +594,10 @@ func (ex *executor) joinClosure(rows []row, cp ClosurePattern) ([]row, error) {
 		}
 		return nil, nil
 	}
+	sConst, oConst, ok := ex.closureConsts(cp)
+	if !ok {
+		return nil, nil
+	}
 	sPos, oPos := -1, -1
 	if cp.S.IsVar {
 		sPos = ex.slot(cp.S.Var)
@@ -602,13 +606,6 @@ func (ex *executor) joinClosure(rows []row, cp ClosurePattern) ([]row, error) {
 		oPos = ex.slot(cp.O.Var)
 	}
 	rows = ex.extendRows(rows)
-	constID := func(n Node) store.ID {
-		if n.IsVar {
-			return 0
-		}
-		id, _ := ex.dict.Lookup(n.Term)
-		return id
-	}
 	var out []row
 	for _, r := range rows {
 		// Closure expansion over a dense predicate can dominate the
@@ -616,13 +613,13 @@ func (ex *executor) joinClosure(rows []row, cp ClosurePattern) ([]row, error) {
 		if err := ex.ctxErr(); err != nil {
 			return nil, err
 		}
-		get := func(pos int, n Node) store.ID {
-			if pos >= 0 {
-				return r[pos]
-			}
-			return constID(n)
+		sID, oID := sConst, oConst
+		if sPos >= 0 {
+			sID = r[sPos]
 		}
-		sID, oID := get(sPos, cp.S), get(oPos, cp.O)
+		if oPos >= 0 {
+			oID = r[oPos]
+		}
 		switch {
 		case sID != 0:
 			targets := ex.closureFrom(sID, pid, true, cp.MinZero)
@@ -670,6 +667,30 @@ func (ex *executor) joinClosure(rows []row, cp ClosurePattern) ([]row, error) {
 	return out, nil
 }
 
+// closureConsts resolves the closure's constant endpoints to IDs (0
+// for a variable endpoint). A constant the store does not hold has no
+// edges, so under + the pattern has no solution (ok is false), while
+// under * it still has the zero-length one, S = O; the constant is
+// then encoded the way VALUES encodes its terms, so that solution can
+// bind it.
+func (ex *executor) closureConsts(cp ClosurePattern) (s, o store.ID, ok bool) {
+	resolve := func(n Node) (store.ID, bool) {
+		if n.IsVar {
+			return 0, true
+		}
+		if id, known := ex.dict.Lookup(n.Term); known {
+			return id, true
+		}
+		if !cp.MinZero {
+			return 0, false
+		}
+		return ex.dict.Encode(n.Term), true
+	}
+	s, sOK := resolve(cp.S)
+	o, oOK := resolve(cp.O)
+	return s, o, sOK && oOK
+}
+
 // joinZeroLength handles <p>* when p has no edges at all: S = O.
 func (ex *executor) joinZeroLength(rows []row, cp ClosurePattern) []row {
 	if !cp.S.IsVar && !cp.O.IsVar {
@@ -687,19 +708,16 @@ func (ex *executor) joinZeroLength(rows []row, cp ClosurePattern) []row {
 	if cp.O.IsVar {
 		oPos = ex.slot(cp.O.Var)
 	}
+	sConst, oConst, _ := ex.closureConsts(cp)
 	rows = ex.extendRows(rows)
 	var out []row
 	for _, r := range rows {
-		var sID, oID store.ID
+		sID, oID := sConst, oConst
 		if sPos >= 0 {
 			sID = r[sPos]
-		} else {
-			sID, _ = ex.dict.Lookup(cp.S.Term)
 		}
 		if oPos >= 0 {
 			oID = r[oPos]
-		} else {
-			oID, _ = ex.dict.Lookup(cp.O.Term)
 		}
 		switch {
 		case sID != 0 && oID != 0:

@@ -624,6 +624,42 @@ func TestExecClosureUnknownPredicate(t *testing.T) {
 	}
 }
 
+// TestExecClosureUnknownConstant: a constant endpoint the store does
+// not hold has no edges, so SPARQL's zero-or-more path still gives it
+// the zero-length solution and the one-or-more path gives nothing —
+// with the predicate present or absent, and without indexing a
+// missing slot.
+func TestExecClosureUnknownConstant(t *testing.T) {
+	st := closureStore(t)
+	const zzz = "http://x/zzz"
+	for _, tt := range []struct {
+		query string
+		want  string // sorted column ?o, or the ASK answer
+	}{
+		{`SELECT ?o WHERE { <http://x/zzz> <http://ex.org/parent>* ?o }`, "[" + zzz + "]"},
+		{`SELECT ?o WHERE { <http://x/zzz> <http://ex.org/parent>+ ?o }`, "[]"},
+		{`SELECT ?o WHERE { ?o <http://ex.org/parent>* <http://x/zzz> }`, "[" + zzz + "]"},
+		{`SELECT ?o WHERE { ?o <http://ex.org/parent>+ <http://x/zzz> }`, "[]"},
+		{`SELECT ?o WHERE { <http://x/zzz> <http://ex.org/nosuch>* ?o }`, "[" + zzz + "]"},
+		{`SELECT ?o WHERE { ?o <http://ex.org/nosuch>* <http://x/zzz> }`, "[" + zzz + "]"},
+		{`SELECT ?o WHERE { <http://ex.org/g1> <http://ex.org/parent>* <http://x/zzz> . <http://ex.org/g1> <http://ex.org/parent> ?o }`, "[]"},
+		{`SELECT ?o WHERE { <http://ex.org/g1> <http://ex.org/parent> ?o . ?o <http://ex.org/parent>* <http://x/zzz> }`, "[]"},
+		{`ASK { <http://x/zzz> <http://ex.org/parent>* <http://x/zzz> }`, "true"},
+		{`ASK { <http://x/zzz> <http://ex.org/parent>+ <http://x/zzz> }`, "false"},
+		{`ASK { <http://x/zzz> <http://ex.org/parent>* <http://ex.org/g1> }`, "false"},
+		{`ASK { <http://ex.org/g1> <http://ex.org/parent>+ <http://x/zzz> }`, "false"},
+	} {
+		res := runQuery(t, st, tt.query)
+		got := fmt.Sprint(res.Boolean)
+		if !res.IsAsk {
+			got = fmt.Sprint(sortedColumn(res, "o"))
+		}
+		if got != tt.want {
+			t.Errorf("%s = %s, want %s", tt.query, got, tt.want)
+		}
+	}
+}
+
 func TestExecConstruct(t *testing.T) {
 	st := testStore(t)
 	// Materialize a flattened view: observation → continent of origin.

@@ -77,8 +77,62 @@ type index struct {
 
 // sortEntries sorts and deduplicates the entries.
 func (ix *index) sortEntries() {
-	slices.SortFunc(ix.entries, tripleCmp)
-	ix.entries = slices.Compact(ix.entries)
+	ix.entries = SortTriples(ix.entries)
+}
+
+// radixCutoff is the length below which SortTriples compares instead
+// of counting: every radix pass walks a 256-bucket histogram, which
+// only pays once there are a few hundred entries to move.
+const radixCutoff = 256
+
+// SortTriples sorts ts component-wise ascending (the order tripleCmp
+// defines) in place, removes duplicates and returns the shortened
+// slice. Past radixCutoff it is an LSD radix sort over the twelve
+// bytes of a triple, least significant first; a byte position on
+// which every triple agrees cannot reorder anything and is skipped,
+// so dense IDs below 2^16 cost six passes, not twelve.
+func SortTriples(ts [][3]ID) [][3]ID {
+	if len(ts) < radixCutoff {
+		slices.SortFunc(ts, tripleCmp)
+		return slices.Compact(ts)
+	}
+	// counts[d] is the histogram of byte position d, numbered from the
+	// least significant: d = 4*(2-component) + byte within the ID.
+	var counts [12][256]uint32
+	for _, t := range ts {
+		for c, id := range t {
+			base := 4 * (2 - c)
+			counts[base][uint8(id)]++
+			counts[base+1][uint8(id>>8)]++
+			counts[base+2][uint8(id>>16)]++
+			counts[base+3][uint8(id>>24)]++
+		}
+	}
+	n := uint32(len(ts))
+	src, dst := ts, make([][3]ID, len(ts))
+	for d := range counts {
+		c, shift := 2-d/4, 8*uint(d%4)
+		h := &counts[d]
+		if h[uint8(src[0][c]>>shift)] == n {
+			continue // every triple shares this byte
+		}
+		var off [256]uint32
+		sum := uint32(0)
+		for b, k := range h {
+			off[b] = sum
+			sum += k
+		}
+		for _, t := range src {
+			b := uint8(t[c] >> shift)
+			dst[off[b]] = t
+			off[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &ts[0] {
+		copy(ts, src)
+	}
+	return slices.Compact(ts)
 }
 
 // buildOffsets derives the offset array from the sorted entries in one
