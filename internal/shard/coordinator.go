@@ -97,6 +97,8 @@ type Coordinator struct {
 	probeDone   chan struct{}
 
 	fleet *fleetCollector // nil unless WithFleet is set
+
+	facts predicateFacts // what the gather plan's star fetches rely on
 }
 
 // New builds a coordinator over single-replica shards (index = shard

@@ -270,7 +270,8 @@ func TestNoFailoverOnPermanentError(t *testing.T) {
 	}
 }
 
-// countingClient counts queries through to its inner client.
+// countingClient counts queries through to its inner client, whose
+// store generation it passes on.
 type countingClient struct {
 	inner endpoint.Client
 	calls *int
@@ -280,6 +281,8 @@ func (c countingClient) Query(ctx context.Context, query string) (*sparql.Result
 	*c.calls++
 	return c.inner.Query(ctx, query)
 }
+
+func (c countingClient) Unwrap() endpoint.Client { return c.inner }
 
 // TestSkippedShardIndices checks satellite detail: a degraded answer
 // names exactly which shards it is missing, in the meta and in the
