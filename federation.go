@@ -21,8 +21,8 @@ type (
 	// ShardTopologyView is one resolved topology.
 	ShardTopologyView = shard.TopologyView
 	// ShardOption configures NewCoordinatorClient (see WithHedge,
-	// WithHealth, WithDegraded, WithPlanCache, WithBoundJoinChunk,
-	// WithShardWorkers, WithShardRegistry, WithShardPolicy).
+	// WithHealth, WithDegraded, WithPlanCache, WithShardWorkers,
+	// WithShardRegistry, WithShardPolicy).
 	ShardOption = shard.Option
 	// ShardHealthConfig configures the background replica prober.
 	ShardHealthConfig = shard.HealthConfig
@@ -51,9 +51,6 @@ var (
 	// WithPlanCache sizes the coordinator's LRU plan cache; <= 0
 	// disables it.
 	WithPlanCache = shard.WithPlanCache
-	// WithBoundJoinChunk caps the VALUES rows shipped per bound-join
-	// fetch query.
-	WithBoundJoinChunk = shard.WithBoundJoinChunk
 	// WithShardWorkers bounds the coordinator's scatter concurrency.
 	WithShardWorkers = shard.WithWorkers
 	// WithShardRegistry wires coordinator metrics into a Registry.

@@ -15,6 +15,16 @@ import (
 	"re2xolap/internal/vgraph"
 )
 
+const (
+	// maxCandidates caps how many members a single keyword may resolve
+	// to before the search is truncated.
+	maxCandidates = 1000
+	// maxCombinations caps the interpretation combinations explored.
+	maxCombinations = 5000
+	// valuesChunk is the VALUES block size for membership queries.
+	valuesChunk = 500
+)
+
 // Engine runs ReOLAP query synthesis against a SPARQL endpoint, using a
 // bootstrapped virtual schema graph for all structural decisions.
 type Engine struct {
@@ -22,15 +32,6 @@ type Engine struct {
 	Graph  *vgraph.Graph
 	Config qb.Config
 
-	// MaxCandidates caps how many members a single keyword may resolve
-	// to before the search is truncated (defaults to 1000).
-	MaxCandidates int
-	// MaxCombinations caps the interpretation combinations explored
-	// (defaults to 5000).
-	MaxCombinations int
-	// ValuesChunk is the VALUES block size for membership queries
-	// (defaults to 500).
-	ValuesChunk int
 	// DisableMatchCache turns off the keyword-match LRU (used by the
 	// ablation benchmarks).
 	DisableMatchCache bool
@@ -54,13 +55,10 @@ type Engine struct {
 // virtual graph.
 func NewEngine(c endpoint.Client, g *vgraph.Graph, cfg qb.Config) *Engine {
 	return &Engine{
-		Client:          c,
-		Graph:           g,
-		Config:          cfg.WithDefaults(),
-		MaxCandidates:   1000,
-		MaxCombinations: 5000,
-		ValuesChunk:     500,
-		cache:           newMatchCache(256),
+		Client: c,
+		Graph:  g,
+		Config: cfg.WithDefaults(),
+		cache:  newMatchCache(256),
 	}
 }
 
@@ -149,7 +147,7 @@ func (e *Engine) matchItemUncached(ctx context.Context, item ExampleItem) ([]Mat
 			}
 		}
 		for _, row := range res.Rows {
-			if len(cands) >= e.MaxCandidates {
+			if len(cands) >= maxCandidates {
 				break
 			}
 			if exact && !strings.EqualFold(row[2].Value, kw) {
@@ -205,12 +203,8 @@ func (e *Engine) levelMembership(ctx context.Context, l *vgraph.Level, terms []r
 		}
 		return out, nil
 	}
-	chunk := e.ValuesChunk
-	if chunk <= 0 {
-		chunk = 500
-	}
-	for start := 0; start < len(terms); start += chunk {
-		end := start + chunk
+	for start := 0; start < len(terms); start += valuesChunk {
+		end := start + valuesChunk
 		if end > len(terms) {
 			end = len(terms)
 		}
@@ -328,7 +322,7 @@ func (e *Engine) SynthesizeAll(ctx context.Context, tuples []ExampleTuple) ([]Ca
 	combos := 0
 	for {
 		combos++
-		if combos > e.MaxCombinations {
+		if combos > maxCombinations {
 			break
 		}
 		combo := make([]interpretation, k)

@@ -7,22 +7,36 @@ import (
 	"time"
 )
 
-// ShardCall summarizes one shard's part in a federated query: the
-// rows it contributed, its wall time, and the resilience layer's
-// attempt/retry counts against it. With replicated shards, Replica is
-// the replica index that produced the answer and Failovers counts the
-// replicas that were tried and failed before it; Skipped marks a
-// shard whose answer was dropped from a degraded-mode result.
+// ShardCall summarizes one shard's part in a federated query. A query
+// may send a shard several calls — a plan's round can hold several
+// queries, and a bound join runs one round per step — and the
+// coordinator folds them into one ShardCall in query order, never in
+// arrival order, so the record does not depend on timing.
 type ShardCall struct {
-	Shard     int     `json:"shard"`
-	Replica   int     `json:"replica,omitempty"`
-	Rows      int     `json:"rows"`
-	WallMS    float64 `json:"wall_ms"`
-	Attempts  int     `json:"attempts,omitempty"`
-	Retries   int     `json:"retries,omitempty"`
-	Failovers int     `json:"failovers,omitempty"`
-	Skipped   bool    `json:"skipped,omitempty"`
-	Error     string  `json:"error,omitempty"`
+	Shard int `json:"shard"`
+	// Replica is the replica index that answered the shard's last
+	// query.
+	Replica int `json:"replica,omitempty"`
+	// Rows is the number of result rows (an ASK answer has none) in the
+	// shard's answers the coordinator used: a round's answers are used
+	// all or none, so a round the shard failed adds nothing.
+	Rows int `json:"rows"`
+	// WallMS is the time from the shard's first send of a round to its
+	// last answer, summed over rounds; the coordinator's own work on the
+	// answers is not in it.
+	WallMS float64 `json:"wall_ms"`
+	// Attempts, Retries and Failovers sum the resilience layer's counts
+	// over all of the shard's queries, failed ones included: Attempts
+	// are the requests the shard's replicas received, Failovers the
+	// replicas tried and failed before an answer.
+	Attempts  int `json:"attempts,omitempty"`
+	Retries   int `json:"retries,omitempty"`
+	Failovers int `json:"failovers,omitempty"`
+	// Skipped marks a shard that failed: its answers were dropped from a
+	// degraded-mode result, or it failed the query in strict mode.
+	Skipped bool `json:"skipped,omitempty"`
+	// Error is the first failed query's error, in query order.
+	Error string `json:"error,omitempty"`
 }
 
 // QueryRecord is one served query's profile summary: the JSON line

@@ -37,7 +37,6 @@ type config struct {
 	admission *AdmissionConfig
 	slo       *SLOConfig
 	reg       *obs.Registry
-	genFn     func() uint64
 	noFlight  bool
 }
 
@@ -72,15 +71,6 @@ func WithRegistry(reg *obs.Registry) Option {
 	return func(c *config) { c.reg = reg }
 }
 
-// WithGenerationFunc overrides how the stack learns the backing data's
-// generation token, for inner clients that cannot report one
-// themselves. Without it the stack asks the inner client
-// (endpoint.GenerationOf) and falls back to the last generation
-// observed in query metadata.
-func WithGenerationFunc(fn func() uint64) Option {
-	return func(c *config) { c.genFn = fn }
-}
-
 // WithoutSingleFlight disables deduplication of concurrent identical
 // queries (on by default), for callers that need every request to
 // reach the inner client.
@@ -106,7 +96,6 @@ type Stack struct {
 	adm    *admission // nil = admission disabled
 	m      *metrics
 	slo    *Tracker // nil = SLO tracking disabled
-	genFn  func() uint64
 	// defaultTenant buckets requests without a tenant identity for SLO
 	// attribution (mirrors AdmissionConfig.DefaultTenant).
 	defaultTenant string
@@ -132,7 +121,6 @@ func New(inner endpoint.Client, opts ...Option) *Stack {
 		inner:         inner,
 		canon:         lru.New[string](canonMemoSize),
 		m:             newMetrics(cfg.reg, names),
-		genFn:         cfg.genFn,
 		defaultTenant: "default",
 	}
 	if cfg.admission != nil && cfg.admission.DefaultTenant != "" {
@@ -299,16 +287,12 @@ func (s *Stack) canonical(query string) (string, bool) {
 	return c, true
 }
 
-// generation returns the current data-version token: the explicit
-// override if configured, a live probe of the inner client chain if it
-// exposes one, else the last token observed in query metadata (zero
+// generation returns the current data-version token: a live probe of
+// the inner client chain if it exposes one, else the last token observed in query metadata (zero
 // until the first answer — all pre-first-answer requests share the
 // zero-generation key space, which is safe because the first observed
 // token moves every later request off it).
 func (s *Stack) generation() uint64 {
-	if s.genFn != nil {
-		return s.genFn()
-	}
 	if g, ok := endpoint.GenerationOf(s.inner); ok {
 		return g
 	}

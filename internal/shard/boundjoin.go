@@ -2,131 +2,58 @@ package shard
 
 import (
 	"context"
-	"fmt"
 	"sync/atomic"
 	"time"
 
-	"re2xolap/internal/endpoint"
 	"re2xolap/internal/obs"
-	"re2xolap/internal/par"
 	"re2xolap/internal/sparql"
 )
 
-// DefaultBoundJoinChunk caps the VALUES rows shipped per bound-join
-// fetch query when no chunk size is configured. Chunking bounds the
-// serialized query size; the chunks partition the binding set, so
-// each group solution still arrives exactly once.
-const DefaultBoundJoinChunk = 1024
-
-// boundChunk resolves the configured VALUES chunk size.
-func (c *Coordinator) boundChunk() int {
-	if c.cfg.BoundJoinChunk > 0 {
-		return c.cfg.BoundJoinChunk
-	}
-	return DefaultBoundJoinChunk
-}
+// boundJoinChunk caps the VALUES rows shipped per bound-join fetch
+// query. Chunking bounds the serialized query size; the chunks
+// partition the binding set, so each group solution still arrives
+// exactly once.
+const boundJoinChunk = 1024
 
 // runBoundJoin executes the bound-join plan: one scatter round per
-// star group, streaming each shard's response straight into the
-// coordinator's hash join as it arrives — no local store is ever
-// materialized. Rounds after the first constrain the fetch with the
-// distinct accumulated bindings (chunked VALUES), so only join
-// columns cross the network. Each fetch routes through the shard's
-// replica set with failover and optional hedging; a shard counts as
-// failed only once a fetch exhausts its replicas, and in degraded
-// mode it is then excluded from the remaining rounds and reported in
-// SkippedShards (the answer stays a subset of the true result).
+// star group, feeding each shard's answers straight into the
+// coordinator's hash join — no local store is ever materialized.
+// Rounds after the first constrain the fetch with the distinct
+// accumulated bindings (chunked VALUES), so only join columns cross
+// the network. A shard that fails a round — once a fetch exhausts its
+// replicas — joins none of that round's rows, and the verdict between
+// rounds decides whether the query goes on without it (degraded mode:
+// it is then excluded from the remaining rounds and reported in
+// SkippedShards, and the answer stays a subset of the true result).
 func (c *Coordinator) runBoundJoin(ctx context.Context, v *view, plan *sparql.BoundJoinPlan, step string) (*sparql.Results, []obs.ShardCall, []int, error) {
 	exec := plan.NewExec()
 	n := len(v.groups)
 	calls := make([]obs.ShardCall, n)
-	for i := range calls {
-		calls[i].Shard = i
-	}
 	errs := make([]error, n)
-	span := obs.SpanFrom(ctx)
 	var joinNS atomic.Int64
-
-	aborted := false
-steps:
-	for s := 0; s < exec.Steps(); s++ {
-		texts := exec.StepQueries(c.boundChunk())
-		if len(texts) == 0 {
-			// The accumulated relation is empty: every remaining round
-			// would ship zero bindings and join to nothing.
-			exec.EndStep()
-			continue
-		}
-		scatterStart := time.Now()
-		for _, text := range texts {
-			_ = par.Do(c.workersFor(n), n, func(i int) error {
-				if errs[i] != nil {
-					return nil // shard already failed this query
-				}
-				g := v.groups[i]
-				sp := span.Start(fmt.Sprintf("shard-%d", i))
-				c.m.scatterStart()
-				callStart := time.Now()
-				out := g.query(ctx, endpoint.Request{
-					Query: text,
-					Opts:  endpoint.QueryOpts{Step: step, Span: sp},
-				}, c.cfg.HedgeAfter)
-				wall := time.Since(callStart)
-				c.m.scatterEnd()
-				g.shardCallMetrics(wall, out.err)
-				call := &calls[i]
-				call.Attempts += out.attempts
-				call.Retries += out.retries
-				call.Failovers += out.failovers
-				call.Replica = out.replica
-				call.WallMS += float64(wall) / float64(time.Millisecond)
-				sp.SetAttr("replica", fmt.Sprint(out.replica))
-				if out.err != nil {
-					sp.SetAttr("error", out.err.Error())
-					sp.End()
-					call.Error = out.err.Error()
-					errs[i] = out.err
-					return nil
-				}
-				call.Rows += out.res.Len()
-				sp.SetAttr("rows", fmt.Sprint(out.res.Len()))
-				sp.End()
-				probeStart := time.Now()
-				err := exec.Feed(out.res)
-				joinNS.Add(int64(time.Since(probeStart)))
-				if err != nil {
-					errs[i] = err
-				}
-				return nil
-			})
-			if boundAbort(c.cfg.Degraded, errs) {
-				aborted = true
-				c.m.phase("scatter", time.Since(scatterStart))
-				break steps
+	feed := func(_ int, answers []*sparql.Results) error {
+		probeStart := time.Now()
+		defer func() { joinNS.Add(int64(time.Since(probeStart))) }()
+		for _, res := range answers {
+			if err := exec.Feed(res); err != nil {
+				return err
 			}
 		}
-		c.m.phase("scatter", time.Since(scatterStart))
+		return nil
+	}
+	for s := 0; s < exec.Steps() && c.verdict(errs) == nil; s++ {
+		// An empty accumulated relation yields no queries: every
+		// remaining round would ship zero bindings and join to nothing.
+		if texts := exec.StepQueries(c.chunk); len(texts) > 0 {
+			c.scatter(ctx, v, step, texts, calls, errs, feed)
+		}
 		exec.EndStep()
 	}
 	c.m.phase("join", time.Duration(joinNS.Load()))
 	c.m.boundShipped(exec.BindingsShipped())
-
-	var firstErr error
-	var skipped []int
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			skipped = append(skipped, i)
-			calls[i].Skipped = true
-			if firstErr == nil {
-				firstErr = fmt.Errorf("shard %d: %w", i, errs[i])
-			}
-		}
-	}
-	if aborted || (len(skipped) > 0 && (!c.cfg.Degraded || len(skipped) == n)) {
-		return nil, calls, nil, firstErr
-	}
-	if len(skipped) > 0 {
-		c.m.degraded(len(skipped))
+	skipped, err := c.settle(calls, errs)
+	if err != nil {
+		return nil, calls, nil, err
 	}
 
 	finStart := time.Now()
@@ -136,23 +63,4 @@ steps:
 		return nil, calls, nil, err
 	}
 	return res, calls, skipped, nil
-}
-
-// boundAbort decides whether a bound-join round can continue: strict
-// mode stops on the first shard failure, degraded mode only when
-// every shard has failed.
-func boundAbort(degraded bool, errs []error) bool {
-	failed := 0
-	for _, e := range errs {
-		if e != nil {
-			failed++
-		}
-	}
-	if failed == 0 {
-		return false
-	}
-	if !degraded {
-		return true
-	}
-	return failed == len(errs)
 }

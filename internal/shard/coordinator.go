@@ -20,10 +20,10 @@ import (
 // prober, no hedging, no metrics, plan cache on at
 // DefaultPlanCacheSize.
 type config struct {
-	// Workers bounds scatter concurrency — shards in flight, and on the
-	// gather path also one shard's fetch queries in flight — and the
-	// local engine workers on the gather path; <= 0 means one goroutine
-	// per shard (and per fetch query).
+	// Workers bounds scatter concurrency — shards in flight, and one
+	// shard's queries of a round in flight — and the local engine
+	// workers on the gather path; <= 0 means one goroutine per shard
+	// (and per query).
 	Workers int
 	// Degraded serves partial results when shards fail: failed shards
 	// are skipped and the answer's QueryMeta.Incomplete is set, with
@@ -60,9 +60,6 @@ type config struct {
 	// rewrite memoized by query text, LRU eviction): 0 means
 	// DefaultPlanCacheSize, negative disables caching.
 	PlanCacheSize int
-	// BoundJoinChunk caps the VALUES rows shipped per bound-join fetch
-	// query; <= 0 means DefaultBoundJoinChunk.
-	BoundJoinChunk int
 	// Fleet, when non-nil, enables the fleet metrics collector: the
 	// coordinator scrapes every HTTP replica's /metrics and serves the
 	// merged exposition via FleetHandler (see FleetConfig).
@@ -99,6 +96,7 @@ type Coordinator struct {
 	fleet *fleetCollector // nil unless WithFleet is set
 
 	facts predicateFacts // what the gather plan's star fetches rely on
+	chunk int            // VALUES rows per bound-join fetch: boundJoinChunk
 }
 
 // New builds a coordinator over single-replica shards (index = shard
@@ -175,7 +173,7 @@ func NewDynamic(topo Topology, dial Dialer, opts ...Option) (*Coordinator, error
 // newCoordinator sets up the shared shell: config, metrics whose
 // gauges read whatever view is current, and the plan cache.
 func newCoordinator(cfg config) *Coordinator {
-	c := &Coordinator{cfg: cfg}
+	c := &Coordinator{cfg: cfg, chunk: boundJoinChunk}
 	c.m = newMetrics(cfg.Registry,
 		func() float64 { return float64(len(c.currentView().groups)) },
 		func() float64 {
@@ -484,62 +482,130 @@ func (c *Coordinator) QueryX(ctx context.Context, req endpoint.Request) (*sparql
 	return res, meta, err
 }
 
-// scatterText sends one query text to every shard of the view, each
-// call going through the shard's replica set (failover + optional
-// hedging). results[i] is shard i's answer; a nil slot is a shard
-// skipped in degraded mode (it is then listed in skipped). In strict
-// mode the first failure by shard index is returned; when every shard
-// fails, the first failure is returned in either mode.
+// scatter runs one round of a plan: every query goes to every shard
+// of the view that has not failed yet (errs[i] == nil), each call
+// through the shard's replica set, so failover and hedging apply to it.
+// workersFor(n) shards are in flight at once, and a shard sends its
+// queries together, workersFor(len(queries)) at a time: a remote shard
+// costs its slowest query, not the sum of them. A shard's answers to a
+// round count all or none: only when every one of its queries
+// succeeded does use(i, answers) get them, in query order; a failure,
+// of a query or of use, lands in errs[i] and drops the shard from
+// later rounds. use may run for different shards at once. calls[i]
+// folds shard i's calls in by the rule obs.ShardCall documents, and
+// each shard gets one shard-<i> span per round.
+func (c *Coordinator) scatter(ctx context.Context, v *view, step string, queries []string, calls []obs.ShardCall, errs []error, use func(i int, answers []*sparql.Results) error) {
+	roundStart := time.Now()
+	defer func() { c.m.phase("scatter", time.Since(roundStart)) }()
+	span := obs.SpanFrom(ctx)
+	n := len(v.groups)
+	_ = par.Do(c.workersFor(n), n, func(i int) error {
+		if errs[i] != nil {
+			return nil
+		}
+		g := v.groups[i]
+		sp := span.Start(fmt.Sprintf("shard-%d", i))
+		defer sp.End()
+		shardStart := time.Now()
+		outs := make([]groupResult, len(queries))
+		_ = par.Do(c.workersFor(len(queries)), len(queries), func(k int) error {
+			c.m.scatterStart()
+			callStart := time.Now()
+			outs[k] = g.query(ctx, endpoint.Request{
+				Query: queries[k],
+				Opts:  endpoint.QueryOpts{Step: step, Span: sp},
+			}, c.cfg.HedgeAfter)
+			c.m.scatterEnd()
+			g.shardCallMetrics(time.Since(callStart), outs[k].err)
+			return nil
+		})
+		call := &calls[i]
+		call.Shard = i
+		call.WallMS += float64(time.Since(shardStart)) / float64(time.Millisecond)
+		answers := make([]*sparql.Results, len(outs))
+		rows := 0
+		for k, out := range outs {
+			call.Attempts += out.attempts
+			call.Retries += out.retries
+			call.Failovers += out.failovers
+			call.Replica = out.replica
+			if out.err != nil && errs[i] == nil {
+				errs[i] = out.err
+			}
+			if out.res != nil {
+				answers[k] = out.res
+				rows += out.res.Len()
+			}
+		}
+		if errs[i] == nil {
+			errs[i] = use(i, answers)
+		}
+		sp.SetAttr("replica", fmt.Sprint(call.Replica))
+		if errs[i] != nil {
+			call.Error = errs[i].Error()
+			sp.SetAttr("error", call.Error)
+			return nil
+		}
+		call.Rows += rows
+		sp.SetAttr("rows", fmt.Sprint(rows))
+		return nil
+	})
+}
+
+// verdict is the coordinator's one strict/degraded rule over the shard
+// failures so far: strict mode fails on the first failure by shard
+// index, degraded mode only when every shard has failed.
+func (c *Coordinator) verdict(errs []error) error {
+	failed := 0
+	var first error
+	for i, err := range errs {
+		if err != nil {
+			failed++
+			if first == nil {
+				first = fmt.Errorf("shard %d: %w", i, err)
+			}
+		}
+	}
+	if failed > 0 && (!c.cfg.Degraded || failed == len(errs)) {
+		return first
+	}
+	return nil
+}
+
+// settle closes a query's scatter: it marks every failed shard
+// Skipped, applies the verdict, and when the answer may stand without
+// the failed shards counts it as degraded and returns their indices.
+func (c *Coordinator) settle(calls []obs.ShardCall, errs []error) ([]int, error) {
+	var skipped []int
+	for i, err := range errs {
+		if err != nil {
+			skipped = append(skipped, i)
+			calls[i].Skipped = true
+		}
+	}
+	if err := c.verdict(errs); err != nil {
+		return nil, err
+	}
+	if len(skipped) > 0 {
+		c.m.degraded(len(skipped))
+	}
+	return skipped, nil
+}
+
+// scatterText sends one query text to every shard in one round.
+// results[i] is shard i's answer, nil for a shard skipped in degraded
+// mode (it is then listed in skipped).
 func (c *Coordinator) scatterText(ctx context.Context, v *view, query, step string) (results []*sparql.Results, calls []obs.ShardCall, skipped []int, err error) {
-	scatterStart := time.Now()
-	defer func() { c.m.phase("scatter", time.Since(scatterStart)) }()
 	n := len(v.groups)
 	results = make([]*sparql.Results, n)
 	calls = make([]obs.ShardCall, n)
 	errs := make([]error, n)
-	span := obs.SpanFrom(ctx)
-	_ = par.Do(c.workersFor(n), n, func(i int) error {
-		g := v.groups[i]
-		sp := span.Start(fmt.Sprintf("shard-%d", i))
-		c.m.scatterStart()
-		callStart := time.Now()
-		out := g.query(ctx, endpoint.Request{
-			Query: query,
-			Opts:  endpoint.QueryOpts{Step: step, Span: sp},
-		}, c.cfg.HedgeAfter)
-		wall := time.Since(callStart)
-		c.m.scatterEnd()
-		g.shardCallMetrics(wall, out.err)
-		calls[i] = out.shardCall(i, wall)
-		if out.res != nil {
-			sp.SetAttr("rows", fmt.Sprint(out.res.Len()))
-		}
-		sp.SetAttr("replica", fmt.Sprint(out.replica))
-		if out.err != nil {
-			sp.SetAttr("error", out.err.Error())
-		}
-		sp.End()
-		results[i], errs[i] = out.res, out.err
+	c.scatter(ctx, v, step, []string{query}, calls, errs, func(i int, answers []*sparql.Results) error {
+		results[i] = answers[0]
 		return nil
 	})
-	var firstErr error
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			skipped = append(skipped, i)
-			calls[i].Skipped = true
-			if firstErr == nil {
-				firstErr = fmt.Errorf("shard %d: %w", i, errs[i])
-			}
-		}
-	}
-	if len(skipped) == 0 {
-		return results, calls, nil, nil
-	}
-	if !c.cfg.Degraded || len(skipped) == n {
-		return nil, calls, nil, firstErr
-	}
-	c.m.degraded(len(skipped))
-	return results, calls, skipped, nil
+	skipped, err = c.settle(calls, errs)
+	return results, calls, skipped, err
 }
 
 // runColocated executes the colocated plan: strip the solution

@@ -295,7 +295,7 @@ func TestDeterminismMixedHTTPBackends(t *testing.T) {
 func TestBoundJoinChunkDeterminism(t *testing.T) {
 	ts := determinismTriples()
 	base := newTopology(t, ts, 3)
-	small := newTopology(t, ts, 3, WithBoundJoinChunk(2))
+	small := withBoundJoinChunk(newTopology(t, ts, 3), 2)
 	ctx := context.Background()
 	for _, cq := range determinismCorpus() {
 		res1, _, err := base.QueryX(ctx, endpoint.Request{Query: cq.query})

@@ -8,9 +8,7 @@ import (
 	"sync"
 	"time"
 
-	"re2xolap/internal/endpoint"
 	"re2xolap/internal/obs"
-	"re2xolap/internal/par"
 	"re2xolap/internal/rdf"
 	"re2xolap/internal/sparql"
 	"re2xolap/internal/store"
@@ -241,26 +239,25 @@ func (c *Coordinator) functionalPredicates(ctx context.Context, v *view, preds [
 	}
 	query := "SELECT ?p (COUNT(?s) AS ?n) (COUNT(DISTINCT ?s) AS ?d) WHERE { VALUES ?p { " +
 		strings.Join(ask, " ") + " } ?s ?p ?o } GROUP BY ?p"
+	// The check's calls count in the shard metrics but are not the
+	// query's own, so they fold into a ShardCall slice of their own.
 	n := len(v.groups)
-	outs := make([]groupResult, n)
-	_ = par.Do(c.workersFor(n), n, func(i int) error {
-		start := time.Now()
-		outs[i] = v.groups[i].query(ctx, endpoint.Request{
-			Query: query,
-			Opts:  endpoint.QueryOpts{Step: step, Span: obs.SpanFrom(ctx)},
-		}, c.cfg.HedgeAfter)
-		v.groups[i].shardCallMetrics(time.Since(start), outs[i].err)
-		return nil
-	})
+	errs := make([]error, n)
+	var mu sync.Mutex
 	multi := map[rdf.Term]bool{}
-	for _, out := range outs {
-		if out.err != nil {
-			return known
-		}
-		for _, r := range out.res.Rows {
+	c.scatter(ctx, v, step, []string{query}, make([]obs.ShardCall, n), errs, func(_ int, answers []*sparql.Results) error {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, r := range answers[0].Rows {
 			if len(r) == 3 && r[1] != r[2] {
 				multi[r[0]] = true
 			}
+		}
+		return nil
+	})
+	for _, err := range errs {
+		if err != nil {
+			return known
 		}
 	}
 	f.mu.Lock()
@@ -464,99 +461,43 @@ rows:
 	return len(res.Rows)
 }
 
-// runGather executes the gather plan: scatter the fetch queries,
-// assemble the union of the shard contributions into a local store,
-// and run the original query there. Each fetch routes through its
-// shard's replica set, so every fetch individually fails over — a
-// shard only counts as failed when a fetch exhausts its replicas.
+// runGather executes the gather plan: scatter the fetch queries in
+// one round, assemble the union of the shard contributions into a
+// local store once the verdict lets the answer stand, and run the
+// original query there. Each fetch routes through its shard's replica
+// set, so every fetch individually fails over — a shard only counts
+// as failed when a fetch exhausts its replicas, and then none of its
+// fetches are gathered.
 func (c *Coordinator) runGather(ctx context.Context, v *view, q *sparql.Query, step string) (*sparql.Results, []obs.ShardCall, []int, error) {
 	specs := collectFetchSpecs(q, c.functionalPredicates(ctx, v, starPredicates(q.Where), step))
-	scatterStart := time.Now()
+	queries := make([]string, len(specs))
+	for k, spec := range specs {
+		queries[k] = spec.query
+	}
 	n := len(v.groups)
 	parts := make([]*gatherPart, n)
 	calls := make([]obs.ShardCall, n)
 	errs := make([]error, n)
-	span := obs.SpanFrom(ctx)
-	_ = par.Do(c.workersFor(n), n, func(i int) error {
-		g := v.groups[i]
-		sp := span.Start(fmt.Sprintf("shard-%d", i))
-		defer sp.End()
-		shardStart := time.Now()
-		// A shard's fetches are independent, so they go out together: a
-		// remote shard costs its slowest fetch, not the sum of them.
-		outs := make([]groupResult, len(specs))
-		_ = par.Do(c.workersFor(len(specs)), len(specs), func(k int) error {
-			c.m.scatterStart()
-			callStart := time.Now()
-			outs[k] = g.query(ctx, endpoint.Request{
-				Query: specs[k].query,
-				Opts:  endpoint.QueryOpts{Step: step, Span: sp},
-			}, c.cfg.HedgeAfter)
-			c.m.scatterEnd()
-			g.shardCallMetrics(time.Since(callStart), outs[k].err)
-			return nil
-		})
-		// One ShardCall summarizes all fetch queries against shard i,
-		// folded in spec order so it does not depend on which fetch
-		// finished first: rows are the triples the shard contributed,
-		// attempts/retries/failovers sum over the fetches, replica is the
-		// last spec's winner, error the first spec's that failed.
-		call := &calls[i]
-		call.Shard = i
-		// Size the part from the rows that arrived: a row mostly
-		// brings a new term (a star row its subject), and each row
-		// stands for one triple per fetched pattern.
+	c.scatter(ctx, v, step, queries, calls, errs, func(i int, answers []*sparql.Results) error {
+		// Size the part from the rows that arrived: a row mostly brings
+		// a new term (a star row its subject), and each row stands for
+		// one triple per fetched pattern.
 		rows, triples := 0, 0
-		for k, out := range outs {
-			if out.err == nil {
-				rows += len(out.res.Rows)
-				triples += len(out.res.Rows) * len(specs[k].pats)
-			}
+		for k, res := range answers {
+			rows += len(res.Rows)
+			triples += len(res.Rows) * len(specs[k].pats)
 		}
-		part := newGatherPart(rows, triples)
-		for k, out := range outs {
-			call.Attempts += out.attempts
-			call.Retries += out.retries
-			call.Failovers += out.failovers
-			call.Replica = out.replica
-			if errs[i] != nil {
-				continue
-			}
-			if out.err != nil {
-				sp.SetAttr("error", out.err.Error())
-				call.Error = out.err.Error()
-				errs[i] = out.err
-				continue
-			}
-			call.Rows += specs[k].collect(out.res, part)
+		parts[i] = newGatherPart(rows, triples)
+		for k, res := range answers {
+			specs[k].collect(res, parts[i])
 		}
-		if errs[i] == nil {
-			parts[i] = part
-		}
-		call.WallMS = float64(time.Since(shardStart)) / float64(time.Millisecond)
-		sp.SetAttr("rows", fmt.Sprint(call.Rows))
 		return nil
 	})
-	c.m.phase("scatter", time.Since(scatterStart))
-
-	var firstErr error
-	var skipped []int
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			skipped = append(skipped, i)
-			calls[i].Skipped = true
-			if firstErr == nil {
-				firstErr = fmt.Errorf("shard %d: %w", i, errs[i])
-			}
-		}
+	skipped, err := c.settle(calls, errs)
+	if err == nil {
+		err = ctx.Err()
 	}
-	if len(skipped) > 0 {
-		if !c.cfg.Degraded || len(skipped) == n {
-			return nil, calls, nil, firstErr
-		}
-		c.m.degraded(len(skipped))
-	}
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return nil, calls, nil, err
 	}
 

@@ -141,7 +141,7 @@ func (m *metrics) wireReplica(r *replica) {
 	}
 }
 
-// shardCall records one resolved shard call on the set's series.
+// shardCallMetrics records one resolved shard call on the set's series.
 func (g *replicaSet) shardCallMetrics(wall time.Duration, err error) {
 	g.mQueries.Inc()
 	g.mLatency.ObserveDuration(wall)

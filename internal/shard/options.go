@@ -101,11 +101,3 @@ func WithPlanCache(capacity int) Option {
 func WithFleet(cfg FleetConfig) Option {
 	return func(c *config) { c.Fleet = &cfg }
 }
-
-// WithBoundJoinChunk caps the VALUES rows shipped per bound-join
-// fetch query; <= 0 means DefaultBoundJoinChunk. Chunk boundaries are
-// computed on the canonically sorted binding set, so the generated
-// queries stay deterministic at any size.
-func WithBoundJoinChunk(n int) Option {
-	return func(c *config) { c.BoundJoinChunk = n }
-}

@@ -246,22 +246,3 @@ func (g *replicaSet) mHedge(win bool) {
 		g.hedges.Inc()
 	}
 }
-
-// shardCall renders a group outcome as the per-shard accounting line.
-func (o groupResult) shardCall(shard int, wall time.Duration) obs.ShardCall {
-	call := obs.ShardCall{
-		Shard:     shard,
-		Replica:   o.replica,
-		WallMS:    float64(wall) / float64(time.Millisecond),
-		Attempts:  o.attempts,
-		Retries:   o.retries,
-		Failovers: o.failovers,
-	}
-	if o.res != nil {
-		call.Rows = o.res.Len()
-	}
-	if o.err != nil {
-		call.Error = o.err.Error()
-	}
-	return call
-}
