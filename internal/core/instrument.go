@@ -108,10 +108,16 @@ func (e *Engine) StepStats() []StepStat {
 // needs it, so traces, metrics, and the slow-query log can explain why
 // the query ran. All Engine query paths go through here.
 func (e *Engine) query(ctx context.Context, step, q string) (*sparql.Results, error) {
+	res, _, err := e.queryMeta(ctx, step, q)
+	return res, err
+}
+
+// queryMeta is query that also returns the execution metadata.
+func (e *Engine) queryMeta(ctx context.Context, step, q string) (*sparql.Results, endpoint.QueryMeta, error) {
 	res, meta, err := endpoint.QueryX(ctx, e.Client, endpoint.Request{
 		Query: q,
 		Opts:  endpoint.QueryOpts{Step: step},
 	})
 	e.steps.record(step, meta.Wall, err)
-	return res, err
+	return res, meta, err
 }

@@ -299,20 +299,11 @@ func (q *OLAPQuery) ToSPARQL() string {
 		if i == 0 {
 			b.WriteString(" HAVING")
 		}
-		col := q.aggByOutVar(h.Col)
+		col := q.Aggregates[q.aggIndex(h.Col)]
 		m := q.Measures[col.Measure]
 		fmt.Fprintf(&b, " (%s(?%s) %s %s)", col.Func, m.Var, h.Op, formatFloat(h.Value))
 	}
 	return b.String()
-}
-
-func (q *OLAPQuery) aggByOutVar(out string) *AggColumn {
-	for i := range q.Aggregates {
-		if q.Aggregates[i].OutVar == out {
-			return &q.Aggregates[i]
-		}
-	}
-	return nil
 }
 
 func formatFloat(f float64) string {

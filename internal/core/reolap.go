@@ -533,11 +533,16 @@ func (e *Engine) Execute(ctx context.Context, q *OLAPQuery) (*ResultSet, error) 
 
 // ExecuteTagged is Execute with an explicit step tag, so callers that
 // know why the query runs (session start, a refinement) can say so in
-// traces and metrics.
+// traces and metrics. The result set records the store generation the
+// client reported for a complete answer, which Derive checks.
 func (e *Engine) ExecuteTagged(ctx context.Context, q *OLAPQuery, step string) (*ResultSet, error) {
-	res, err := e.query(ctx, step, q.ToSPARQL())
+	res, meta, err := e.queryMeta(ctx, step, q.ToSPARQL())
 	if err != nil {
 		return nil, fmt.Errorf("core: executing query: %w", err)
 	}
-	return DecodeResults(q, res)
+	rs, err := DecodeResults(q, res)
+	if err == nil && !meta.Incomplete {
+		rs.gen = meta.Generation
+	}
+	return rs, err
 }

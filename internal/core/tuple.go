@@ -87,10 +87,76 @@ type ResultSet struct {
 	Query *OLAPQuery
 	// Tuples holds one entry per GROUP BY group.
 	Tuples []Tuple
+
+	// gen is the store generation the answer was computed at: zero when
+	// the client reported none or the answer is incomplete, which rules
+	// out deriving from it (see Engine.Derive).
+	gen uint64
+	// cols holds one column per entry of Query.Aggregates and example
+	// the example-match mask, both aligned with Tuples. DecodeResults
+	// and a derivation fill them; for a ResultSet built by hand the
+	// accessors compute them from Tuples.
+	cols    []column
+	example []bool
+}
+
+// column is one aggregate column: the values as Tuple.Measures holds
+// them (0 where the aggregate is not a number) and, for the rows where
+// it is not, the term the engine returned there (the zero Term when the
+// aggregate is unbound).
+type column struct {
+	vals  []float64
+	other map[int]rdf.Term
+}
+
+// setOther records that row j holds the non-numeric term t.
+func (c *column) setOther(j int, t rdf.Term) {
+	if c.other == nil {
+		c.other = map[int]rdf.Term{}
+	}
+	c.other[j] = t
 }
 
 // Len returns the number of tuples.
 func (rs *ResultSet) Len() int { return len(rs.Tuples) }
+
+// Column returns aggregate column i (an index into Query.Aggregates),
+// aligned with Tuples, reading a measure absent from Tuple.Measures as
+// 0. The slice is shared with the result set: do not modify it.
+func (rs *ResultSet) Column(i int) []float64 { return rs.column(i).vals }
+
+func (rs *ResultSet) column(i int) column {
+	if rs.cols != nil {
+		return rs.cols[i]
+	}
+	col := rs.Query.Aggregates[i].OutVar
+	c := column{vals: make([]float64, len(rs.Tuples))}
+	for j, t := range rs.Tuples {
+		v, ok := t.Measures[col]
+		if !ok {
+			c.setOther(j, rdf.Term{})
+		}
+		c.vals[j] = v
+	}
+	return c
+}
+
+// ExampleMask reports, per tuple, whether MatchesExample holds. The
+// slice is shared with the result set: do not modify it.
+func (rs *ResultSet) ExampleMask() []bool {
+	if rs.example != nil {
+		return rs.example
+	}
+	return rs.exampleMask()
+}
+
+func (rs *ResultSet) exampleMask() []bool {
+	mask := make([]bool, len(rs.Tuples))
+	for i, t := range rs.Tuples {
+		mask[i] = rs.MatchesExample(t)
+	}
+	return mask
+}
 
 // MatchesExample reports whether the tuple contains every example
 // member of the query in its corresponding dimension position — the
@@ -111,8 +177,8 @@ func (rs *ResultSet) MatchesExample(t Tuple) bool {
 // ExampleTuples returns the indices of tuples matching the example.
 func (rs *ResultSet) ExampleTuples() []int {
 	var out []int
-	for i, t := range rs.Tuples {
-		if rs.MatchesExample(t) {
+	for i, ok := range rs.ExampleMask() {
+		if ok {
 			out = append(out, i)
 		}
 	}
@@ -139,17 +205,26 @@ func DecodeResults(q *OLAPQuery, res *sparql.Results) (*ResultSet, error) {
 		}
 		aggCols[i] = c
 	}
-	for _, row := range res.Rows {
-		t := Tuple{Dims: make([]rdf.Term, len(dimCols)), Measures: map[string]float64{}}
+	rs.Tuples = make([]Tuple, 0, len(res.Rows))
+	rs.cols = make([]column, len(aggCols))
+	for i := range rs.cols {
+		rs.cols[i].vals = make([]float64, len(res.Rows))
+	}
+	for j, row := range res.Rows {
+		t := Tuple{Dims: make([]rdf.Term, len(dimCols)), Measures: make(map[string]float64, len(aggCols))}
 		for i, c := range dimCols {
 			t.Dims[i] = row[c]
 		}
 		for i, c := range aggCols {
 			if n, ok := row[c].Numeric(); ok {
 				t.Measures[q.Aggregates[i].OutVar] = n
+				rs.cols[i].vals[j] = n
+			} else {
+				rs.cols[i].setOther(j, row[c])
 			}
 		}
 		rs.Tuples = append(rs.Tuples, t)
 	}
+	rs.example = rs.exampleMask()
 	return rs, nil
 }

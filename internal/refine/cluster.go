@@ -24,24 +24,21 @@ func Cluster(rs *core.ResultSet, k int) []Refinement {
 		return nil
 	}
 	var out []Refinement
-	for _, agg := range rs.Query.Aggregates {
-		if r, ok := clusterOne(rs, agg.OutVar, k); ok {
+	mask := rs.ExampleMask()
+	for i, agg := range rs.Query.Aggregates {
+		if r, ok := clusterOne(rs, agg.OutVar, rs.Column(i), mask, k); ok {
 			out = append(out, r)
 		}
 	}
 	return out
 }
 
-func clusterOne(rs *core.ResultSet, col string, k int) (Refinement, bool) {
-	values := make([]float64, len(rs.Tuples))
-	for i, t := range rs.Tuples {
-		values[i] = t.Measures[col]
-	}
+func clusterOne(rs *core.ResultSet, col string, values []float64, mask []bool, k int) (Refinement, bool) {
 	assign, centers := kmeans1D(values, k)
 	// Find the cluster of the first example-matching tuple.
 	cluster := -1
-	for i, t := range rs.Tuples {
-		if rs.MatchesExample(t) {
+	for i, ok := range mask {
+		if ok {
 			cluster = assign[i]
 			break
 		}

@@ -82,71 +82,16 @@ func score(rs *core.ResultSet, r Refinement) float64 {
 	return 1 - (f-targetKeptFraction)/(1-targetKeptFraction)
 }
 
-// keptFraction computes, against the current tuples, the fraction the
-// refined query's extra conditions would keep. The refined query has
-// the same dimensions as the result set for every subset refinement,
-// so the check is exact.
+// keptFraction is the fraction of the current tuples the refined
+// query's appended conditions keep (core.ResultSet.Cut); 1 when the
+// query does not extend the current one.
 func keptFraction(rs *core.ResultSet, q *core.OLAPQuery) float64 {
 	if len(rs.Tuples) == 0 {
 		return 1
 	}
-	if len(q.Dims) != len(rs.Query.Dims) {
+	kept, ok := rs.Cut(q)
+	if !ok {
 		return 1
 	}
-	baseHaving := len(rs.Query.Having)
-	baseFilters := len(rs.Query.DimFilters)
-	kept := 0
-	for _, t := range rs.Tuples {
-		ok := true
-		for _, h := range q.Having[baseHaving:] {
-			if !satisfies(t.Measures[h.Col], h.Op, h.Value) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			for _, f := range q.DimFilters[baseFilters:] {
-				if !inValues(t, f) {
-					ok = false
-					break
-				}
-			}
-		}
-		if ok {
-			kept++
-		}
-	}
-	return float64(kept) / float64(len(rs.Tuples))
-}
-
-func satisfies(v float64, op string, threshold float64) bool {
-	switch op {
-	case "<":
-		return v < threshold
-	case "<=":
-		return v <= threshold
-	case ">":
-		return v > threshold
-	case ">=":
-		return v >= threshold
-	case "=":
-		return v == threshold
-	}
-	return false
-}
-
-func inValues(t core.Tuple, f core.DimValuesFilter) bool {
-	for _, row := range f.Rows {
-		match := true
-		for i, di := range f.DimIdx {
-			if di >= len(t.Dims) || t.Dims[di] != row[i] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return true
-		}
-	}
-	return false
+	return float64(len(kept)) / float64(len(rs.Tuples))
 }

@@ -91,14 +91,26 @@ func TestKeptFractionExact(t *testing.T) {
 	}
 }
 
-// Property: satisfies() is consistent with Go comparisons.
+// Property: the cut evaluator compares a numeric measure the way Go
+// compares float64.
 func TestQuickSatisfies(t *testing.T) {
+	q := &core.OLAPQuery{
+		Measures:   []core.MeasureRef{{Var: "m"}},
+		Aggregates: []core.AggColumn{{Func: "SUM", OutVar: "s"}},
+	}
+	keeps := func(v float64, op string, th float64) bool {
+		rs := &core.ResultSet{Query: q, Tuples: []core.Tuple{{Measures: map[string]float64{"s": v}}}}
+		nq := q.Clone()
+		nq.Having = append(nq.Having, core.MeasureFilter{Col: "s", Op: op, Value: th})
+		kept, ok := rs.Cut(nq)
+		return ok && len(kept) == 1
+	}
 	f := func(v, th float64) bool {
-		return satisfies(v, "<", th) == (v < th) &&
-			satisfies(v, "<=", th) == (v <= th) &&
-			satisfies(v, ">", th) == (v > th) &&
-			satisfies(v, ">=", th) == (v >= th) &&
-			satisfies(v, "=", th) == (v == th)
+		return keeps(v, "<", th) == (v < th) &&
+			keeps(v, "<=", th) == (v <= th) &&
+			keeps(v, ">", th) == (v > th) &&
+			keeps(v, ">=", th) == (v >= th) &&
+			keeps(v, "=", th) == (v == th)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -108,17 +120,22 @@ func TestQuickSatisfies(t *testing.T) {
 func TestInValues(t *testing.T) {
 	de := rdf.NewIRI("http://x/de")
 	fr := rdf.NewIRI("http://x/fr")
-	tup := core.Tuple{Dims: []rdf.Term{de, fr}}
-	f := core.DimValuesFilter{DimIdx: []int{0}, Rows: [][]rdf.Term{{de}}}
-	if !inValues(tup, f) {
+	lvl := &vgraph.Level{}
+	q := &core.OLAPQuery{Dims: []core.DimRef{{Level: lvl, Var: "a"}, {Level: lvl, Var: "b"}}}
+	rs := &core.ResultSet{Query: q, Tuples: []core.Tuple{{Dims: []rdf.Term{de, fr}}}}
+	keeps := func(f core.DimValuesFilter) bool {
+		nq := q.Clone()
+		nq.DimFilters = append(nq.DimFilters, f)
+		kept, ok := rs.Cut(nq)
+		return ok && len(kept) == 1
+	}
+	if !keeps(core.DimValuesFilter{DimIdx: []int{0}, Rows: [][]rdf.Term{{de}}}) {
 		t.Error("matching row rejected")
 	}
-	f2 := core.DimValuesFilter{DimIdx: []int{0}, Rows: [][]rdf.Term{{fr}}}
-	if inValues(tup, f2) {
+	if keeps(core.DimValuesFilter{DimIdx: []int{0}, Rows: [][]rdf.Term{{fr}}}) {
 		t.Error("non-matching row accepted")
 	}
-	f3 := core.DimValuesFilter{DimIdx: []int{5}, Rows: [][]rdf.Term{{de}}}
-	if inValues(tup, f3) {
+	if keeps(core.DimValuesFilter{DimIdx: []int{5}, Rows: [][]rdf.Term{{de}}}) {
 		t.Error("out-of-range dim accepted")
 	}
 }

@@ -2,6 +2,7 @@ package refine
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -293,7 +294,20 @@ func TestCosine(t *testing.T) {
 		{map[int]float64{}, map[int]float64{0: 1}, 0},
 	}
 	for i, tt := range tests {
-		got := cosine(tt.a, tt.b)
+		a := make([]float64, 2)
+		var na float64
+		for f, x := range tt.a {
+			a[f] = x
+			na += x * x
+		}
+		var fs []int
+		var xs []float64
+		for f := 0; f < 2; f++ {
+			if x, ok := tt.b[f]; ok {
+				fs, xs = append(fs, f), append(xs, x)
+			}
+		}
+		got := cosine(a, na, fs, xs)
 		if got < tt.want-1e-9 || got > tt.want+1e-9 {
 			t.Errorf("case %d: cosine = %v, want %v", i, got, tt.want)
 		}
@@ -484,4 +498,44 @@ func TestRollUpReindexesFilters(t *testing.T) {
 		}
 	}
 	t.Fatal("aggregate-away refPeriod refinement missing")
+}
+
+// TestSimilarityDeterministic: the example's vector mixes magnitudes
+// (1e16, 1, -1e16), so the dot product with item "a" is 0 or 1 depending
+// on the order it is summed in, and "a" either ties item "b" (sim 0,
+// and "b" comes first) or beats it. With k = 1 the summation order
+// picks the refinement; it must be one order, every run.
+func TestSimilarityDeterministic(t *testing.T) {
+	ex := rdf.NewIRI("http://x/item/e")
+	q := &core.OLAPQuery{
+		ObsClass: "http://x/Obs",
+		Dims: []core.DimRef{
+			{Level: &vgraph.Level{Path: []string{"http://x/item"}}, Var: "item", Example: &ex},
+			{Level: &vgraph.Level{Path: []string{"http://x/feat"}}, Var: "feat"},
+		},
+		Measures:   []core.MeasureRef{{Predicate: "http://x/m", Var: "m"}},
+		Aggregates: []core.AggColumn{{Func: "SUM", OutVar: "sum_m"}},
+	}
+	rs := &core.ResultSet{Query: q}
+	add := func(item string, vals ...float64) {
+		for f, v := range vals {
+			rs.Tuples = append(rs.Tuples, core.Tuple{
+				Dims:     []rdf.Term{rdf.NewIRI("http://x/item/" + item), rdf.NewIRI(fmt.Sprintf("http://x/feat/%d", f))},
+				Measures: map[string]float64{"sum_m": v},
+			})
+		}
+	}
+	add("e", 1e16, 1, -1e16)
+	add("b", 0, 0, 0)
+	add("a", 1, 1, 1)
+	first := Similarity(rs, 1)
+	if len(first) != 1 {
+		t.Fatalf("refinements = %d, want 1", len(first))
+	}
+	for i := 0; i < 200; i++ {
+		got := Similarity(rs, 1)
+		if len(got) != 1 || got[0].Why != first[0].Why {
+			t.Fatalf("run %d: %v, first run %q", i, got, first[0].Why)
+		}
+	}
 }

@@ -1,7 +1,9 @@
 package refine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"re2xolap/internal/core"
@@ -16,11 +18,16 @@ import (
 // column, matching Figure 9b's fixed refinement count.
 func TopK(rs *core.ResultSet) []Refinement {
 	var out []Refinement
-	q := rs.Query
-	for _, agg := range q.Aggregates {
+	mask := rs.ExampleMask()
+	for i, agg := range rs.Query.Aggregates {
+		vals := rs.Column(i)
+		asc := ascending(vals)
 		for _, desc := range []bool{true, false} {
-			r, ok := topKOne(rs, agg.OutVar, desc)
-			if ok {
+			order := asc
+			if desc {
+				order = descending(vals, asc)
+			}
+			if r, ok := topKOne(rs, agg.OutVar, vals, mask, order, desc); ok {
 				out = append(out, r)
 			}
 		}
@@ -28,28 +35,41 @@ func TopK(rs *core.ResultSet) []Refinement {
 	return out
 }
 
-func topKOne(rs *core.ResultSet, col string, desc bool) (Refinement, bool) {
-	idx := make([]int, len(rs.Tuples))
-	vals := make([]float64, len(rs.Tuples)) // the column, read out of the maps once
+// ascending returns the tuple indices ordered by (value, index): the
+// order sort.SliceStable by ascending value gives.
+func ascending(vals []float64) []int {
+	idx := make([]int, len(vals))
 	for i := range idx {
 		idx[i] = i
-		vals[i] = rs.Tuples[i].Measures[col]
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		va, vb := vals[idx[a]], vals[idx[b]]
-		if desc {
-			return va > vb
+	slices.SortFunc(idx, func(a, b int) int { return cmp.Or(cmp.Compare(vals[a], vals[b]), a-b) })
+	return idx
+}
+
+// descending turns the ascending order into the one sort.SliceStable
+// by descending value gives: the blocks of equal values from the top,
+// each block in index order.
+func descending(vals []float64, asc []int) []int {
+	out := make([]int, 0, len(asc))
+	for end := len(asc); end > 0; {
+		start := end - 1
+		for start > 0 && vals[asc[start-1]] == vals[asc[end-1]] {
+			start--
 		}
-		return va < vb
-	})
+		out = append(out, asc[start:end]...)
+		end = start
+	}
+	return out
+}
+
+// topKOne cuts the tuples in the given order after the first example
+// tuple followed by a non-example tuple.
+func topKOne(rs *core.ResultSet, col string, vals []float64, mask []bool, order []int, desc bool) (Refinement, bool) {
 	// Find the cut: the first example tuple followed by a non-example
 	// tuple. Everything up to and including it is the top-k.
 	cut := -1
-	for i, ti := range idx {
-		if !rs.MatchesExample(rs.Tuples[ti]) {
-			continue
-		}
-		if i+1 < len(idx) && !rs.MatchesExample(rs.Tuples[idx[i+1]]) {
+	for i, ti := range order {
+		if mask[ti] && i+1 < len(order) && !mask[order[i+1]] {
 			cut = i
 			break
 		}
@@ -59,7 +79,7 @@ func topKOne(rs *core.ResultSet, col string, desc bool) (Refinement, bool) {
 		// there is nothing meaningful to cut.
 		return Refinement{}, false
 	}
-	threshold, kept := vals[idx[cut+1]], vals[idx[cut]]
+	threshold, kept := vals[order[cut+1]], vals[order[cut]]
 	if threshold == kept {
 		// Tie between the last kept tuple and the first excluded one: a
 		// pure value filter cannot separate them.
@@ -93,22 +113,25 @@ func Percentile(rs *core.ResultSet) []Refinement {
 	if len(rs.Tuples) == 0 {
 		return nil
 	}
-	q := rs.Query
-	for _, agg := range q.Aggregates {
-		out = append(out, percentileOne(rs, agg.OutVar)...)
+	mask := rs.ExampleMask()
+	for i, agg := range rs.Query.Aggregates {
+		out = append(out, percentileOne(rs, agg.OutVar, rs.Column(i), mask)...)
 	}
 	return out
 }
 
-func percentileOne(rs *core.ResultSet, col string) []Refinement {
-	values := make([]float64, len(rs.Tuples))
-	for i, t := range rs.Tuples {
-		values[i] = t.Measures[col]
-	}
+func percentileOne(rs *core.ResultSet, col string, vals []float64, mask []bool) []Refinement {
+	values := append([]float64(nil), vals...)
 	sort.Float64s(values)
 	cuts := make([]float64, len(percentileRanks))
 	for i, p := range percentileRanks {
 		cuts[i] = percentileValue(values, p)
+	}
+	var examples []float64
+	for i, v := range vals {
+		if mask[i] {
+			examples = append(examples, v)
+		}
 	}
 	// Intervals: (-inf, c0], (c0, c1], ..., (c3, +inf).
 	type interval struct {
@@ -129,11 +152,7 @@ func percentileOne(rs *core.ResultSet, col string) []Refinement {
 	var out []Refinement
 	for _, iv := range ivs {
 		hasExample := false
-		for _, t := range rs.Tuples {
-			if !rs.MatchesExample(t) {
-				continue
-			}
-			v := t.Measures[col]
+		for _, v := range examples {
 			if (!iv.hasLo || v > iv.lo) && (!iv.hasHi || v <= iv.hi) {
 				hasExample = true
 				break

@@ -105,14 +105,25 @@ func (s *Session) Options(ctx context.Context, kind refine.Kind) ([]refine.Refin
 	return refs, nil
 }
 
-// Apply executes the chosen refinement and pushes it onto the history.
+// Apply answers the chosen refinement and pushes it onto the history.
+// A refinement that only cuts the current answer (Top-K, Percentile,
+// Cluster) is derived from it when the store is unchanged
+// (core.Engine.Derive); any other is executed.
 func (s *Session) Apply(ctx context.Context, r refine.Refinement) (*core.ResultSet, error) {
-	if s.Current() == nil {
+	cur := s.Current()
+	if cur == nil {
 		return nil, ErrNoCurrentQuery
 	}
-	rs, err := s.Engine.ExecuteTagged(ctx, r.Query, "refine:"+string(r.Kind))
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("session: executing refinement: %w", err)
+	}
+	rs, ok := s.Engine.Derive(cur.Results, r.Query)
+	if !ok {
+		var err error
+		rs, err = s.Engine.ExecuteTagged(ctx, r.Query, "refine:"+string(r.Kind))
+		if err != nil {
+			return nil, fmt.Errorf("session: executing refinement: %w", err)
+		}
 	}
 	s.steps = append(s.steps, &Step{Query: r.Query, Results: rs, Via: r, Offered: map[refine.Kind]int{}})
 	return rs, nil
