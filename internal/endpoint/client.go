@@ -32,8 +32,8 @@ type Client interface {
 type InProcess struct {
 	Engine *sparql.Engine
 
-	queries *obs.Counter // total queries; the QueryCount source
-	m       *clientMetrics
+	queries obs.Counter // the QueryCount source, registry or not
+	m       clientMetrics
 	slow    *obs.SlowLog
 }
 
@@ -42,19 +42,11 @@ type InProcess struct {
 // WithSlowQueryLog, WithWorkers.
 func NewInProcess(st *store.Store, opts ...Option) *InProcess {
 	o := applyOptions(opts)
-	c := &InProcess{Engine: sparql.NewEngine(st), slow: o.slow}
+	c := &InProcess{Engine: sparql.NewEngine(st), m: newClientMetrics(o.registry, "inprocess"), slow: o.slow}
 	if o.workers != nil {
 		c.Engine.Exec.Workers = *o.workers
 	}
-	if o.registry != nil {
-		c.m = newClientMetrics(o.registry, "inprocess")
-		c.queries = c.m.queries
-		c.Engine.Instrument(o.registry)
-	} else {
-		// The query count survives without a registry: it delegates to
-		// a standalone counter, so QueryCount keeps working unchanged.
-		c.queries = new(obs.Counter)
-	}
+	c.Engine.Instrument(o.registry)
 	return c
 }
 
@@ -84,23 +76,14 @@ func (c *InProcess) QueryX(ctx context.Context, req Request) (*sparql.Results, Q
 	meta.Wall = time.Since(start)
 	meta.HasPhases = true
 	span.End()
-	// c.m.record would double-count queries: c.queries IS c.m.queries
-	// when a registry is attached, so count once and add latency/errors
-	// separately.
 	c.queries.Inc()
-	if m := c.m; m != nil {
-		m.latency.ObserveDuration(meta.Wall)
-		if err != nil {
-			m.errors[errorKind(err)].Inc()
-		}
-	}
+	c.m.record(meta.Wall, err)
 	recordQuery(c.slow, nil, req.Query, meta, 0, err)
 	return res, meta, err
 }
 
-// QueryCount returns the number of queries issued so far. It now
-// delegates to the registry-backed counter (the experiment harness
-// still reports it).
+// QueryCount returns the number of queries issued so far (the
+// experiment harness reports it).
 func (c *InProcess) QueryCount() int64 { return c.queries.Value() }
 
 // Generation implements GenerationSource: the backing store's mutation
@@ -128,7 +111,7 @@ type HTTPClient struct {
 	// construction instead of mutating the field afterwards.
 	HTTP *http.Client
 
-	m    *clientMetrics
+	m    clientMetrics
 	slow *obs.SlowLog
 }
 

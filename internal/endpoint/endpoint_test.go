@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"re2xolap/internal/obs"
 	"re2xolap/internal/rdf"
 	"re2xolap/internal/sparql"
 	"re2xolap/internal/store"
@@ -191,6 +192,49 @@ func TestHTTPServerErrors(t *testing.T) {
 				t.Errorf("status = %d, want %d", resp.StatusCode, tt.status)
 			}
 		})
+	}
+}
+
+// TestServerQueryLengthLimit pins the 413 path: a query text over
+// maxQueryLen, sent as a direct POST body or as a form field, is
+// refused and counted as a bad request; a text of exactly the limit
+// is served.
+func TestServerQueryLengthLimit(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv := httptest.NewServer(NewServer(testStore(t), WithRegistry(reg)))
+	defer srv.Close()
+	badRequests := reg.Counter("re2xolap_server_requests_total", "", obs.L("outcome", "bad_request"))
+	post := func(contentType, body string) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL, contentType, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	const ask = "ASK { ?s ?p ?o }"
+	long := ask + strings.Repeat(" ", maxQueryLen+1-len(ask))
+
+	if code := post("application/sparql-query", long); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("direct POST over the limit: status %d, want 413", code)
+	}
+	if n := badRequests.Value(); n != 1 {
+		t.Errorf("bad_request count after direct POST = %d, want 1", n)
+	}
+	form := url.Values{"query": {long}}.Encode()
+	if code := post("application/x-www-form-urlencoded", form); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("form POST over the limit: status %d, want 413", code)
+	}
+	if n := badRequests.Value(); n != 2 {
+		t.Errorf("bad_request count after form POST = %d, want 2", n)
+	}
+	if code := post("application/sparql-query", long[:maxQueryLen]); code != http.StatusOK {
+		t.Errorf("query of exactly the limit: status %d, want 200", code)
+	}
+	if n := badRequests.Value(); n != 2 {
+		t.Errorf("bad_request count after a served query = %d, want 2", n)
 	}
 }
 

@@ -33,7 +33,6 @@ type options struct {
 	policy       *Policy
 	registry     *obs.Registry
 	slow         *obs.SlowLog
-	maxQueryLen  int
 	workers      *int
 	traceSink    *obs.OTLPSink
 	queryLog     *obs.QueryRing
@@ -88,12 +87,6 @@ func WithRegistry(r *obs.Registry) Option {
 // with their phase breakdown where available.
 func WithSlowQueryLog(l *obs.SlowLog) Option {
 	return func(o *options) { o.slow = l }
-}
-
-// WithMaxQueryLen bounds accepted query text (NewServer; default
-// 1 MiB).
-func WithMaxQueryLen(n int) Option {
-	return func(o *options) { o.maxQueryLen = n }
 }
 
 // WithWorkers sets the executor's per-query worker count (NewServer,

@@ -143,8 +143,8 @@ func errorKind(err error) string {
 }
 
 // clientMetrics is the per-client registry series, pre-created at
-// construction so the query path is a few atomic adds. nil (registry
-// absent) disables everything via the obs nil fast path.
+// construction so the query path is a few atomic adds. Without a
+// registry the handles are nil and no-op.
 type clientMetrics struct {
 	queries *obs.Counter
 	latency *obs.Histogram
@@ -153,11 +153,8 @@ type clientMetrics struct {
 
 // newClientMetrics registers the standard client series under the
 // given client label.
-func newClientMetrics(reg *obs.Registry, client string) *clientMetrics {
-	if reg == nil {
-		return nil
-	}
-	m := &clientMetrics{
+func newClientMetrics(reg *obs.Registry, client string) clientMetrics {
+	m := clientMetrics{
 		queries: reg.Counter("re2xolap_endpoint_queries_total",
 			"Queries issued through the protocol boundary.", obs.L("client", client)),
 		latency: reg.Histogram("re2xolap_endpoint_query_seconds",
@@ -171,11 +168,8 @@ func newClientMetrics(reg *obs.Registry, client string) *clientMetrics {
 	return m
 }
 
-// record publishes one query outcome. Safe on a nil receiver.
-func (m *clientMetrics) record(wall time.Duration, err error) {
-	if m == nil {
-		return
-	}
+// record publishes one query outcome.
+func (m clientMetrics) record(wall time.Duration, err error) {
 	m.queries.Inc()
 	m.latency.ObserveDuration(wall)
 	if err != nil {
@@ -194,25 +188,19 @@ func recordQuery(slow *obs.SlowLog, ring *obs.QueryRing, query string, meta Quer
 	if !toSlow && ring == nil {
 		return
 	}
-	var p sparql.PhaseTimings
-	if meta.HasPhases {
-		p = meta.Phases
-	}
 	var phases map[string]float64
-	for _, ph := range [...]struct {
-		name string
-		d    time.Duration
-	}{
-		{"parse", p.Parse}, {"plan", p.Plan}, {"join", p.Join},
-		{"aggregate", p.Aggregate}, {"sort", p.Sort}, {"serialize", ser},
-	} {
-		if ph.d > 0 {
+	add := func(name string, d time.Duration) {
+		if d > 0 {
 			if phases == nil {
 				phases = make(map[string]float64, 6)
 			}
-			phases[ph.name] = ms(ph.d)
+			phases[name] = ms(d)
 		}
 	}
+	if meta.HasPhases {
+		meta.Phases.Each(add)
+	}
+	add("serialize", ser)
 	rec := obs.QueryRecord{
 		Source:        meta.Source,
 		Step:          meta.Step,

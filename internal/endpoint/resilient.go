@@ -107,9 +107,9 @@ type ResilientClient struct {
 	stats     ResilientStats
 	statsLock sync.Mutex
 
-	// Registry series (nil without WithRegistry; nil obs metrics
+	// Registry series (nil handles without WithRegistry, which
 	// no-op).
-	m        *clientMetrics
+	m        clientMetrics
 	mRetries *obs.Counter
 	mTrips   *obs.Counter
 	mReject  *obs.Counter
@@ -142,19 +142,18 @@ func NewResilient(inner Client, opts ...Option) *ResilientClient {
 	if p.MaxInFlight > 0 {
 		c.sem = make(chan struct{}, p.MaxInFlight)
 	}
-	if reg := o.registry; reg != nil {
-		c.m = newClientMetrics(reg, "resilient")
-		c.mRetries = reg.Counter("re2xolap_resilient_retries_total", "Attempts beyond the first.")
-		c.mTrips = reg.Counter("re2xolap_resilient_breaker_trips_total", "Breaker transitions to open.")
-		c.mReject = reg.Counter("re2xolap_resilient_rejected_total", "Queries rejected by the open breaker.")
-		reg.GaugeFunc("re2xolap_resilient_breaker_open", "1 while the breaker is open or half-open.",
-			func() float64 {
-				if c.State() == "closed" {
-					return 0
-				}
-				return 1
-			})
-	}
+	reg := o.registry
+	c.m = newClientMetrics(reg, "resilient")
+	c.mRetries = reg.Counter("re2xolap_resilient_retries_total", "Attempts beyond the first.")
+	c.mTrips = reg.Counter("re2xolap_resilient_breaker_trips_total", "Breaker transitions to open.")
+	c.mReject = reg.Counter("re2xolap_resilient_rejected_total", "Queries rejected by the open breaker.")
+	reg.GaugeFunc("re2xolap_resilient_breaker_open", "1 while the breaker is open or half-open.",
+		func() float64 {
+			if c.State() == "closed" {
+				return 0
+			}
+			return 1
+		})
 	return c
 }
 

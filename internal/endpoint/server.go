@@ -32,12 +32,9 @@ type Server struct {
 	// when there is none (a remote endpoint, a shard coordinator).
 	// /healthz reports its size and the registry its triple gauge.
 	st *store.Store
-	// maxQueryLen bounds accepted query text; defaults to 1 MiB
-	// (WithMaxQueryLen).
-	maxQueryLen int
 
 	reg     *obs.Registry
-	m       *serverMetrics
+	m       serverMetrics
 	slow    *obs.SlowLog
 	traces  *obs.OTLPSink
 	queries *obs.QueryRing
@@ -55,7 +52,11 @@ type Server struct {
 	routes []extraRoute
 }
 
-// serverMetrics caches the server's registry series.
+// maxQueryLen bounds accepted query text: longer requests get 413.
+const maxQueryLen = 1 << 20
+
+// serverMetrics caches the server's registry series; without a
+// registry the handles are nil and no-op.
 type serverMetrics struct {
 	requests  map[string]*obs.Counter // by outcome
 	latency   *obs.Histogram
@@ -96,26 +97,20 @@ func NewServer(st *store.Store, opts ...Option) *Server {
 // Supported options: WithRegistry (request counters, latency and
 // serialization histograms, worker-pool gauge, and the store gauge when
 // c unwraps to an InProcess), WithSlowQueryLog, WithTraceExport,
-// WithQueryLog, WithMaxQueryLen, WithReadiness, WithTenantHeader,
+// WithQueryLog, WithReadiness, WithTenantHeader,
 // WithRoute. A degraded partial answer (QueryMeta.Incomplete) is
 // flagged to HTTP callers via the X-Re2xolap-Incomplete response
 // header.
 func NewClientServer(c Client, opts ...Option) *Server {
 	o := applyOptions(opts)
-	s := &Server{client: c, st: localStore(c), maxQueryLen: 1 << 20, slow: o.slow, traces: o.traceSink, queries: o.queryLog, ready: o.ready, tenantHeader: o.tenantHeader, routes: o.routes}
-	if o.maxQueryLen > 0 {
-		s.maxQueryLen = o.maxQueryLen
+	reg := o.registry
+	s := &Server{client: c, st: localStore(c), reg: reg, m: newServerMetrics(reg), slow: o.slow, traces: o.traceSink, queries: o.queryLog, ready: o.ready, tenantHeader: o.tenantHeader, routes: o.routes}
+	if st := s.st; st != nil {
+		reg.GaugeFunc("re2xolap_store_triples", "Triples in the served store.",
+			func() float64 { return float64(st.Len()) })
 	}
-	if reg := o.registry; reg != nil {
-		s.reg = reg
-		s.m = newServerMetrics(reg)
-		if st := s.st; st != nil {
-			reg.GaugeFunc("re2xolap_store_triples", "Triples in the served store.",
-				func() float64 { return float64(st.Len()) })
-		}
-		reg.GaugeFunc("re2xolap_par_active_workers", "Worker-pool goroutines currently running.",
-			func() float64 { return float64(par.Active()) })
-	}
+	reg.GaugeFunc("re2xolap_par_active_workers", "Worker-pool goroutines currently running.",
+		func() float64 { return float64(par.Active()) })
 	return s
 }
 
@@ -136,8 +131,8 @@ func localStore(c Client) *store.Store {
 }
 
 // newServerMetrics registers the request-level server series.
-func newServerMetrics(reg *obs.Registry) *serverMetrics {
-	m := &serverMetrics{
+func newServerMetrics(reg *obs.Registry) serverMetrics {
+	m := serverMetrics{
 		requests: make(map[string]*obs.Counter, len(requestOutcomes)),
 		latency: reg.Histogram("re2xolap_server_request_seconds",
 			"SPARQL request latency, serialization included.", nil),
@@ -170,11 +165,8 @@ func requestOutcome(err error) string {
 	}
 }
 
-// countRequest is nil-safe outcome accounting.
-func (m *serverMetrics) countRequest(outcome string, wall time.Duration) {
-	if m == nil {
-		return
-	}
+// countRequest is outcome accounting.
+func (m serverMetrics) countRequest(outcome string, wall time.Duration) {
 	m.requests[outcome].Inc()
 	m.latency.ObserveDuration(wall)
 }
@@ -191,7 +183,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if ct == "application/sparql-query" || strings.HasPrefix(ct, "application/sparql-query;") {
 			// SPARQL 1.1 protocol "query via POST directly": the body
 			// IS the query, so cap the read at the same length bound.
-			body, err := io.ReadAll(io.LimitReader(r.Body, int64(s.maxQueryLen)+1))
+			body, err := io.ReadAll(io.LimitReader(r.Body, maxQueryLen+1))
 			if err != nil {
 				http.Error(w, "malformed request body", http.StatusBadRequest)
 				s.m.countRequest("bad_request", time.Since(start))
@@ -216,7 +208,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.m.countRequest("bad_request", time.Since(start))
 		return
 	}
-	if len(query) > s.maxQueryLen {
+	if len(query) > maxQueryLen {
 		http.Error(w, "query too long", http.StatusRequestEntityTooLarge)
 		s.m.countRequest("bad_request", time.Since(start))
 		return
@@ -308,7 +300,7 @@ func (s *Server) fail(w http.ResponseWriter, query string, start time.Time, meta
 func (s *Server) account(query string, start time.Time, meta QueryMeta, rows int, ser time.Duration, err error) {
 	wall := time.Since(start)
 	s.m.countRequest(requestOutcome(err), wall)
-	if s.m != nil && err == nil {
+	if err == nil {
 		s.m.serialize.ObserveDuration(ser)
 	}
 	meta.Source, meta.Wall, meta.Rows = "server", wall, rows

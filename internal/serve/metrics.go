@@ -11,8 +11,7 @@ import (
 var shedReasons = [...]string{"queue_full", "deadline"}
 
 // metrics is the serve stack's registry series, created once at
-// construction. A nil *metrics (registry absent) disables everything
-// through the obs nil fast path — every method is nil-safe. The
+// construction. Without a registry every handle is nil and no-ops. The
 // tenant-labeled series (sheds, queue wait) are created lazily per
 // tenant through the registry (which dedupes by name+labels); the
 // shared interner bounds their cardinality.
@@ -32,10 +31,7 @@ type metrics struct {
 // registered by the Stack after construction (it owns the sampled
 // state). names is the tenant interner shared with the SLO tracker.
 func newMetrics(reg *obs.Registry, names *tenantNames) *metrics {
-	if reg == nil {
-		return nil
-	}
-	m := &metrics{
+	return &metrics{
 		reg:   reg,
 		names: names,
 		cacheHits: reg.Counter("re2xolap_result_cache_hits_total",
@@ -49,45 +45,15 @@ func newMetrics(reg *obs.Registry, names *tenantNames) *metrics {
 		executions: reg.Counter("re2xolap_serve_executions_total",
 			"Queries the serve stack actually forwarded to the inner client."),
 	}
-	return m
-}
-
-func (m *metrics) hit() {
-	if m != nil {
-		m.cacheHits.Inc()
-	}
-}
-
-func (m *metrics) miss() {
-	if m != nil {
-		m.cacheMisses.Inc()
-	}
-}
-
-func (m *metrics) evicted(n int) {
-	if m != nil && n > 0 {
-		m.cacheEvictions.Add(int64(n))
-	}
-}
-
-func (m *metrics) coalesce() {
-	if m != nil {
-		m.coalesced.Inc()
-	}
-}
-
-func (m *metrics) execute() {
-	if m != nil {
-		m.executions.Inc()
-	}
 }
 
 // observeQueueWait records one admitted request's queue time on the
 // tenant's wait histogram. This runs only on the slow (queued) path,
 // so the registry lookup (a map read after the first call per tenant)
-// is off the fast path.
+// is off the fast path. Without a registry the tenant is not interned,
+// so the bounded label set stays the SLO tracker's alone.
 func (m *metrics) observeQueueWait(d time.Duration, tenant string) {
-	if m != nil {
+	if m.reg != nil {
 		m.reg.Histogram("re2xolap_serve_queue_wait_seconds",
 			"Time admitted requests spent queued for an execution slot, by tenant.", nil,
 			obs.L("tenant", m.names.intern(tenant))).ObserveDuration(d)
@@ -98,7 +64,7 @@ func (m *metrics) observeQueueWait(d time.Duration, tenant string) {
 // tenant (reason ∈ shedReasons; tenant is interned to the bounded
 // label set).
 func (m *metrics) shed(reason, tenant string) {
-	if m != nil {
+	if m.reg != nil {
 		m.reg.Counter("re2xolap_serve_shed_total",
 			"Requests rejected by admission control, by reason and tenant.",
 			obs.L("reason", reason), obs.L("tenant", m.names.intern(tenant))).Inc()

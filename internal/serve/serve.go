@@ -37,7 +37,6 @@ type config struct {
 	admission *AdmissionConfig
 	slo       *SLOConfig
 	reg       *obs.Registry
-	noFlight  bool
 }
 
 // Option configures a Stack.
@@ -69,13 +68,6 @@ func WithSLO(cfg SLOConfig) Option {
 // coalesce, executions, queue depth and wait, sheds) through reg.
 func WithRegistry(reg *obs.Registry) Option {
 	return func(c *config) { c.reg = reg }
-}
-
-// WithoutSingleFlight disables deduplication of concurrent identical
-// queries (on by default), for callers that need every request to
-// reach the inner client.
-func WithoutSingleFlight() Option {
-	return func(c *config) { c.noFlight = true }
 }
 
 // Stack wraps an inner client in the serving pipeline:
@@ -120,6 +112,7 @@ func New(inner endpoint.Client, opts ...Option) *Stack {
 	s := &Stack{
 		inner:         inner,
 		canon:         lru.New[string](canonMemoSize),
+		flight:        newFlightGroup(),
 		m:             newMetrics(cfg.reg, names),
 		defaultTenant: "default",
 	}
@@ -133,9 +126,6 @@ func New(inner endpoint.Client, opts ...Option) *Stack {
 		s.cache = lru.New[*cachedAnswer](cfg.cacheSize)
 		cfg.reg.GaugeFunc("re2xolap_result_cache_entries",
 			"Result-cache occupancy.", func() float64 { return float64(s.cache.Len()) })
-	}
-	if !cfg.noFlight {
-		s.flight = newFlightGroup()
 	}
 	if cfg.admission != nil {
 		s.adm = newAdmission(*cfg.admission, s.m)
@@ -206,26 +196,21 @@ func (s *Stack) queryX(ctx context.Context, req endpoint.Request) (*sparql.Resul
 	key := cacheKey(canonical, s.generation())
 	if s.cache != nil {
 		if ans, hit := s.cache.Get(key); hit {
-			s.m.hit()
+			s.m.cacheHits.Inc()
 			meta := s.derivedMeta(ans.meta, req, start)
 			meta.CacheHit = true
 			return ans.res, meta, nil
 		}
-		s.m.miss()
+		s.m.cacheMisses.Inc()
 	}
 
-	if s.flight == nil {
-		res, meta, err := s.execute(ctx, req)
-		s.store(key, res, meta, err)
-		return res, meta, err
-	}
 	res, meta, led, err := s.flight.do(ctx, key, func() (*sparql.Results, endpoint.QueryMeta, error) {
 		r, m, e := s.execute(ctx, req)
 		s.store(key, r, m, e)
 		return r, m, e
 	})
 	if !led {
-		s.m.coalesce()
+		s.m.coalesced.Inc()
 		meta = s.derivedMeta(meta, req, start)
 		meta.Coalesced = true
 	}
@@ -245,7 +230,7 @@ func (s *Stack) execute(ctx context.Context, req endpoint.Request) (*sparql.Resu
 		queueWait = wait
 		defer release()
 	}
-	s.m.execute()
+	s.m.executions.Inc()
 	res, meta, err := endpoint.QueryX(ctx, s.inner, req)
 	meta.QueueWait = queueWait
 	meta.Wall += queueWait
@@ -319,12 +304,10 @@ func (s *Stack) Stats() StackStats {
 	if s.cache != nil {
 		st.CacheEntries = int64(s.cache.Len())
 	}
-	if s.m != nil {
-		st.CacheHits = s.m.cacheHits.Value()
-		st.CacheMisses = s.m.cacheMisses.Value()
-		st.Coalesced = s.m.coalesced.Value()
-		st.Executions = s.m.executions.Value()
-	}
+	st.CacheHits = s.m.cacheHits.Value()
+	st.CacheMisses = s.m.cacheMisses.Value()
+	st.Coalesced = s.m.coalesced.Value()
+	st.Executions = s.m.executions.Value()
 	if s.adm != nil {
 		st.QueueDepth = s.adm.queueDepth()
 		st.Sheds = s.adm.sheds.Load()
@@ -339,5 +322,5 @@ func (s *Stack) store(key string, res *sparql.Results, meta endpoint.QueryMeta, 
 	if s.cache == nil || err != nil || res == nil || meta.Incomplete {
 		return
 	}
-	s.m.evicted(s.cache.Put(key, &cachedAnswer{res: res, meta: meta}))
+	s.m.cacheEvictions.Add(int64(s.cache.Put(key, &cachedAnswer{res: res, meta: meta})))
 }

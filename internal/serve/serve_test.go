@@ -249,24 +249,30 @@ func TestErrorsNotCached(t *testing.T) {
 }
 
 // TestCacheEviction: the cache stays within its bound and counts
-// evictions.
+// evictions; it answers the same with and without a registry.
 func TestCacheEviction(t *testing.T) {
 	st := newTestStore(t)
-	reg := obs.NewRegistry()
-	s := New(endpoint.NewInProcess(st), WithResultCache(2), WithRegistry(reg))
 	ctx := context.Background()
-
-	for i := 0; i < 4; i++ {
-		q := fmt.Sprintf(`SELECT ?v WHERE { <http://t/s%d> <http://t/value> ?v }`, i)
-		if _, _, err := s.QueryX(ctx, endpoint.Request{Query: q}); err != nil {
-			t.Fatal(err)
+	var answers [2][]byte
+	for k, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
+		s := New(endpoint.NewInProcess(st), WithResultCache(2), WithRegistry(reg))
+		for i := 0; i < 4; i++ {
+			q := fmt.Sprintf(`SELECT ?v WHERE { <http://t/s%d> <http://t/value> ?v }`, i)
+			res, _, err := s.QueryX(ctx, endpoint.Request{Query: q})
+			if err != nil {
+				t.Fatal(err)
+			}
+			answers[k] = append(answers[k], encode(t, res)...)
+		}
+		if n := s.cache.Len(); n != 2 {
+			t.Errorf("cache occupancy = %d, want 2", n)
+		}
+		if v := reg.Counter("re2xolap_result_cache_evictions_total", "").Value(); reg != nil && v != 2 {
+			t.Errorf("evictions counter = %d, want 2", v)
 		}
 	}
-	if n := s.cache.Len(); n != 2 {
-		t.Errorf("cache occupancy = %d, want 2", n)
-	}
-	if v := reg.Counter("re2xolap_result_cache_evictions_total", "").Value(); v != 2 {
-		t.Errorf("evictions counter = %d, want 2", v)
+	if !bytes.Equal(answers[0], answers[1]) {
+		t.Error("answers differ without a registry")
 	}
 }
 
@@ -316,13 +322,12 @@ func TestHTTPShedding(t *testing.T) {
 	st := newTestStore(t)
 	fault := endpoint.NewFault(endpoint.NewInProcess(st), endpoint.FaultConfig{Latency: 300 * time.Millisecond})
 	stack := New(fault,
-		WithAdmission(AdmissionConfig{MaxConcurrent: 1, QueueBudget: 1}),
-		WithoutSingleFlight())
+		WithAdmission(AdmissionConfig{MaxConcurrent: 1, QueueBudget: 1}))
 	srv := httptest.NewServer(endpoint.NewClientServer(stack))
 	defer srv.Close()
 
-	// Distinct queries so single-flight semantics could never mask the
-	// load; 6 concurrent requests against 1 slot + 1 queue spot.
+	// Distinct queries so single-flight cannot coalesce them away; 6
+	// concurrent requests against 1 slot + 1 queue spot.
 	const n = 6
 	codes := make([]int, n)
 	var wg sync.WaitGroup
@@ -367,13 +372,13 @@ func TestTenantHeaderIsolation(t *testing.T) {
 	st := newTestStore(t)
 	fault := endpoint.NewFault(endpoint.NewInProcess(st), endpoint.FaultConfig{})
 	stack := New(fault,
-		WithAdmission(AdmissionConfig{MaxConcurrent: 1, QueueBudget: 1}),
-		WithoutSingleFlight())
+		WithAdmission(AdmissionConfig{MaxConcurrent: 1, QueueBudget: 1}))
 	srv := httptest.NewServer(endpoint.NewClientServer(stack, endpoint.WithTenantHeader("X-Tenant")))
 	defer srv.Close()
 
 	// Saturate tenant A: one slow query holds its only slot, one more
-	// fills its queue.
+	// fills its queue. All three query texts differ, so none coalesces
+	// onto another.
 	fault.SetLatency(400 * time.Millisecond)
 	release := make(chan struct{})
 	var wg sync.WaitGroup
@@ -423,8 +428,7 @@ func TestQueueWaitReported(t *testing.T) {
 	st := newTestStore(t)
 	fault := endpoint.NewFault(endpoint.NewInProcess(st), endpoint.FaultConfig{Latency: 150 * time.Millisecond})
 	s := New(fault,
-		WithAdmission(AdmissionConfig{MaxConcurrent: 1, QueueBudget: 4}),
-		WithoutSingleFlight())
+		WithAdmission(AdmissionConfig{MaxConcurrent: 1, QueueBudget: 4}))
 	ctx := context.Background()
 
 	started := make(chan struct{})
@@ -445,23 +449,31 @@ func TestQueueWaitReported(t *testing.T) {
 }
 
 // TestAdmissionQueueFullShed: requests beyond the queue budget fail
-// fast with the overload taxonomy class.
+// fast with the overload taxonomy class, with and without a registry.
 func TestAdmissionQueueFullShed(t *testing.T) {
+	for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
+		admissionQueueFullShed(t, reg)
+	}
+}
+
+func admissionQueueFullShed(t *testing.T, reg *obs.Registry) {
+	t.Helper()
 	st := newTestStore(t)
 	fault := endpoint.NewFault(endpoint.NewInProcess(st), endpoint.FaultConfig{Latency: 300 * time.Millisecond})
-	reg := obs.NewRegistry()
 	s := New(fault,
 		WithAdmission(AdmissionConfig{MaxConcurrent: 1, QueueBudget: 1}),
-		WithoutSingleFlight(), WithRegistry(reg))
+		WithRegistry(reg))
 	ctx := context.Background()
 
+	// Eight distinct texts: a coalesced duplicate would share its
+	// leader's shed error without being shed itself.
 	var wg sync.WaitGroup
 	errs := make([]error, 8)
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			q := fmt.Sprintf(`SELECT ?v WHERE { <http://t/s%d> <http://t/value> ?v }`, i%6)
+			q := fmt.Sprintf(`SELECT ?v WHERE { <http://t/s%d> <http://t/value> ?v }`, i)
 			_, _, errs[i] = s.QueryX(ctx, endpoint.Request{Query: q})
 		}(i)
 	}
@@ -485,7 +497,7 @@ func TestAdmissionQueueFullShed(t *testing.T) {
 	if shed == 0 {
 		t.Error("no request was shed")
 	}
-	if v := reg.Counter("re2xolap_serve_shed_total", "", obs.L("reason", "queue_full"), obs.L("tenant", "default")).Value(); v != int64(shed) {
+	if v := reg.Counter("re2xolap_serve_shed_total", "", obs.L("reason", "queue_full"), obs.L("tenant", "default")).Value(); reg != nil && v != int64(shed) {
 		t.Errorf("shed counter = %d, want %d", v, shed)
 	}
 }
@@ -497,8 +509,7 @@ func TestAdmissionDeadlineShed(t *testing.T) {
 	st := newTestStore(t)
 	fault := endpoint.NewFault(endpoint.NewInProcess(st), endpoint.FaultConfig{Latency: 150 * time.Millisecond})
 	s := New(fault,
-		WithAdmission(AdmissionConfig{MaxConcurrent: 1, QueueBudget: 8}),
-		WithoutSingleFlight())
+		WithAdmission(AdmissionConfig{MaxConcurrent: 1, QueueBudget: 8}))
 	ctx := context.Background()
 
 	// Warm the EWMA with one solo query (~150ms service time).

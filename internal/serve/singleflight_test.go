@@ -15,12 +15,22 @@ import (
 
 // TestSingleFlight32 is the acceptance test: 32 concurrent identical
 // queries execute the engine exactly once; the other 31 coalesce onto
-// that execution and every answer is byte-identical.
+// that execution and every answer is byte-identical — with and without
+// a registry.
 func TestSingleFlight32(t *testing.T) {
+	bare := singleFlight32(t, nil)
+	if metered := singleFlight32(t, obs.NewRegistry()); !bytes.Equal(bare, metered) {
+		t.Fatal("coalesced answer differs without a registry")
+	}
+}
+
+// singleFlight32 runs the scenario on a stack publishing to reg and
+// returns the shared answer's bytes.
+func singleFlight32(t *testing.T, reg *obs.Registry) []byte {
+	t.Helper()
 	st := newTestStore(t)
 	fault := endpoint.NewFault(endpoint.NewInProcess(st), endpoint.FaultConfig{Latency: 200 * time.Millisecond})
 	inner := &countingClient{inner: fault}
-	reg := obs.NewRegistry()
 	s := New(inner, WithRegistry(reg)) // no cache: dedup alone must carry this
 	ctx := context.Background()
 
@@ -74,12 +84,16 @@ func TestSingleFlight32(t *testing.T) {
 	if coalesced != n-1 {
 		t.Errorf("%d requests coalesced, want %d", coalesced, n-1)
 	}
+	if reg == nil {
+		return first
+	}
 	if v := reg.Counter("re2xolap_serve_coalesced_total", "").Value(); v != n-1 {
 		t.Errorf("coalesced counter = %d, want %d", v, n-1)
 	}
 	if v := reg.Counter("re2xolap_serve_executions_total", "").Value(); v != 1 {
 		t.Errorf("executions counter = %d, want 1", v)
 	}
+	return first
 }
 
 // TestSingleFlightDistinctQueriesDoNotCoalesce: dedup keys on the

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http/httptest"
 	"strings"
@@ -185,7 +186,7 @@ func sloStack(t *testing.T, reg *obs.Registry, opts ...Option) (*Stack, *endpoin
 // recover once the fault clears and the window slides.
 func TestSLOBurnAndRecover(t *testing.T) {
 	reg := obs.NewRegistry()
-	s, fc, clk := sloStack(t, reg, WithoutSingleFlight())
+	s, fc, clk := sloStack(t, reg)
 	ctx := endpoint.ContextWithTenant(context.Background(), "acme")
 
 	// Healthy phase: everything is fast, burn stays at zero.
@@ -297,9 +298,12 @@ func TestSLOHandlerAndAttribution(t *testing.T) {
 func TestSLOShedAttribution(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, fc, _ := sloStack(t, reg,
-		WithoutSingleFlight(),
 		WithAdmission(AdmissionConfig{MaxConcurrent: 1, QueueBudget: 1}))
 	ctx := endpoint.ContextWithTenant(context.Background(), "acme")
+	// Distinct texts, so no request coalesces onto another.
+	query := func(i int) string {
+		return fmt.Sprintf(`SELECT ?v WHERE { <http://t/s%d> <http://t/value> ?v }`, i)
+	}
 
 	// Hold the only slot with a slow request, fill the queue with a
 	// second, then overflow with more.
@@ -307,15 +311,15 @@ func TestSLOShedAttribution(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(2)
 	for i := 0; i < 2; i++ {
-		go func() {
+		go func(i int) {
 			defer wg.Done()
-			_, _, _ = s.QueryX(ctx, endpoint.Request{Query: valueQuery})
-		}()
+			_, _, _ = s.QueryX(ctx, endpoint.Request{Query: query(i)})
+		}(i)
 	}
 	time.Sleep(50 * time.Millisecond) // let them occupy slot + queue
 	var sheds int
 	for i := 0; i < 4; i++ {
-		if _, _, err := s.QueryX(ctx, endpoint.Request{Query: valueQuery}); errors.Is(err, endpoint.ErrOverloaded) {
+		if _, _, err := s.QueryX(ctx, endpoint.Request{Query: query(2 + i)}); errors.Is(err, endpoint.ErrOverloaded) {
 			sheds++
 		}
 	}

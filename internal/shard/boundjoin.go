@@ -49,8 +49,8 @@ func (c *Coordinator) runBoundJoin(ctx context.Context, v *view, plan *sparql.Bo
 		}
 		exec.EndStep()
 	}
-	c.m.phase("join", time.Duration(joinNS.Load()))
-	c.m.boundShipped(exec.BindingsShipped())
+	c.m.mergePhase["join"].ObserveDuration(time.Duration(joinNS.Load()))
+	c.m.boundBindings.Add(int64(exec.BindingsShipped()))
 	skipped, err := c.settle(calls, errs)
 	if err != nil {
 		return nil, calls, nil, err
@@ -58,7 +58,7 @@ func (c *Coordinator) runBoundJoin(ctx context.Context, v *view, plan *sparql.Bo
 
 	finStart := time.Now()
 	res, err := exec.Finalize()
-	c.m.phase("finalize", time.Since(finStart))
+	c.m.mergePhase["finalize"].ObserveDuration(time.Since(finStart))
 	if err != nil {
 		return nil, calls, nil, err
 	}

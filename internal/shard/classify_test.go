@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"re2xolap/internal/endpoint"
+	"re2xolap/internal/obs"
 	"re2xolap/internal/rdf"
 	"re2xolap/internal/sparql"
 )
@@ -79,9 +80,20 @@ func TestClassifyTaxonomy(t *testing.T) {
 }
 
 // TestPlanCacheLRU pins the cache mechanics: hits, misses, and
-// least-recently-used eviction at capacity.
+// least-recently-used eviction at capacity, with and without a
+// registry; with one, the eviction is counted.
 func TestPlanCacheLRU(t *testing.T) {
-	pc := newPlanCache(2, nil)
+	for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
+		testPlanCacheLRU(t, reg)
+		if n := reg.Counter("re2xolap_shard_plan_cache_evictions_total", "").Value(); reg != nil && n != 1 {
+			t.Errorf("evictions counted %d, want 1", n)
+		}
+	}
+}
+
+func testPlanCacheLRU(t *testing.T, reg *obs.Registry) {
+	zero := func() float64 { return 0 }
+	pc := newPlanCache(2, newMetrics(reg, zero, zero))
 	mk := func(text string) queryPlan {
 		q, err := sparql.Parse(text)
 		if err != nil {

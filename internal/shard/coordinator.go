@@ -427,7 +427,7 @@ func (c *Coordinator) QueryX(ctx context.Context, req endpoint.Request) (*sparql
 		meta.Wall = time.Since(start)
 		return nil, meta, endpoint.MarkPermanent(err)
 	}
-	c.m.plan(p.kind)
+	c.m.plans[p.kind].Inc()
 	meta.Plan = p.kind.String()
 
 	// Read the composed generation BEFORE executing: a mutation landing
@@ -496,7 +496,7 @@ func (c *Coordinator) QueryX(ctx context.Context, req endpoint.Request) (*sparql
 // each shard gets one shard-<i> span per round.
 func (c *Coordinator) scatter(ctx context.Context, v *view, step string, queries []string, calls []obs.ShardCall, errs []error, use func(i int, answers []*sparql.Results) error) {
 	roundStart := time.Now()
-	defer func() { c.m.phase("scatter", time.Since(roundStart)) }()
+	defer func() { c.m.mergePhase["scatter"].ObserveDuration(time.Since(roundStart)) }()
 	span := obs.SpanFrom(ctx)
 	n := len(v.groups)
 	_ = par.Do(c.workersFor(n), n, func(i int) error {
@@ -509,13 +509,13 @@ func (c *Coordinator) scatter(ctx context.Context, v *view, step string, queries
 		shardStart := time.Now()
 		outs := make([]groupResult, len(queries))
 		_ = par.Do(c.workersFor(len(queries)), len(queries), func(k int) error {
-			c.m.scatterStart()
+			c.m.inflight.Inc()
 			callStart := time.Now()
 			outs[k] = g.query(ctx, endpoint.Request{
 				Query: queries[k],
 				Opts:  endpoint.QueryOpts{Step: step, Span: sp},
 			}, c.cfg.HedgeAfter)
-			c.m.scatterEnd()
+			c.m.inflight.Dec()
 			g.shardCallMetrics(time.Since(callStart), outs[k].err)
 			return nil
 		})
@@ -622,13 +622,13 @@ func (c *Coordinator) runColocated(ctx context.Context, v *view, q *sparql.Query
 	}
 	mergeStart := time.Now()
 	merged, err := unionResults(q, results)
-	c.m.phase("merge", time.Since(mergeStart))
+	c.m.mergePhase["merge"].ObserveDuration(time.Since(mergeStart))
 	if err != nil {
 		return nil, calls, nil, err
 	}
 	finStart := time.Now()
 	sparql.MergeFinalize(q, merged)
-	c.m.phase("finalize", time.Since(finStart))
+	c.m.mergePhase["finalize"].ObserveDuration(time.Since(finStart))
 	return merged, calls, skipped, nil
 }
 
@@ -657,13 +657,13 @@ func (c *Coordinator) runPartialAgg(ctx context.Context, v *view, q *sparql.Quer
 	}
 	mergeStart := time.Now()
 	merged, err := plan.Merge(results)
-	c.m.phase("merge", time.Since(mergeStart))
+	c.m.mergePhase["merge"].ObserveDuration(time.Since(mergeStart))
 	if err != nil {
 		return nil, calls, nil, err
 	}
 	finStart := time.Now()
 	sparql.MergeFinalize(q, merged)
-	c.m.phase("finalize", time.Since(finStart))
+	c.m.mergePhase["finalize"].ObserveDuration(time.Since(finStart))
 	return merged, calls, skipped, nil
 }
 

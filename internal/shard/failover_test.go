@@ -95,11 +95,18 @@ func TestFailoverOneReplicaDown(t *testing.T) {
 	ts := determinismTriples()
 	const n = 3
 	want := corpusBaseline(t, ts, n)
-	c, _ := newReplicatedFaults(t, ts, n, 2, []Option{WithoutResilience()},
-		func(shard, rep int) endpoint.FaultConfig {
-			return endpoint.FaultConfig{Down: rep == 0} // preferred replica dead
-		})
-	runCorpusComplete(t, c, want, "replica0-down")
+	// With and without a registry: the failover counter must not be
+	// what makes the path work.
+	for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
+		c, _ := newReplicatedFaults(t, ts, n, 2, []Option{WithoutResilience(), WithRegistry(reg)},
+			func(shard, rep int) endpoint.FaultConfig {
+				return endpoint.FaultConfig{Down: rep == 0} // preferred replica dead
+			})
+		runCorpusComplete(t, c, want, fmt.Sprintf("replica0-down (registry %v)", reg != nil))
+		if n := reg.Counter("re2xolap_shard_failovers_total", "", obs.L("shard", "0")).Value(); reg != nil && n == 0 {
+			t.Error("failover not counted")
+		}
+	}
 }
 
 // TestFailoverKillMidRun kills one replica of every shard halfway
@@ -485,35 +492,43 @@ func TestReadyWithoutProber(t *testing.T) {
 // replica's answer wins, and the hedge counters record it.
 func TestHedgedSlowPrimary(t *testing.T) {
 	ts := determinismTriples()
+	// The hedge win must answer the same with and without a registry.
 	reg := obs.NewRegistry()
-	c, _ := newReplicatedFaults(t, ts, 1, 2, []Option{
-		WithoutResilience(),
-		WithRegistry(reg),
-		WithHedge(15 * time.Millisecond),
-	}, func(shard, rep int) endpoint.FaultConfig {
-		if rep == 0 {
-			return endpoint.FaultConfig{Latency: 2 * time.Second}
+	var answers [][]byte
+	for _, r := range []*obs.Registry{nil, reg} {
+		c, _ := newReplicatedFaults(t, ts, 1, 2, []Option{
+			WithoutResilience(),
+			WithRegistry(r),
+			WithHedge(15 * time.Millisecond),
+		}, func(shard, rep int) endpoint.FaultConfig {
+			if rep == 0 {
+				return endpoint.FaultConfig{Latency: 2 * time.Second}
+			}
+			return endpoint.FaultConfig{}
+		})
+		start := time.Now()
+		res, meta, err := c.QueryX(context.Background(),
+			endpoint.Request{Query: `SELECT ?s ?v WHERE { ?s <http://t/value> ?v } ORDER BY ?s`})
+		wall := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return endpoint.FaultConfig{}
-	})
-	start := time.Now()
-	res, meta, err := c.QueryX(context.Background(),
-		endpoint.Request{Query: `SELECT ?s ?v WHERE { ?s <http://t/value> ?v } ORDER BY ?s`})
-	wall := time.Since(start)
-	if err != nil {
-		t.Fatal(err)
+		if meta.Incomplete {
+			t.Fatal("hedged answer must be complete")
+		}
+		if res.Len() == 0 {
+			t.Fatal("empty hedged answer")
+		}
+		if meta.Shards[0].Replica != 1 {
+			t.Fatalf("winner replica = %d, want the fast 1", meta.Shards[0].Replica)
+		}
+		if wall >= 2*time.Second {
+			t.Fatalf("hedge did not cut tail latency: wall %s", wall)
+		}
+		answers = append(answers, encode(t, res))
 	}
-	if meta.Incomplete {
-		t.Fatal("hedged answer must be complete")
-	}
-	if res.Len() == 0 {
-		t.Fatal("empty hedged answer")
-	}
-	if meta.Shards[0].Replica != 1 {
-		t.Fatalf("winner replica = %d, want the fast 1", meta.Shards[0].Replica)
-	}
-	if wall >= 2*time.Second {
-		t.Fatalf("hedge did not cut tail latency: wall %s", wall)
+	if !bytes.Equal(answers[0], answers[1]) {
+		t.Fatalf("hedged answer differs without a registry:\n%s\nvs\n%s", answers[0], answers[1])
 	}
 	var buf bytes.Buffer
 	if err := reg.WriteProm(&buf); err != nil {

@@ -217,7 +217,7 @@ func (f *fleetCollector) Collect(ctx context.Context) {
 	}
 	f.states = fresh
 	f.mu.Unlock()
-	f.c.m.fleetCollect(time.Since(start))
+	f.c.m.fleetCollectS.ObserveDuration(time.Since(start))
 }
 
 func (f *fleetCollector) scrape(ctx context.Context, u string) (*obs.PromSnapshot, error) {

@@ -34,9 +34,14 @@ func fleetReplica(t *testing.T, queries int64, latencies []float64) *httptest.Se
 }
 
 func fleetCoordinator(t *testing.T, specs [][]string, cfg FleetConfig) *Coordinator {
+	return fleetCoordinatorWith(t, specs, cfg, obs.NewRegistry())
+}
+
+// fleetCoordinatorWith is fleetCoordinator publishing to reg.
+func fleetCoordinatorWith(t *testing.T, specs [][]string, cfg FleetConfig, reg *obs.Registry) *Coordinator {
 	t.Helper()
 	c, err := NewDynamic(Static{View: TopologyView{Groups: specs}}, HTTPDialer(),
-		WithoutResilience(), WithRegistry(obs.NewRegistry()), WithFleet(cfg))
+		WithoutResilience(), WithRegistry(reg), WithFleet(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +65,8 @@ func fleetScrapeBody(t *testing.T, c *Coordinator) string {
 // TestFleetFederation: the merged view over a 2-shard × 2-replica
 // topology is exactly the sum of the individual scrapes — counters and
 // histogram buckets — with per-process gauges passed through under an
-// instance label.
+// instance label. The merged view is the same whether or not the
+// coordinator has a registry of its own.
 func TestFleetFederation(t *testing.T) {
 	reps := []*httptest.Server{
 		fleetReplica(t, 10, []float64{0.005, 0.05}),
@@ -68,10 +74,17 @@ func TestFleetFederation(t *testing.T) {
 		fleetReplica(t, 3, nil),
 		fleetReplica(t, 1, []float64{0.005, 5}),
 	}
-	c := fleetCoordinator(t, [][]string{
-		{reps[0].URL + "/sparql", reps[1].URL + "/sparql"},
-		{reps[2].URL + "/sparql", reps[3].URL + "/sparql"},
-	}, FleetConfig{}) // on-demand mode
+	for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
+		c := fleetCoordinatorWith(t, [][]string{
+			{reps[0].URL + "/sparql", reps[1].URL + "/sparql"},
+			{reps[2].URL + "/sparql", reps[3].URL + "/sparql"},
+		}, FleetConfig{}, reg) // on-demand mode
+		checkFleetFederation(t, c)
+	}
+}
+
+func checkFleetFederation(t *testing.T, c *Coordinator) {
+	t.Helper()
 
 	body := fleetScrapeBody(t, c)
 	snap, err := obs.ParseProm(strings.NewReader(body))
@@ -105,7 +118,7 @@ func TestFleetFederation(t *testing.T) {
 		}
 	}
 	// Scrape accounting on the coordinator registry.
-	if n := c.cfg.Registry.Counter("re2xolap_fleet_scrapes_total", "", obs.L("outcome", "ok")).Value(); n != 4 {
+	if n := c.cfg.Registry.Counter("re2xolap_fleet_scrapes_total", "", obs.L("outcome", "ok")).Value(); c.cfg.Registry != nil && n != 4 {
 		t.Errorf("scrape ok counter = %d, want 4", n)
 	}
 }

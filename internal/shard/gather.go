@@ -503,7 +503,7 @@ func (c *Coordinator) runGather(ctx context.Context, v *view, q *sparql.Query, s
 
 	mergeStart := time.Now()
 	local, err := assembleGather(parts)
-	c.m.phase("merge", time.Since(mergeStart))
+	c.m.mergePhase["merge"].ObserveDuration(time.Since(mergeStart))
 	if err == nil {
 		err = ctx.Err()
 	}
@@ -532,7 +532,7 @@ func (c *Coordinator) runGather(ctx context.Context, v *view, q *sparql.Query, s
 		fq.Distinct = false // the engine already deduplicated
 		sparql.MergeFinalize(&fq, res)
 	}
-	c.m.phase("finalize", time.Since(finStart))
+	c.m.mergePhase["finalize"].ObserveDuration(time.Since(finStart))
 	if err != nil {
 		return nil, calls, nil, err
 	}

@@ -11,7 +11,7 @@ import (
 // series are pre-created here; per-shard and per-replica series are
 // created at view build (the registry dedupes by name+labels, so
 // rebuilding a view after a topology reload reuses the existing
-// instances). nil disables everything through the obs nil fast paths.
+// instances). Without a registry every handle is nil and no-ops.
 type metrics struct {
 	reg *obs.Registry // for per-shard/per-replica series at view build
 
@@ -48,9 +48,6 @@ var mergePhases = [...]string{"scatter", "join", "merge", "finalize"}
 // replicas report the *current* view's shard and replica counts, so
 // the gauges track live topology reloads.
 func newMetrics(reg *obs.Registry, fanout, replicas func() float64) *metrics {
-	if reg == nil {
-		return nil
-	}
 	m := &metrics{
 		reg:        reg,
 		plans:      make(map[planKind]*obs.Counter, len(planKinds)),
@@ -104,12 +101,8 @@ func newMetrics(reg *obs.Registry, fanout, replicas func() float64) *metrics {
 }
 
 // wireShard attaches the per-shard series to a replica set at view
-// build. Safe on a nil receiver (registry absent): the handles stay
-// nil and no-op.
+// build.
 func (m *metrics) wireShard(g *replicaSet) {
-	if m == nil {
-		return
-	}
 	l := obs.L("shard", fmt.Sprint(g.shard))
 	g.mQueries = m.reg.Counter("re2xolap_shard_queries_total",
 		"Queries the coordinator scattered, by shard.", l)
@@ -126,9 +119,6 @@ func (m *metrics) wireShard(g *replicaSet) {
 // up/down gauge (initialized from the current health state) and the
 // probe-latency histogram.
 func (m *metrics) wireReplica(r *replica) {
-	if m == nil {
-		return
-	}
 	ls := []obs.Label{obs.L("shard", fmt.Sprint(r.shard)), obs.L("replica", fmt.Sprint(r.index))}
 	r.mUp = m.reg.Gauge("re2xolap_replica_up",
 		"1 while the replica is considered healthy by the prober.", ls...)
@@ -150,83 +140,13 @@ func (g *replicaSet) shardCallMetrics(wall time.Duration, err error) {
 	}
 }
 
-func (m *metrics) plan(k planKind) {
-	if m == nil {
-		return
-	}
-	m.plans[k].Inc()
-}
-
-func (m *metrics) phase(name string, d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.mergePhase[name].ObserveDuration(d)
-}
-
-func (m *metrics) scatterStart() {
-	if m == nil {
-		return
-	}
-	m.inflight.Inc()
-}
-
-func (m *metrics) scatterEnd() {
-	if m == nil {
-		return
-	}
-	m.inflight.Dec()
-}
-
-// boundShipped counts distinct bindings shipped by one bound-join step.
-func (m *metrics) boundShipped(n int) {
-	if m == nil || n <= 0 {
-		return
-	}
-	m.boundBindings.Add(int64(n))
-}
-
-func (m *metrics) planCacheHit() {
-	if m == nil {
-		return
-	}
-	m.cacheHits.Inc()
-}
-
-func (m *metrics) planCacheMiss() {
-	if m == nil {
-		return
-	}
-	m.cacheMisses.Inc()
-}
-
-func (m *metrics) planCacheEvict() {
-	if m == nil {
-		return
-	}
-	m.cacheEvicts.Inc()
-}
-
-func (m *metrics) planCacheSize(n int) {
-	if m == nil {
-		return
-	}
-	m.cacheSize.Set(int64(n))
-}
-
 func (m *metrics) degraded(skipped int) {
-	if m == nil {
-		return
-	}
 	m.incomplete.Inc()
 	m.skipped.Add(int64(skipped))
 }
 
 // transition counts one replica up/down flip.
 func (m *metrics) transition(up bool) {
-	if m == nil {
-		return
-	}
 	if up {
 		m.toUp.Inc()
 	} else {
@@ -236,9 +156,6 @@ func (m *metrics) transition(up bool) {
 
 // fleetScrape counts one fleet scrape attempt.
 func (m *metrics) fleetScrape(ok bool) {
-	if m == nil {
-		return
-	}
 	if ok {
 		m.fleetScrapeOK.Inc()
 	} else {
@@ -246,19 +163,8 @@ func (m *metrics) fleetScrape(ok bool) {
 	}
 }
 
-// fleetCollect records one collection sweep's wall time.
-func (m *metrics) fleetCollect(d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.fleetCollectS.ObserveDuration(d)
-}
-
 // reloaded records one applied topology reload at the given epoch.
 func (m *metrics) reloaded(epoch int64) {
-	if m == nil {
-		return
-	}
 	m.reloads.Inc()
 	m.epoch.Set(epoch)
 }

@@ -30,9 +30,9 @@ func (c *planCache) get(text string) (queryPlan, bool) {
 	}
 	p, ok := c.lru.Get(text)
 	if ok {
-		c.m.planCacheHit()
+		c.m.cacheHits.Inc()
 	} else {
-		c.m.planCacheMiss()
+		c.m.cacheMisses.Inc()
 	}
 	return p, ok
 }
@@ -43,10 +43,8 @@ func (c *planCache) put(text string, p queryPlan) {
 	if c == nil {
 		return
 	}
-	if c.lru.Put(text, p) > 0 {
-		c.m.planCacheEvict()
-	}
-	c.m.planCacheSize(c.lru.Len())
+	c.m.cacheEvicts.Add(int64(c.lru.Put(text, p)))
+	c.m.cacheSize.Set(int64(c.lru.Len()))
 }
 
 // len returns the current entry count.

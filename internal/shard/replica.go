@@ -237,9 +237,6 @@ func (g *replicaSet) hedgedCall(ctx context.Context, primary, secondary *replica
 // mHedge counts hedge launches and wins through the owning
 // coordinator's metrics (wired at view build).
 func (g *replicaSet) mHedge(win bool) {
-	if g.hedges == nil {
-		return
-	}
 	if win {
 		g.hedgeWins.Inc()
 	} else {

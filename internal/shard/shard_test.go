@@ -119,7 +119,16 @@ func TestDegradedMode(t *testing.T) {
 		t.Fatalf("error should name the failed shard: %v", err)
 	}
 
-	// Degraded mode: partial answer, incomplete flag.
+	// Degraded mode: partial answer, incomplete flag — the same answer
+	// with and without a registry.
+	bare, err := New([]endpoint.Client{mk(0), downClient{}, mk(2)}, WithDegraded(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bres, bmeta, err := bare.QueryX(context.Background(), endpoint.Request{Query: query})
+	if err != nil || !bmeta.Incomplete {
+		t.Fatalf("degraded mode without a registry: incomplete=%v err=%v", bmeta.Incomplete, err)
+	}
 	reg := obs.NewRegistry()
 	degraded, err := New([]endpoint.Client{mk(0), downClient{}, mk(2)}, WithDegraded(true), WithRegistry(reg))
 	if err != nil {
@@ -131,6 +140,9 @@ func TestDegradedMode(t *testing.T) {
 	}
 	if !meta.Incomplete {
 		t.Fatal("degraded answer must set Incomplete")
+	}
+	if !bytes.Equal(encode(t, bres), encode(t, res)) {
+		t.Fatal("degraded answer differs without a registry")
 	}
 	full := newTopology(t, ts, 3)
 	fres, _, err := full.QueryX(context.Background(), endpoint.Request{Query: query})

@@ -178,8 +178,19 @@ func (m *mutableTopology) set(v TopologyView) {
 // acceptance scenario: a coordinator built over single-replica shards
 // gains a second replica per shard via Reload — no restart — and when
 // the original replicas are then killed, queries keep returning
-// complete byte-identical answers through the added replicas.
+// complete byte-identical answers through the added replicas — the
+// same answers with and without a registry.
 func TestLiveReloadAddReplicaAndFailover(t *testing.T) {
+	bare := liveReloadAddReplica(t, nil)
+	if metered := liveReloadAddReplica(t, obs.NewRegistry()); !bytes.Equal(bare, metered) {
+		t.Fatalf("answer differs without a registry:\n%s\nvs\n%s", bare, metered)
+	}
+}
+
+// liveReloadAddReplica runs the scenario against a coordinator
+// publishing to reg and returns its answer bytes.
+func liveReloadAddReplica(t *testing.T, reg *obs.Registry) []byte {
+	t.Helper()
 	ts := determinismTriples()
 	const n = 3
 	h := &dynamicHarness{
@@ -187,7 +198,6 @@ func TestLiveReloadAddReplicaAndFailover(t *testing.T) {
 		faults: map[string]*endpoint.FaultClient{},
 	}
 	topo := &mutableTopology{v: TopologyView{Groups: [][]string{{"p0"}, {"p1"}, {"p2"}}}}
-	reg := obs.NewRegistry()
 	c, err := NewDynamic(topo, h.dial, WithoutResilience(), WithRegistry(reg))
 	if err != nil {
 		t.Fatal(err)
@@ -238,6 +248,9 @@ func TestLiveReloadAddReplicaAndFailover(t *testing.T) {
 	if !bytes.Equal(encode(t, res), preReload) {
 		t.Fatal("answer bytes changed across topology reload")
 	}
+	if reg == nil {
+		return preReload
+	}
 
 	// Epoch and reload counters moved.
 	var buf bytes.Buffer
@@ -255,6 +268,7 @@ func TestLiveReloadAddReplicaAndFailover(t *testing.T) {
 			t.Errorf("exposition missing %q", wantLine)
 		}
 	}
+	return preReload
 }
 
 // TestReloadDrainsInFlight checks an in-flight query keeps its

@@ -7,8 +7,8 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
-	"time"
 
+	"re2xolap/internal/obs"
 	"re2xolap/internal/par"
 	"re2xolap/internal/rdf"
 	"re2xolap/internal/store"
@@ -31,9 +31,9 @@ type Engine struct {
 	// order (used by the ablation benchmarks).
 	DisableJoinOrdering bool
 
-	// metrics holds the pre-registered observability series; nil until
-	// Instrument is called.
-	metrics *engineMetrics
+	// metrics holds the pre-registered observability series; nil
+	// handles until Instrument is called.
+	metrics engineMetrics
 }
 
 // NewEngine returns an engine over st.
@@ -48,14 +48,42 @@ func (e *Engine) Store() *store.Store { return e.st }
 // prefix returns the static plan or the runtime profile as a one-column
 // result set instead of executing normally.
 func (e *Engine) QueryString(src string) (*Results, error) {
-	if rest, analyze, ok := explainPrefix(src); ok {
-		return e.runExplain(context.Background(), rest, analyze)
-	}
+	res, _, _, err := e.run(context.Background(), src, false)
+	return res, err
+}
+
+// run is the one body of the string entry points: it strips an EXPLAIN
+// prefix, times the parse, executes under one recorder and records the
+// call exactly once. EXPLAIN answers with the plan and reports parse
+// and plan; EXPLAIN ANALYZE answers with the profile and reports the
+// analyzed query's phases. tree asks for the operator tree; the
+// profile is nil when nothing executed.
+func (e *Engine) run(ctx context.Context, src string, tree bool) (*Results, PhaseTimings, *Profile, error) {
+	src, analyze, explain := explainPrefix(src)
+	rec := newProfiler(tree || analyze)
 	q, err := Parse(src)
-	if err != nil {
-		return nil, err
+	rec.lap()
+	var res *Results
+	var prof *Profile
+	switch {
+	case err != nil:
+	case explain && !analyze:
+		res = planResults(e.Explain(q))
+		rec.lap()
+	default:
+		res, err = e.queryPhased(ctx, q, e.st.View(), rec)
+		if rec.root != nil {
+			prof = rec.profile(src, res)
+		}
+		if analyze && err == nil {
+			res = planResults(prof.String())
+		}
 	}
-	return e.Query(q)
+	if res != nil {
+		rec.pt.Rows = res.Len()
+	}
+	e.recordQuery(rec.pt, obs.SpanFrom(ctx), err)
+	return res, rec.pt, prof, err
 }
 
 // Query executes a parsed query without cancellation.
@@ -75,22 +103,15 @@ func (e *Engine) QueryContext(ctx context.Context, q *Query) (*Results, error) {
 // queryWithView executes q against an already-taken store view, so
 // subqueries share the outer query's snapshot.
 func (e *Engine) queryWithView(ctx context.Context, q *Query, view *store.View) (*Results, error) {
-	return e.queryPhased(ctx, q, view, nil, nil)
+	return e.queryPhased(ctx, q, view, nil)
 }
 
-// queryPhased is queryWithView with optional phase accounting and
-// operator profiling: when pt is non-nil the plan/join/aggregate/sort
-// wall times and the result row count are recorded into it; when prof
-// is non-nil every operator additionally records a ProfileNode. pt ==
-// nil, prof == nil (the default path, and all subqueries) takes no
-// timestamps at all, keeping the uninstrumented hot path
-// byte-identical to the pre-observability engine.
-func (e *Engine) queryPhased(ctx context.Context, q *Query, view *store.View, pt *PhaseTimings, prof *profiler) (*Results, error) {
-	var mark time.Time
-	if pt != nil {
-		mark = time.Now()
-	}
-	ex := e.newExecutor(ctx, view, prof)
+// queryPhased is queryWithView under the recorder rec, which laps the
+// plan, join, aggregate and sort phases and, when it grows a tree,
+// receives every operator's node. A nil rec (the default path, and all
+// subqueries) takes no timestamps at all.
+func (e *Engine) queryPhased(ctx context.Context, q *Query, view *store.View, rec *profiler) (*Results, error) {
+	ex := e.newExecutor(ctx, view, rec.ops())
 	// Short-circuit budget: ASK and plain LIMIT queries stop the join
 	// as soon as enough full solutions exist, so their cost does not
 	// grow with the number of matching observations (mirroring a real
@@ -102,15 +123,9 @@ func (e *Engine) queryPhased(ctx context.Context, q *Query, view *store.View, pt
 	case !q.IsAggregate() && !q.Distinct && len(q.OrderBy) == 0 && q.Limit >= 0:
 		budget = q.Limit + q.Offset
 	}
-	if pt != nil {
-		now := time.Now()
-		pt.Plan = now.Sub(mark)
-		mark = now
-	}
+	rec.lap() // plan
 	rows, err := ex.evalWhere(q.Where, budget)
-	if pt != nil {
-		pt.Join = time.Since(mark)
-	}
+	joined := rec.lap()
 	if err != nil {
 		return nil, err
 	}
@@ -125,60 +140,37 @@ func (e *Engine) queryPhased(ctx context.Context, q *Query, view *store.View, pt
 		if ex.prof != nil {
 			pn = ex.prof.open("construct", fmt.Sprintf("%d template triples", len(q.Construct)), len(rows))
 		}
-		res, cerr := ex.construct(q, rows)
-		if res != nil {
-			ex.profClose(pn, len(res.Triples))
-		} else {
-			ex.profClose(pn, 0)
-		}
-		return res, cerr
+		res := ex.construct(q, rows)
+		ex.profClose(pn, len(res.Triples))
+		return res, nil
 	}
-	if pt != nil {
-		mark = time.Now()
-	}
-	var res *Results
-	var pn *ProfileNode
+	// The aggregate (or project) and modifiers nodes span the laps of
+	// their phases, so node walls and phase times are one reading.
+	op, detail, stage := "project", "", ex.project
 	if q.IsAggregate() {
-		if ex.prof != nil {
-			pn = ex.prof.open("aggregate", aggregateDetail(q), len(rows))
-			if ex.parallel(len(rows)) {
-				pn.Workers = ex.workers
-			}
+		op, detail, stage = "aggregate", aggregateDetail(q), ex.aggregate
+	}
+	var pn *ProfileNode
+	if ex.prof != nil {
+		pn = ex.prof.openAt(joined, op, detail, len(rows))
+		if ex.parallel(len(rows)) {
+			pn.Workers = ex.workers
 		}
-		res, err = ex.aggregate(q, rows)
-	} else {
-		if ex.prof != nil {
-			pn = ex.prof.open("project", "", len(rows))
-			if ex.parallel(len(rows)) {
-				pn.Workers = ex.workers
-			}
-		}
-		res, err = ex.project(q, rows)
 	}
-	if res != nil {
-		ex.profClose(pn, len(res.Rows))
-	} else {
-		ex.profClose(pn, 0)
-	}
-	if pt != nil {
-		now := time.Now()
-		pt.Aggregate = now.Sub(mark)
-		mark = now
-	}
+	res, err := stage(q, rows)
+	aggregated := rec.lap()
 	if err != nil {
 		return nil, err
 	}
+	ex.prof.closeAt(pn, aggregated, len(res.Rows))
 	var mn *ProfileNode
 	if ex.prof != nil {
-		mn = ex.prof.open("modifiers", modifierDetail(q), len(res.Rows))
+		mn = ex.prof.openAt(aggregated, "modifiers", modifierDetail(q), len(res.Rows))
 	}
 	if err := applyModifiers(q, res); err != nil {
 		return nil, err
 	}
-	ex.profClose(mn, len(res.Rows))
-	if pt != nil {
-		pt.Sort = time.Since(mark)
-	}
+	ex.prof.closeAt(mn, rec.lap(), len(res.Rows))
 	return res, nil
 }
 
@@ -932,7 +924,7 @@ func (ex *executor) project(q *Query, rows []row) (*Results, error) {
 // construct instantiates the CONSTRUCT template once per solution,
 // skipping instantiations with unbound variables or invalid triples,
 // and deduplicating the output graph.
-func (ex *executor) construct(q *Query, rows []row) (*Results, error) {
+func (ex *executor) construct(q *Query, rows []row) *Results {
 	res := &Results{IsConstruct: true}
 	seen := map[rdf.Triple]bool{}
 	emit := func(t rdf.Triple) {
@@ -978,7 +970,7 @@ func (ex *executor) construct(q *Query, rows []row) (*Results, error) {
 	if q.Limit >= 0 && q.Limit < len(res.Triples) {
 		res.Triples = res.Triples[:q.Limit]
 	}
-	return res, nil
+	return res
 }
 
 // sortKeys evaluates the ORDER BY keys of every result row, compiled

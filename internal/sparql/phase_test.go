@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"re2xolap/internal/datagen"
 	"re2xolap/internal/obs"
@@ -124,5 +125,92 @@ func TestInstrumentedResultsIdentical(t *testing.T) {
 		if a.String() != b.String() {
 			t.Fatalf("instrumented results differ for %s:\n%s\nvs\n%s", q, a, b)
 		}
+	}
+}
+
+// TestExplainAccounting pins the one recording rule of the string
+// entry points: every call is counted exactly once; EXPLAIN reports
+// parse and plan, EXPLAIN ANALYZE the analyzed query's phases; and a
+// profile's aggregate and modifiers walls are its aggregate and sort
+// phases, read off the same laps.
+func TestExplainAccounting(t *testing.T) {
+	spec := datagen.EurostatLike(500)
+	st, err := spec.BuildStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(st)
+	reg := obs.NewRegistry()
+	eng.Instrument(reg)
+	queries := reg.Counter("re2xolap_sparql_queries_total", "")
+	q := fmt.Sprintf(
+		`SELECT ?m (COUNT(?o) AS ?n) WHERE { ?o a <%s> . ?o <%s> ?m . } GROUP BY ?m ORDER BY ?m`,
+		spec.ObservationClass(), spec.NS+spec.Dimensions[0].Pred)
+	ctx := context.Background()
+	counted := func(what string, call func()) {
+		t.Helper()
+		before := queries.Value()
+		call()
+		if n := queries.Value() - before; n != 1 {
+			t.Errorf("%s recorded %d times, want 1", what, n)
+		}
+	}
+
+	counted("EXPLAIN", func() {
+		res, pt, err := eng.QueryStringTimed(ctx, "EXPLAIN "+q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pt.Parse <= 0 || pt.Plan <= 0 || pt.Join != 0 || pt.Aggregate != 0 || pt.Sort != 0 {
+			t.Errorf("EXPLAIN phases = %+v, want parse and plan only", pt)
+		}
+		if pt.Rows != res.Len() {
+			t.Errorf("EXPLAIN rows = %d, plan lines = %d", pt.Rows, res.Len())
+		}
+	})
+	counted("EXPLAIN ANALYZE", func() {
+		res, pt, err := eng.QueryStringTimed(ctx, "EXPLAIN ANALYZE "+q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pt.Parse <= 0 || pt.Join <= 0 || pt.Aggregate <= 0 || pt.Sort <= 0 {
+			t.Errorf("EXPLAIN ANALYZE phases = %+v, want the analyzed query's", pt)
+		}
+		if pt.Rows != res.Len() {
+			t.Errorf("EXPLAIN ANALYZE rows = %d, profile lines = %d", pt.Rows, res.Len())
+		}
+	})
+	counted("QueryString EXPLAIN ANALYZE", func() {
+		if _, err := eng.QueryString("EXPLAIN ANALYZE " + q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	counted("QueryString", func() {
+		if _, err := eng.QueryString(q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	counted("syntax error", func() {
+		if _, err := eng.QueryString("EXPLAIN NOT SPARQL"); err == nil {
+			t.Fatal("EXPLAIN of a bad query did not error")
+		}
+	})
+
+	var p *Profile
+	counted("Profile", func() {
+		if _, p, err = eng.Profile(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	walls := map[string]time.Duration{}
+	for _, n := range p.Root.Children {
+		walls[n.Op] = n.Wall
+	}
+	if walls["aggregate"] != p.Phases.Aggregate || walls["modifiers"] != p.Phases.Sort {
+		t.Errorf("node walls aggregate=%v modifiers=%v, phases aggregate=%v sort=%v",
+			walls["aggregate"], walls["modifiers"], p.Phases.Aggregate, p.Phases.Sort)
+	}
+	if p.Root.Wall != p.Phases.Total() {
+		t.Errorf("root wall %v, phase total %v", p.Root.Wall, p.Phases.Total())
 	}
 }

@@ -6,19 +6,8 @@ import (
 	"strings"
 	"time"
 
-	"re2xolap/internal/obs"
 	"re2xolap/internal/rdf"
 )
-
-// Runtime query profiler: a per-operator tree mirroring the Explain
-// plan, filled during execution with observed cardinalities and wall
-// times. The profiler follows the package's nil-safe instrumentation
-// pattern — a nil *profiler on the executor is the disabled state and
-// costs one pointer check per operator, so the bare query path stays
-// byte-identical and within noise of the unprofiled engine. Worker
-// clones never profile (clone() leaves prof nil): fan-out is recorded
-// as the Workers attribute on the operator that fanned out, which
-// keeps the tree deterministic across worker counts.
 
 // ProfileNode is one operator of a profiled execution: what ran, how
 // many rows went in and came out, the planner's cardinality estimate
@@ -51,22 +40,64 @@ type ProfileNode struct {
 	start time.Time
 }
 
-// profiler collects ProfileNodes during one query execution. It is
-// single-goroutine by construction: only the root executor carries a
-// profiler, worker clones run bare.
+// profiler is the engine's one query recorder: the phase clock of
+// every string entry point and, for a profile, the operator tree
+// mirroring the Explain plan. A nil *profiler is the bare path
+// (subqueries, QueryContext): no timestamps, one pointer check per
+// operator. Worker clones never carry one, so fan-out is recorded as
+// the Workers attribute of the operator that fanned out and the tree
+// is the same at any worker count.
 type profiler struct {
-	root  *ProfileNode
-	stack []*ProfileNode
+	pt     PhaseTimings
+	lapped int          // phases closed so far: the running one's index
+	mark   time.Time    // when the running phase started
+	root   *ProfileNode // nil unless growing the operator tree
+	stack  []*ProfileNode
 }
 
-func newProfiler() *profiler {
-	root := &ProfileNode{Op: "query", Est: -1, start: time.Now()}
-	return &profiler{root: root, stack: []*ProfileNode{root}}
+// newProfiler starts the clock of one query, its first phase running;
+// tree asks for the operator tree.
+func newProfiler(tree bool) *profiler {
+	p := &profiler{mark: time.Now()}
+	if tree {
+		p.root = &ProfileNode{Op: "query", Est: -1, start: p.mark}
+		p.stack = []*ProfileNode{p.root}
+	}
+	return p
 }
 
-// open appends a child under the current node and makes it current.
+// lap closes the running phase and starts the next at one instant,
+// which it returns. Phases run in phaseNames order, so each lap closes
+// the next one; a query that stops early leaves the rest at zero.
+func (p *profiler) lap() time.Time {
+	if p == nil {
+		return time.Time{}
+	}
+	now := time.Now()
+	*p.pt.fields()[p.lapped] = now.Sub(p.mark)
+	p.lapped, p.mark = p.lapped+1, now
+	return now
+}
+
+// ops returns p when it grows the operator tree and nil otherwise:
+// the executor's profiler, whose nil is the one per-operator check.
+func (p *profiler) ops() *profiler {
+	if p == nil || p.root == nil {
+		return nil
+	}
+	return p
+}
+
+// open appends a child started now under the current node and makes
+// it current.
 func (p *profiler) open(op, detail string, rowsIn int) *ProfileNode {
-	n := &ProfileNode{Op: op, Detail: detail, RowsIn: rowsIn, Est: -1, start: time.Now()}
+	return p.openAt(time.Now(), op, detail, rowsIn)
+}
+
+// openAt is open with the start instant given, for the nodes that
+// begin on a phase lap.
+func (p *profiler) openAt(start time.Time, op, detail string, rowsIn int) *ProfileNode {
+	n := &ProfileNode{Op: op, Detail: detail, RowsIn: rowsIn, Est: -1, start: start}
 	top := p.stack[len(p.stack)-1]
 	top.Children = append(top.Children, n)
 	p.stack = append(p.stack, n)
@@ -95,12 +126,15 @@ func (p *profiler) plan(bp *bgpPlan) {
 	}
 }
 
-// close finalizes n and pops the stack down to n's parent. Searching
-// from the top makes close robust to error paths that abandoned
-// deeper nodes without closing them.
-func (p *profiler) close(n *ProfileNode, rowsOut int) {
+// closeAt ends n at end and pops the stack down to n's parent; a nil
+// n is a no-op. Searching from the top makes it robust to error paths
+// that abandoned deeper nodes without closing them.
+func (p *profiler) closeAt(n *ProfileNode, end time.Time, rowsOut int) {
+	if n == nil {
+		return
+	}
 	n.RowsOut = rowsOut
-	n.Wall = time.Since(n.start)
+	n.Wall = end.Sub(n.start)
 	for i := len(p.stack) - 1; i >= 1; i-- {
 		if p.stack[i] == n {
 			p.stack = p.stack[:i]
@@ -109,11 +143,18 @@ func (p *profiler) close(n *ProfileNode, rowsOut int) {
 	}
 }
 
-// finish closes the root with the final result cardinality.
-func (p *profiler) finish(rows int) {
-	p.root.RowsOut = rows
-	p.root.Wall = time.Since(p.root.start)
+// profile closes the root at the last lap — so its wall is the phase
+// total — with the cardinality of res, and returns the record of the
+// query src.
+func (p *profiler) profile(src string, res *Results) *Profile {
+	pt := p.pt
+	if res != nil {
+		pt.Rows = res.Len()
+	}
+	p.root.RowsOut = pt.Rows
+	p.root.Wall = p.mark.Sub(p.root.start)
 	p.stack = p.stack[:1]
+	return &Profile{Query: src, Phases: pt, Root: p.root}
 }
 
 // profClose finalizes a node opened by an `if ex.prof != nil` site.
@@ -123,7 +164,7 @@ func (ex *executor) profClose(n *ProfileNode, rowsOut int) {
 	if n == nil || ex.prof == nil {
 		return
 	}
-	ex.prof.close(n, rowsOut)
+	ex.prof.closeAt(n, time.Now(), rowsOut)
 }
 
 // Profile is the result of a profiled execution: the phase breakdown
@@ -141,11 +182,11 @@ func (p *Profile) String() string {
 		return ""
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "EXPLAIN ANALYZE  rows=%d total=%s\n", p.Phases.Rows, p.Phases.Total().Round(time.Microsecond))
-	fmt.Fprintf(&b, "phases: parse=%s plan=%s join=%s aggregate=%s sort=%s\n",
-		p.Phases.Parse.Round(time.Microsecond), p.Phases.Plan.Round(time.Microsecond),
-		p.Phases.Join.Round(time.Microsecond), p.Phases.Aggregate.Round(time.Microsecond),
-		p.Phases.Sort.Round(time.Microsecond))
+	fmt.Fprintf(&b, "EXPLAIN ANALYZE  rows=%d total=%s\nphases:", p.Phases.Rows, p.Phases.Total().Round(time.Microsecond))
+	p.Phases.Each(func(name string, d time.Duration) {
+		fmt.Fprintf(&b, " %s=%s", name, d.Round(time.Microsecond))
+	})
+	b.WriteByte('\n')
 	if p.Root != nil {
 		writeProfileNode(&b, p.Root, 0)
 	}
@@ -244,34 +285,19 @@ func (p *Profile) Deltas() []CardDelta {
 // like QueryStringTimed. On execution errors the partial profile is
 // still returned alongside the error.
 func (e *Engine) Profile(ctx context.Context, src string) (*Results, *Profile, error) {
-	var pt PhaseTimings
-	start := time.Now()
-	q, err := Parse(src)
-	pt.Parse = time.Since(start)
-	if err != nil {
-		e.recordQuery(pt, obs.SpanFrom(ctx), err)
-		return nil, nil, err
-	}
-	prof := newProfiler()
-	res, err := e.queryPhased(ctx, q, e.st.View(), &pt, prof)
-	if res != nil {
-		pt.Rows = res.Len()
-	}
-	prof.finish(pt.Rows)
-	p := &Profile{Query: src, Phases: pt, Root: prof.root}
-	e.recordQuery(pt, obs.SpanFrom(ctx), err)
+	res, _, p, err := e.run(ctx, src, true)
 	return res, p, err
 }
 
 // explainPrefix recognizes the EXPLAIN / EXPLAIN ANALYZE query prefix
-// (case-insensitive) and returns the query text after it. No legal
-// SPARQL form starts with EXPLAIN, so the prefix cannot shadow a real
-// query.
+// (case-insensitive) and returns the query text after it; without one,
+// rest is src. No legal SPARQL form starts with EXPLAIN, so the prefix
+// cannot shadow a real query.
 func explainPrefix(src string) (rest string, analyze, ok bool) {
 	s := strings.TrimSpace(src)
 	const kw = "EXPLAIN"
 	if len(s) <= len(kw) || !strings.EqualFold(s[:len(kw)], kw) || !isSpaceByte(s[len(kw)]) {
-		return "", false, false
+		return src, false, false
 	}
 	rest = strings.TrimSpace(s[len(kw):])
 	const kw2 = "ANALYZE"
@@ -285,27 +311,13 @@ func isSpaceByte(b byte) bool {
 	return b == ' ' || b == '\t' || b == '\n' || b == '\r'
 }
 
-// runExplain serves an EXPLAIN[-ANALYZE]-prefixed query as a result
-// set with one "plan" column and one row per output line, so the plan
-// travels through every client and serialization unchanged.
-func (e *Engine) runExplain(ctx context.Context, src string, analyze bool) (*Results, error) {
-	var text string
-	if analyze {
-		_, p, err := e.Profile(ctx, src)
-		if err != nil {
-			return nil, err
-		}
-		text = p.String()
-	} else {
-		t, err := e.ExplainString(src)
-		if err != nil {
-			return nil, err
-		}
-		text = t
-	}
+// planResults serves an EXPLAIN[-ANALYZE] answer as a result set with
+// one "plan" column and one row per output line, so the plan travels
+// through every client and serialization unchanged.
+func planResults(text string) *Results {
 	res := &Results{Vars: []string{"plan"}}
 	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
 		res.Rows = append(res.Rows, []rdf.Term{rdf.NewString(line)})
 	}
-	return res, nil
+	return res
 }
