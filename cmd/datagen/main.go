@@ -25,16 +25,9 @@ func main() {
 	seed := flag.Int64("seed", 0, "override the preset's RNG seed (0 keeps it; same preset+obs+seed = same bytes)")
 	flag.Parse()
 
-	var spec datagen.Spec
-	switch *dataset {
-	case "eurostat":
-		spec = datagen.EurostatLike(*obs)
-	case "production":
-		spec = datagen.ProductionLike(*obs)
-	case "dbpedia":
-		spec = datagen.DBpediaLike(*obs)
-	default:
-		log.Fatalf("datagen: unknown preset %q", *dataset)
+	spec, err := datagen.Preset(*dataset, *obs)
+	if err != nil {
+		log.Fatalf("datagen: %v", err)
 	}
 	if *seed != 0 {
 		spec.Seed = *seed

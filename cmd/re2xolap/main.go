@@ -47,7 +47,7 @@ import (
 
 func main() {
 	endpointURL := flag.String("endpoint", "", "remote SPARQL endpoint URL")
-	data := flag.String("data", "", "local N-Triples/Turtle file")
+	data := flag.String("data", "", "local N-Triples/Turtle file (.snap loads a binary snapshot)")
 	gen := flag.String("gen", "", "generate a preset dataset: eurostat, production, dbpedia")
 	obsCount := flag.Int("obs", 10000, "observations for -gen")
 	class := flag.String("class", qb.Observation, "observation class IRI")
@@ -108,22 +108,21 @@ func buildClient(endpointURL, data, gen string, obsCount int, class string, poli
 			return nil, cfg, err
 		}
 		defer f.Close()
-		st := store.New()
-		if _, err := st.Load(f); err != nil {
+		var st *store.Store
+		if strings.HasSuffix(data, ".snap") {
+			st, err = store.ReadSnapshot(f)
+		} else {
+			st = store.New()
+			_, err = st.Load(f)
+		}
+		if err != nil {
 			return nil, cfg, err
 		}
 		return endpoint.NewInProcess(st, copts...), cfg, nil
 	case gen != "":
-		var spec datagen.Spec
-		switch gen {
-		case "eurostat":
-			spec = datagen.EurostatLike(obsCount)
-		case "production":
-			spec = datagen.ProductionLike(obsCount)
-		case "dbpedia":
-			spec = datagen.DBpediaLike(obsCount)
-		default:
-			return nil, cfg, fmt.Errorf("unknown preset %q", gen)
+		spec, err := datagen.Preset(gen, obsCount)
+		if err != nil {
+			return nil, cfg, err
 		}
 		st, err := spec.BuildStore()
 		if err != nil {

@@ -3,6 +3,8 @@ package main
 import (
 	"context"
 	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -139,6 +141,35 @@ func TestBuildClientErrors(t *testing.T) {
 	}
 	if _, ok := rc.Unwrap().(*endpoint.HTTPClient); !ok {
 		t.Errorf("wrapped client = %T, want *endpoint.HTTPClient", rc.Unwrap())
+	}
+}
+
+// TestBuildClientSnapshot: -data with a .snap file loads the binary
+// snapshot, as sparqld and webui do, instead of parsing it as
+// N-Triples.
+func TestBuildClientSnapshot(t *testing.T) {
+	st := testkg.Build(t, nil)
+	path := filepath.Join(t.TempDir(), "kg.snap")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WriteSnapshot(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c, _, err := buildClient("", path, "", 0, "http://c", endpoint.DefaultPolicy(), nil)
+	if err != nil {
+		t.Fatalf("loading %s: %v", path, err)
+	}
+	res, err := c.Query(context.Background(), `SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Rows[0][0].Value, strconv.Itoa(st.Len()); got != want {
+		t.Errorf("snapshot client holds %s triples, want %s", got, want)
 	}
 }
 

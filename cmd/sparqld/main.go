@@ -92,7 +92,6 @@ func main() {
 	healthInterval := flag.Duration("health-interval", 0, "coordinator: probe every replica this often (0 disables health probing)")
 	healthTimeout := flag.Duration("health-timeout", time.Second, "coordinator: per-probe deadline")
 	hedgeAfter := flag.Duration("hedge-after", 0, "coordinator: hedge a shard call to the next replica after this budget (0 disables)")
-	planCache := flag.Int("plan-cache", 0, "coordinator: plan cache capacity (0 = default, negative disables)")
 	traceExport := flag.String("trace-export", "", "append per-request OTLP/JSON trace lines to this file ('-' for stdout)")
 	debugQueries := flag.Int("debug-queries", 0, "keep the last N query profiles and serve them as JSON on /debug/queries (0 disables)")
 	resultCache := flag.Int("result-cache", 0, "serve-layer result cache capacity in answers; generation-invalidated, with single-flight dedup (0 disables)")
@@ -170,7 +169,6 @@ func main() {
 		HealthInterval: *healthInterval,
 		HealthTimeout:  *healthTimeout,
 		HedgeAfter:     *hedgeAfter,
-		PlanCache:      *planCache,
 		ResultCache:    *resultCache,
 		MaxConcurrent:  *maxConcurrent,
 		QueueBudget:    *queueBudget,
@@ -327,7 +325,6 @@ type handlerConfig struct {
 	HealthInterval time.Duration
 	HealthTimeout  time.Duration
 	HedgeAfter     time.Duration
-	PlanCache      int
 
 	ResultCache   int
 	MaxConcurrent int
@@ -416,9 +413,6 @@ func (cfg handlerConfig) shardOptions(reg *obs.Registry) []shard.Option {
 		// no interval it scrapes on demand per /metrics/fleet request.
 		shard.WithFleet(shard.FleetConfig{Interval: cfg.FleetScrape}),
 	}
-	if cfg.PlanCache != 0 {
-		opts = append(opts, shard.WithPlanCache(cfg.PlanCache))
-	}
 	return opts
 }
 
@@ -463,8 +457,8 @@ func buildHandler(cfg handlerConfig, reg *obs.Registry, opts []endpoint.Option) 
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		// A static view through NewDynamic (rather than NewReplicated
-		// over pre-built clients) keeps the replica URL specs on the
+		// A static view of the replica URL specs (rather than a client
+		// topology over pre-built clients) keeps the specs on the
 		// coordinator's view so fleet scraping can reach remote
 		// replicas' /metrics.
 		coord, err := shard.NewDynamic(shard.Static{View: shard.TopologyView{Groups: groups}}, dial, shardOpts...)
@@ -562,7 +556,7 @@ func buildStore(data, gen string, obs int) (*store.Store, error) {
 		log.Printf("sparqld: loaded %d triples from %s", n, data)
 		return st, nil
 	case gen != "":
-		spec, err := presetByName(gen, obs)
+		spec, err := datagen.Preset(gen, obs)
 		if err != nil {
 			return nil, err
 		}
@@ -570,18 +564,5 @@ func buildStore(data, gen string, obs int) (*store.Store, error) {
 		return spec.BuildStore()
 	default:
 		return nil, fmt.Errorf("one of -data or -gen is required")
-	}
-}
-
-func presetByName(name string, obs int) (datagen.Spec, error) {
-	switch name {
-	case "eurostat":
-		return datagen.EurostatLike(obs), nil
-	case "production":
-		return datagen.ProductionLike(obs), nil
-	case "dbpedia":
-		return datagen.DBpediaLike(obs), nil
-	default:
-		return datagen.Spec{}, fmt.Errorf("unknown preset %q (want eurostat, production, or dbpedia)", name)
 	}
 }

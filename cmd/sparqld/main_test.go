@@ -81,9 +81,6 @@ func TestBuildStoreErrors(t *testing.T) {
 	if _, err := buildStore("", "nope", 10); err == nil {
 		t.Error("unknown preset accepted")
 	}
-	if _, err := presetByName("production", 5); err != nil {
-		t.Errorf("production preset: %v", err)
-	}
 }
 
 func TestSwapHandlerLoadingSequence(t *testing.T) {

@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"os"
+	"strings"
 	"time"
 
 	"re2xolap/internal/core"
@@ -23,8 +25,6 @@ import (
 	"re2xolap/internal/store"
 	"re2xolap/internal/vgraph"
 	"re2xolap/internal/webui"
-
-	"os"
 )
 
 func main() {
@@ -69,29 +69,21 @@ func buildClient(endpointURL, data, gen string, obs int, class string) (endpoint
 			return nil, cfg, err
 		}
 		defer f.Close()
-		if len(data) > 5 && data[len(data)-5:] == ".snap" {
-			st, err := store.ReadSnapshot(f)
-			if err != nil {
-				return nil, cfg, err
-			}
-			return endpoint.NewInProcess(st), cfg, nil
+		var st *store.Store
+		if strings.HasSuffix(data, ".snap") {
+			st, err = store.ReadSnapshot(f)
+		} else {
+			st = store.New()
+			_, err = st.Load(f)
 		}
-		st := store.New()
-		if _, err := st.Load(f); err != nil {
+		if err != nil {
 			return nil, cfg, err
 		}
 		return endpoint.NewInProcess(st), cfg, nil
 	case gen != "":
-		var spec datagen.Spec
-		switch gen {
-		case "eurostat":
-			spec = datagen.EurostatLike(obs)
-		case "production":
-			spec = datagen.ProductionLike(obs)
-		case "dbpedia":
-			spec = datagen.DBpediaLike(obs)
-		default:
-			return nil, cfg, fmt.Errorf("unknown preset %q", gen)
+		spec, err := datagen.Preset(gen, obs)
+		if err != nil {
+			return nil, cfg, err
 		}
 		st, err := spec.BuildStore()
 		if err != nil {

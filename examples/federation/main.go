@@ -41,15 +41,13 @@ func main() {
 	}
 
 	// 2. The coordinator, configured with options: degraded mode keeps
-	//    answering (marked Incomplete) if a shard dies, hedging caps
-	//    tail latency, and the plan cache memoizes parse + classify +
-	//    rewrite per query text.
+	//    answering (marked Incomplete) if a shard dies, and hedging caps
+	//    tail latency.
 	reg := re2xolap.NewRegistry()
 	coord, err := re2xolap.NewCoordinatorClient(
 		re2xolap.ShardClients(groups...),
 		re2xolap.WithDegraded(true),
 		re2xolap.WithHedge(250*time.Millisecond),
-		re2xolap.WithPlanCache(256),
 		re2xolap.WithShardRegistry(reg),
 	)
 	if err != nil {

@@ -21,7 +21,7 @@ type (
 	// ShardTopologyView is one resolved topology.
 	ShardTopologyView = shard.TopologyView
 	// ShardOption configures NewCoordinatorClient (see WithHedge,
-	// WithHealth, WithDegraded, WithPlanCache, WithShardWorkers,
+	// WithHealth, WithDegraded, WithShardWorkers,
 	// WithShardRegistry, WithShardPolicy).
 	ShardOption = shard.Option
 	// ShardHealthConfig configures the background replica prober.
@@ -48,9 +48,6 @@ var (
 	// WithDegraded serves partial results when shards fail, marking
 	// the answer Incomplete instead of erroring.
 	WithDegraded = shard.WithDegraded
-	// WithPlanCache sizes the coordinator's LRU plan cache; <= 0
-	// disables it.
-	WithPlanCache = shard.WithPlanCache
 	// WithShardWorkers bounds the coordinator's scatter concurrency.
 	WithShardWorkers = shard.WithWorkers
 	// WithShardRegistry wires coordinator metrics into a Registry.

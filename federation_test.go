@@ -40,7 +40,7 @@ func TestCoordinatorClientOverClients(t *testing.T) {
 	for i, s := range shardStores(t, st, 3) {
 		groups[i] = []Client{NewInProcessClient(s)}
 	}
-	coord, err := NewCoordinatorClient(ShardClients(groups...), WithPlanCache(64))
+	coord, err := NewCoordinatorClient(ShardClients(groups...))
 	if err != nil {
 		t.Fatal(err)
 	}

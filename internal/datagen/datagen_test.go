@@ -193,6 +193,20 @@ func TestPresets(t *testing.T) {
 	}
 }
 
+// TestPresetByName: Preset names each paper dataset, at the given
+// scale, and rejects any other name.
+func TestPresetByName(t *testing.T) {
+	for _, want := range Presets(7, 7, 7) {
+		got, err := Preset(want.Name, 7)
+		if err != nil || got.Name != want.Name || got.Observations != 7 || got.Seed != want.Seed {
+			t.Errorf("Preset(%q) = %s/%d, %v", want.Name, got.Name, got.Observations, err)
+		}
+	}
+	if _, err := Preset("nope", 7); err == nil {
+		t.Error("unknown preset accepted")
+	}
+}
+
 func TestMissingRateSparsity(t *testing.T) {
 	spec := EurostatLike(2000)
 	spec.MissingRate = 0.3

@@ -1,5 +1,7 @@
 package datagen
 
+import "fmt"
+
 // EurostatLike mirrors the paper's Eurostat asylum-applications KG
 // (Table 3: |D|=4, |M|=1, |L̄|=9, |N_D|=373): origin and destination
 // countries rolling up to continents, a reference period with
@@ -156,4 +158,18 @@ func Presets(eurostatObs, productionObs, dbpediaObs int) []Spec {
 		ProductionLike(productionObs),
 		DBpediaLike(dbpediaObs),
 	}
+}
+
+// Preset returns the named paper dataset — eurostat, production or
+// dbpedia — at the given observation count.
+func Preset(name string, observations int) (Spec, error) {
+	switch name {
+	case "eurostat":
+		return EurostatLike(observations), nil
+	case "production":
+		return ProductionLike(observations), nil
+	case "dbpedia":
+		return DBpediaLike(observations), nil
+	}
+	return Spec{}, fmt.Errorf("unknown preset %q (want eurostat, production, or dbpedia)", name)
 }

@@ -85,160 +85,21 @@ func classify(q *sparql.Query) queryPlan {
 // including those inside OPTIONAL, UNION branches, and FILTER
 // [NOT] EXISTS — share one identical subject node, there are no
 // closures or subselects (their intermediate hops cross shards), and
-// the top level generates rows from at least one triple pattern (a
-// pattern-free WHERE would duplicate its rows once per shard).
+// every solution of the WHERE matches a triple pattern (rows that
+// depend on no data would come back once per shard).
 func colocated(q *sparql.Query) bool {
 	var subject *sparql.Node
-	same := func(n sparql.Node) bool {
-		if subject == nil {
-			subject = &n
-			return true
+	ok := true
+	grounded := sparql.WalkPatterns(q, func(el sparql.PatternElement, _ bool) {
+		tp, isTriple := el.(sparql.TriplePattern)
+		switch {
+		case !isTriple:
+			ok = false
+		case subject == nil:
+			subject = &tp.S
+		case *subject != tp.S:
+			ok = false
 		}
-		return sameNode(*subject, n)
-	}
-	var elems func([]sparql.PatternElement) bool
-	var exprOK func(sparql.Expr) bool
-	exprOK = func(e sparql.Expr) bool {
-		ok := true
-		walkExists(e, func(x sparql.ExistsExpr) {
-			for _, tp := range x.Patterns {
-				if !same(tp.S) {
-					ok = false
-				}
-			}
-			for _, f := range x.Filters {
-				if !exprOK(f) {
-					ok = false
-				}
-			}
-		})
-		return ok
-	}
-	elems = func(es []sparql.PatternElement) bool {
-		for _, e := range es {
-			switch el := e.(type) {
-			case sparql.TriplePattern:
-				if !same(el.S) {
-					return false
-				}
-			case sparql.ClosurePattern, sparql.SubSelectElement:
-				return false
-			case sparql.OptionalElement:
-				for _, tp := range el.Patterns {
-					if !same(tp.S) {
-						return false
-					}
-				}
-				for _, f := range el.Filters {
-					if !exprOK(f) {
-						return false
-					}
-				}
-			case sparql.UnionElement:
-				for _, br := range el.Branches {
-					if !elems(br) {
-						return false
-					}
-				}
-			case sparql.FilterElement:
-				if !exprOK(el.Expr) {
-					return false
-				}
-			case sparql.BindElement:
-				if !exprOK(el.Expr) {
-					return false
-				}
-			case sparql.ValuesElement:
-				// Inline data replicates identically on every shard; it
-				// only joins against shard-local solutions.
-			}
-		}
-		return true
-	}
-	if !elems(q.Where) {
-		return false
-	}
-	for _, h := range q.Having {
-		if !exprOK(h) {
-			return false
-		}
-	}
-	for _, it := range q.Select {
-		if it.Expr != nil && !exprOK(it.Expr) {
-			return false
-		}
-	}
-	for _, o := range q.OrderBy {
-		if !exprOK(o.Expr) {
-			return false
-		}
-	}
-	return generatesRows(q.Where)
-}
-
-// walkExists visits every [NOT] EXISTS block nested in e. EXISTS is
-// the one expression form that reaches back into graph patterns, so it
-// is the only one the colocation check has to see.
-func walkExists(e sparql.Expr, fn func(sparql.ExistsExpr)) {
-	switch x := e.(type) {
-	case sparql.ExistsExpr:
-		fn(x)
-	case sparql.BinaryExpr:
-		walkExists(x.L, fn)
-		walkExists(x.R, fn)
-	case sparql.UnaryExpr:
-		walkExists(x.E, fn)
-	case sparql.InExpr:
-		walkExists(x.E, fn)
-		for _, y := range x.List {
-			walkExists(y, fn)
-		}
-	case sparql.FuncExpr:
-		for _, y := range x.Args {
-			walkExists(y, fn)
-		}
-	case sparql.AggExpr:
-		if x.Arg != nil {
-			walkExists(x.Arg, fn)
-		}
-	}
-}
-
-// sameNode reports structural equality of two pattern nodes.
-func sameNode(a, b sparql.Node) bool {
-	if a.IsVar != b.IsVar {
-		return false
-	}
-	if a.IsVar {
-		return a.Var == b.Var
-	}
-	return a.Term == b.Term
-}
-
-// generatesRows reports whether the top-level group derives its rows
-// from shard data: it contains a triple pattern, or consists of UNION
-// elements whose every branch does. A WHERE made only of VALUES /
-// BIND / FILTER produces the same rows on every shard, so a scatter
-// would multiply them by the shard count.
-func generatesRows(es []sparql.PatternElement) bool {
-	sawUnion := false
-	for _, e := range es {
-		switch el := e.(type) {
-		case sparql.TriplePattern:
-			return true
-		case sparql.UnionElement:
-			all := true
-			for _, br := range el.Branches {
-				if !generatesRows(br) {
-					all = false
-					break
-				}
-			}
-			if !all {
-				return false
-			}
-			sawUnion = true
-		}
-	}
-	return sawUnion
+	})
+	return ok && grounded
 }

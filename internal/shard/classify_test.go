@@ -2,9 +2,11 @@ package shard
 
 import (
 	"context"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"re2xolap/internal/corpus"
 	"re2xolap/internal/endpoint"
 	"re2xolap/internal/obs"
 	"re2xolap/internal/rdf"
@@ -131,53 +133,6 @@ func testPlanCacheLRU(t *testing.T, reg *obs.Registry) {
 	pc.put(a, mk(a))
 	if pc.len() != 2 {
 		t.Fatalf("cache grew to %d on re-put", pc.len())
-	}
-
-	// A nil cache (caching disabled) is a no-op, not a crash.
-	var off *planCache
-	if _, ok := off.get(a); ok {
-		t.Fatal("nil cache reported a hit")
-	}
-	off.put(a, mk(a))
-	if off.len() != 0 {
-		t.Fatal("nil cache reported entries")
-	}
-}
-
-// TestPlanCacheDisabled checks WithPlanCache(0) turns caching off at
-// the coordinator level and queries still answer.
-func TestPlanCacheDisabled(t *testing.T) {
-	ts := determinismTriples()
-	parts := Partitioner{N: 2}.Split(ts)
-	backends := make([]endpoint.Client, 2)
-	for i := range backends {
-		backends[i] = endpoint.NewInProcess(storeFromTriples(t, parts[i]))
-	}
-	c, err := New(backends, WithoutResilience(), WithPlanCache(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.cache != nil {
-		t.Fatal("WithPlanCache(0) left the cache on")
-	}
-	q := `SELECT ?s ?c WHERE { ?s <http://t/region> ?r . ?r <http://t/partOf> ?c } ORDER BY ?s`
-	for i := 0; i < 2; i++ { // same text twice: both must re-plan fine
-		if _, meta, err := c.QueryX(context.Background(), endpoint.Request{Query: q}); err != nil {
-			t.Fatal(err)
-		} else if meta.Plan != "bound_join" {
-			t.Fatalf("plan = %q, want bound_join", meta.Plan)
-		}
-	}
-
-	// Default (no option) keeps the cache on at the default size.
-	on, err := New(backends, WithoutResilience())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer on.Close()
-	if on.cache == nil {
-		t.Fatal("default coordinator has no plan cache")
 	}
 }
 
@@ -326,4 +281,36 @@ func TestGatherFetchDedupe(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzClassify: for every text the parser accepts, classification and
+// the gather plan's fetch specs — with no predicate known functional,
+// and with every star candidate functional — never panic, and every
+// fetch query re-parses.
+func FuzzClassify(f *testing.F) {
+	for _, c := range corpus.Queries() {
+		f.Add(c.Query)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 32; i++ {
+		f.Add(randomStarQuery(rng))
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		q, err := sparql.Parse(src)
+		if err != nil {
+			return
+		}
+		classify(q)
+		all := map[rdf.Term]bool{}
+		for _, p := range starPredicates(q.Where) {
+			all[p] = true
+		}
+		for _, functional := range []map[rdf.Term]bool{nil, all} {
+			for _, spec := range collectFetchSpecs(q, functional) {
+				if _, err := sparql.Parse(spec.query); err != nil {
+					t.Fatalf("%s: fetch query %s does not parse: %v", src, spec.query, err)
+				}
+			}
+		}
+	})
 }

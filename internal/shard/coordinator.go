@@ -17,8 +17,7 @@ import (
 // config is what the With* Options (options.go) fold into. The zero
 // value is usable: full resilience with the default policy, strict
 // (non-degraded) failure handling, scatter width = shard count, no
-// prober, no hedging, no metrics, plan cache on at
-// DefaultPlanCacheSize.
+// prober, no hedging, no metrics.
 type config struct {
 	// Workers bounds scatter concurrency — shards in flight, and one
 	// shard's queries of a round in flight — and the local engine
@@ -56,10 +55,6 @@ type config struct {
 	// timings, hedge and topology-reload counters, degraded-mode
 	// counters.
 	Registry *obs.Registry
-	// PlanCacheSize caps the coordinator plan cache (parse + classify +
-	// rewrite memoized by query text, LRU eviction): 0 means
-	// DefaultPlanCacheSize, negative disables caching.
-	PlanCacheSize int
 	// Fleet, when non-nil, enables the fleet metrics collector: the
 	// coordinator scrapes every HTTP replica's /metrics and serves the
 	// merged exposition via FleetHandler (see FleetConfig).
@@ -81,7 +76,7 @@ type view struct {
 type Coordinator struct {
 	cfg   config
 	m     *metrics
-	cache *planCache // nil when caching is disabled
+	cache *planCache
 	topo  Topology
 	dial  Dialer
 
@@ -99,49 +94,17 @@ type Coordinator struct {
 	chunk int            // VALUES rows per bound-join fetch: boundJoinChunk
 }
 
-// New builds a coordinator over single-replica shards (index = shard
-// number under the Partitioner that split the data) — the pre-replica
-// constructor, kept as the common case.
+// New builds a coordinator over single-replica shards: backends[i]
+// serves shard i under the Partitioner that split the data. It is
+// NewDynamic over a ClientTopology, so Reload resolves the same view
+// and reports no change.
 func New(backends []endpoint.Client, opts ...Option) (*Coordinator, error) {
 	groups := make([][]endpoint.Client, len(backends))
 	for i, b := range backends {
 		groups[i] = []endpoint.Client{b}
 	}
-	return NewReplicated(groups, opts...)
-}
-
-// NewReplicated builds a coordinator over explicit replica groups:
-// groups[i] lists shard i's replicas in preference order, every
-// replica holding the identical partition i. The topology is static;
-// use NewDynamic for live re-resolution.
-func NewReplicated(groups [][]endpoint.Client, opts ...Option) (*Coordinator, error) {
-	if len(groups) == 0 {
-		return nil, errors.New("shard: no backends")
-	}
-	c := newCoordinator(applyOptions(opts))
-	tv := TopologyView{Groups: make([][]string, len(groups))}
-	built := make([]*replicaSet, len(groups))
-	for i, g := range groups {
-		if len(g) == 0 {
-			return nil, fmt.Errorf("shard: shard %d has no replicas", i)
-		}
-		set := &replicaSet{shard: i}
-		c.m.wireShard(set)
-		tv.Groups[i] = make([]string, len(g))
-		for j, b := range g {
-			if b == nil {
-				return nil, fmt.Errorf("shard: shard %d replica %d is nil", i, j)
-			}
-			spec := fmt.Sprintf("client:%d/%d", i, j)
-			tv.Groups[i][j] = spec
-			set.replicas = append(set.replicas, c.newReplica(i, j, spec, b))
-		}
-		built[i] = set
-	}
-	c.view.Store(&view{tv: tv, groups: built})
-	c.startProber()
-	c.startFleet()
-	return c, nil
+	topo := NewClientTopology(groups...)
+	return NewDynamic(topo, topo.Dialer(), opts...)
 }
 
 // NewDynamic builds a coordinator whose topology can change at
@@ -183,13 +146,7 @@ func newCoordinator(cfg config) *Coordinator {
 			}
 			return float64(n)
 		})
-	size := cfg.PlanCacheSize
-	if size == 0 {
-		size = DefaultPlanCacheSize
-	}
-	if size > 0 {
-		c.cache = newPlanCache(size, c.m)
-	}
+	c.cache = newPlanCache(planCacheSize, c.m)
 	return c
 }
 
@@ -298,13 +255,8 @@ func (c *Coordinator) buildView(tv TopologyView, old *view) (*view, error) {
 
 // Reload re-resolves the topology and atomically swaps the serving
 // view. In-flight queries keep the view they started with and drain
-// on it. Returns whether the view actually changed. Coordinators
-// built over explicit client lists (New, NewReplicated) have a static
-// topology and return an error.
+// on it. Returns whether the view actually changed.
 func (c *Coordinator) Reload() (bool, error) {
-	if c.topo == nil || c.dial == nil {
-		return false, errors.New("shard: coordinator topology is static (built from explicit clients)")
-	}
 	c.reloadMu.Lock()
 	defer c.reloadMu.Unlock()
 	tv, err := c.topo.Resolve()

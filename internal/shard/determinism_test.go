@@ -357,3 +357,40 @@ func TestGatherUnorderedAnswerCanonical(t *testing.T) {
 		coord.Close()
 	}
 }
+
+// TestOrderByExpressionSingleNode: ORDER BY keys that are bracketed
+// expressions or bare calls — a colocated star and a partial
+// aggregate ordered on an aggregate — answer at 3 shards byte for
+// byte as the single node does.
+func TestOrderByExpressionSingleNode(t *testing.T) {
+	ts := determinismTriples()
+	single := store.New()
+	if err := single.AddAll(ts); err != nil {
+		t.Fatal(err)
+	}
+	engine := sparql.NewEngine(single)
+	c := newTopology(t, ts, 3)
+	defer c.Close()
+	for q, plan := range map[string]string{
+		`SELECT ?s ?v WHERE { ?s <http://t/value> ?v } ORDER BY (0 - ?v) STR(?s)`:                                "colocated",
+		`SELECT ?r (COUNT(?s) AS ?n) WHERE { ?s <http://t/region> ?r } GROUP BY ?r ORDER BY (COUNT(?s)) STR(?r)`: "partial_agg",
+	} {
+		want, err := engine.QueryString(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, meta, err := c.QueryX(context.Background(), endpoint.Request{Query: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if meta.Plan != plan {
+			t.Errorf("%s: plan %s, want %s", q, meta.Plan, plan)
+		}
+		if len(want.Rows) < 2 {
+			t.Fatalf("%s: %d rows, too few to order", q, len(want.Rows))
+		}
+		if g, w := encode(t, got), encode(t, want); !bytes.Equal(g, w) {
+			t.Errorf("%s:\n3 shards %s\n  single %s", q, g, w)
+		}
+	}
+}

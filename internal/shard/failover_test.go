@@ -39,12 +39,19 @@ func newReplicatedFaults(t *testing.T, ts []rdf.Triple, n, replicas int, opts []
 			groups[i] = append(groups[i], f)
 		}
 	}
-	c, err := NewReplicated(groups, opts...)
+	c, err := newReplicated(groups, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
 	return c, faults
+}
+
+// newReplicated builds a coordinator over replica groups of pre-built
+// clients: groups[i] lists shard i's replicas in preference order.
+func newReplicated(groups [][]endpoint.Client, opts ...Option) (*Coordinator, error) {
+	topo := NewClientTopology(groups...)
+	return NewDynamic(topo, topo.Dialer(), opts...)
 }
 
 // runCorpusComplete runs the full determinism corpus against c and
@@ -256,7 +263,7 @@ func (c permClient) Query(ctx context.Context, query string) (*sparql.Results, e
 func TestNoFailoverOnPermanentError(t *testing.T) {
 	st := storeFromTriples(t, determinismTriples())
 	secondCalls := 0
-	c, err := NewReplicated([][]endpoint.Client{{
+	c, err := newReplicated([][]endpoint.Client{{
 		permClient{calls: new(int)},
 		countingClient{inner: endpoint.NewInProcess(st), calls: &secondCalls},
 	}}, WithoutResilience())
@@ -562,7 +569,7 @@ func benchScatter(b *testing.B, replicas int) {
 			groups[i] = append(groups[i], endpoint.NewInProcess(st))
 		}
 	}
-	c, err := NewReplicated(groups, WithoutResilience())
+	c, err := newReplicated(groups, WithoutResilience())
 	if err != nil {
 		b.Fatal(err)
 	}

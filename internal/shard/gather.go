@@ -48,66 +48,20 @@ type fetchSpec struct {
 // runs.
 func collectFetchSpecs(q *sparql.Query, functional map[rdf.Term]bool) []fetchSpec {
 	stars, pats := starGroups(q.Where, functional)
-	addClosure := func(cp sparql.ClosurePattern) {
-		pats = append(pats, sparql.TriplePattern{
-			S: sparql.NewVarNode("s"),
-			P: sparql.NewTermNode(cp.Pred),
-			O: sparql.NewVarNode("o"),
-		})
-	}
-	var fromExpr func(sparql.Expr)
-	fromExpr = func(e sparql.Expr) {
-		walkExists(e, func(x sparql.ExistsExpr) {
-			pats = append(pats, x.Patterns...)
-			for _, f := range x.Filters {
-				fromExpr(f)
+	sparql.WalkPatterns(q, func(el sparql.PatternElement, top bool) {
+		switch el := el.(type) {
+		case sparql.TriplePattern:
+			if !top { // top-level patterns came from starGroups
+				pats = append(pats, el)
 			}
-		})
-	}
-	var fromQuery func(*sparql.Query)
-	var fromElems func([]sparql.PatternElement, bool)
-	fromElems = func(es []sparql.PatternElement, top bool) {
-		for _, e := range es {
-			switch el := e.(type) {
-			case sparql.TriplePattern:
-				if !top { // top-level patterns came from starGroups
-					pats = append(pats, el)
-				}
-			case sparql.ClosurePattern:
-				addClosure(el)
-			case sparql.OptionalElement:
-				pats = append(pats, el.Patterns...)
-				for _, f := range el.Filters {
-					fromExpr(f)
-				}
-			case sparql.UnionElement:
-				for _, br := range el.Branches {
-					fromElems(br, false)
-				}
-			case sparql.FilterElement:
-				fromExpr(el.Expr)
-			case sparql.BindElement:
-				fromExpr(el.Expr)
-			case sparql.SubSelectElement:
-				fromQuery(el.Query)
-			}
+		case sparql.ClosurePattern:
+			pats = append(pats, sparql.TriplePattern{
+				S: sparql.NewVarNode("s"),
+				P: sparql.NewTermNode(el.Pred),
+				O: sparql.NewVarNode("o"),
+			})
 		}
-	}
-	fromQuery = func(sub *sparql.Query) {
-		fromElems(sub.Where, sub == q)
-		for _, h := range sub.Having {
-			fromExpr(h)
-		}
-		for _, it := range sub.Select {
-			if it.Expr != nil {
-				fromExpr(it.Expr)
-			}
-		}
-		for _, o := range sub.OrderBy {
-			fromExpr(o.Expr)
-		}
-	}
-	fromQuery(q)
+	})
 
 	seen := map[string]struct{}{}
 	var specs []fetchSpec

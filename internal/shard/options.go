@@ -11,7 +11,7 @@ import (
 // endpoint.Option. The zero configuration (no options) is usable:
 // full resilience with the default policy, strict (non-degraded)
 // failure handling, scatter width = shard count, no prober, no
-// hedging, no metrics, plan cache on at DefaultPlanCacheSize.
+// hedging, no metrics.
 type Option func(*config)
 
 // applyOptions folds the options over a zero config.
@@ -75,20 +75,6 @@ func WithHedge(after time.Duration) Option {
 // timings, hedge, degraded-mode, and topology-reload counters.
 func WithRegistry(r *obs.Registry) Option {
 	return func(c *config) { c.Registry = r }
-}
-
-// WithPlanCache sizes the coordinator plan cache (parse + classify +
-// rewrite memoized by query text, LRU eviction). capacity <= 0
-// disables caching; without this option the cache holds
-// DefaultPlanCacheSize plans.
-func WithPlanCache(capacity int) Option {
-	return func(c *config) {
-		if capacity <= 0 {
-			c.PlanCacheSize = -1
-			return
-		}
-		c.PlanCacheSize = capacity
-	}
 }
 
 // WithFleet enables the fleet metrics collector: the coordinator

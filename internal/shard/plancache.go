@@ -2,9 +2,10 @@ package shard
 
 import "re2xolap/internal/lru"
 
-// DefaultPlanCacheSize is the plan-cache capacity when none is
-// configured.
-const DefaultPlanCacheSize = 512
+// planCacheSize is the plan-cache capacity. The cache only saves parse
+// and classification cost, so, like serve's canonical-text memo, it is
+// a fixed size rather than a setting.
+const planCacheSize = 512
 
 // planCache memoizes parse + classify + rewrite by query text. Every
 // cached artifact — the parsed AST, the plan kind, the partial-agg
@@ -25,9 +26,6 @@ func newPlanCache(capacity int, m *metrics) *planCache {
 
 // get returns the cached plan for a query text, if present.
 func (c *planCache) get(text string) (queryPlan, bool) {
-	if c == nil {
-		return queryPlan{}, false
-	}
 	p, ok := c.lru.Get(text)
 	if ok {
 		c.m.cacheHits.Inc()
@@ -40,17 +38,11 @@ func (c *planCache) get(text string) (queryPlan, bool) {
 // put stores a plan, evicting the least recently used entry when the
 // cache is full.
 func (c *planCache) put(text string, p queryPlan) {
-	if c == nil {
-		return
-	}
 	c.m.cacheEvicts.Add(int64(c.lru.Put(text, p)))
 	c.m.cacheSize.Set(int64(c.lru.Len()))
 }
 
 // len returns the current entry count.
 func (c *planCache) len() int {
-	if c == nil {
-		return 0
-	}
 	return c.lru.Len()
 }

@@ -69,8 +69,8 @@ func (v TopologyView) Equal(o TopologyView) bool {
 	return true
 }
 
-// Static is the fixed Topology: Resolve always returns the same view.
-// It is what the list-of-clients constructors use under the hood.
+// Static is the fixed Topology over replica specs: Resolve always
+// returns the same view (the root package's ShardURLs builds one).
 type Static struct{ View TopologyView }
 
 // Resolve implements Topology.

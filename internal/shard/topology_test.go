@@ -333,12 +333,17 @@ func TestReloadDrainsInFlight(t *testing.T) {
 	wg.Wait()
 }
 
-// TestStaticTopologyReloadErrors: coordinators built from explicit
-// client lists cannot re-resolve.
-func TestStaticTopologyReloadErrors(t *testing.T) {
-	ts := determinismTriples()
-	c := newTopology(t, ts, 2)
-	if _, err := c.Reload(); err == nil {
-		t.Fatal("static topology must refuse Reload")
+// TestClientTopologyReloadUnchanged: a coordinator built from explicit
+// client lists resolves the same view on every Reload, so a reload
+// succeeds and reports no change.
+func TestClientTopologyReloadUnchanged(t *testing.T) {
+	c := newTopology(t, determinismTriples(), 2)
+	defer c.Close()
+	before := c.currentView()
+	if changed, err := c.Reload(); err != nil || changed {
+		t.Fatalf("Reload() = %v, %v; want false, nil", changed, err)
+	}
+	if c.currentView() != before {
+		t.Fatal("an unchanged reload swapped the view")
 	}
 }

@@ -268,12 +268,12 @@ func newAggSpec(q *Query) *aggSpec {
 			s.vars = append(s.vars, it.Var)
 			s.project[i] = VarExpr{Name: it.Var}
 		} else {
-			s.vars = nonAggVars(it.Expr, s.vars)
+			s.vars = exprVars(it.Expr, s.vars, false)
 			s.project[i] = resolveAggregates(it.Expr, idx)
 		}
 	}
 	for _, h := range q.Having {
-		s.vars = nonAggVars(h, s.vars)
+		s.vars = exprVars(h, s.vars, false)
 		s.having = append(s.having, resolveAggregates(h, idx))
 	}
 	argIdx := map[string]int{}
@@ -339,11 +339,15 @@ func collectAggs(q *Query) ([]AggExpr, map[string]int) {
 	var aggs []AggExpr
 	idx := map[string]int{}
 	collect := func(e Expr) {
-		walkAggregates(e, func(a AggExpr) {
-			if _, dup := idx[a.String()]; !dup {
-				idx[a.String()] = len(aggs)
-				aggs = append(aggs, a)
+		WalkExpr(e, func(x Expr) bool {
+			a, ok := x.(AggExpr)
+			if ok {
+				if _, dup := idx[a.String()]; !dup {
+					idx[a.String()] = len(aggs)
+					aggs = append(aggs, a)
+				}
 			}
+			return !ok
 		})
 	}
 	for _, it := range q.Select {
@@ -358,27 +362,6 @@ func collectAggs(q *Query) ([]AggExpr, map[string]int) {
 		collect(o.Expr)
 	}
 	return aggs, idx
-}
-
-func walkAggregates(e Expr, fn func(AggExpr)) {
-	switch x := e.(type) {
-	case AggExpr:
-		fn(x)
-	case BinaryExpr:
-		walkAggregates(x.L, fn)
-		walkAggregates(x.R, fn)
-	case UnaryExpr:
-		walkAggregates(x.E, fn)
-	case InExpr:
-		walkAggregates(x.E, fn)
-		for _, y := range x.List {
-			walkAggregates(y, fn)
-		}
-	case FuncExpr:
-		for _, y := range x.Args {
-			walkAggregates(y, fn)
-		}
-	}
 }
 
 // emit finalizes every group of t in t.order, applies HAVING and

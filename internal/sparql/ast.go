@@ -12,6 +12,7 @@ package sparql
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"re2xolap/internal/rdf"
@@ -170,15 +171,8 @@ type Query struct {
 // IsAggregate reports whether the query needs grouping: it has a GROUP
 // BY clause or any aggregate in projection or HAVING.
 func (q *Query) IsAggregate() bool {
-	if len(q.GroupBy) > 0 || len(q.Having) > 0 {
-		return true
-	}
-	for _, s := range q.Select {
-		if s.Expr != nil && containsAggregate(s.Expr) {
-			return true
-		}
-	}
-	return false
+	return len(q.GroupBy) > 0 || len(q.Having) > 0 ||
+		slices.ContainsFunc(q.Select, func(s SelectItem) bool { return s.Expr != nil && contains[AggExpr](s.Expr) })
 }
 
 // internalVarPrefix marks variables generated during property-path

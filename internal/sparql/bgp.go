@@ -136,7 +136,7 @@ func (ex *executor) planBGP(patterns []TriplePattern, filters []Expr, r row, ope
 	// variable without a slot can only be a residual.
 	waits := make([][]int, len(filters))
 	for i, f := range filters {
-		for _, name := range exprVars(f, nil) {
+		for _, name := range exprVars(f, nil, true) {
 			s, ok := ex.slots[name]
 			if !ok {
 				s = -1

@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -101,39 +102,6 @@ func (p *BoundJoinPlan) JoinVars(i int) []string { return p.joinVars[i] }
 // the join (those spanning more than one group).
 func (p *BoundJoinPlan) Residual() []Expr { return p.residual }
 
-// containsExists reports whether any [NOT] EXISTS occurs in e.
-func containsExists(e Expr) bool {
-	found := false
-	walkExprExists(e, func(ExistsExpr) { found = true })
-	return found
-}
-
-// walkExprExists visits every EXISTS block nested in e.
-func walkExprExists(e Expr, fn func(ExistsExpr)) {
-	switch x := e.(type) {
-	case ExistsExpr:
-		fn(x)
-	case BinaryExpr:
-		walkExprExists(x.L, fn)
-		walkExprExists(x.R, fn)
-	case UnaryExpr:
-		walkExprExists(x.E, fn)
-	case InExpr:
-		walkExprExists(x.E, fn)
-		for _, y := range x.List {
-			walkExprExists(y, fn)
-		}
-	case FuncExpr:
-		for _, y := range x.Args {
-			walkExprExists(y, fn)
-		}
-	case AggExpr:
-		if x.Arg != nil {
-			walkExprExists(x.Arg, fn)
-		}
-	}
-}
-
 // PlanBoundJoin compiles q into a bound-join plan, or reports that
 // the query is outside the class. The class: a SELECT or ASK whose
 // WHERE is triple patterns and FILTERs only (no OPTIONAL, UNION,
@@ -173,9 +141,6 @@ func PlanBoundJoin(q *Query) (*BoundJoinPlan, bool) {
 			}
 			r.g.Patterns = append(r.g.Patterns, el)
 		case FilterElement:
-			if containsExists(el.Expr) || containsAggregate(el.Expr) {
-				return nil, false
-			}
 			filters = append(filters, el.Expr)
 		default:
 			return nil, false
@@ -184,27 +149,25 @@ func PlanBoundJoin(q *Query) (*BoundJoinPlan, bool) {
 	if len(raws) < 2 {
 		return nil, false
 	}
-	// EXISTS in projection or ORDER BY expressions needs row-time
+	// EXISTS — in a FILTER, the projection or ORDER BY — needs row-time
 	// pattern evaluation the coordinator cannot do.
+	exprs := slices.Clone(filters)
 	for _, it := range q.Select {
-		if it.Expr != nil && containsExists(it.Expr) {
-			return nil, false
+		if it.Expr != nil {
+			exprs = append(exprs, it.Expr)
 		}
 	}
 	for _, o := range q.OrderBy {
-		if containsExists(o.Expr) {
-			return nil, false
-		}
+		exprs = append(exprs, o.Expr)
+	}
+	if slices.ContainsFunc(exprs, contains[ExistsExpr]) {
+		return nil, false
 	}
 
 	for _, r := range raws {
-		seen := map[string]bool{}
-		for _, tp := range r.g.Patterns {
-			for _, n := range []Node{tp.S, tp.P, tp.O} {
-				if n.IsVar && !seen[n.Var] {
-					seen[n.Var] = true
-					r.g.Vars = append(r.g.Vars, n.Var)
-				}
+		for _, v := range appendPatternVars(nil, r.g.Patterns) {
+			if !slices.Contains(r.g.Vars, v) {
+				r.g.Vars = append(r.g.Vars, v)
 			}
 		}
 	}
@@ -215,24 +178,10 @@ func PlanBoundJoin(q *Query) (*BoundJoinPlan, bool) {
 	// its unbound evaluation drops every row — same as the engine.
 	p := &BoundJoinPlan{orig: q}
 	for _, f := range filters {
-		vars := exprVars(f, nil)
+		vars := exprVars(f, nil, true)
 		pushed := false
 		for _, r := range raws {
-			covered := true
-			for _, v := range vars {
-				found := false
-				for _, gv := range r.g.Vars {
-					if gv == v {
-						found = true
-						break
-					}
-				}
-				if !found {
-					covered = false
-					break
-				}
-			}
-			if covered {
+			if !slices.ContainsFunc(vars, func(v string) bool { return !slices.Contains(r.g.Vars, v) }) {
 				r.g.Filters = append(r.g.Filters, f)
 				pushed = true
 			}

@@ -294,7 +294,7 @@ func PlanPartialAggregation(q *Query) (*PartialAggPlan, bool) {
 	for _, o := range q.OrderBy {
 		// ORDER BY may also reference projection aliases, which are
 		// resolved over the output row; only reject free variables.
-		for _, v := range nonAggVars(o.Expr, nil) {
+		for _, v := range exprVars(o.Expr, nil, false) {
 			if !inGroupBy[v] && !selectsVar(q, v) {
 				return nil, false
 			}
@@ -352,35 +352,6 @@ func selectsVar(q *Query, v string) bool {
 		}
 	}
 	return false
-}
-
-// nonAggVars collects the variables of e that occur outside aggregate
-// arguments (aggregate-internal variables are consumed per shard).
-func nonAggVars(e Expr, dst []string) []string {
-	switch x := e.(type) {
-	case AggExpr:
-		return dst
-	case VarExpr:
-		return append(dst, x.Name)
-	case BinaryExpr:
-		return nonAggVars(x.R, nonAggVars(x.L, dst))
-	case UnaryExpr:
-		return nonAggVars(x.E, dst)
-	case InExpr:
-		dst = nonAggVars(x.E, dst)
-		for _, y := range x.List {
-			dst = nonAggVars(y, dst)
-		}
-		return dst
-	case FuncExpr:
-		for _, y := range x.Args {
-			dst = nonAggVars(y, dst)
-		}
-		return dst
-	case ExistsExpr:
-		return exprVars(x, dst)
-	}
-	return dst
 }
 
 // Merge combines per-shard partial-aggregate results (one *Results

@@ -137,79 +137,46 @@ func (e AggExpr) String() string {
 	return b.String()
 }
 
-// containsAggregate reports whether any AggExpr occurs in e.
-func containsAggregate(e Expr) bool {
-	switch x := e.(type) {
-	case AggExpr:
-		return true
-	case BinaryExpr:
-		return containsAggregate(x.L) || containsAggregate(x.R)
-	case UnaryExpr:
-		return containsAggregate(x.E)
-	case InExpr:
-		if containsAggregate(x.E) {
-			return true
-		}
-		for _, y := range x.List {
-			if containsAggregate(y) {
-				return true
-			}
-		}
-	case FuncExpr:
-		for _, y := range x.Args {
-			if containsAggregate(y) {
-				return true
-			}
-		}
-	case ExistsExpr:
-		for _, y := range x.Filters {
-			if containsAggregate(y) {
-				return true
-			}
-		}
-	}
-	return false
+// contains reports whether a node of type T — an AggExpr, an
+// ExistsExpr — occurs in e.
+func contains[T Expr](e Expr) bool {
+	found := false
+	WalkExpr(e, func(x Expr) bool {
+		_, ok := x.(T)
+		found = found || ok
+		return !found
+	})
+	return found
 }
 
-// exprVars appends the names of all variables referenced by e
-// (excluding those inside aggregates, which are evaluated per group
-// member) to dst and returns it.
-func exprVars(e Expr, dst []string) []string {
-	switch x := e.(type) {
-	case VarExpr:
-		dst = append(dst, x.Name)
-	case BinaryExpr:
-		dst = exprVars(x.L, dst)
-		dst = exprVars(x.R, dst)
-	case UnaryExpr:
-		dst = exprVars(x.E, dst)
-	case InExpr:
-		dst = exprVars(x.E, dst)
-		for _, y := range x.List {
-			dst = exprVars(y, dst)
+// exprVars appends the names of the variables e references to dst and
+// returns it; aggs says whether to look inside aggregate arguments
+// (which an aggregate query evaluates per group member). An EXISTS
+// block contributes every variable of its patterns: purely
+// existential ones are never bound by the outer query, so scheduling
+// defers the filter to the end of the join — after all shared
+// variables are bound, which keeps the correlation correct.
+func exprVars(e Expr, dst []string, aggs bool) []string {
+	WalkExpr(e, func(x Expr) bool {
+		if v, ok := x.(VarExpr); ok {
+			dst = append(dst, v.Name)
+		} else if ex, ok := x.(ExistsExpr); ok {
+			dst = appendPatternVars(dst, ex.Patterns)
 		}
-	case FuncExpr:
-		for _, y := range x.Args {
-			dst = exprVars(y, dst)
-		}
-	case AggExpr:
-		if x.Arg != nil {
-			dst = exprVars(x.Arg, dst)
-		}
-	case ExistsExpr:
-		// Report every inner variable. Purely-existential inner
-		// variables are never bound by the outer query, so scheduling
-		// defers the filter to the end of the join — after all shared
-		// variables are bound, which keeps the correlation correct.
-		for _, tp := range x.Patterns {
-			for _, n := range []Node{tp.S, tp.P, tp.O} {
-				if n.IsVar {
-					dst = append(dst, n.Var)
-				}
+		_, agg := x.(AggExpr)
+		return aggs || !agg
+	})
+	return dst
+}
+
+// appendPatternVars appends the variables of tps, position by position, to
+// dst and returns it.
+func appendPatternVars(dst []string, tps []TriplePattern) []string {
+	for _, tp := range tps {
+		for _, n := range [3]Node{tp.S, tp.P, tp.O} {
+			if n.IsVar {
+				dst = append(dst, n.Var)
 			}
-		}
-		for _, f := range x.Filters {
-			dst = exprVars(f, dst)
 		}
 	}
 	return dst

@@ -145,7 +145,7 @@ func (p *parser) parseSelectClause(q *Query) error {
 			p.advance()
 		case p.punct("("):
 			p.advance()
-			expr, err := p.parseExpr()
+			expr, err := p.clauseExpr(p.parseExpr, true)
 			if err != nil {
 				return err
 			}
@@ -162,7 +162,7 @@ func (p *parser) parseSelectClause(q *Query) error {
 			}
 		case t.kind == tokKeyword && isAggregateName(t.text):
 			// bare aggregate without AS: auto-name the column.
-			expr, err := p.parsePrimary()
+			expr, err := p.clauseExpr(p.parsePrimary, true)
 			if err != nil {
 				return err
 			}
@@ -216,12 +216,8 @@ func (p *parser) parseSolutionModifiers(q *Query) error {
 			}
 		case p.acceptKeyword("HAVING"):
 			for p.punct("(") {
-				p.advance()
-				e, err := p.parseExpr()
+				e, err := p.clauseExpr(p.parseConstraint, true)
 				if err != nil {
-					return err
-				}
-				if err := p.expectPunct(")"); err != nil {
 					return err
 				}
 				q.Having = append(q.Having, e)
@@ -233,53 +229,26 @@ func (p *parser) parseSolutionModifiers(q *Query) error {
 			if !p.acceptKeyword("BY") {
 				return p.errf("expected BY after ORDER")
 			}
-			parsing := true
-			for parsing {
-				var key OrderKey
-				switch {
-				case p.acceptKeyword("DESC"):
-					key.Desc = true
-					if err := p.expectPunct("("); err != nil {
-						return err
-					}
-					e, err := p.parseExpr()
-					if err != nil {
-						return err
-					}
-					key.Expr = e
-					if err := p.expectPunct(")"); err != nil {
-						return err
-					}
-				case p.acceptKeyword("ASC"):
-					if err := p.expectPunct("("); err != nil {
-						return err
-					}
-					e, err := p.parseExpr()
-					if err != nil {
-						return err
-					}
-					key.Expr = e
-					if err := p.expectPunct(")"); err != nil {
-						return err
-					}
-				case p.cur().kind == tokVar:
-					key.Expr = VarExpr{Name: p.cur().text}
+			// OrderCondition: ASC or DESC of a bracketed expression, a
+			// variable, or a constraint (a bracketed expression or a call).
+			for {
+				desc := p.keyword("DESC")
+				if desc || p.keyword("ASC") {
 					p.advance()
-				case p.cur().kind == tokKeyword && isAggregateName(p.cur().text):
-					e, err := p.parsePrimary()
-					if err != nil {
-						return err
+					if !p.punct("(") {
+						return p.expectPunct("(")
 					}
-					key.Expr = e
-				default:
-					if len(q.OrderBy) == 0 {
-						return p.errf("empty ORDER BY")
-					}
-					parsing = false
+				} else if p.cur().kind != tokVar && !p.punct("(") && !p.atCall() {
+					break
 				}
-				if parsing {
-					q.OrderBy = append(q.OrderBy, key)
+				e, err := p.clauseExpr(p.parseConstraint, true)
+				if err != nil {
+					return err
 				}
+				q.OrderBy = append(q.OrderBy, OrderKey{Expr: e, Desc: desc})
+			}
+			if len(q.OrderBy) == 0 {
+				return p.errf("empty ORDER BY")
 			}
 		case p.acceptKeyword("LIMIT"):
 			if p.cur().kind != tokNumber {
@@ -315,7 +284,7 @@ func (p *parser) parseGroupGraphPattern() ([]PatternElement, error) {
 		case p.cur().kind == tokEOF:
 			return nil, p.errf("unterminated group pattern")
 		case p.acceptKeyword("FILTER"):
-			e, err := p.parseConstraint()
+			e, err := p.clauseExpr(p.parseConstraint, false)
 			if err != nil {
 				return nil, err
 			}
@@ -325,7 +294,7 @@ func (p *parser) parseGroupGraphPattern() ([]PatternElement, error) {
 			if err := p.expectPunct("("); err != nil {
 				return nil, err
 			}
-			e, err := p.parseExpr()
+			e, err := p.clauseExpr(p.parseExpr, false)
 			if err != nil {
 				return nil, err
 			}
@@ -470,8 +439,45 @@ func (p *parser) parseConstructTemplate() ([]TriplePattern, error) {
 	return tmpl, nil
 }
 
+// clauseExpr parses the expression of a FILTER, BIND, SELECT, HAVING
+// or ORDER BY clause with parse and holds it to SPARQL 1.1's aggregate
+// rule (§19.8): aggregates appear only where grouping is set (SELECT,
+// HAVING, ORDER BY), and never inside another aggregate. An EXISTS
+// block's FILTERs are FILTER clauses of their own.
+func (p *parser) clauseExpr(parse func() (Expr, error), grouping bool) (Expr, error) {
+	pos := p.cur().pos
+	e, err := parse()
+	if err != nil {
+		return nil, err
+	}
+	msg := ""
+	WalkExpr(e, func(x Expr) bool {
+		a, ok := x.(AggExpr)
+		switch {
+		case !ok:
+			return msg == ""
+		case !grouping:
+			msg = "aggregate outside SELECT, HAVING and ORDER BY"
+		case a.Arg != nil && contains[AggExpr](a.Arg):
+			msg = "aggregate inside an aggregate"
+		}
+		return false
+	})
+	if msg != "" {
+		return nil, &SyntaxError{pos, msg}
+	}
+	return e, nil
+}
+
+// atCall reports whether the current token starts a built-in call: a
+// function, an aggregate, or [NOT] EXISTS.
+func (p *parser) atCall() bool {
+	_, fn := builtinFuncs[strings.ToUpper(p.cur().text)]
+	return p.cur().kind == tokKeyword && (fn || isAggregateName(p.cur().text) || p.keyword("EXISTS") || p.keyword("NOT"))
+}
+
 // parseConstraint parses either a bracketed expression or a bare
-// function call, as allowed after FILTER.
+// call, as allowed after FILTER and HAVING and in ORDER BY.
 func (p *parser) parseConstraint() (Expr, error) {
 	if p.punct("(") {
 		p.advance()

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -253,6 +254,75 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseOrderConditions: ORDER BY takes every SPARQL 1.1
+// OrderCondition — a bracketed expression and a built-in call bare,
+// not only a variable, ASC/DESC(…) or a bare aggregate — and the key
+// round-trips through Query.String.
+func TestParseOrderConditions(t *testing.T) {
+	for src, want := range map[string]string{
+		`SELECT ?s WHERE { ?s ?p ?o } ORDER BY (?o + ?o)`:                                 "ASC((?o + ?o))",
+		`SELECT ?s WHERE { ?s ?p ?o } ORDER BY STR(?o)`:                                   "ASC(STR(?o))",
+		`SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s ORDER BY (COUNT(?o))`: "ASC(COUNT(?o))",
+		`SELECT ?s WHERE { ?s ?p ?o } ORDER BY NOT EXISTS { ?s ?q ?z }`:                   "ASC(NOT EXISTS { ?s ?q ?z . })",
+		`SELECT ?s WHERE { ?s ?p ?o } ORDER BY ?s DESC(?o) LCASE(STR(?o)) LIMIT 2`:        "ASC(?s) DESC(?o) ASC(LCASE(STR(?o)))",
+	} {
+		q := mustParse(t, src)
+		got := q.String()
+		i := strings.Index(got, " ORDER BY ")
+		if i < 0 {
+			t.Errorf("%s: no ORDER BY in %s", src, got)
+			continue
+		}
+		if got = strings.TrimSuffix(got[i+len(" ORDER BY "):], " LIMIT 2"); got != want {
+			t.Errorf("%s: ORDER BY %s, want %s", src, got, want)
+		}
+		if _, err := Parse(q.String()); err != nil {
+			t.Errorf("%s: re-parse: %v", src, err)
+		}
+	}
+	for _, src := range []string{
+		`SELECT ?s WHERE { ?s ?p ?o } ORDER BY`,
+		`SELECT ?s WHERE { ?s ?p ?o } ORDER BY ASC ?o`,
+		`SELECT ?s WHERE { ?s ?p ?o } ORDER BY <http://t/f>(?o)`,
+	} {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("Parse(%q) accepted", src)
+		}
+	}
+}
+
+// TestParseAggregatePlacement: SPARQL 1.1 (§19.8) admits aggregates in
+// SELECT, HAVING and ORDER BY only, never one inside another. Each
+// misplaced aggregate is a syntax error at the offset of the
+// expression that holds it.
+func TestParseAggregatePlacement(t *testing.T) {
+	for _, c := range []struct{ src, at string }{
+		{`SELECT ?s WHERE { ?s ?p ?o FILTER (COUNT(?o) > 0) }`, `(COUNT`},
+		{`SELECT ?s ?c WHERE { ?s ?p ?o BIND (COUNT(?o) AS ?c) }`, `COUNT(?o) AS`},
+		{`SELECT ?s WHERE { ?s ?p ?o } GROUP BY ?s HAVING (EXISTS { ?s ?p ?x FILTER (COUNT(?x) > 0) })`, `(COUNT(?x)`},
+		{`SELECT (SUM(COUNT(?o)) AS ?n) WHERE { ?s ?p ?o }`, `SUM(`},
+		{`SELECT ?s WHERE { ?s ?p ?o } GROUP BY ?s ORDER BY MAX(COUNT(?o))`, `MAX(`},
+		{`SELECT ?s WHERE { ?s ?p ?o OPTIONAL { ?s ?q ?v FILTER (SUM(?v) > 1) } }`, `(SUM`},
+	} {
+		_, err := Parse(c.src)
+		var se *SyntaxError
+		if !errors.As(err, &se) {
+			t.Errorf("Parse(%q) = %v, want a syntax error", c.src, err)
+			continue
+		}
+		if want := strings.Index(c.src, c.at); se.Pos != want {
+			t.Errorf("Parse(%q): error at offset %d, want %d (%s)", c.src, se.Pos, want, se.Msg)
+		}
+	}
+	for _, src := range []string{
+		`SELECT (SUM(?o) + COUNT(?o) AS ?n) WHERE { ?s ?p ?o }`,
+		`SELECT ?s WHERE { ?s ?p ?o } GROUP BY ?s HAVING (COUNT(?o) > 1) ORDER BY DESC(SUM(?o))`,
+		`SELECT ?s WHERE { ?s ?p ?o { SELECT (COUNT(?x) AS ?n) WHERE { ?x ?p ?y } } }`,
+	} {
+		mustParse(t, src)
+	}
+}
+
 func TestQueryStringRoundTrip(t *testing.T) {
 	srcs := []string{
 		`SELECT ?origin ?dest (SUM(?v) AS ?sum_v) WHERE { ?obs <http://co> ?origin . ?obs <http://cd> ?dest . ?obs <http://m> ?v . } GROUP BY ?origin ?dest`,
@@ -399,7 +469,7 @@ func FuzzParse(f *testing.F) {
 		}
 		var vars []string
 		for _, e := range exprs {
-			for _, v := range exprVars(e, nil) {
+			for _, v := range exprVars(e, nil, true) {
 				if !slices.Contains(vars, v) {
 					vars = append(vars, v)
 				}
@@ -410,7 +480,11 @@ func FuzzParse(f *testing.F) {
 			// An EXISTS group of many patterns can be a cartesian product
 			// the reference walks for too long.
 			costly := false
-			walkExprExists(e, func(x ExistsExpr) { costly = costly || len(x.Patterns) > 2 })
+			WalkExpr(e, func(x Expr) bool {
+				ex, ok := x.(ExistsExpr)
+				costly = costly || ok && len(ex.Patterns) > 2
+				return !ok
+			})
 			if costly {
 				continue
 			}
