@@ -1,5 +1,5 @@
 // Package corpus holds the shared determinism test corpus: a fully
-// deterministic dataset plus the 34-query suite covering every query
+// deterministic dataset plus the 35-query suite covering every query
 // shape and federation plan class. The shard determinism tests and the
 // serve-layer cache tests both run it — the contract is that any
 // serving configuration (shard count, replica failover, result cache
@@ -75,7 +75,7 @@ type Query struct {
 	Plan          string
 }
 
-// Queries is the full 34-query determinism corpus: ORDER BY+LIMIT,
+// Queries is the full 35-query determinism corpus: ORDER BY+LIMIT,
 // DISTINCT, HAVING, each aggregate, plus every fallback-triggering
 // shape.
 func Queries() []Query {
@@ -140,6 +140,12 @@ func Queries() []Query {
 			"exact", "colocated"},
 		{"filter-not-exists",
 			`SELECT ?s WHERE { ?s <http://t/region> ?r . FILTER NOT EXISTS { ?s <http://t/value> ?v } } ORDER BY ?s`,
+			"exact", "colocated"},
+		{"select-star-exists",
+			// SELECT * names the WHERE clause's variables, never the
+			// EXISTS-internal ?v: every shard answers the same header,
+			// including the two whose rows never reach the EXISTS.
+			`SELECT * WHERE { ?s <http://t/label> ?l . FILTER (CONTAINS(LCASE(STR(?l)), "special")) FILTER EXISTS { ?s <http://t/value> ?v } } ORDER BY ?s`,
 			"exact", "colocated"},
 		{"closure-gather",
 			`SELECT ?b WHERE { <http://t/p0> <http://t/knows>+ ?b } ORDER BY ?b`,

@@ -263,7 +263,7 @@ func FuzzDecodeResults(f *testing.F) {
 	})
 }
 
-// TestHTTPRoundTripCorpus sends the 34-query corpus through
+// TestHTTPRoundTripCorpus sends the 35-query corpus through
 // NewServer/HTTPClient: the body is the reference encoding of the
 // in-process answer, Content-Length is its length, and the client
 // decodes it back to that answer.

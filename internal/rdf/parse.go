@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 )
 
 // ParseError reports a syntax error with its line number.
@@ -191,8 +192,11 @@ func (d *Decoder) parsePrefix(stmt string) error {
 		return &ParseError{d.line, "malformed @prefix"}
 	}
 	name := strings.TrimSuffix(f[1], ":")
-	iri := strings.Trim(f[2], "<>")
-	d.prefixes[name] = iri
+	iri := f[2]
+	if len(iri) < 2 || iri[0] != '<' || strings.IndexByte(iri, '>') != len(iri)-1 {
+		return &ParseError{d.line, fmt.Sprintf("malformed @prefix IRI %q", iri)}
+	}
+	d.prefixes[name] = iri[1 : len(iri)-1]
 	return nil
 }
 
@@ -414,8 +418,12 @@ func (d *Decoder) resolve(tok string) (Term, error) {
 	case tok == "a":
 		return NewIRI(RDFType), nil
 	case strings.HasPrefix(tok, "<"):
-		return NewIRI(strings.Trim(tok, "<>")), nil
+		// tokenize ends an IRI token at its first '>'.
+		return NewIRI(tok[1 : len(tok)-1]), nil
 	case strings.HasPrefix(tok, "_:"):
+		if i := strings.IndexFunc(tok[2:], notLabelRune); i >= 0 {
+			return Term{}, fmt.Errorf("%q in blank node label %q", tok[2+i], tok)
+		}
 		return NewBlank(tok[2:]), nil
 	case strings.HasPrefix(tok, "\""):
 		return parseLiteralToken(tok)
@@ -439,8 +447,20 @@ func (d *Decoder) resolve(tok string) (Term, error) {
 		if !ok {
 			return Term{}, fmt.Errorf("unknown prefix %q", prefix)
 		}
+		if strings.Contains(local, ">") {
+			// An IRI holding '>' has no N-Triples rendering.
+			return Term{}, fmt.Errorf("'>' in prefixed name %q", tok)
+		}
 		return NewIRI(base + local), nil
 	}
+}
+
+// notLabelRune reports a rune a blank node label may not hold: Turtle
+// labels are letters, digits, '_', '-', '.' and non-ASCII characters.
+// Anything else — a quote, '<' — would end or open a token when the
+// label is written back.
+func notLabelRune(r rune) bool {
+	return r < utf8.RuneSelf && !isAlnum(byte(r)) && r != '_' && r != '-' && r != '.'
 }
 
 func isNumberToken(tok string) bool {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode/utf8"
 )
 
 func decodeString(t *testing.T, src string) []Triple {
@@ -312,4 +313,57 @@ func TestDecodeBracketErrors(t *testing.T) {
 			t.Errorf("DecodeAll(%q) accepted: %v", src, ts)
 		}
 	}
+}
+
+// FuzzNTriples: the decoder never panics, and every triple it accepts
+// — those before a syntax error included — re-rendered as one
+// N-Triples line (Triple.String) decodes to the same triple, where an
+// xsd:string literal and its plain twin, which render alike, are the
+// same. The round trip is checked on UTF-8 documents only: N-Triples is
+// UTF-8, and Term.String writes an invalid byte of an escaped literal
+// as U+FFFD.
+func FuzzNTriples(f *testing.F) {
+	for _, seed := range []string{
+		`<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> .`,
+		`<http://ex.org/s> <http://ex.org/p> "tricky \"quote\"\nnewline\\" .`,
+		`_:b7 <http://ex.org/p> "-3"^^<http://www.w3.org/2001/XMLSchema#integer> .`,
+		`<s> <p> "ciao"@it , "x"^^<http://www.w3.org/2001/XMLSchema#string> ; <q> 3.5 .`,
+		"@prefix ex: <http://ex.org/> .\nex:s ex:p [ ex:q \"\"\"long\nstring\"\"\" ] , true .\n# comment\n",
+		`<s> <p> "unterminated`,
+		// Accepted once, though their triples have no N-Triples
+		// rendering: a '>' inside a prefix IRI, a quote in a blank label.
+		"prefix ex 00>0.ex: ex:[]",
+		`_:" <>""`,
+	} {
+		f.Add(seed)
+	}
+	twin := func(t Term) Term {
+		if t.Kind == TermLiteral && t.Lang == "" && t.Datatype == XSDString {
+			t.Datatype = ""
+		}
+		return t
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		ts, _ := NewDecoder(strings.NewReader(src)).DecodeAll()
+		if !utf8.ValidString(src) {
+			return
+		}
+		var doc strings.Builder
+		for _, tr := range ts {
+			doc.WriteString(tr.String())
+			doc.WriteByte('\n')
+		}
+		again, err := NewDecoder(strings.NewReader(doc.String())).DecodeAll()
+		if err != nil {
+			t.Fatalf("re-rendered triples do not decode: %v\n%s", err, doc.String())
+		}
+		if len(again) != len(ts) {
+			t.Fatalf("%d triples decode to %d:\n%s", len(ts), len(again), doc.String())
+		}
+		for i, tr := range ts {
+			if a := again[i]; twin(a.S) != twin(tr.S) || twin(a.P) != twin(tr.P) || twin(a.O) != twin(tr.O) {
+				t.Fatalf("triple %d: %#v re-decodes as %#v", i, tr, a)
+			}
+		}
+	})
 }

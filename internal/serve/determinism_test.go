@@ -62,7 +62,7 @@ func corpusBackends(t *testing.T) map[string]func() endpoint.Client {
 }
 
 // TestCorpusCacheByteIdentical is the cache acceptance test: over the
-// full 34-query determinism corpus, on both a single node and a
+// full 35-query determinism corpus, on both a single node and a
 // 3-shard topology, the cached stack's cold answer, its warm (cache
 // hit) answer, and the uncached baseline are byte-identical.
 func TestCorpusCacheByteIdentical(t *testing.T) {

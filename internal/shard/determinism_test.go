@@ -30,7 +30,7 @@ type corpusQuery struct {
 	plan          string
 }
 
-// determinismCorpus adapts the shared 34-query corpus to the local
+// determinismCorpus adapts the shared 35-query corpus to the local
 // field names the shard tests predate the extraction with.
 func determinismCorpus() []corpusQuery {
 	qs := corpus.Queries()
@@ -119,6 +119,7 @@ var shipped3 = map[string]struct{ rows, bindings int }{
 	"optional":                   {12, 0}, // one row per region triple, obs7's ?v unbound
 	"filter-contains":            {3, 0},  // obs0/5/10, all on shard 0
 	"filter-not-exists":          {1, 0},  // obs7
+	"select-star-exists":         {3, 0},  // obs0/5/10, all on shard 0; shards 1 and 2 match no row
 	"closure-gather":             {4, 0},  // gathers the 4 knows triples
 	"closure-zero-length-gather": {4, 0},  // gathers the 4 knows triples; r0 is in none of them
 	"join-bound":                 {16, 4}, // 12 region rows + 4 partOf rows for the 4 distinct ?r

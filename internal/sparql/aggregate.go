@@ -228,9 +228,14 @@ func newAggTable() *aggTable { return &aggTable{groups: map[string]*aggGroup{}} 
 
 func (t *aggTable) add(k string, key []rdf.Term, aggs int) *aggGroup {
 	g := &aggGroup{key: key, parts: make([]aggPartial, aggs)}
+	t.put(k, g)
+	return g
+}
+
+// put appends g to t as the group of key k.
+func (t *aggTable) put(k string, g *aggGroup) {
 	t.groups[k] = g
 	t.order = append(t.order, k)
-	return g
 }
 
 // merge folds src, the table of the next chunk, into t.
@@ -239,8 +244,7 @@ func (t *aggTable) merge(ops []aggOp, src *aggTable) {
 		sg := src.groups[k]
 		g, ok := t.groups[k]
 		if !ok {
-			t.groups[k] = sg
-			t.order = append(t.order, k)
+			t.put(k, sg)
 			continue
 		}
 		for ai := range ops {

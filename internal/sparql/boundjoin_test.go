@@ -1,6 +1,9 @@
 package sparql
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -208,5 +211,84 @@ func TestBoundJoinExecBagSemantics(t *testing.T) {
 	}
 	if qs := e2.StepQueries(0); qs != nil {
 		t.Fatalf("empty relation still produced %d step queries", len(qs))
+	}
+}
+
+// TestBoundJoinFinalizeCut holds the bound join's ordered-LIMIT
+// finalize — ORDER BY keys read off the joined rows, lines projected
+// only when a tie or the answer needs them — to the full path: the same
+// join finalized without LIMIT and OFFSET, then cut. The queries cover
+// the cut with plain and expression projections and the shapes that
+// keep the full path (an ORDER BY over an unprojected or computed
+// column, DISTINCT); the data has order-key ties, xsd:string twins and
+// repeated rows.
+func TestBoundJoinFinalizeCut(t *testing.T) {
+	const body = `WHERE { ?s <http://t/p> ?r . ?r <http://t/q> ?c }`
+	selects := []string{
+		`SELECT ?s ?c ` + body + ` ORDER BY ?c`,
+		`SELECT ?c ?s ` + body + ` ORDER BY DESC(?c) ?s`,
+		`SELECT ?s (STR(?c) AS ?cs) ` + body + ` ORDER BY ?s`,
+		`SELECT ?s (STR(?c) AS ?cs) ` + body + ` ORDER BY ?cs`,
+		`SELECT ?s ?r ` + body + ` ORDER BY ?c`,
+		`SELECT ?s ?cs ` + body + ` ORDER BY ?cs`,
+		`SELECT ?s ?c ` + body,
+		`SELECT DISTINCT ?c ` + body + ` ORDER BY ?c`,
+	}
+	objects := []rdf.Term{
+		rdf.NewString("x"), rdf.NewTyped("x", rdf.XSDString), rdf.NewInteger(3),
+		rdf.NewTyped("3.0", rdf.XSDDecimal), rdf.NewIRI("http://t/c"), rdf.NewLangString("x", "en"),
+	}
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 60; trial++ {
+		var left, right [][]rdf.Term // (s, r) and (r, c) rows
+		for n := rng.Intn(60); n > 0; n-- {
+			left = append(left, []rdf.Term{rdf.NewIRI(fmt.Sprintf("http://t/s%d", rng.Intn(20))), rdf.NewIRI(fmt.Sprintf("http://t/r%d", rng.Intn(6)))})
+		}
+		for n := rng.Intn(15); n > 0; n-- {
+			right = append(right, []rdf.Term{rdf.NewIRI(fmt.Sprintf("http://t/r%d", rng.Intn(6))), objects[rng.Intn(len(objects))]})
+		}
+		run := func(text string) *Results {
+			p := mustPlanBound(t, text)
+			e := p.NewExec()
+			for step, rows := range [][][]rdf.Term{left, right} {
+				e.StepQueries(0)
+				// The shard answer's columns are the group's variables.
+				cols := [][]string{{"s", "r"}, {"r", "c"}}[step]
+				res := &Results{Vars: p.Groups()[step].Vars}
+				for _, r := range rows {
+					line := make([]rdf.Term, len(res.Vars))
+					for i, v := range res.Vars {
+						line[i] = r[slices.Index(cols, v)]
+					}
+					res.Rows = append(res.Rows, line)
+				}
+				if err := e.Feed(res); err != nil {
+					t.Fatal(err)
+				}
+				e.EndStep()
+			}
+			res, err := e.Finalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		for _, text := range selects {
+			full := run(text)
+			q, err := Parse(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q.Limit, q.Offset = rng.Intn(len(full.Rows)+2), rng.Intn(3)
+			cut := fmt.Sprintf("%s OFFSET %d LIMIT %d", text, q.Offset, q.Limit)
+			want := window(q, full.Rows)
+			got := run(cut)
+			if !slices.Equal(got.Vars, full.Vars) {
+				t.Fatalf("%s: header %v, want %v", cut, got.Vars, full.Vars)
+			}
+			if g, w := rowStrings(got), rowStrings(&Results{Rows: want}); !slices.Equal(g, w) {
+				t.Fatalf("trial %d: %s\n got %q\nwant %q", trial, cut, g, w)
+			}
+		}
 	}
 }

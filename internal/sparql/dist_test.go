@@ -310,6 +310,49 @@ func TestPartialAggMergeMatchesSingleNode(t *testing.T) {
 	}
 }
 
+// TestPartialAggMergeKeys pins how Merge finds groups: by the
+// CanonicalRowKey of the GROUP BY cells, so an xsd:string literal and
+// its plain twin are one group — keyed by the term its first row, in
+// shard order, carried — and unbound cells are one group; groups come
+// out in canonical key order.
+func TestPartialAggMergeKeys(t *testing.T) {
+	q, err := Parse(`SELECT ?g ?h (COUNT(?v) AS ?n) WHERE { ?s <http://r/g> ?g . OPTIONAL { ?s <http://r/h> ?h } ?s <http://r/v> ?v } GROUP BY ?g ?h`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, ok := PlanPartialAggregation(q)
+	if !ok {
+		t.Fatal("not decomposable")
+	}
+	var vars []string
+	for _, it := range p.ShardQuery().Select {
+		vars = append(vars, it.Var)
+	}
+	row := func(g, h rdf.Term, n int64) []rdf.Term { return []rdf.Term{g, h, rdf.NewInteger(n)} }
+	x, xs, b, none := rdf.NewString("x"), rdf.NewTyped("x", rdf.XSDString), rdf.NewIRI("http://r/b"), rdf.Term{}
+	got, err := p.Merge([]*Results{
+		{Vars: vars, Rows: [][]rdf.Term{row(xs, none, 1), row(b, x, 2)}},
+		nil, // a failed shard in degraded mode
+		{Vars: vars, Rows: [][]rdf.Term{row(x, none, 4), row(b, xs, 8), row(x, b, 16)}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// `"x"\0\0` < `"x"\0<http://r/b>\0` < `<http://r/b>\0"x"\0`.
+	want := []struct {
+		g, h rdf.Term
+		n    string
+	}{{xs, none, "5"}, {x, b, "16"}, {b, x, "10"}}
+	if len(got.Rows) != len(want) {
+		t.Fatalf("%d groups, want %d: %v", len(got.Rows), len(want), got.Rows)
+	}
+	for i, w := range want {
+		if r := got.Rows[i]; r[0] != w.g || r[1] != w.h || r[2].Value != w.n {
+			t.Errorf("group %d: %#v, want %v %v %s", i, r, w.g, w.h, w.n)
+		}
+	}
+}
+
 // TestCanonicalCompareMatchesKey holds compareRows to the order of the
 // keys it stands in for: over random rows of IRIs, blank nodes and
 // plain, language-tagged, typed and xsd:string literals — values drawn
@@ -360,4 +403,123 @@ func TestCanonicalCompareMatchesKey(t *testing.T) {
 			t.Fatalf("compareRows(%q, %q) = %d, keys compare %d", CanonicalRowKey(a), CanonicalRowKey(b), got, want)
 		}
 	}
+}
+
+// cutRowsCase draws a result set and solution modifiers for the
+// ordered-LIMIT differentials: three columns of unbound cells, IRIs,
+// plain literals with escapes and their xsd:string twins, language
+// tags, and numbers that tie under ORDER BY ("1" and "1.0"); rows often
+// repeat; ORDER BY one or two columns, either direction, or none;
+// DISTINCT, OFFSET and LIMIT at random.
+func cutRowsCase(seed int64) (*Query, *Results) {
+	rng := rand.New(rand.NewSource(seed))
+	pool := []rdf.Term{
+		{},
+		rdf.NewIRI("http://c/a"), rdf.NewIRI("http://c/b"),
+		rdf.NewString("x"), rdf.NewTyped("x", rdf.XSDString),
+		rdf.NewString("a\"b"), rdf.NewTyped("a\"b", rdf.XSDString),
+		rdf.NewString("a\nb"), rdf.NewLangString("x", "en"),
+		rdf.NewInteger(1), rdf.NewTyped("1.0", rdf.XSDDecimal), rdf.NewInteger(2),
+	}
+	pool = pool[:2+rng.Intn(len(pool)-1)]
+	res := &Results{Vars: []string{"c0", "c1", "c2"}}
+	for n := rng.Intn(120); n > 0; n-- {
+		if len(res.Rows) > 0 && rng.Intn(4) == 0 {
+			res.Rows = append(res.Rows, slices.Clone(res.Rows[rng.Intn(len(res.Rows))]))
+			continue
+		}
+		r := make([]rdf.Term, 3)
+		for i := range r {
+			r[i] = pool[rng.Intn(len(pool))]
+		}
+		res.Rows = append(res.Rows, r)
+	}
+	q := &Query{Distinct: rng.Intn(4) == 0, Limit: -1}
+	for _, v := range res.Vars {
+		q.Select = append(q.Select, SelectItem{Var: v})
+	}
+	for k := rng.Intn(3); k > 0; k-- {
+		q.OrderBy = append(q.OrderBy, OrderKey{Expr: VarExpr{Name: res.Vars[rng.Intn(3)]}, Desc: rng.Intn(2) == 0})
+	}
+	if rng.Intn(3) > 0 {
+		q.Limit = rng.Intn(len(res.Rows) + 2)
+	}
+	if rng.Intn(3) == 0 {
+		q.Offset = rng.Intn(len(res.Rows) + 2)
+	}
+	return q, res
+}
+
+// refModifiers is the reference the ordered-LIMIT kernel must match: a
+// full stable sort by the ORDER BY keys, then by tie (nil: input
+// position), then DISTINCT on the first row of each key, OFFSET and
+// LIMIT.
+func refModifiers(q *Query, res *Results, tie func(a, b []rdf.Term) int, key func([]rdf.Term) string) [][]rdf.Term {
+	n := len(q.OrderBy)
+	keys := sortKeys(q.OrderBy, res.Vars, res.Rows)
+	perm := make([]int, len(res.Rows))
+	for i := range perm {
+		perm[i] = i
+	}
+	slices.SortStableFunc(perm, func(i, j int) int {
+		if c := orderCmp(q.OrderBy, keys[i*n:], keys[j*n:]); c != 0 || tie == nil {
+			return c
+		}
+		return tie(res.Rows[i], res.Rows[j])
+	})
+	var out [][]rdf.Term
+	seen := map[string]bool{}
+	for _, p := range perm {
+		r := res.Rows[p]
+		if q.Distinct {
+			if seen[key(r)] {
+				continue
+			}
+			seen[key(r)] = true
+		}
+		out = append(out, r)
+	}
+	return window(q, out)
+}
+
+// FuzzMergeFinalize holds both users of the ordered-LIMIT kernel to a
+// full sort plus a cut: MergeFinalize (canonical tie-break) as
+// CanonicalRowKey sequences, and the engine's applyModifiers (ties by
+// input position, as a stable sort leaves them) row for row.
+func FuzzMergeFinalize(f *testing.F) {
+	for seed := int64(0); seed < 32; seed++ {
+		f.Add(seed)
+	}
+	keysOf := func(rows [][]rdf.Term) []string {
+		out := make([]string, len(rows))
+		for i, r := range rows {
+			out[i] = CanonicalRowKey(r)
+		}
+		return out
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		q, res := cutRowsCase(seed)
+		canonical := func(a, b []rdf.Term) int { return strings.Compare(CanonicalRowKey(a), CanonicalRowKey(b)) }
+		want := keysOf(refModifiers(q, res, canonical, CanonicalRowKey))
+		got := &Results{Vars: res.Vars, Rows: slices.Clone(res.Rows)}
+		MergeFinalize(q, got)
+		if g := keysOf(got.Rows); !slices.Equal(g, want) {
+			t.Fatalf("MergeFinalize (seed %d, %s):\n got %q\nwant %q", seed, q, g, want)
+		}
+
+		engineKey := func(r []rdf.Term) string { return fmt.Sprint(r) }
+		wantRows := refModifiers(q, res, nil, engineKey)
+		got = &Results{Vars: res.Vars, Rows: slices.Clone(res.Rows)}
+		if err := applyModifiers(q, got); err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Rows) != len(wantRows) {
+			t.Fatalf("applyModifiers (seed %d, %s): %d rows, want %d", seed, q, len(got.Rows), len(wantRows))
+		}
+		for i := range wantRows {
+			if !slices.Equal(got.Rows[i], wantRows[i]) {
+				t.Fatalf("applyModifiers (seed %d, %s): row %d is %v, want %v", seed, q, i, got.Rows[i], wantRows[i])
+			}
+		}
+	})
 }

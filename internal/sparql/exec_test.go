@@ -340,6 +340,34 @@ func TestExecSelectStarHidesPathVars(t *testing.T) {
 	}
 }
 
+// TestExecSelectStarScope pins SELECT *'s header to the variables in
+// scope of the WHERE clause, in slot order: an EXISTS-internal
+// variable never appears, whether or not a row reaches the EXISTS, and
+// a closure over a predicate the store lacks still names its ends.
+func TestExecSelectStarScope(t *testing.T) {
+	st := testStore(t)
+	empty := store.New()
+	for _, c := range []struct {
+		query string
+		want  string
+	}{
+		{`SELECT * WHERE { ?o <http://ex.org/origin> ?c . FILTER EXISTS { ?c <http://ex.org/inContinent> ?z } }`, "[o c]"},
+		{`SELECT * WHERE { ?o <http://ex.org/origin> ?c . FILTER NOT EXISTS { ?c <http://ex.org/label> ?z . ?z <http://ex.org/p> ?w } }`, "[o c]"},
+		{`SELECT * WHERE { ?o <http://ex.org/origin> ?c . ?c <http://ex.org/nosuch>+ ?z }`, "[o c z]"},
+		{`SELECT * WHERE { ?o <http://ex.org/value> ?v . FILTER (?v > ?limit) }`, "[o v]"},
+		{`SELECT * WHERE { ?o <http://ex.org/value> ?v . VALUES ?k { 1 2 } }`, "[o v k]"},
+		{`SELECT * WHERE { ?o <http://ex.org/value> ?v { ?o <http://ex.org/origin> ?a } UNION { ?o <http://ex.org/dest> ?b } }`, "[o v a b]"},
+		{`SELECT * WHERE { { SELECT * WHERE { ?o <http://ex.org/origin> ?c . FILTER EXISTS { ?c <http://ex.org/inContinent> ?z } } } ?o <http://ex.org/value> ?v }`, "[o v c]"},
+		{`SELECT * WHERE { BIND (1 AS ?one) OPTIONAL { ?o <http://ex.org/dest> ?d } { ?o <http://ex.org/origin> ?c } UNION { ?o <http://ex.org/dest> ?c } ?o <http://ex.org/value> ?v . VALUES ?c { <http://ex.org/sy> } { SELECT ?o (1 AS ?w) WHERE { ?o <http://ex.org/type> ?t } } }`, "[o v w c d one]"},
+	} {
+		for name, s := range map[string]*store.Store{"data": st, "empty": empty} {
+			if got := fmt.Sprint(runQuery(t, s, c.query).Vars); got != c.want {
+				t.Errorf("%s store: %s\nheader %s, want %s", name, c.query, got, c.want)
+			}
+		}
+	}
+}
+
 func TestExecUnknownConstantYieldsEmpty(t *testing.T) {
 	st := testStore(t)
 	res := runQuery(t, st, `SELECT ?s WHERE { ?s <http://ex.org/origin> <http://nowhere/z> . }`)

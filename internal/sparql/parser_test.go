@@ -431,7 +431,7 @@ func TestParseConstructErrors(t *testing.T) {
 // a query they accept that the executor evaluates per row — FILTERs
 // (OPTIONAL and UNION ones too), BINDs, projected expressions, HAVING
 // and ORDER BY keys — evaluates, compiled, over rows of a small datagen
-// store exactly as the reference evaluator does. Seeds: the 34-query
+// store exactly as the reference evaluator does. Seeds: the 35-query
 // corpus and queries built around the differential test's generated
 // expressions.
 func FuzzParse(f *testing.F) {
