@@ -8,7 +8,9 @@ package endpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"sort"
 	"strconv"
@@ -79,6 +81,7 @@ func appendResults(dst []byte, res *sparql.Results) ([]byte, error) {
 	}
 	dst = append(dst, `},"results":{"bindings":[`...)
 	cols := bindingColumns(res.Vars)
+	var tails literalTails
 	for ri, row := range res.Rows {
 		if len(row) > len(res.Vars) {
 			return dst, fmt.Errorf("endpoint: encode results: row %d has %d cells for %d variables", ri, len(row), len(res.Vars))
@@ -101,7 +104,7 @@ func appendResults(dst []byte, res *sparql.Results) ([]byte, error) {
 					t = &row[c.idx]
 				}
 			}
-			if t == nil || !sparql.Bound(*t) {
+			if t == nil || t.Value == "" && !sparql.Bound(*t) {
 				continue
 			}
 			if !first {
@@ -109,7 +112,13 @@ func appendResults(dst []byte, res *sparql.Results) ([]byte, error) {
 			}
 			first = false
 			dst = append(dst, c.prefix...)
-			dst = appendTerm(dst, t)
+			if c.end > 0 && sameTerm(t, &c.last) {
+				dst = append(dst, dst[c.start:c.end]...)
+				continue
+			}
+			start := len(dst)
+			dst = tails.appendTerm(dst, t)
+			c.last, c.start, c.end = *t, start, len(dst)
 		}
 		dst = append(dst, '}')
 	}
@@ -122,6 +131,9 @@ type bindingColumn struct {
 	prefix   []byte // `"var":`, rendered once per result
 	idx      int    // the column in Results.Rows
 	repeated bool   // the next column carries the same name
+
+	last       rdf.Term // the term last rendered under this name
+	start, end int      // its bytes in the document
 }
 
 // bindingColumns orders the columns by variable name, columns of one
@@ -142,45 +154,103 @@ func bindingColumns(vars []string) []bindingColumn {
 	return cols
 }
 
-func appendTerm(dst []byte, t *rdf.Term) []byte {
-	switch t.Kind {
-	case rdf.TermIRI:
-		dst = append(dst, `{"type":"uri","value":`...)
-		dst = appendString(dst, t.Value)
-	case rdf.TermBlank:
-		dst = append(dst, `{"type":"bnode","value":`...)
-		dst = appendString(dst, t.Value)
-	default:
-		dst = append(dst, `{"type":"literal","value":`...)
-		dst = appendString(dst, t.Value)
-		if t.Lang != "" {
-			dst = append(dst, `,"xml:lang":`...)
-			dst = appendString(dst, t.Lang)
-		}
-		if t.Datatype != "" {
-			dst = append(dst, `,"datatype":`...)
-			dst = appendString(dst, t.Datatype)
+// sameTerm is *a == *b, testing first where two IRIs of one column
+// mostly differ: at the end.
+func sameTerm(a, b *rdf.Term) bool {
+	n := len(a.Value)
+	return n == len(b.Value) && (n == 0 || a.Value[n-1] == b.Value[n-1]) && *a == *b
+}
+
+// termOpenings are the members a term object opens with, by kind, as the
+// encoder writes them after the '{'. The decoder's fast path reads a
+// term that opens this way without its general member loop.
+var termOpenings = [...]string{
+	rdf.TermIRI:     `"type":"uri","value":`,
+	rdf.TermBlank:   `"type":"bnode","value":`,
+	rdf.TermLiteral: `"type":"literal","value":`,
+}
+
+// literalTails renders the tail of a literal cell, what follows its
+// value: `,"xml:lang":…`, `,"datatype":…` and the closing brace. A
+// response has a handful of (language, datatype) pairs, so each pair is
+// escaped once, into dst itself, and its later cells copy those bytes.
+type literalTails struct {
+	n     int
+	slots [8]literalTail
+}
+
+type literalTail struct {
+	lang, datatype string
+	start, end     int // the tail's bytes in dst
+}
+
+func (lt *literalTails) appendTerm(dst []byte, t *rdf.Term) []byte {
+	kind := min(t.Kind, rdf.TermLiteral)
+	dst = append(dst, '{')
+	dst = append(dst, termOpenings[kind]...)
+	dst = appendString(dst, t.Value)
+	if kind != rdf.TermLiteral || t.Lang == "" && t.Datatype == "" {
+		return append(dst, '}')
+	}
+	for i := lt.n - 1; i >= 0; i-- {
+		if s := &lt.slots[i]; s.datatype == t.Datatype && s.lang == t.Lang {
+			return append(dst, dst[s.start:s.end]...)
 		}
 	}
-	return append(dst, '}')
+	start := len(dst)
+	if t.Lang != "" {
+		dst = append(dst, `,"xml:lang":`...)
+		dst = appendString(dst, t.Lang)
+	}
+	if t.Datatype != "" {
+		dst = append(dst, `,"datatype":`...)
+		dst = appendString(dst, t.Datatype)
+	}
+	dst = append(dst, '}')
+	if lt.n < len(lt.slots) {
+		lt.slots[lt.n] = literalTail{t.Lang, t.Datatype, start, len(dst)}
+		lt.n++
+	}
+	return dst
 }
 
 const hexDigits = "0123456789abcdef"
+
+// copiesAsIs[b] is 1 when byte b stands for itself in an encoded
+// string — printable ASCII other than ", \, <, > and & — and 0
+// otherwise, so that the lookups of four bytes combine with &.
+var copiesAsIs = func() (t [256]uint8) {
+	for b := ' '; b < utf8.RuneSelf; b++ {
+		t[b] = 1
+	}
+	for _, b := range `"\<>&` {
+		t[b] = 0
+	}
+	return t
+}()
 
 // appendString appends s as a JSON string, escaped the way the standard
 // library's encoder escapes by default: the two-character forms for ",
 // \, \b, \f, \n, \r and \t, \u00XX for the other control characters
 // and for <, > and &, \u2028 and \u2029 for those two runes, and \ufffd
-// for each byte of invalid UTF-8.
+// for each byte of invalid UTF-8. Everything else is copied a span at a
+// time, found four bytes per step.
 func appendString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
-		if b := s[i]; b < utf8.RuneSelf {
-			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
-				i++
-				continue
-			}
+		for i+4 <= len(s) && copiesAsIs[s[i]]&copiesAsIs[s[i+1]]&copiesAsIs[s[i+2]]&copiesAsIs[s[i+3]] != 0 {
+			i += 4
+		}
+		if i == len(s) {
+			break
+		}
+		b := s[i]
+		if copiesAsIs[b] != 0 {
+			i++
+			continue
+		}
+		if b < utf8.RuneSelf {
 			dst = append(dst, s[start:i]...)
 			switch b {
 			case '\\', '"':
@@ -263,12 +333,20 @@ const maxSkipDepth = 10000
 // Members come in any order, other members are skipped whatever their
 // value, and of a repeated member the last counts, as in the reference
 // decoder. Nothing it returns points into data.
+//
+// A body in the layout appendResults writes takes fast paths that fall
+// back to the general grammar at the first byte off it: a binding's
+// member names are matched as the encoder spells them (knownMember), a
+// term is read without its member loop (canonicalTerm), and a datatype,
+// language or IRI spelled as the last one of its kind is taken without
+// a scan (respelled).
 type decoder struct {
 	data    []byte
 	pos     int
 	scratch []byte // the unescaped form of the last string that had one
 
 	vars    []string
+	cols    []docColumn    // per column of vars
 	colOf   map[string]int // name → the first column that carries it
 	repeats [][2]int       // {column, first column of its name}, where a name repeats
 	order   []int          // order[k]: the column the k-th member of the last row named
@@ -279,8 +357,34 @@ type decoder struct {
 	bindingsAt int
 	reread     bool
 	rows       [][]rdf.Term
-	slab       []rdf.Term        // rows are carved from it
-	interned   map[string]string // datatype IRIs and language tags
+	slab       []rdf.Term // rows are carved from it
+
+	// interned holds the document's datatype IRIs and language tags;
+	// datatype and lang are the ones read last, which the next literal
+	// nearly always repeats.
+	interned       map[string]string
+	datatype, lang spelled
+	// iris holds the IRI values of the columns whose IRIs have shown
+	// repetition: a value still in recent, a direct-mapped cache by
+	// hash, when it came again. A column of distinct IRIs never
+	// touches the map, and a document without repetition builds none.
+	iris   map[string]string
+	recent [64]string
+}
+
+// docColumn is what the decoder keeps per column.
+type docColumn struct {
+	key        string  // `"name":` as the encoder spells it
+	iri        spelled // the IRI read last in the column
+	repeatsIRI bool    // its IRIs go through decoder.iris
+}
+
+// spelled is a string read from the body with its spelling there,
+// quotes included: the next string spelled alike is the same string,
+// taken without a scan.
+type spelled struct {
+	raw []byte
+	s   string
 }
 
 func (d *decoder) document() (*sparql.Results, error) {
@@ -364,6 +468,7 @@ func (d *decoder) headVars() error {
 	d.reread = d.bindingsAt >= 0
 	for first := true; ; first = false {
 		if more, err := d.next(first, ']'); err != nil || !more {
+			d.cols = docColumns(d.vars)
 			return err
 		}
 		v, err := d.str()
@@ -380,6 +485,26 @@ func (d *decoder) headVars() error {
 	}
 }
 
+// docColumns starts the decoder's state for the columns of vars. A
+// decoded name is valid UTF-8, so its encoding decodes back to it: a
+// body that spells a member's name as the key does names that column.
+func docColumns(vars []string) []docColumn {
+	var (
+		keyBuf [256]byte
+		endBuf [16]int
+	)
+	keys, ends := keyBuf[:0], endBuf[:0]
+	for _, v := range vars {
+		keys = append(appendString(keys, v), ':')
+		ends = append(ends, len(keys))
+	}
+	all, cols, start := string(keys), make([]docColumn, len(vars)), 0
+	for i, end := range ends {
+		cols[i].key, start = all[start:end], end
+	}
+	return cols
+}
+
 func (d *decoder) boolean() (bool, error) {
 	switch {
 	case d.literal("true"):
@@ -392,10 +517,19 @@ func (d *decoder) boolean() (bool, error) {
 
 // literal consumes word if the cursor is on it.
 func (d *decoder) literal(word string) bool {
-	if !bytes.HasPrefix(d.data[d.pos:], []byte(word)) {
+	if len(d.data)-d.pos < len(word) || string(d.data[d.pos:d.pos+len(word)]) != word {
 		return false
 	}
 	d.pos += len(word)
+	return true
+}
+
+// respelled consumes the string at the cursor if it is spelled as last.
+func (d *decoder) respelled(last *spelled) bool {
+	if len(last.raw) == 0 || !bytes.HasPrefix(d.data[d.pos:], last.raw) {
+		return false
+	}
+	d.pos += len(last.raw)
 	return true
 }
 
@@ -450,18 +584,20 @@ func (d *decoder) binding() error {
 	}
 	row := d.newRow()
 	for k := 0; ; k++ {
-		key, ok, err := d.nextKey(k == 0)
-		if err != nil {
-			return err
-		}
+		c, ok := d.knownMember(k)
 		if !ok {
-			break
+			key, more, err := d.nextKey(k == 0)
+			if err != nil {
+				return err
+			}
+			if !more {
+				break
+			}
+			if c, err = d.column(key, k); err != nil {
+				return err
+			}
 		}
-		c, err := d.column(key, k)
-		if err != nil {
-			return err
-		}
-		if row[c], err = d.term(); err != nil {
+		if err := d.term(&row[c], c); err != nil {
 			return err
 		}
 	}
@@ -472,15 +608,34 @@ func (d *decoder) binding() error {
 	return nil
 }
 
-// newRow carves an all-unbound row from the slab, which grows with the
-// number of rows read so far.
+// knownMember consumes the name of the k-th member of a binding when it
+// is the one the k-th member of the row before had, spelled as the
+// encoder spells it, and returns its column.
+func (d *decoder) knownMember(k int) (int, bool) {
+	if k >= len(d.order) {
+		return 0, false
+	}
+	c, start := d.order[k], d.pos
+	if k > 0 && !d.literal(",") || !d.literal(d.cols[c].key) {
+		d.pos = start
+		return 0, false
+	}
+	return c, true
+}
+
+// newRow carves an all-unbound row from the slab. A new slab holds the
+// rows the bytes left would hold at the bytes per row read so far.
 func (d *decoder) newRow() []rdf.Term {
 	n := len(d.vars)
 	if n == 0 {
 		return []rdf.Term{}
 	}
 	if len(d.slab) < n {
-		d.slab = make([]rdf.Term, n*min(max(2*len(d.rows), 16), 1024))
+		rows := 16
+		if read := d.pos - d.bindingsAt; len(d.rows) > 0 && read > 0 {
+			rows = (len(d.data)-d.pos)*len(d.rows)/read + 1
+		}
+		d.slab = make([]rdf.Term, n*min(max(rows, 16), 1024))
 	}
 	row := d.slab[:n:n]
 	d.slab = d.slab[n:]
@@ -508,35 +663,34 @@ func (d *decoder) column(key []byte, k int) (int, error) {
 	return c, nil
 }
 
-func (d *decoder) term() (rdf.Term, error) {
+// term reads the term object at the cursor into t, a cell of column
+// col. One in the layout the encoder writes (termOpenings, then
+// xml:lang and datatype in that order, no whitespace, no other member)
+// is read straight through; anything else goes to the general member
+// loop from its first member.
+func (d *decoder) term(t *rdf.Term, col int) error {
 	if err := d.expect('{'); err != nil {
-		return rdf.Term{}, err
+		return err
 	}
-	var (
-		t                 rdf.Term
-		hasType, hasValue bool
-	)
+	if d.canonicalTerm(t, col) {
+		return nil
+	}
+	var hasType, hasValue bool
+	*t = rdf.Term{}
 	for first := true; ; first = false {
 		key, ok, err := d.nextKey(first)
 		if err != nil {
-			return rdf.Term{}, err
+			return err
 		}
 		if !ok {
 			break
 		}
-		member := string(key)
-		if member != "type" && member != "value" && member != "xml:lang" && member != "datatype" {
-			if err := d.skip(0); err != nil {
-				return rdf.Term{}, err
-			}
-			continue
-		}
-		s, err := d.str()
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		switch member {
+		switch string(key) {
 		case "type":
+			var s []byte
+			if s, err = d.str(); err != nil {
+				return err
+			}
 			hasType = true
 			switch string(s) {
 			case "uri":
@@ -546,40 +700,148 @@ func (d *decoder) term() (rdf.Term, error) {
 			case "literal", "typed-literal":
 				t.Kind = rdf.TermLiteral
 			default:
-				return rdf.Term{}, fmt.Errorf("unknown term type %q before offset %d", s, d.pos)
+				return fmt.Errorf("unknown term type %q before offset %d", s, d.pos)
 			}
 		case "value":
 			hasValue = true
-			t.Value = string(s)
+			t.Value, err = d.value(hasType && t.Kind == rdf.TermIRI, col)
 		case "xml:lang":
-			t.Lang = d.intern(s)
+			t.Lang, err = d.intern(&d.lang)
 		case "datatype":
-			t.Datatype = d.intern(s)
+			t.Datatype, err = d.intern(&d.datatype)
+		default:
+			err = d.skip(0)
+		}
+		if err != nil {
+			return err
 		}
 	}
+	if !hasType || !hasValue {
+		return fmt.Errorf("term without type or value before offset %d", d.pos)
+	}
+	normalize(t)
+	return nil
+}
+
+// canonicalTerm is term's fast path, with the cursor after the '{'. It
+// reports false, the cursor back where it was, at the first byte off the
+// encoder's layout.
+func (d *decoder) canonicalTerm(t *rdf.Term, col int) bool {
+	const typ = `"type":"`
+	start := d.pos
+	if len(d.data)-start <= len(typ) {
+		return false
+	}
+	*t = rdf.Term{}
+	switch d.data[start+len(typ)] {
+	case 'u':
+		t.Kind = rdf.TermIRI
+	case 'b':
+		t.Kind = rdf.TermBlank
+	case 'l':
+		t.Kind = rdf.TermLiteral
+	default:
+		return false
+	}
+	if !d.literal(termOpenings[t.Kind]) {
+		return false
+	}
+	var err error
+	t.Value, err = d.value(t.Kind == rdf.TermIRI, col)
+	if err == nil && t.Kind == rdf.TermLiteral && d.literal(`,"xml:lang":`) {
+		t.Lang, err = d.intern(&d.lang)
+	}
+	if err == nil && t.Kind == rdf.TermLiteral && d.literal(`,"datatype":`) {
+		t.Datatype, err = d.intern(&d.datatype)
+	}
+	if err != nil || !d.literal("}") {
+		d.pos = start
+		return false
+	}
+	normalize(t)
+	return true
+}
+
+// normalize applies the reference decoder's precedence: only a literal
+// keeps a language or a datatype, and a language wins over a datatype.
+func normalize(t *rdf.Term) {
 	switch {
-	case !hasType || !hasValue:
-		return rdf.Term{}, fmt.Errorf("term without type or value before offset %d", d.pos)
 	case t.Kind != rdf.TermLiteral:
 		t.Lang, t.Datatype = "", ""
 	case t.Lang != "":
 		t.Datatype = ""
 	}
-	return t, nil
 }
 
-// intern returns the document's one copy of a datatype IRI or language
-// tag.
-func (d *decoder) intern(b []byte) string {
-	if s, ok := d.interned[string(b)]; ok {
-		return s
+// value reads the string at the cursor as the value of a term in column
+// col, an IRI or not.
+func (d *decoder) value(iri bool, col int) (string, error) {
+	if iri {
+		return d.iri(col)
 	}
-	if d.interned == nil {
-		d.interned = map[string]string{}
+	s, err := d.str()
+	return string(s), err
+}
+
+// intern reads the string at the cursor as a datatype IRI or language
+// tag: last's string when it is spelled as last was, and otherwise the
+// document's one copy of it, which becomes last.
+func (d *decoder) intern(last *spelled) (string, error) {
+	start := d.pos
+	if d.respelled(last) {
+		return last.s, nil
 	}
-	s := string(b)
-	d.interned[s] = s
-	return s
+	b, err := d.str()
+	if err != nil {
+		return "", err
+	}
+	s, ok := d.interned[string(b)]
+	if !ok {
+		if d.interned == nil {
+			d.interned = map[string]string{}
+		}
+		s = string(b)
+		d.interned[s] = s
+	}
+	*last = spelled{d.data[start:d.pos], s}
+	return s, nil
+}
+
+// iriSeed seeds the hash that places an IRI in decoder.recent.
+var iriSeed = maphash.MakeSeed()
+
+// iri reads the string at the cursor as an IRI value of column col: the
+// column's last IRI when it is spelled alike, and the document's one
+// string for it once the column has shown repetition.
+func (d *decoder) iri(col int) (string, error) {
+	c := &d.cols[col]
+	start := d.pos
+	if d.respelled(&c.iri) {
+		return c.iri.s, nil
+	}
+	b, err := d.str()
+	if err != nil {
+		return "", err
+	}
+	var s string
+	if c.repeatsIRI {
+		var ok bool
+		if s, ok = d.iris[string(b)]; !ok {
+			s = string(b)
+			d.iris[s] = s
+		}
+	} else if slot := &d.recent[maphash.Bytes(iriSeed, b)%uint64(len(d.recent))]; *slot == string(b) {
+		s, c.repeatsIRI = *slot, true
+		if d.iris == nil {
+			d.iris = map[string]string{}
+		}
+		d.iris[s] = s
+	} else {
+		s = string(b)
+		*slot = s
+	}
+	c.iri = spelled{d.data[start:d.pos], s}
+	return s, nil
 }
 
 // ws skips insignificant whitespace.
@@ -649,6 +911,27 @@ func (d *decoder) next(first bool, closer byte) (bool, error) {
 	return true, nil
 }
 
+// standsForItself[b] says whether byte b denotes itself in a string
+// and needs no check: printable ASCII other than " and \.
+var standsForItself = func() (t [256]bool) {
+	for b := ' '; b < utf8.RuneSelf; b++ {
+		t[b] = b != '"' && b != '\\'
+	}
+	return t
+}()
+
+const (
+	lsbs = 0x0101010101010101
+	msbs = 0x8080808080808080
+)
+
+// plainWord reports whether every byte of x stands for itself, eight at
+// a time: no byte below ' ' or from 0x80 up, no '"' and no '\\'.
+func plainWord(x uint64) bool {
+	q, b := x^(lsbs*'"'), x^(lsbs*'\\')
+	return ((x-lsbs*' ')&^x|(q-lsbs)&^q|(b-lsbs)&^b|x)&msbs == 0
+}
+
 // str reads the string at the cursor and returns its contents: a slice
 // of the body when that is what the string denotes, and of d.scratch
 // when it has an escape or invalid UTF-8. Valid until the next call.
@@ -656,22 +939,31 @@ func (d *decoder) str() ([]byte, error) {
 	if d.pos >= len(d.data) || d.data[d.pos] != '"' {
 		return nil, d.syntax("a string")
 	}
-	start := d.pos + 1
-	var seen byte
-	for i := start; i < len(d.data); i++ {
-		c := d.data[i]
-		if c == '"' {
-			s := d.data[start:i]
-			if seen >= utf8.RuneSelf && !utf8.Valid(s) {
-				break
-			}
-			d.pos = i + 1
-			return s, nil
+	data, start := d.data, d.pos+1
+	for i := start; i < len(data); {
+		for i+8 <= len(data) && plainWord(binary.LittleEndian.Uint64(data[i:])) {
+			i += 8
 		}
-		if c == '\\' || c < ' ' {
+		if i == len(data) {
 			break
 		}
-		seen |= c
+		c := data[i]
+		if standsForItself[c] {
+			i++
+			continue
+		}
+		if c == '"' {
+			d.pos = i + 1
+			return data[start:i], nil
+		}
+		if c < utf8.RuneSelf {
+			break // an escape or a control character
+		}
+		r, size := utf8.DecodeRune(data[i:])
+		if r == utf8.RuneError && size == 1 {
+			break
+		}
+		i += size
 	}
 	return d.unescape(start)
 }

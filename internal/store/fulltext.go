@@ -1,6 +1,7 @@
 package store
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"unicode"
@@ -49,14 +50,27 @@ func (ft *fullText) add(id ID, value string) {
 		return
 	}
 	ft.indexed[id] = struct{}{}
-	seen := map[string]struct{}{}
-	for _, tok := range tokenizeText(value) {
-		if _, dup := seen[tok]; dup {
-			continue
-		}
-		seen[tok] = struct{}{}
+	for _, tok := range distinctTokens(value) {
 		ft.postings[tok] = append(ft.postings[tok], id)
 	}
+}
+
+// distinctTokens returns the tokens of value once each, without a map
+// per literal: a label's few tokens are checked against the ones kept
+// before them, a long text's are sorted so a repeat sits next to itself.
+func distinctTokens(value string) []string {
+	toks := tokenizeText(value)
+	if len(toks) > 16 {
+		slices.Sort(toks)
+		return slices.Compact(toks)
+	}
+	kept := toks[:0]
+	for _, tok := range toks {
+		if !slices.Contains(kept, tok) {
+			kept = append(kept, tok)
+		}
+	}
+	return kept
 }
 
 // search returns IDs of literals whose value contains the keyword
