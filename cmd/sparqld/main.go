@@ -69,7 +69,6 @@ import (
 	"re2xolap/internal/serve"
 	"re2xolap/internal/shard"
 	"re2xolap/internal/store"
-	"re2xolap/internal/webui"
 )
 
 func main() {
@@ -98,8 +97,6 @@ func main() {
 	maxConcurrent := flag.Int("max-concurrent", 0, "serve-layer per-tenant concurrent query limit; excess queues, overflow is shed with 429 (0 disables admission)")
 	queueBudget := flag.Int("queue-budget", 0, "serve-layer per-tenant admission queue bound (0 = default 64; needs -max-concurrent)")
 	tenantHeader := flag.String("tenant-header", "", "HTTP header naming the tenant for per-tenant admission (empty = all requests share one tenant)")
-	sloFlag := flag.String("slo", "", "per-tenant SLO objectives, e.g. 'p99<250ms,err<1%': tracks multi-window burn rates per tenant, serves /debug/slo and the /fleet tenant table")
-	fleetScrape := flag.Duration("fleet-scrape", 0, "coordinator: background fleet metrics collection interval; 0 scrapes on each /metrics/fleet request")
 	slowQueryFile := flag.String("slow-query-file", "", "write the -slow-query log to this file with size-capped rotation (one .1 generation) instead of stderr")
 	slowQueryMax := flag.Int64("slow-query-max-bytes", 0, "rotate -slow-query-file past this size (0 = 64 MiB)")
 	flag.Parse()
@@ -118,8 +115,7 @@ func main() {
 
 	// Metrics are always on — the registry costs a few atomic adds per
 	// request and /metrics is how operators see inside the server.
-	// Process self-metrics ride along so the fleet view can show each
-	// replica's runtime health (goroutines, heap, GC, uptime).
+	// Process self-metrics (goroutines, heap, GC, uptime) ride along.
 	reg := obs.NewRegistry()
 	obs.RegisterProcessMetrics(reg)
 	opts := []endpoint.Option{
@@ -172,10 +168,8 @@ func main() {
 		ResultCache:    *resultCache,
 		MaxConcurrent:  *maxConcurrent,
 		QueueBudget:    *queueBudget,
-		SLO:            *sloFlag,
-		FleetScrape:    *fleetScrape,
 	}
-	if _, err := hcfg.sloObjectives(); err != nil {
+	if err := hcfg.validate(); err != nil {
 		log.Fatalf("sparqld: %v", err) // fail fast, before the dataset loads
 	}
 
@@ -329,36 +323,23 @@ type handlerConfig struct {
 	ResultCache   int
 	MaxConcurrent int
 	QueueBudget   int
-
-	SLO         string
-	FleetScrape time.Duration
 }
 
-// serving reports whether any serve-layer feature is requested.
-func (cfg handlerConfig) serving() bool {
-	return cfg.ResultCache > 0 || cfg.MaxConcurrent > 0 || cfg.SLO != ""
-}
-
-// sloObjectives parses the -slo flag (empty means no SLO tracking).
-func (cfg handlerConfig) sloObjectives() ([]serve.Objective, error) {
-	if cfg.SLO == "" {
-		return nil, nil
+// validate rejects flag combinations that would otherwise be silently
+// ignored.
+func (cfg handlerConfig) validate() error {
+	if cfg.QueueBudget != 0 && cfg.MaxConcurrent <= 0 {
+		return fmt.Errorf("-queue-budget needs -max-concurrent to turn admission control on")
 	}
-	objs, err := serve.ParseSLO(cfg.SLO)
-	if err != nil {
-		return nil, fmt.Errorf("-slo: %w", err)
-	}
-	return objs, nil
+	return nil
 }
 
 // wrapServe builds the serving stack (result cache, single-flight
-// dedup, admission control, SLO tracking) around the executing client
-// when any of its flags ask for it. The second return is the stack
-// itself (nil when no serve-layer feature is on) so callers can mount
-// its introspection endpoints.
-func (cfg handlerConfig) wrapServe(c endpoint.Client, reg *obs.Registry) (endpoint.Client, *serve.Stack) {
-	if !cfg.serving() {
-		return c, nil
+// dedup, admission control) around the executing client when any of
+// its flags ask for it.
+func (cfg handlerConfig) wrapServe(c endpoint.Client, reg *obs.Registry) endpoint.Client {
+	if cfg.ResultCache <= 0 && cfg.MaxConcurrent <= 0 {
+		return c
 	}
 	sopts := []serve.Option{serve.WithRegistry(reg)}
 	if cfg.ResultCache > 0 {
@@ -370,32 +351,9 @@ func (cfg handlerConfig) wrapServe(c endpoint.Client, reg *obs.Registry) (endpoi
 			QueueBudget:   cfg.QueueBudget,
 		}))
 	}
-	// Flag syntax was validated at startup; a parse error here is
-	// impossible short of a mutated config.
-	if objs, err := cfg.sloObjectives(); err == nil && len(objs) > 0 {
-		sopts = append(sopts, serve.WithSLO(serve.SLOConfig{Objectives: objs}))
-	}
-	log.Printf("sparqld: serving stack on (result-cache=%d, max-concurrent=%d, queue-budget=%d, slo=%q)",
-		cfg.ResultCache, cfg.MaxConcurrent, cfg.QueueBudget, cfg.SLO)
-	stack := serve.New(c, sopts...)
-	return stack, stack
-}
-
-// fleetRoutes mounts the observability endpoints this deployment has:
-// /metrics/fleet on coordinators, /debug/slo wherever an SLO tracker
-// runs, and the /fleet dashboard whenever there is anything to show.
-func (cfg handlerConfig) fleetRoutes(mode string, coord *shard.Coordinator, stack *serve.Stack, reg *obs.Registry) []endpoint.Option {
-	var routes []endpoint.Option
-	if coord != nil {
-		routes = append(routes, endpoint.WithRoute("/metrics/fleet", coord.FleetHandler()))
-	}
-	if stack != nil && stack.SLO() != nil {
-		routes = append(routes, endpoint.WithRoute("/debug/slo", stack.SLO().Handler()))
-	}
-	if coord != nil || stack != nil {
-		routes = append(routes, endpoint.WithRoute("/fleet", webui.NewFleet(fleetProvider(mode, coord, stack, reg))))
-	}
-	return routes
+	log.Printf("sparqld: serving stack on (result-cache=%d, max-concurrent=%d, queue-budget=%d)",
+		cfg.ResultCache, cfg.MaxConcurrent, cfg.QueueBudget)
+	return serve.New(c, sopts...)
 }
 
 // shardOptions translates the coordinator flags to shard options.
@@ -409,9 +367,6 @@ func (cfg handlerConfig) shardOptions(reg *obs.Registry) []shard.Option {
 			Timeout:  cfg.HealthTimeout,
 		}),
 		shard.WithHedge(cfg.HedgeAfter),
-		// Fleet metrics collection is always on for coordinators — with
-		// no interval it scrapes on demand per /metrics/fleet request.
-		shard.WithFleet(shard.FleetConfig{Interval: cfg.FleetScrape}),
 	}
 	return opts
 }
@@ -444,10 +399,8 @@ func buildHandler(cfg handlerConfig, reg *obs.Registry, opts []endpoint.Option) 
 		}
 		log.Printf("sparqld: coordinating %d shards (replicas %v) from %s on %s/sparql (degraded=%v, metrics on /metrics)",
 			coord.Shards(), coord.Replicas(), cfg.Topology, cfg.Addr, cfg.Degraded)
-		client, stack := cfg.wrapServe(coord, reg)
 		opts = append(opts, endpoint.WithReadiness(coord.Ready))
-		opts = append(opts, cfg.fleetRoutes("coordinator", coord, stack, reg)...)
-		return endpoint.NewClientServer(client, opts...), coord, ft, nil
+		return endpoint.NewClientServer(cfg.wrapServe(coord, reg), opts...), coord, ft, nil
 	case cfg.Shards != "":
 		groups, err := parseShards(cfg.Shards)
 		if err != nil {
@@ -457,20 +410,16 @@ func buildHandler(cfg handlerConfig, reg *obs.Registry, opts []endpoint.Option) 
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		// A static view of the replica URL specs (rather than a client
-		// topology over pre-built clients) keeps the specs on the
-		// coordinator's view so fleet scraping can reach remote
-		// replicas' /metrics.
+		// A static view of the replica specs, dialed on demand: the
+		// coordinator's view names each replica by its -shards spec.
 		coord, err := shard.NewDynamic(shard.Static{View: shard.TopologyView{Groups: groups}}, dial, shardOpts...)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		log.Printf("sparqld: coordinating %d shards (replicas %v) on %s/sparql (degraded=%v, metrics on /metrics)",
 			coord.Shards(), coord.Replicas(), cfg.Addr, cfg.Degraded)
-		client, stack := cfg.wrapServe(coord, reg)
 		opts = append(opts, endpoint.WithReadiness(coord.Ready))
-		opts = append(opts, cfg.fleetRoutes("coordinator", coord, stack, reg)...)
-		return endpoint.NewClientServer(client, opts...), coord, nil, nil
+		return endpoint.NewClientServer(cfg.wrapServe(coord, reg), opts...), coord, nil, nil
 	default:
 		st, err := buildStore(cfg.Data, cfg.Gen, cfg.ObsCount)
 		if err != nil {
@@ -490,9 +439,7 @@ func buildHandler(cfg handlerConfig, reg *obs.Registry, opts []endpoint.Option) 
 // opts belong to the server, which records each request once.
 func (cfg handlerConfig) storeServer(st *store.Store, reg *obs.Registry, opts []endpoint.Option) *endpoint.Server {
 	inproc := endpoint.NewInProcess(st, endpoint.WithRegistry(reg), endpoint.WithWorkers(cfg.Workers))
-	client, stack := cfg.wrapServe(inproc, reg)
-	opts = append(opts, cfg.fleetRoutes("single", nil, stack, reg)...)
-	return endpoint.NewClientServer(client, opts...)
+	return endpoint.NewClientServer(cfg.wrapServe(inproc, reg), opts...)
 }
 
 // openTraceSink opens the OTLP/JSON trace destination. Files are

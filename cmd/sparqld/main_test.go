@@ -186,3 +186,17 @@ func TestSlowQueryLoggedOnce(t *testing.T) {
 		t.Fatalf("want exactly one server slow-log line, got %d:\n%s", len(lines), slow.String())
 	}
 }
+
+// TestQueueBudgetNeedsMaxConcurrent: -queue-budget only bounds the
+// admission queue -max-concurrent turns on, so alone it is rejected at
+// startup instead of being silently ignored.
+func TestQueueBudgetNeedsMaxConcurrent(t *testing.T) {
+	if err := (handlerConfig{QueueBudget: 8}).validate(); err == nil || !strings.Contains(err.Error(), "-max-concurrent") {
+		t.Fatalf("-queue-budget without -max-concurrent: err = %v, want rejection naming -max-concurrent", err)
+	}
+	for _, ok := range []handlerConfig{{}, {MaxConcurrent: 4}, {MaxConcurrent: 4, QueueBudget: 8}} {
+		if err := ok.validate(); err != nil {
+			t.Errorf("%+v rejected: %v", ok, err)
+		}
+	}
+}

@@ -130,10 +130,7 @@ func buildPartitions(data, gen string, obsCount, n int) ([]*store.Store, error) 
 // so an all-remote coordinator needs no -data/-gen. All "local"
 // replicas of shard i share partition store i (the store is read-only
 // under query), which is exactly the identical-copy contract replica
-// failover relies on. Going through a Dialer (rather than pre-built
-// clients) keeps the replica URL specs attached to the coordinator's
-// view, which is what lets fleet metrics collection find each
-// replica's /metrics.
+// failover relies on.
 func localDialer(groups [][]string, data, gen string, obsCount, workers int) (shard.Dialer, error) {
 	needLocal := false
 	for _, g := range groups {

@@ -38,14 +38,6 @@ type options struct {
 	queryLog     *obs.QueryRing
 	ready        func() error
 	tenantHeader string
-	routes       []extraRoute
-}
-
-// extraRoute is one caller-supplied handler Routes mounts alongside
-// the built-in endpoints.
-type extraRoute struct {
-	pattern string
-	handler http.Handler
 }
 
 // applyOptions folds opts into a settings bag.
@@ -123,21 +115,6 @@ func WithReadiness(fn func() error) Option {
 // default tenant bucket.
 func WithTenantHeader(name string) Option {
 	return func(o *options) { o.tenantHeader = name }
-}
-
-// WithRoute mounts handler at pattern on the mux Routes builds, next
-// to the built-in operational endpoints — how a deployment exposes
-// federation and SLO views (/metrics/fleet, /debug/slo, /fleet)
-// without owning the mux. Patterns must not collide with the built-in
-// routes (/sparql, /metrics, /livez, /healthz, /readyz) or each
-// other; http.ServeMux panics on duplicates. nil handlers are
-// ignored.
-func WithRoute(pattern string, handler http.Handler) Option {
-	return func(o *options) {
-		if handler != nil {
-			o.routes = append(o.routes, extraRoute{pattern: pattern, handler: handler})
-		}
-	}
 }
 
 // WithQueryLog records every served query's profile summary (wall

@@ -47,9 +47,6 @@ type Server struct {
 	// header whose value becomes the admission-control tenant identity
 	// (ContextWithTenant) for the delegated client.
 	tenantHeader string
-	// routes are caller-supplied handlers (WithRoute) mounted by Routes
-	// alongside the built-in operational endpoints.
-	routes []extraRoute
 }
 
 // maxQueryLen bounds accepted query text: longer requests get 413.
@@ -97,14 +94,13 @@ func NewServer(st *store.Store, opts ...Option) *Server {
 // Supported options: WithRegistry (request counters, latency and
 // serialization histograms, worker-pool gauge, and the store gauge when
 // c unwraps to an InProcess), WithSlowQueryLog, WithTraceExport,
-// WithQueryLog, WithReadiness, WithTenantHeader,
-// WithRoute. A degraded partial answer (QueryMeta.Incomplete) is
-// flagged to HTTP callers via the X-Re2xolap-Incomplete response
-// header.
+// WithQueryLog, WithReadiness and WithTenantHeader. A degraded
+// partial answer (QueryMeta.Incomplete) is flagged to HTTP callers via
+// the X-Re2xolap-Incomplete response header.
 func NewClientServer(c Client, opts ...Option) *Server {
 	o := applyOptions(opts)
 	reg := o.registry
-	s := &Server{client: c, st: localStore(c), reg: reg, m: newServerMetrics(reg), slow: o.slow, traces: o.traceSink, queries: o.queryLog, ready: o.ready, tenantHeader: o.tenantHeader, routes: o.routes}
+	s := &Server{client: c, st: localStore(c), reg: reg, m: newServerMetrics(reg), slow: o.slow, traces: o.traceSink, queries: o.queryLog, ready: o.ready, tenantHeader: o.tenantHeader}
 	if st := s.st; st != nil {
 		reg.GaugeFunc("re2xolap_store_triples", "Triples in the served store.",
 			func() float64 { return float64(st.Len()) })
@@ -365,8 +361,8 @@ type RoutesConfig struct {
 // Routes assembles the operational mux: /sparql (hardened), /metrics
 // (Prometheus text format; 404 unless the server was built
 // WithRegistry), /livez (liveness), /healthz and /readyz (readiness),
-// /debug/queries (when built WithQueryLog), caller-supplied routes
-// (WithRoute), and — when cfg.Pprof — /debug/pprof/.
+// /debug/queries (when built WithQueryLog), and — when cfg.Pprof —
+// /debug/pprof/.
 //
 // Liveness and readiness are distinct probes: /livez answers 200 for
 // as long as the process serves HTTP, while /healthz answers 503 with
@@ -393,9 +389,6 @@ func (s *Server) Routes(cfg RoutesConfig) http.Handler {
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
-	for _, rt := range s.routes {
-		mux.Handle(rt.pattern, rt.handler)
 	}
 	return mux
 }

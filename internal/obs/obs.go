@@ -180,46 +180,23 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if total == 0 || len(h.bounds) == 0 {
 		return 0
 	}
-	fcum := make([]float64, len(cum))
+	q = math.Max(0, math.Min(1, q))
+	rank := q * float64(total)
 	for i, c := range cum {
-		fcum[i] = float64(c)
-	}
-	return bucketQuantile(h.bounds, fcum, float64(total), q)
-}
-
-// bucketQuantile estimates the q-quantile from cumulative bucket
-// counts over the given finite upper bounds, with total including the
-// +Inf bucket. It is the shared core of Histogram.Quantile and of the
-// fleet merge layer, which recomputes quantiles from summed buckets;
-// both must agree so a merged exposition is indistinguishable from a
-// single process having seen all observations.
-func bucketQuantile(bounds, cum []float64, total, q float64) float64 {
-	if total == 0 || len(bounds) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * total
-	for i, c := range cum {
-		if c >= rank {
-			lower := 0.0
-			var prev float64
+		if float64(c) >= rank {
+			var lower, prev float64
 			if i > 0 {
-				lower = bounds[i-1]
-				prev = cum[i-1]
+				lower = h.bounds[i-1]
+				prev = float64(cum[i-1])
 			}
-			inBucket := c - prev
+			inBucket := float64(c) - prev
 			if inBucket == 0 {
-				return bounds[i]
+				return h.bounds[i]
 			}
-			return lower + (bounds[i]-lower)*(rank-prev)/inBucket
+			return lower + (h.bounds[i]-lower)*(rank-prev)/inBucket
 		}
 	}
-	return bounds[len(bounds)-1]
+	return h.bounds[len(h.bounds)-1]
 }
 
 // snapshot returns cumulative bucket counts aligned with bounds plus

@@ -21,9 +21,6 @@ type AdmissionConfig struct {
 	// execution slot; a request arriving to a full queue is shed
 	// immediately (reason "queue_full"). <= 0 means DefaultQueueBudget.
 	QueueBudget int
-	// DefaultTenant buckets requests that carry no tenant identity;
-	// "" means "default".
-	DefaultTenant string
 }
 
 // Admission defaults.
@@ -31,6 +28,9 @@ const (
 	DefaultMaxConcurrent = 16
 	DefaultQueueBudget   = 64
 )
+
+// defaultTenant buckets requests that carry no tenant identity.
+const defaultTenant = "default"
 
 // ewmaAlpha weights the newest service-time sample in the per-tenant
 // moving average the deadline-aware shedder predicts queue wait from.
@@ -55,9 +55,9 @@ type admission struct {
 	mu      sync.Mutex
 	tenants map[string]*tenantState
 
-	// sheds counts rejections across tenants and reasons (the
-	// dashboard's aggregate; per-reason/tenant breakdown lives in the
-	// registry counters).
+	// sheds counts rejections across tenants and reasons (StackStats'
+	// aggregate; the per-reason/tenant breakdown lives in the registry
+	// counters).
 	sheds atomic.Int64
 
 	m *metrics
@@ -69,9 +69,6 @@ func newAdmission(cfg AdmissionConfig, m *metrics) *admission {
 	}
 	if cfg.QueueBudget <= 0 {
 		cfg.QueueBudget = DefaultQueueBudget
-	}
-	if cfg.DefaultTenant == "" {
-		cfg.DefaultTenant = "default"
 	}
 	return &admission{cfg: cfg, tenants: make(map[string]*tenantState), m: m}
 }
@@ -109,7 +106,7 @@ func (a *admission) queueDepth() int64 {
 func (a *admission) acquire(ctx context.Context) (release func(), queueWait time.Duration, err error) {
 	tenant := endpoint.TenantFrom(ctx)
 	if tenant == "" {
-		tenant = a.cfg.DefaultTenant
+		tenant = defaultTenant
 	}
 	ts := a.state(tenant)
 

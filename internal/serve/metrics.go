@@ -1,10 +1,58 @@
 package serve
 
 import (
+	"sync"
 	"time"
 
 	"re2xolap/internal/obs"
 )
+
+// Tenant label bound.
+const (
+	// DefaultMaxTenants bounds the tenant label cardinality of the
+	// tenant-labeled admission metrics; tenants past the bound are
+	// folded into OverflowTenant.
+	DefaultMaxTenants = 64
+	// OverflowTenant absorbs tenants beyond the cardinality bound.
+	OverflowTenant = "other"
+)
+
+// tenantNames is the bounded tenant interner behind the
+// tenant-labeled series, so total label cardinality stays bounded no
+// matter what tenant strings clients send.
+type tenantNames struct {
+	mu    sync.RWMutex
+	known map[string]struct{}
+}
+
+func newTenantNames() *tenantNames {
+	return &tenantNames{known: make(map[string]struct{}, 8)}
+}
+
+// intern returns name if it is within the cardinality bound (claiming
+// a slot on first sight), else OverflowTenant. The steady state (name
+// already known) takes only the read lock.
+func (n *tenantNames) intern(name string) string {
+	if name == "" || name == OverflowTenant {
+		return OverflowTenant
+	}
+	n.mu.RLock()
+	_, ok := n.known[name]
+	n.mu.RUnlock()
+	if ok {
+		return name
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if _, ok := n.known[name]; ok {
+		return name
+	}
+	if len(n.known) >= DefaultMaxTenants {
+		return OverflowTenant
+	}
+	n.known[name] = struct{}{}
+	return name
+}
 
 // shedReasons is the label vocabulary of the shed counter's reason
 // dimension.
@@ -14,7 +62,7 @@ var shedReasons = [...]string{"queue_full", "deadline"}
 // construction. Without a registry every handle is nil and no-ops. The
 // tenant-labeled series (sheds, queue wait) are created lazily per
 // tenant through the registry (which dedupes by name+labels); the
-// shared interner bounds their cardinality.
+// interner bounds their cardinality.
 type metrics struct {
 	reg   *obs.Registry
 	names *tenantNames
@@ -29,11 +77,11 @@ type metrics struct {
 // newMetrics registers the serve series. The occupancy and queue-depth
 // gauges sample the stack directly at exposition time, so they are
 // registered by the Stack after construction (it owns the sampled
-// state). names is the tenant interner shared with the SLO tracker.
-func newMetrics(reg *obs.Registry, names *tenantNames) *metrics {
+// state).
+func newMetrics(reg *obs.Registry) *metrics {
 	return &metrics{
 		reg:   reg,
-		names: names,
+		names: newTenantNames(),
 		cacheHits: reg.Counter("re2xolap_result_cache_hits_total",
 			"Queries answered from the result cache without executing."),
 		cacheMisses: reg.Counter("re2xolap_result_cache_misses_total",
@@ -50,8 +98,8 @@ func newMetrics(reg *obs.Registry, names *tenantNames) *metrics {
 // observeQueueWait records one admitted request's queue time on the
 // tenant's wait histogram. This runs only on the slow (queued) path,
 // so the registry lookup (a map read after the first call per tenant)
-// is off the fast path. Without a registry the tenant is not interned,
-// so the bounded label set stays the SLO tracker's alone.
+// is off the fast path. Without a registry the tenant is not interned:
+// there is no label to bound.
 func (m *metrics) observeQueueWait(d time.Duration, tenant string) {
 	if m.reg != nil {
 		m.reg.Histogram("re2xolap_serve_queue_wait_seconds",

@@ -16,7 +16,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"sync/atomic"
 	"time"
 
@@ -35,7 +34,6 @@ const canonMemoSize = 4096
 type config struct {
 	cacheSize int
 	admission *AdmissionConfig
-	slo       *SLOConfig
 	reg       *obs.Registry
 }
 
@@ -51,17 +49,6 @@ func WithResultCache(n int) Option {
 // WithAdmission enables per-tenant admission control.
 func WithAdmission(cfg AdmissionConfig) Option {
 	return func(c *config) { c.admission = &cfg }
-}
-
-// WithSLO enables per-tenant SLI/SLO tracking: every request outcome
-// is folded into sliding 5m/1h/6h windows keyed by tenant, with
-// multi-window burn-rate gauges
-// (re2xolap_slo_burn_rate{tenant,objective,window}, via WithRegistry)
-// and a JSON report at SLO().Handler() (/debug/slo). Tenant label
-// cardinality is bounded (SLOConfig.MaxTenants, overflow folds into
-// OverflowTenant), shared with the tenant-labeled admission metrics.
-func WithSLO(cfg SLOConfig) Option {
-	return func(c *config) { c.slo = &cfg }
 }
 
 // WithRegistry exports the serve metrics (cache hit/miss/evict,
@@ -87,10 +74,6 @@ type Stack struct {
 	flight *flightGroup
 	adm    *admission // nil = admission disabled
 	m      *metrics
-	slo    *Tracker // nil = SLO tracking disabled
-	// defaultTenant buckets requests without a tenant identity for SLO
-	// attribution (mirrors AdmissionConfig.DefaultTenant).
-	defaultTenant string
 	// lastGen is the generation fallback for inner clients that report
 	// one in query metadata but cannot be asked directly (remote HTTP
 	// backends): the stack tracks the latest observed token.
@@ -104,23 +87,11 @@ func New(inner endpoint.Client, opts ...Option) *Stack {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	maxTenants := 0
-	if cfg.slo != nil {
-		maxTenants = cfg.slo.MaxTenants
-	}
-	names := newTenantNames(maxTenants)
 	s := &Stack{
-		inner:         inner,
-		canon:         lru.New[string](canonMemoSize),
-		flight:        newFlightGroup(),
-		m:             newMetrics(cfg.reg, names),
-		defaultTenant: "default",
-	}
-	if cfg.admission != nil && cfg.admission.DefaultTenant != "" {
-		s.defaultTenant = cfg.admission.DefaultTenant
-	}
-	if cfg.slo != nil {
-		s.slo = newTracker(*cfg.slo, cfg.reg, names)
+		inner:  inner,
+		canon:  lru.New[string](canonMemoSize),
+		flight: newFlightGroup(),
+		m:      newMetrics(cfg.reg),
 	}
 	if cfg.cacheSize > 0 {
 		s.cache = lru.New[*cachedAnswer](cfg.cacheSize)
@@ -146,44 +117,8 @@ func (s *Stack) Query(ctx context.Context, query string) (*sparql.Results, error
 	return res, err
 }
 
-// QueryX implements endpoint.QuerierX: the full serving pipeline,
-// with every outcome — cache hits, coalesced answers, sheds, and real
-// executions alike — recorded against the tenant's SLIs when SLO
-// tracking is on. This is the single recording choke point, so the
-// SLI denominators match what clients actually experienced.
+// QueryX implements endpoint.QuerierX: the full serving pipeline.
 func (s *Stack) QueryX(ctx context.Context, req endpoint.Request) (*sparql.Results, endpoint.QueryMeta, error) {
-	if s.slo == nil {
-		return s.queryX(ctx, req)
-	}
-	start := time.Now()
-	res, meta, err := s.queryX(ctx, req)
-	s.slo.Record(s.tenantOf(ctx), Outcome{
-		// Wall is measured here, not taken from meta: the SLI is the
-		// latency this caller observed, including any decorator time the
-		// inner chain does not self-report.
-		Wall:      time.Since(start),
-		Err:       err,
-		CacheHit:  meta.CacheHit,
-		Coalesced: meta.Coalesced,
-		Shed:      errors.Is(err, endpoint.ErrOverloaded),
-	})
-	return res, meta, err
-}
-
-// SLO exposes the tracker (nil without WithSLO) for mounting
-// /debug/slo and feeding the ops dashboard.
-func (s *Stack) SLO() *Tracker { return s.slo }
-
-// tenantOf resolves the request's tenant for SLO attribution.
-func (s *Stack) tenantOf(ctx context.Context) string {
-	if t := endpoint.TenantFrom(ctx); t != "" {
-		return t
-	}
-	return s.defaultTenant
-}
-
-// queryX is the serving pipeline body.
-func (s *Stack) queryX(ctx context.Context, req endpoint.Request) (*sparql.Results, endpoint.QueryMeta, error) {
 	start := time.Now()
 
 	// Unparseable queries, EXPLAIN ANALYZE among them, need a real
@@ -284,7 +219,7 @@ func (s *Stack) generation() uint64 {
 	return s.lastGen.Load()
 }
 
-// StackStats is a point-in-time summary of the stack for dashboards.
+// StackStats is a point-in-time summary of the stack.
 // Counter fields are zero when the stack was built without a registry
 // (they live in the metrics series); QueueDepth, CacheEntries, and
 // Sheds are tracked by the stack itself and always live.

@@ -543,3 +543,100 @@ func TestAdmissionDeadlineShed(t *testing.T) {
 		t.Errorf("deadline shed took %s, want immediate", d)
 	}
 }
+
+// gateClient holds every query at a gate until it is closed, so a test
+// can fill admission slots and queues deterministically.
+type gateClient struct {
+	inner   endpoint.Client
+	entered atomic.Int64
+	gate    chan struct{}
+}
+
+func (g *gateClient) Query(ctx context.Context, q string) (*sparql.Results, error) {
+	g.entered.Add(1)
+	<-g.gate
+	return g.inner.Query(ctx, q)
+}
+
+// TestTenantLabelsBounded: the tenant interner caps distinct tenant
+// labels at DefaultMaxTenants and folds the rest, and the empty name,
+// into OverflowTenant; driven through a queued admission stack, one
+// tenant more than the bound leaves the queue-wait histogram with
+// DefaultMaxTenants tenant labels plus OverflowTenant.
+func TestTenantLabelsBounded(t *testing.T) {
+	names := newTenantNames()
+	for i := 0; i < DefaultMaxTenants; i++ {
+		if got := names.intern(fmt.Sprintf("t%d", i)); got != fmt.Sprintf("t%d", i) {
+			t.Fatalf("tenant %d within the bound interned as %q", i, got)
+		}
+	}
+	if names.intern("late") != OverflowTenant || names.intern("t0") != "t0" ||
+		names.intern("") != OverflowTenant || names.intern(OverflowTenant) != OverflowTenant {
+		t.Error("interner bound not enforced")
+	}
+
+	const tenants = DefaultMaxTenants + 1
+	reg := obs.NewRegistry()
+	gc := &gateClient{inner: endpoint.NewInProcess(newTestStore(t)), gate: make(chan struct{})}
+	s := New(gc, WithRegistry(reg), WithAdmission(AdmissionConfig{MaxConcurrent: 1}))
+	// Opening the gate once on every path frees held queries even when
+	// the test fails early.
+	release := sync.OnceFunc(func() { close(gc.gate) })
+	t.Cleanup(release)
+	// Distinct texts per request, so nothing coalesces across tenants.
+	query := func(i int) string {
+		return fmt.Sprintf(`SELECT ?v WHERE { <http://t/s%d> <http://t/value> ?v }`, i)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 2*tenants)
+	send := func(tenant, i int) {
+		defer wg.Done()
+		ctx := endpoint.ContextWithTenant(context.Background(), fmt.Sprintf("tenant%d", tenant))
+		if _, _, err := s.QueryX(ctx, endpoint.Request{Query: query(i)}); err != nil {
+			errs <- err
+		}
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	// One request per tenant takes the tenant's only slot; a second
+	// per tenant then queues behind it.
+	wg.Add(2 * tenants)
+	for i := 0; i < tenants; i++ {
+		go send(i, i)
+	}
+	waitFor("every tenant's slot to fill", func() bool { return gc.entered.Load() == tenants })
+	for i := 0; i < tenants; i++ {
+		go send(i, tenants+i)
+	}
+	waitFor("every tenant to queue", func() bool { return s.Stats().QueueDepth == tenants })
+	release()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	var buf bytes.Buffer
+	if err := reg.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	labels := map[string]bool{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		rest, ok := strings.CutPrefix(line, `re2xolap_serve_queue_wait_seconds_count{tenant="`)
+		if !ok {
+			continue
+		}
+		tenant, _, _ := strings.Cut(rest, `"`)
+		labels[tenant] = true
+	}
+	if !labels[OverflowTenant] || len(labels) != DefaultMaxTenants+1 {
+		t.Fatalf("queue-wait tenant labels = %d (overflow present: %v), want %d plus %q",
+			len(labels), labels[OverflowTenant], DefaultMaxTenants, OverflowTenant)
+	}
+}

@@ -55,10 +55,6 @@ type config struct {
 	// timings, hedge and topology-reload counters, degraded-mode
 	// counters.
 	Registry *obs.Registry
-	// Fleet, when non-nil, enables the fleet metrics collector: the
-	// coordinator scrapes every HTTP replica's /metrics and serves the
-	// merged exposition via FleetHandler (see FleetConfig).
-	Fleet *FleetConfig
 }
 
 // view is one immutable resolved topology generation. Queries load
@@ -87,8 +83,6 @@ type Coordinator struct {
 
 	probeCancel context.CancelFunc
 	probeDone   chan struct{}
-
-	fleet *fleetCollector // nil unless WithFleet is set
 
 	facts predicateFacts // what the gather plan's star fetches rely on
 	chunk int            // VALUES rows per bound-join fetch: boundJoinChunk
@@ -129,7 +123,6 @@ func NewDynamic(topo Topology, dial Dialer, opts ...Option) (*Coordinator, error
 	}
 	c.view.Store(v)
 	c.startProber()
-	c.startFleet()
 	return c, nil
 }
 
@@ -287,16 +280,15 @@ func (c *Coordinator) startProber() {
 	go c.probeLoop(ctx)
 }
 
-// Close stops the background prober and fleet collector (if any) and
-// waits for them. The coordinator remains usable for queries
-// afterwards; health states freeze at their last probed value.
+// Close stops the background prober (if any) and waits for it. The
+// coordinator remains usable for queries afterwards; health states
+// freeze at their last probed value.
 func (c *Coordinator) Close() {
 	if c.probeCancel != nil {
 		c.probeCancel()
 		<-c.probeDone
 		c.probeCancel = nil
 	}
-	c.stopFleet()
 }
 
 // Generation implements endpoint.GenerationSource with a composed

@@ -33,10 +33,6 @@ type metrics struct {
 	epoch     *obs.Gauge
 	toUp      *obs.Counter
 	toDown    *obs.Counter
-
-	fleetScrapeOK  *obs.Counter
-	fleetScrapeErr *obs.Counter
-	fleetCollectS  *obs.Histogram
 }
 
 // mergePhases is the label vocabulary of the merge-phase histogram.
@@ -80,12 +76,6 @@ func newMetrics(reg *obs.Registry, fanout, replicas func() float64) *metrics {
 			"Replica health-state transitions.", obs.L("to", "up")),
 		toDown: reg.Counter("re2xolap_replica_transitions_total",
 			"Replica health-state transitions.", obs.L("to", "down")),
-		fleetScrapeOK: reg.Counter("re2xolap_fleet_scrapes_total",
-			"Fleet collector scrape attempts by outcome.", obs.L("outcome", "ok")),
-		fleetScrapeErr: reg.Counter("re2xolap_fleet_scrapes_total",
-			"Fleet collector scrape attempts by outcome.", obs.L("outcome", "error")),
-		fleetCollectS: reg.Histogram("re2xolap_fleet_collect_seconds",
-			"Wall time of one fleet collection sweep.", nil),
 	}
 	reg.GaugeFunc("re2xolap_shard_fanout", "Shards behind the coordinator.", fanout)
 	reg.GaugeFunc("re2xolap_shard_replicas", "Replica endpoints across all shards.", replicas)
@@ -151,15 +141,6 @@ func (m *metrics) transition(up bool) {
 		m.toUp.Inc()
 	} else {
 		m.toDown.Inc()
-	}
-}
-
-// fleetScrape counts one fleet scrape attempt.
-func (m *metrics) fleetScrape(ok bool) {
-	if ok {
-		m.fleetScrapeOK.Inc()
-	} else {
-		m.fleetScrapeErr.Inc()
 	}
 }
 

@@ -76,14 +76,3 @@ func WithHedge(after time.Duration) Option {
 func WithRegistry(r *obs.Registry) Option {
 	return func(c *config) { c.Registry = r }
 }
-
-// WithFleet enables the fleet metrics collector: the coordinator
-// scrapes every HTTP replica's /metrics (on the configured interval,
-// or on demand per FleetHandler request when the interval is zero)
-// and serves the merged exposition — counters summed, histogram
-// buckets summed with quantiles recomputed, per-process gauges
-// passthrough with an `instance` label, staleness gauges for
-// unreachable replicas — at FleetHandler (/metrics/fleet).
-func WithFleet(cfg FleetConfig) Option {
-	return func(c *config) { c.Fleet = &cfg }
-}
