@@ -433,6 +433,51 @@ func TestHTTPRoundTripCorpus(t *testing.T) {
 	}
 }
 
+// TestSpecialValuesRoundTrip: aggregates over INF, -INF and NaN answer
+// the xsd:double special forms, and SPARQL-JSON carries them back to
+// the same terms, which read back as the same numbers.
+func TestSpecialValuesRoundTrip(t *testing.T) {
+	st := store.New()
+	for i, lex := range []string{"INF", "-INF", "NaN"} {
+		s := rdf.NewIRI(fmt.Sprintf("http://r/s%d", i))
+		if err := st.AddAll([]rdf.Triple{
+			rdf.NewTriple(s, rdf.NewIRI("http://r/group"), rdf.NewString(lex)),
+			rdf.NewTriple(s, rdf.NewIRI("http://r/val"), rdf.NewTyped(lex, rdf.XSDDouble)),
+			rdf.NewTriple(s, rdf.NewIRI("http://r/val"), rdf.NewInteger(1)),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := NewInProcess(st).Query(context.Background(),
+		`SELECT ?g (SUM(?v) AS ?t) (AVG(?v) AS ?a) ((SUM(?v) * -1) AS ?n) WHERE { ?s <http://r/group> ?g . ?s <http://r/val> ?v } GROUP BY ?g ORDER BY ?g`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rows by ?g: "-INF", "INF", "NaN"; columns ?t, ?a, ?n.
+	lex := [][]string{{"-INF", "-INF", "INF"}, {"INF", "INF", "-INF"}, {"NaN", "NaN", "NaN"}}
+	var body bytes.Buffer
+	if err := EncodeResults(&body, want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeResults(&body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Rows, want.Rows) || len(got.Rows) != len(lex) {
+		t.Fatalf("decoded %v, encoded %v", got.Rows, want.Rows)
+	}
+	for i, r := range got.Rows {
+		for j, cell := range r[1:] {
+			if cell != rdf.NewTyped(lex[i][j], rdf.XSDDouble) {
+				t.Errorf("row %d column %d: %v, want %q^^xsd:double", i, j+1, cell, lex[i][j])
+			}
+			if f, ok := cell.Numeric(); !ok || rdf.NewDouble(f) != cell {
+				t.Errorf("row %d column %d: %v reads back as %v, %v", i, j+1, cell, f, ok)
+			}
+		}
+	}
+}
+
 type fixedClient struct{ res *sparql.Results }
 
 func (c fixedClient) Query(context.Context, string) (*sparql.Results, error) { return c.res, nil }

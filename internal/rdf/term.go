@@ -9,6 +9,7 @@ package rdf
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -79,9 +80,19 @@ func NewInteger(v int64) Term {
 	return Term{Kind: TermLiteral, Value: strconv.FormatInt(v, 10), Datatype: XSDInteger}
 }
 
-// NewDouble returns an xsd:double literal.
+// NewDouble returns an xsd:double literal: the shortest lexical form
+// that parses back to v, and INF, -INF and NaN for the special values.
 func NewDouble(v float64) Term {
-	return Term{Kind: TermLiteral, Value: strconv.FormatFloat(v, 'g', -1, 64), Datatype: XSDDouble}
+	s := "NaN"
+	switch {
+	case math.IsInf(v, 1):
+		s = "INF"
+	case math.IsInf(v, -1):
+		s = "-INF"
+	case !math.IsNaN(v):
+		s = strconv.FormatFloat(v, 'g', -1, 64)
+	}
+	return Term{Kind: TermLiteral, Value: s, Datatype: XSDDouble}
 }
 
 // NewBoolean returns an xsd:boolean literal.

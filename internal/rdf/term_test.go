@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -66,6 +67,24 @@ func TestNumeric(t *testing.T) {
 		got, ok := tt.term.Numeric()
 		if got != tt.want || ok != tt.ok {
 			t.Errorf("%s.Numeric() = %v,%v want %v,%v", tt.term, got, ok, tt.want, tt.ok)
+		}
+	}
+}
+
+// TestDoubleSpecialValues: the special values take their xsd:double
+// lexical forms, which parse back to the same value.
+func TestDoubleSpecialValues(t *testing.T) {
+	for _, tt := range []struct {
+		v    float64
+		want string
+	}{{math.Inf(1), "INF"}, {math.Inf(-1), "-INF"}, {math.NaN(), "NaN"}, {1e300, "1e+300"}, {-0.5, "-0.5"}} {
+		term := NewDouble(tt.v)
+		if term.Value != tt.want {
+			t.Errorf("NewDouble(%v) = %q, want %q", tt.v, term.Value, tt.want)
+		}
+		got, ok := term.Numeric()
+		if !ok || got != tt.v && !(math.IsNaN(got) && math.IsNaN(tt.v)) {
+			t.Errorf("%s.Numeric() = %v,%v, want %v", term, got, ok, tt.v)
 		}
 	}
 }

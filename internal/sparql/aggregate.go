@@ -1,8 +1,10 @@
 package sparql
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -141,18 +143,19 @@ func (p *aggPartial) merge(op *aggOp, src *aggPartial) {
 
 // finalize turns the state into the aggregate's value. An empty group
 // gives COUNT and SUM 0, AVG/MIN/MAX/SAMPLE unbound, and GROUP_CONCAT
-// the empty string.
+// the empty string. A COUNT, SUM or AVG is a pending number, which
+// only emit sees and renders where a term of it is read.
 func (p *aggPartial) finalize(op *aggOp) Value {
 	switch op.kind {
 	case aggCount:
-		return numValue(float64(p.n))
+		return pendingNumber(float64(p.n))
 	case aggSum:
-		return numValue(p.sum)
+		return pendingNumber(p.sum)
 	case aggAvg:
 		if p.n == 0 {
 			return Value{}
 		}
-		return numValue(p.sum / float64(p.n))
+		return pendingNumber(p.sum / float64(p.n))
 	case aggMin, aggMax, aggSample:
 		return p.best
 	case aggConcat:
@@ -253,15 +256,32 @@ func (t *aggTable) merge(ops []aggOp, src *aggTable) {
 	}
 }
 
-// aggSpec is what one aggregate query asks of the algebra.
+// aggSpec is what one aggregate query asks of the algebra, with the
+// plan emit runs: HAVING and the projection compiled once per spec
+// against the key columns vars (see plan).
 type aggSpec struct {
-	q       *Query    // GROUP BY and the projected names
+	q       *Query    // GROUP BY, the projection, HAVING and the modifiers
 	aggs    []AggExpr // the distinct aggregates, one partial each
 	ops     []aggOp   // aggs as the fold runs them
 	args    []Expr    // the distinct aggregate arguments, each evaluated once per row
 	having  []Expr    // q.Having with every aggregate resolved to its aggRef
 	project []Expr    // q.Select[i].Expr likewise; a VarExpr for a plain variable
 	vars    []string  // variables emit reads from aggGroup.key
+
+	tests     []condFn  // having, compiled
+	testAggs  []int     // the aggregates having reads
+	cols      []emitCol // project, one per output column
+	orderCols []emitCol // q.OrderBy as copied output columns; nil if it is not that
+}
+
+// emitCol is how emit fills one output column: a copy of a key column
+// (key >= 0) or of an aggregate's value (agg >= 0), or a compiled
+// expression (fn). num marks a copied COUNT, SUM or AVG, whose value
+// is a pending number or unbound.
+type emitCol struct {
+	key, agg int
+	num      bool
+	fn       evalFn
 }
 
 func newAggSpec(q *Query) *aggSpec {
@@ -298,12 +318,62 @@ func newAggSpec(q *Query) *aggSpec {
 		}
 		s.ops = append(s.ops, op)
 	}
+	s.plan()
 	return s
+}
+
+// plan compiles emit's plan against the key columns s.vars and the
+// aggregate kinds s.ops; whoever changes either re-plans. The closures
+// hold no state, so one spec serves concurrent emits.
+func (s *aggSpec) plan() {
+	c := compiler{cols: s.vars, aggBase: len(s.vars)}
+	s.tests, s.testAggs = nil, nil
+	for _, h := range s.having {
+		s.tests = append(s.tests, c.cond(h))
+		WalkExpr(h, func(x Expr) bool {
+			if r, ok := x.(aggRef); ok && !slices.Contains(s.testAggs, int(r)) {
+				s.testAggs = append(s.testAggs, int(r))
+			}
+			return true
+		})
+	}
+	s.cols = make([]emitCol, len(s.project))
+	for i, e := range s.project {
+		col := emitCol{key: -1, agg: -1}
+		switch x := e.(type) {
+		case VarExpr:
+			col.key = slices.Index(s.vars, x.Name)
+		case aggRef:
+			k := s.ops[x].kind
+			col.agg, col.num = int(x), k == aggCount || k == aggSum || k == aggAvg
+		default:
+			col.fn = c.value(e)
+		}
+		s.cols[i] = col
+	}
+	// The cut reads each ORDER BY key where applyModifiers would: in the
+	// one output column of that name, which must be a copy.
+	s.orderCols = nil
+	for _, o := range s.q.OrderBy {
+		v, _ := o.Expr.(VarExpr) // no output column is named ""
+		n, at := 0, 0
+		for i, it := range s.q.Select {
+			if it.Var == v.Name {
+				n, at = n+1, i
+			}
+		}
+		if n != 1 || s.cols[at].fn != nil {
+			s.orderCols = nil
+			return
+		}
+		s.orderCols = append(s.orderCols, s.cols[at])
+	}
 }
 
 // aggRef stands for an aggregate inside aggSpec.having and
 // aggSpec.project: the index of its partial in aggSpec.aggs. It has a
-// value only in the term rows emit builds.
+// value only where a compiler with aggBase >= 0 reads it
+// (compiler.aggregate).
 type aggRef int
 
 func (aggRef) expr() {}
@@ -368,51 +438,117 @@ func collectAggs(q *Query) ([]AggExpr, map[string]int) {
 	return aggs, idx
 }
 
-// emit finalizes every group of t in t.order, applies HAVING and
-// evaluates the projection. Both are compiled against one term row per
-// group: its key columns (s.vars), then its finalized aggregates, an
-// aggregate without a value (AVG or MIN of nothing) unbound like a
-// variable. A query with aggregates but no GROUP BY over no input still
-// yields one empty group (COUNT = 0). ctxErr is polled between groups.
-func (s *aggSpec) emit(t *aggTable, ctxErr func() error) (*Results, error) {
+// emit finalizes the groups of t in t.order, keeps those HAVING holds
+// for, and projects them. A query with aggregates but no GROUP BY over
+// no input still yields one empty group (COUNT = 0). HAVING reads each
+// group's finalized aggregates as Values, a number pending (not
+// rendered) unless an expression reads its term. With cut set — the
+// single-node path, whose answer applyModifiers orders next — an ORDER
+// BY over copied columns whose LIMIT cuts the answer projects only the
+// groups the cut keeps (cutGroups). ctxErr is polled between groups.
+func (s *aggSpec) emit(t *aggTable, ctxErr func() error, cut bool) (*Results, error) {
 	if len(t.order) == 0 && len(s.q.GroupBy) == 0 {
 		t.add("", make([]rdf.Term, len(s.vars)), len(s.aggs))
 	}
-	res := &Results{}
-	for _, it := range s.q.Select {
-		res.Vars = append(res.Vars, it.Var)
-	}
-	c := compiler{cols: s.vars, aggBase: len(s.vars)}
-	having := make([]condFn, len(s.having))
-	for i, h := range s.having {
-		having[i] = c.cond(h)
-	}
-	project := c.values(s.project)
-	in := make([]rdf.Term, len(s.vars)+len(s.aggs))
+	gx := &executor{group: make([]Value, len(s.ops))}
+	kept := make([]*aggGroup, 0, len(t.order))
 groups:
 	for _, k := range t.order {
 		if err := ctxErr(); err != nil {
 			return nil, err
 		}
 		g := t.groups[k]
-		copy(in, g.key)
-		for ai := range s.ops {
-			in[len(s.vars)+ai] = g.parts[ai].finalize(&s.ops[ai]).Term
+		for _, ai := range s.testAggs {
+			gx.group[ai] = g.parts[ai].finalize(&s.ops[ai])
 		}
-		for _, h := range having {
-			if ok, err := h(nil, nil, in); err != nil || !ok {
+		for _, test := range s.tests {
+			if ok, err := test(gx, nil, g.key); err != nil || !ok {
 				continue groups
 			}
 		}
-		line := make([]rdf.Term, len(project))
-		for i, p := range project {
-			if v, err := p(nil, nil, in); err == nil {
-				line[i] = v.Term
+		kept = append(kept, g)
+	}
+	if keep := cutSize(s.q, len(kept)); cut && s.orderCols != nil && keep < len(kept) {
+		kept = s.cutGroups(kept, keep)
+	}
+	return s.render(gx, kept), nil
+}
+
+// cutGroups is the ordered-LIMIT cut over groups: the first keep of
+// kept in ORDER BY order, ties in group order. The keys are the values
+// of the output cells applyModifiers reads them from, and its ties
+// break by row position, which is group order, so these are exactly
+// the rows it would keep of the whole answer.
+func (s *aggSpec) cutGroups(kept []*aggGroup, keep int) []*aggGroup {
+	n := len(s.orderCols)
+	keys := make([]Value, len(kept)*n)
+	for i, g := range kept {
+		for j, col := range s.orderCols {
+			if col.agg >= 0 {
+				keys[i*n+j] = g.parts[col.agg].finalize(&s.ops[col.agg])
+			} else if col.key >= 0 && Bound(g.key[col.key]) {
+				keys[i*n+j] = constValue(g.key[col.key])
 			}
 		}
-		res.Rows = append(res.Rows, line)
 	}
-	return res, nil
+	return pick(kept, firstRows(len(kept), keep, func(i, j int) int {
+		if c := orderCmp(s.q.OrderBy, keys[i*n:], keys[j*n:]); c != 0 {
+			return c
+		}
+		return cmp.Compare(i, j)
+	}))
+}
+
+// render projects the kept groups into lines carved from one slab. A
+// key column is copied from the group's key, an aggregate's value from
+// its finalized Value; a pending number is formatted into one arena
+// whose string, made once all are formatted, every such cell slices.
+// Only expression columns run a closure.
+func (s *aggSpec) render(gx *executor, kept []*aggGroup) *Results {
+	nc, nums := len(s.cols), 0
+	for _, col := range s.cols {
+		nums += b2i(col.num)
+	}
+	res := &Results{Vars: make([]string, nc), Rows: make([][]rdf.Term, len(kept))}
+	for i, it := range s.q.Select {
+		res.Vars[i] = it.Var
+	}
+	slab := make([]rdf.Term, len(kept)*nc)
+	arena := make([]byte, 0, 8*nums*len(kept))
+	ends := make([]int, 0, nums*len(kept)) // where each formatted number ends
+	for i, g := range kept {
+		line := slab[i*nc : (i+1)*nc : (i+1)*nc]
+		for ai := range s.ops {
+			gx.group[ai] = g.parts[ai].finalize(&s.ops[ai])
+		}
+		for ci, col := range s.cols {
+			switch {
+			case col.fn != nil:
+				if v, err := col.fn(gx, nil, g.key); err == nil {
+					line[ci] = v.Term
+				}
+			case col.agg >= 0:
+				v := gx.group[col.agg]
+				if v.pending() {
+					arena, v.Term.Datatype = appendNumber(arena, v.num)
+					ends = append(ends, len(arena))
+				}
+				line[ci] = v.Term
+			case col.key >= 0:
+				line[ci] = g.key[col.key]
+			}
+		}
+		res.Rows[i] = line
+	}
+	text, from := string(arena), 0
+	for _, line := range res.Rows {
+		for ci, col := range s.cols {
+			if cell := &line[ci]; col.num && cell.Datatype != "" {
+				cell.Value, from, ends = text[from:ends[0]], ends[0], ends[1:]
+			}
+		}
+	}
+	return res
 }
 
 // aggFold is an aggSpec compiled against one query's slots: what
@@ -467,7 +603,7 @@ func (ex *executor) aggregate(q *Query, rows []row) (*Results, error) {
 	for _, t := range tables[1:] {
 		tables[0].merge(f.spec.ops, t)
 	}
-	return f.spec.emit(tables[0], ex.ctxErr)
+	return f.spec.emit(tables[0], ex.ctxErr, true)
 }
 
 // foldRows folds a contiguous run of input rows into a fresh table,

@@ -17,7 +17,8 @@ import (
 
 // evalFn is a compiled expression. ex is the executor evaluating the
 // row — the query's, or a worker clone — which EXISTS plans and joins
-// on; term-row closures never touch it, so their callers may pass nil.
+// on. Term-row closures read it only for an aggregate, from the group
+// emit passes in ex.group; every other caller of them may pass nil.
 type evalFn func(ex *executor, r row, t []rdf.Term) (Value, error)
 
 // condFn is a compiled expression read for its effective boolean
@@ -28,9 +29,10 @@ type condFn func(ex *executor, r row, t []rdf.Term) (bool, error)
 type compiler struct {
 	slots map[string]int // ID rows: the executor's slot table; nil for term rows
 	cols  []string       // term rows: the column names
-	// aggBase is the column of the first aggregate in the term rows emit
-	// builds (group key columns, then one finalized value per
-	// aggregate); -1 everywhere else, where an aggRef has no value.
+	// aggBase >= 0 gives an aggRef a value (see aggregate): over term
+	// rows of a group's key columns, which emit passes with the group's
+	// finalized aggregates in ex.group, or which hold the rendered
+	// aggregates from column aggBase on. -1 everywhere else.
 	aggBase int
 }
 
@@ -62,7 +64,7 @@ func (c compiler) value(e Expr) evalFn {
 		case "!":
 			return boolOf(c.cond(e))
 		case "-":
-			arg := c.value(x.E)
+			arg := c.number(x.E)
 			return func(ex *executor, r row, t []rdf.Term) (Value, error) {
 				v, err := arg(ex, r, t)
 				if err != nil {
@@ -79,7 +81,7 @@ func (c compiler) value(e Expr) evalFn {
 	case BinaryExpr:
 		switch x.Op {
 		case "+", "-", "*", "/":
-			return arithmetic(x.Op[0], c.value(x.L), c.value(x.R))
+			return arithmetic(x.Op[0], c.number(x.L), c.number(x.R))
 		case "||", "&&":
 			return boolOf(c.cond(e))
 		}
@@ -93,7 +95,7 @@ func (c compiler) value(e Expr) evalFn {
 		return c.function(x)
 	case aggRef:
 		if c.aggBase >= 0 {
-			return columns([]int{c.aggBase + int(x)})
+			return c.aggregate(int(x), false)
 		}
 	case AggExpr:
 		return failAfter(fmt.Errorf("%w: aggregate outside grouping context", errExprError))
@@ -125,7 +127,7 @@ func (c compiler) cond(e Expr) condFn {
 			}
 		}
 		if test := comparisons[x.Op]; test != nil {
-			l, r := c.value(x.L), c.value(x.R)
+			l, r := c.operand(x.L, x.R), c.operand(x.R, x.L)
 			return func(ex *executor, rw row, t []rdf.Term) (bool, error) {
 				a, err := l(ex, rw, t)
 				if err != nil {
@@ -178,15 +180,22 @@ func (c compiler) cond(e Expr) condFn {
 		}
 	case FuncExpr:
 		if x.Name == "BOUND" {
-			var v VarExpr
-			ok := len(x.Args) == 1
-			if ok {
-				v, ok = x.Args[0].(VarExpr)
+			// An aggregate stands for its group's value as a variable does:
+			// BOUND(AVG(?x)) is false for a group with no numeric ?x.
+			var arg evalFn
+			if len(x.Args) == 1 {
+				switch a := x.Args[0].(type) {
+				case VarExpr:
+					arg = c.variable(a.Name)
+				case aggRef:
+					if c.aggBase >= 0 {
+						arg = c.aggregate(int(a), true)
+					}
+				}
 			}
-			if !ok {
+			if arg == nil {
 				return ebvOf(failAfter(fmt.Errorf("%w: BOUND requires a variable", errExprError)))
 			}
-			arg := c.variable(v.Name)
 			return func(ex *executor, r row, t []rdf.Term) (bool, error) {
 				v, _ := arg(ex, r, t)
 				return v.Bound, nil
@@ -194,6 +203,53 @@ func (c compiler) cond(e Expr) condFn {
 		}
 	}
 	return ebvOf(c.value(e))
+}
+
+// number compiles e where only its number is read — an operand of
+// arithmetic — so an aggregate's pending number is not rendered.
+func (c compiler) number(e Expr) evalFn {
+	if x, ok := e.(aggRef); ok && c.aggBase >= 0 {
+		return c.aggregate(int(x), true)
+	}
+	return c.value(e)
+}
+
+// operand compiles e, one side of a comparison, as a number when the
+// other side is surely a number or an error — a numeric constant or
+// arithmetic — for then the comparison is numeric or fails before it
+// reads a term. Against anything else (a string, a variable) it may
+// compare lexical forms.
+func (c compiler) operand(e, other Expr) evalFn {
+	numeric := false
+	switch o := other.(type) {
+	case ConstExpr:
+		_, numeric = o.Term.Numeric()
+	case BinaryExpr:
+		numeric = o.Op == "+" || o.Op == "-" || o.Op == "*" || o.Op == "/"
+	case UnaryExpr:
+		numeric = o.Op == "-"
+	}
+	if numeric {
+		return c.number(e)
+	}
+	return c.value(e)
+}
+
+// aggregate reads aggregate i of a group. Under emit it is ex.group[i],
+// whose number may be pending: read as a number (numeric) it is
+// returned as it is, read as a term it is rendered first. Without a
+// group (ex nil) it is the rendered value in column aggBase+i.
+func (c compiler) aggregate(i int, numeric bool) evalFn {
+	col := columns([]int{c.aggBase + i})
+	return func(ex *executor, r row, t []rdf.Term) (Value, error) {
+		if ex == nil {
+			return col(ex, r, t)
+		}
+		if numeric {
+			return ex.group[i], nil
+		}
+		return ex.group[i].rendered(), nil
+	}
 }
 
 func (c compiler) values(es []Expr) []evalFn {

@@ -343,6 +343,7 @@ func PlanPartialAggregation(q *Query) (*PartialAggPlan, bool) {
 			return nil, false
 		}
 	}
+	spec.plan() // over the new key columns and SAMPLE's MIN
 	p.shard = shard
 	return p, true
 }
@@ -446,7 +447,7 @@ func (p *PartialAggPlan) Merge(shardResults []*Results) (*Results, error) {
 		}
 	}
 	sort.Strings(t.order)
-	return p.spec.emit(t, func() error { return nil })
+	return p.spec.emit(t, func() error { return nil }, false)
 }
 
 // canonicalRanks ranks distinct terms by their CanonicalRowKey cell,

@@ -203,6 +203,10 @@ type executor struct {
 	// default, and every worker clone) is the disabled state, costing
 	// one pointer check per operator.
 	prof *profiler
+	// group is set only on the executor emit evaluates HAVING and the
+	// projection with: the current group's finalized aggregates, which
+	// an aggRef reads (compiler.aggregate).
+	group []Value
 }
 
 // newExecutor returns the executor of one query over view; a nil ctx
@@ -1134,8 +1138,8 @@ func partition3(p []int, compare func(i, j int) int) (lt, gt int) {
 }
 
 // pick returns the rows at positions perm, in that order.
-func pick(rows [][]rdf.Term, perm []int) [][]rdf.Term {
-	out := make([][]rdf.Term, len(perm))
+func pick[T any](rows []T, perm []int) []T {
+	out := make([]T, len(perm))
 	for i, p := range perm {
 		out[i] = rows[p]
 	}

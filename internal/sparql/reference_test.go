@@ -259,11 +259,19 @@ func evalFunc(x FuncExpr, b binding) (Value, error) {
 	// BOUND and COALESCE/IF need special unbound handling.
 	switch x.Name {
 	case "BOUND":
-		v, ok := x.Args[0].(VarExpr)
-		if !ok {
-			return Value{}, fmt.Errorf("%w: BOUND requires a variable", errExprError)
+		switch a := x.Args[0].(type) {
+		case VarExpr:
+			return boolValue(b.value(a.Name).Bound), nil
+		case aggRef:
+			// An aggregate in HAVING or the projection stands for its
+			// group's value as a variable does.
+			v, err := evalExpr(a, b)
+			if err != nil {
+				return Value{}, err
+			}
+			return boolValue(v.Bound), nil
 		}
-		return boolValue(b.value(v.Name).Bound), nil
+		return Value{}, fmt.Errorf("%w: BOUND requires a variable", errExprError)
 	case "COALESCE":
 		for _, a := range x.Args {
 			v, err := evalExpr(a, b)

@@ -3,7 +3,9 @@ package sparql
 import (
 	"errors"
 	"fmt"
+	"math"
 	"regexp"
+	"strconv"
 	"strings"
 
 	"re2xolap/internal/rdf"
@@ -53,14 +55,51 @@ func constValue(t rdf.Term) Value {
 	return v
 }
 
-// numValue is the value of a computed number. It carries f, which is
-// exactly what its term parses back to.
-func numValue(f float64) Value {
-	if f == float64(int64(f)) && f >= -1e15 && f <= 1e15 {
-		return Value{Term: rdf.NewInteger(int64(f)), Bound: true, numState: numYes, num: float64(int64(f))}
+// numValue is the value of a computed number, rendered.
+func numValue(f float64) Value { return pendingNumber(f).rendered() }
+
+// pendingNumber is the value of a computed number whose term is not
+// rendered yet: a literal with no lexical form. It carries f, which is
+// exactly what the rendered term parses back to. Only an aggregate's
+// finalized value is left pending (aggPartial.finalize); emit renders
+// it where a kept cell or a term-reading expression needs the term.
+func pendingNumber(f float64) Value {
+	if integral(f) {
+		f = float64(int64(f)) // -0 renders, and so parses back, as 0
 	}
-	return Value{Term: rdf.NewDouble(f), Bound: true, numState: numYes, num: f}
+	return Value{Term: rdf.Term{Kind: rdf.TermLiteral}, Bound: true, numState: numYes, num: f}
 }
+
+// pending reports whether v is a pendingNumber.
+func (v Value) pending() bool { return v.numState == numYes && v.Term.Value == "" }
+
+// rendered is v with its term, rendering a pending number.
+func (v Value) rendered() Value {
+	if v.pending() {
+		var buf [32]byte
+		b, dt := appendNumber(buf[:0], v.num)
+		v.Term = rdf.Term{Kind: rdf.TermLiteral, Value: string(b), Datatype: dt}
+	}
+	return v
+}
+
+// appendNumber is the one number formatter: it appends the lexical
+// form of the computed number f to dst and returns f's datatype. An
+// integral |f| <= 1e15 is an xsd:integer; any other value is the
+// shortest xsd:double that parses back to f; the three special values
+// are INF, -INF and NaN.
+func appendNumber(dst []byte, f float64) ([]byte, string) {
+	switch {
+	case integral(f):
+		return strconv.AppendInt(dst, int64(f), 10), rdf.XSDInteger
+	case math.IsInf(f, 0) || math.IsNaN(f):
+		return append(dst, rdf.NewDouble(f).Value...), rdf.XSDDouble
+	}
+	return strconv.AppendFloat(dst, f, 'g', -1, 64), rdf.XSDDouble
+}
+
+// integral reports whether f renders as an xsd:integer.
+func integral(f float64) bool { return f == float64(int64(f)) && f >= -1e15 && f <= 1e15 }
 
 func boolValue(b bool) Value { return boundValue(rdf.NewBoolean(b)) }
 
