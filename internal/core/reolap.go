@@ -89,25 +89,26 @@ func (e *Engine) MatchItem(ctx context.Context, item ExampleItem) ([]Match, erro
 	}
 	cacheKey := item.Keyword + "\x00" + item.IRI
 	for {
-		ms, hit, f, leader := e.cache.lookupOrStart(cacheKey)
-		if hit {
+		if ms, hit := e.cache.lru.Get(cacheKey); hit {
 			return ms, nil
 		}
-		if leader {
+		ms, led, err := e.cache.flights.Do(ctx, cacheKey, func() ([]Match, error) {
+			// A leader that finished between this caller's miss and its
+			// flight has already published: look again before querying.
+			if ms, hit := e.cache.lru.Get(cacheKey); hit {
+				return ms, nil
+			}
 			ms, err := e.matchItemUncached(ctx, item)
 			if err == nil {
 				e.cache.put(cacheKey, ms)
 			}
-			e.cache.endFlight(cacheKey, f, ms, err)
+			return ms, err
+		})
+		if err == nil || led {
 			return ms, err
 		}
-		select {
-		case <-ctx.Done():
+		if ctx.Err() != nil {
 			return nil, ctx.Err()
-		case <-f.done:
-		}
-		if f.err == nil {
-			return f.ms, nil
 		}
 		// The leader failed — possibly transiently, possibly because its
 		// own context was cancelled. Retry as leader rather than

@@ -1,6 +1,8 @@
 // Package lru is the one bounded least-recently-used map the serving
-// layers share: the result cache and the canonical-text memo of serve,
-// the coordinator's plan cache, and the keyword-match cache of core.
+// layers share — the result cache and the canonical-text memo of serve,
+// the coordinator's plan cache, and the keyword-match cache of core —
+// and the one single-flight group (Flights) serve and core put in
+// front of their caches.
 package lru
 
 import (

@@ -1,9 +1,12 @@
 package lru
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestCacheEvictsLeastRecentlyUsed pins the contract all three users
@@ -64,5 +67,46 @@ func TestCacheConcurrent(t *testing.T) {
 	wg.Wait()
 	if c.Len() > 8 {
 		t.Errorf("Len = %d beyond the bound", c.Len())
+	}
+}
+
+// TestFlightsCoalesce pins the single-flight contract serve and core
+// share: duplicates that arrive while the leader runs get its answer
+// and error without running, a duplicate whose context ends stops
+// waiting with its own error, and once the leader is done the next
+// caller leads a fresh run.
+func TestFlightsCoalesce(t *testing.T) {
+	var g Flights[int]
+	release := make(chan struct{})
+	started := make(chan struct{})
+	runs := 0
+	go g.Do(context.Background(), "k", func() (int, error) {
+		runs++
+		close(started)
+		<-release
+		return 7, errors.New("leader's error")
+	})
+	<-started
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, led, err := g.Do(ctx, "k", nil); led || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled duplicate: led %v, err %v", led, err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, led, err := g.Do(context.Background(), "k", func() (int, error) { return 0, nil })
+			if led || v != 7 || err == nil || err.Error() != "leader's error" {
+				t.Errorf("duplicate got %d, led %v, err %v", v, led, err)
+			}
+		}()
+	}
+	time.Sleep(50 * time.Millisecond) // let the duplicates reach the flight
+	close(release)
+	wg.Wait()
+	if v, led, err := g.Do(context.Background(), "k", func() (int, error) { return 9, nil }); !led || v != 9 || err != nil || runs != 1 {
+		t.Errorf("after the flight: %d, led %v, err %v, %d leader runs", v, led, err, runs)
 	}
 }

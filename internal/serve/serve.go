@@ -71,7 +71,7 @@ type Stack struct {
 	inner  endpoint.Client
 	cache  *lru.Cache[*cachedAnswer] // nil = cache disabled
 	canon  *lru.Cache[string]        // query text → canonical form ("" memoizes a parse failure)
-	flight *flightGroup
+	flight lru.Flights[*cachedAnswer]
 	adm    *admission // nil = admission disabled
 	m      *metrics
 	// lastGen is the generation fallback for inner clients that report
@@ -88,10 +88,9 @@ func New(inner endpoint.Client, opts ...Option) *Stack {
 		opt(&cfg)
 	}
 	s := &Stack{
-		inner:  inner,
-		canon:  lru.New[string](canonMemoSize),
-		flight: newFlightGroup(),
-		m:      newMetrics(cfg.reg),
+		inner: inner,
+		canon: lru.New[string](canonMemoSize),
+		m:     newMetrics(cfg.reg),
 	}
 	if cfg.cacheSize > 0 {
 		s.cache = lru.New[*cachedAnswer](cfg.cacheSize)
@@ -139,11 +138,17 @@ func (s *Stack) QueryX(ctx context.Context, req endpoint.Request) (*sparql.Resul
 		s.m.cacheMisses.Inc()
 	}
 
-	res, meta, led, err := s.flight.do(ctx, key, func() (*sparql.Results, endpoint.QueryMeta, error) {
+	ans, led, err := s.flight.Do(ctx, key, func() (*cachedAnswer, error) {
 		r, m, e := s.execute(ctx, req)
-		s.store(key, r, m, e)
-		return r, m, e
+		a := &cachedAnswer{res: r, meta: m}
+		s.store(key, a, e)
+		return a, e
 	})
+	var res *sparql.Results
+	var meta endpoint.QueryMeta
+	if ans != nil { // nil for a duplicate that stopped waiting
+		res, meta = ans.res, ans.meta
+	}
 	if !led {
 		s.m.coalesced.Inc()
 		meta = s.derivedMeta(meta, req, start)
@@ -253,9 +258,9 @@ func (s *Stack) Stats() StackStats {
 // store caches a completed execution. Errors, nil results, and
 // incomplete (degraded-mode) answers are never cached — a cache must
 // not pin a partial answer past the moment the failed shard recovers.
-func (s *Stack) store(key string, res *sparql.Results, meta endpoint.QueryMeta, err error) {
-	if s.cache == nil || err != nil || res == nil || meta.Incomplete {
+func (s *Stack) store(key string, ans *cachedAnswer, err error) {
+	if s.cache == nil || err != nil || ans.res == nil || ans.meta.Incomplete {
 		return
 	}
-	s.m.cacheEvictions.Add(int64(s.cache.Put(key, &cachedAnswer{res: res, meta: meta})))
+	s.m.cacheEvictions.Add(int64(s.cache.Put(key, ans)))
 }

@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"slices"
+
 	"re2xolap/internal/sparql"
 )
 
@@ -72,7 +74,9 @@ func classify(q *sparql.Query) queryPlan {
 			// groups. Gather is the exact path.
 			return queryPlan{query: q, kind: planGather}
 		}
-		return queryPlan{query: q, kind: planColocated}
+		if keysOnOutput(q) {
+			return queryPlan{query: q, kind: planColocated}
+		}
 	}
 	if p, ok := sparql.PlanBoundJoin(q); ok {
 		return queryPlan{query: q, kind: planBoundJoin, bound: p}
@@ -102,4 +106,25 @@ func colocated(q *sparql.Query) bool {
 		}
 	})
 	return ok && grounded
+}
+
+// keysOnOutput reports whether every variable q's ORDER BY reads is an
+// output column (and no key is EXISTS), as the colocated union, which
+// orders the shards' projected lines, needs; any other query falls to
+// the bound join or gather, which read keys over full solutions.
+// SELECT * outputs every variable; ASK and CONSTRUCT are not ordered.
+func keysOnOutput(q *sparql.Query) bool {
+	ok := true
+	for _, o := range q.OrderBy {
+		sparql.WalkExpr(o.Expr, func(x sparql.Expr) bool {
+			switch x := x.(type) {
+			case sparql.VarExpr:
+				ok = ok && slices.ContainsFunc(q.Select, func(it sparql.SelectItem) bool { return it.Var == x.Name })
+			case sparql.ExistsExpr:
+				ok = false
+			}
+			return ok
+		})
+	}
+	return ok || q.Star || q.Ask || q.Construct != nil
 }

@@ -406,7 +406,7 @@ func (c *Coordinator) QueryX(ctx context.Context, req endpoint.Request) (*sparql
 	case planColocated:
 		res, calls, skipped, err = c.runColocated(ctx, v, p.query, req.Opts.Step)
 	case planPartialAgg:
-		res, calls, skipped, err = c.runPartialAgg(ctx, v, p.query, p.agg, req.Opts.Step)
+		res, calls, skipped, err = c.runPartialAgg(ctx, v, p.agg, req.Opts.Step)
 	case planBoundJoin:
 		res, calls, skipped, err = c.runBoundJoin(ctx, v, p.bound, req.Opts.Step)
 	default:
@@ -594,20 +594,18 @@ func (c *Coordinator) runAsk(ctx context.Context, v *view, q *sparql.Query, step
 
 // runPartialAgg pushes partial aggregation to the shards and
 // finalizes groups at the coordinator.
-func (c *Coordinator) runPartialAgg(ctx context.Context, v *view, q *sparql.Query, plan *sparql.PartialAggPlan, step string) (*sparql.Results, []obs.ShardCall, []int, error) {
+func (c *Coordinator) runPartialAgg(ctx context.Context, v *view, plan *sparql.PartialAggPlan, step string) (*sparql.Results, []obs.ShardCall, []int, error) {
 	results, calls, skipped, err := c.scatterText(ctx, v, plan.ShardQuery().String(), step)
 	if err != nil {
 		return nil, calls, nil, err
 	}
+	// Merge finishes too: the ORDER BY keys read the merged groups.
 	mergeStart := time.Now()
 	merged, err := plan.Merge(results)
 	c.m.mergePhase["merge"].ObserveDuration(time.Since(mergeStart))
 	if err != nil {
 		return nil, calls, nil, err
 	}
-	finStart := time.Now()
-	sparql.MergeFinalize(q, merged)
-	c.m.mergePhase["finalize"].ObserveDuration(time.Since(finStart))
 	return merged, calls, skipped, nil
 }
 

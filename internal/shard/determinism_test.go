@@ -360,11 +360,24 @@ func TestGatherUnorderedAnswerCanonical(t *testing.T) {
 }
 
 // TestOrderByExpressionSingleNode: ORDER BY keys that are bracketed
-// expressions or bare calls — a colocated star and a partial
-// aggregate ordered on an aggregate — answer at 3 shards byte for
-// byte as the single node does.
+// expressions or bare calls, aggregates and unprojected variables
+// answer at 3 shards byte for byte as the single node does, in the
+// plan class each shape takes, and where the order is written out by
+// hand, in that order: a partial aggregate ordered on COUNT over groups
+// of distinct counts and on an unprojected SUM, a colocated star
+// ordered on an unprojected variable (gather, since the shards' lines
+// cannot carry the key) and a bound join ordered on one.
 func TestOrderByExpressionSingleNode(t *testing.T) {
 	ts := determinismTriples()
+	// Four categories of 3, 1, 4 and 2 members, so neither the IRIs'
+	// nor the first-appearance order is the order of the counts.
+	for k, size := range []int{3, 1, 4, 2} {
+		cat := rdf.NewIRI(fmt.Sprintf("http://u/c%d", k))
+		for m := 0; m < size; m++ {
+			x := rdf.NewIRI(fmt.Sprintf("http://u/x%d_%d", k, m))
+			ts = append(ts, rdf.NewTriple(x, rdf.NewIRI("http://u/cat"), cat), rdf.NewTriple(x, rdf.NewIRI("http://u/w"), rdf.NewInteger(int64(10*k+m))))
+		}
+	}
 	single := store.New()
 	if err := single.AddAll(ts); err != nil {
 		t.Fatal(err)
@@ -372,10 +385,22 @@ func TestOrderByExpressionSingleNode(t *testing.T) {
 	engine := sparql.NewEngine(single)
 	c := newTopology(t, ts, 3)
 	defer c.Close()
-	for q, plan := range map[string]string{
-		`SELECT ?s ?v WHERE { ?s <http://t/value> ?v } ORDER BY (0 - ?v) STR(?s)`:                                "colocated",
-		`SELECT ?r (COUNT(?s) AS ?n) WHERE { ?s <http://t/region> ?r } GROUP BY ?r ORDER BY (COUNT(?s)) STR(?r)`: "partial_agg",
+	for _, tc := range []struct {
+		query, plan string
+		want        []string // the first column, in order; nil: as the engine
+	}{
+		{`SELECT ?s ?v WHERE { ?s <http://t/value> ?v } ORDER BY (0 - ?v) STR(?s)`, "colocated", nil},
+		{`SELECT ?r (COUNT(?s) AS ?n) WHERE { ?s <http://t/region> ?r } GROUP BY ?r ORDER BY (COUNT(?s)) STR(?r)`, "partial_agg", nil},
+		{`SELECT ?c (COUNT(?x) AS ?n) WHERE { ?x <http://u/cat> ?c } GROUP BY ?c ORDER BY DESC(COUNT(?x))`, "partial_agg",
+			[]string{"http://u/c2", "http://u/c0", "http://u/c3", "http://u/c1"}},
+		{`SELECT ?c WHERE { ?x <http://u/cat> ?c . ?x <http://u/w> ?w } GROUP BY ?c ORDER BY DESC(SUM(?w))`, "partial_agg",
+			[]string{"http://u/c2", "http://u/c3", "http://u/c1", "http://u/c0"}},
+		{`SELECT ?s WHERE { ?s <http://t/value> ?v } ORDER BY DESC(?v) LIMIT 4`, "gather",
+			[]string{"http://t/obs11", "http://t/obs10", "http://t/obs9", "http://t/obs8"}},
+		{`SELECT ?s ?l WHERE { ?s <http://t/region> ?r . ?s <http://t/value> ?v . ?r <http://t/label> ?l } ORDER BY DESC(?v) LIMIT 4`, "bound_join",
+			[]string{"http://t/obs11", "http://t/obs10", "http://t/obs9", "http://t/obs8"}},
 	} {
+		q := tc.query
 		want, err := engine.QueryString(q)
 		if err != nil {
 			t.Fatal(err)
@@ -384,14 +409,24 @@ func TestOrderByExpressionSingleNode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if meta.Plan != plan {
-			t.Errorf("%s: plan %s, want %s", q, meta.Plan, plan)
+		if meta.Plan != tc.plan {
+			t.Errorf("%s: plan %s, want %s", q, meta.Plan, tc.plan)
 		}
 		if len(want.Rows) < 2 {
 			t.Fatalf("%s: %d rows, too few to order", q, len(want.Rows))
 		}
 		if g, w := encode(t, got), encode(t, want); !bytes.Equal(g, w) {
 			t.Errorf("%s:\n3 shards %s\n  single %s", q, g, w)
+		}
+		if tc.want == nil {
+			continue
+		}
+		var first []string
+		for _, r := range want.Rows {
+			first = append(first, r[0].Value)
+		}
+		if !slices.Equal(first, tc.want) {
+			t.Errorf("%s: order %q, want %q", q, first, tc.want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"re2xolap/internal/rdf"
 	"re2xolap/internal/sparql"
@@ -24,7 +25,7 @@ func unionResults(q *sparql.Query, results []*sparql.Results) (*sparql.Results, 
 		}
 		if merged.Vars == nil {
 			merged.Vars = r.Vars
-		} else if !sameVars(merged.Vars, r.Vars) {
+		} else if !slices.Equal(merged.Vars, r.Vars) {
 			// Shards parse identical query text, so diverging headers
 			// mean a backend is not answering the query we sent.
 			return nil, fmt.Errorf("shard: result header mismatch: %v vs %v", merged.Vars, r.Vars)
@@ -66,16 +67,4 @@ func unionGraphs(results []*sparql.Results) (*sparql.Results, error) {
 		merged.Triples = append(merged.Triples, rdf.Triple{S: terms[t[0]], P: terms[t[1]], O: terms[t[2]]})
 	}
 	return merged, nil
-}
-
-func sameVars(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,7 +1,6 @@
 package sparql
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -257,8 +256,8 @@ func (t *aggTable) merge(ops []aggOp, src *aggTable) {
 }
 
 // aggSpec is what one aggregate query asks of the algebra, with the
-// plan emit runs: HAVING and the projection compiled once per spec
-// against the key columns vars (see plan).
+// plan emit runs: HAVING, the projection and the ORDER BY keys compiled
+// once per spec against the key columns vars (see plan).
 type aggSpec struct {
 	q       *Query    // GROUP BY, the projection, HAVING and the modifiers
 	aggs    []AggExpr // the distinct aggregates, one partial each
@@ -266,12 +265,14 @@ type aggSpec struct {
 	args    []Expr    // the distinct aggregate arguments, each evaluated once per row
 	having  []Expr    // q.Having with every aggregate resolved to its aggRef
 	project []Expr    // q.Select[i].Expr likewise; a VarExpr for a plain variable
+	order   []Expr    // q.OrderBy in SPARQL's scope (orderScope)
 	vars    []string  // variables emit reads from aggGroup.key
 
-	tests     []condFn  // having, compiled
-	testAggs  []int     // the aggregates having reads
-	cols      []emitCol // project, one per output column
-	orderCols []emitCol // q.OrderBy as copied output columns; nil if it is not that
+	tests    []condFn  // having, compiled
+	testAggs []int     // the aggregates having reads
+	cols     []emitCol // project, one per output column
+	keys     []evalFn  // order, compiled
+	keyAggs  []int     // the aggregates order reads
 }
 
 // emitCol is how emit fills one output column: a copy of a key column
@@ -300,6 +301,10 @@ func newAggSpec(q *Query) *aggSpec {
 		s.vars = exprVars(h, s.vars, false)
 		s.having = append(s.having, resolveAggregates(h, idx))
 	}
+	s.order = orderScope(q, idx)
+	for _, o := range s.order {
+		s.vars = exprVars(o, s.vars, false)
+	}
 	argIdx := map[string]int{}
 	for _, a := range aggs {
 		op := aggOp{kind: aggKinds[a.Fn], distinct: a.Distinct, sep: a.Sep, arg: -1}
@@ -327,16 +332,11 @@ func newAggSpec(q *Query) *aggSpec {
 // hold no state, so one spec serves concurrent emits.
 func (s *aggSpec) plan() {
 	c := compiler{cols: s.vars, aggBase: len(s.vars)}
-	s.tests, s.testAggs = nil, nil
+	s.tests = nil
 	for _, h := range s.having {
 		s.tests = append(s.tests, c.cond(h))
-		WalkExpr(h, func(x Expr) bool {
-			if r, ok := x.(aggRef); ok && !slices.Contains(s.testAggs, int(r)) {
-				s.testAggs = append(s.testAggs, int(r))
-			}
-			return true
-		})
 	}
+	s.testAggs = aggsRead(s.having)
 	s.cols = make([]emitCol, len(s.project))
 	for i, e := range s.project {
 		col := emitCol{key: -1, agg: -1}
@@ -351,23 +351,21 @@ func (s *aggSpec) plan() {
 		}
 		s.cols[i] = col
 	}
-	// The cut reads each ORDER BY key where applyModifiers would: in the
-	// one output column of that name, which must be a copy.
-	s.orderCols = nil
-	for _, o := range s.q.OrderBy {
-		v, _ := o.Expr.(VarExpr) // no output column is named ""
-		n, at := 0, 0
-		for i, it := range s.q.Select {
-			if it.Var == v.Name {
-				n, at = n+1, i
+	s.keys, s.keyAggs = c.orderKeys(s.order), aggsRead(s.order)
+}
+
+// aggsRead lists the aggregates exprs read, each once.
+func aggsRead(exprs []Expr) []int {
+	var out []int
+	for _, e := range exprs {
+		WalkExpr(e, func(x Expr) bool {
+			if r, ok := x.(aggRef); ok && !slices.Contains(out, int(r)) {
+				out = append(out, int(r))
 			}
-		}
-		if n != 1 || s.cols[at].fn != nil {
-			s.orderCols = nil
-			return
-		}
-		s.orderCols = append(s.orderCols, s.cols[at])
+			return true
+		})
 	}
+	return out
 }
 
 // aggRef stands for an aggregate inside aggSpec.having and
@@ -381,30 +379,19 @@ func (aggRef) expr() {}
 func (r aggRef) String() string { return fmt.Sprintf("aggregate#%d", int(r)) }
 
 // resolveAggregates returns e with every AggExpr replaced by its
-// aggRef, once per query, so that emit neither clones the tree nor
-// renders an aggregate per group.
+// aggRef in idx, once per query, so that emit neither clones the tree
+// nor renders an aggregate per group. A nil idx (no grouping) resolves
+// nothing.
 func resolveAggregates(e Expr, idx map[string]int) Expr {
-	switch x := e.(type) {
-	case AggExpr:
-		return aggRef(idx[x.String()])
-	case BinaryExpr:
-		return BinaryExpr{Op: x.Op, L: resolveAggregates(x.L, idx), R: resolveAggregates(x.R, idx)}
-	case UnaryExpr:
-		return UnaryExpr{Op: x.Op, E: resolveAggregates(x.E, idx)}
-	case InExpr:
-		list := make([]Expr, len(x.List))
-		for i, y := range x.List {
-			list[i] = resolveAggregates(y, idx)
-		}
-		return InExpr{E: resolveAggregates(x.E, idx), List: list, Not: x.Not}
-	case FuncExpr:
-		args := make([]Expr, len(x.Args))
-		for i, y := range x.Args {
-			args[i] = resolveAggregates(y, idx)
-		}
-		return FuncExpr{Name: x.Name, Args: args}
+	if idx == nil {
+		return e
 	}
-	return e
+	return mapExpr(e, func(x Expr) (Expr, bool) {
+		if a, ok := x.(AggExpr); ok {
+			return aggRef(idx[a.String()]), true
+		}
+		return nil, false
+	})
 }
 
 // collectAggs gathers every distinct aggregate expression used in the
@@ -438,15 +425,26 @@ func collectAggs(q *Query) ([]AggExpr, map[string]int) {
 	return aggs, idx
 }
 
-// emit finalizes the groups of t in t.order, keeps those HAVING holds
-// for, and projects them. A query with aggregates but no GROUP BY over
-// no input still yields one empty group (COUNT = 0). HAVING reads each
-// group's finalized aggregates as Values, a number pending (not
-// rendered) unless an expression reads its term. With cut set — the
-// single-node path, whose answer applyModifiers orders next — an ORDER
-// BY over copied columns whose LIMIT cuts the answer projects only the
-// groups the cut keeps (cutGroups). ctxErr is polled between groups.
-func (s *aggSpec) emit(t *aggTable, ctxErr func() error, cut bool) (*Results, error) {
+// emit answers the groups of t: solutions, then the modifiers, ties
+// broken by group order when stable (the single node's rule) and
+// canonically otherwise (the coordinator's).
+func (s *aggSpec) emit(t *aggTable, ctxErr func() error, stable bool) (*Results, error) {
+	sol, err := s.solutions(t, ctxErr)
+	if err != nil {
+		return nil, err
+	}
+	return sol.finish(s.q, stable), nil
+}
+
+// solutions finalizes the groups of t in t.order, keeps those HAVING
+// holds for and reads their ORDER BY keys. A query with aggregates but
+// no GROUP BY over no input still yields one empty group (COUNT = 0).
+// HAVING and the keys read each group's finalized aggregates as
+// Values, a number pending (not rendered) unless an expression reads
+// its term. A group's line is rendered only when the answer keeps it,
+// or for all groups at once when DISTINCT or a canonical tie-break
+// first reads one. ctxErr is polled between groups.
+func (s *aggSpec) solutions(t *aggTable, ctxErr func() error) (*solutions, error) {
 	if len(t.order) == 0 && len(s.q.GroupBy) == 0 {
 		t.add("", make([]rdf.Term, len(s.vars)), len(s.aggs))
 	}
@@ -468,51 +466,46 @@ groups:
 		}
 		kept = append(kept, g)
 	}
-	if keep := cutSize(s.q, len(kept)); cut && s.orderCols != nil && keep < len(kept) {
-		kept = s.cutGroups(kept, keep)
+	keys := orderValues(s.keys, len(kept), func(i int) (*executor, row, []rdf.Term) {
+		g := kept[i]
+		for _, ai := range s.keyAggs {
+			gx.group[ai] = g.parts[ai].finalize(&s.ops[ai])
+		}
+		return gx, nil, g.key
+	})
+	vars := make([]string, len(s.q.Select))
+	for i, it := range s.q.Select {
+		vars[i] = it.Var
 	}
-	return s.render(gx, kept), nil
-}
-
-// cutGroups is the ordered-LIMIT cut over groups: the first keep of
-// kept in ORDER BY order, ties in group order. The keys are the values
-// of the output cells applyModifiers reads them from, and its ties
-// break by row position, which is group order, so these are exactly
-// the rows it would keep of the whole answer.
-func (s *aggSpec) cutGroups(kept []*aggGroup, keep int) []*aggGroup {
-	n := len(s.orderCols)
-	keys := make([]Value, len(kept)*n)
-	for i, g := range kept {
-		for j, col := range s.orderCols {
-			if col.agg >= 0 {
-				keys[i*n+j] = g.parts[col.agg].finalize(&s.ops[col.agg])
-			} else if col.key >= 0 && Bound(g.key[col.key]) {
-				keys[i*n+j] = constValue(g.key[col.key])
+	var all [][]rdf.Term
+	return &solutions{
+		vars: vars, n: len(kept), keys: keys,
+		line: func(i int) []rdf.Term {
+			if all == nil {
+				all = s.render(gx, kept)
 			}
-		}
-	}
-	return pick(kept, firstRows(len(kept), keep, func(i, j int) int {
-		if c := orderCmp(s.q.OrderBy, keys[i*n:], keys[j*n:]); c != 0 {
-			return c
-		}
-		return cmp.Compare(i, j)
-	}))
+			return all[i]
+		},
+		lines: func(perm []int) [][]rdf.Term {
+			if all != nil {
+				return pick(all, perm)
+			}
+			return s.render(gx, pick(kept, perm))
+		},
+	}, nil
 }
 
-// render projects the kept groups into lines carved from one slab. A
+// render projects groups into lines carved from one slab. A
 // key column is copied from the group's key, an aggregate's value from
 // its finalized Value; a pending number is formatted into one arena
 // whose string, made once all are formatted, every such cell slices.
 // Only expression columns run a closure.
-func (s *aggSpec) render(gx *executor, kept []*aggGroup) *Results {
+func (s *aggSpec) render(gx *executor, kept []*aggGroup) [][]rdf.Term {
 	nc, nums := len(s.cols), 0
 	for _, col := range s.cols {
 		nums += b2i(col.num)
 	}
-	res := &Results{Vars: make([]string, nc), Rows: make([][]rdf.Term, len(kept))}
-	for i, it := range s.q.Select {
-		res.Vars[i] = it.Var
-	}
+	rows := make([][]rdf.Term, len(kept))
 	slab := make([]rdf.Term, len(kept)*nc)
 	arena := make([]byte, 0, 8*nums*len(kept))
 	ends := make([]int, 0, nums*len(kept)) // where each formatted number ends
@@ -538,17 +531,17 @@ func (s *aggSpec) render(gx *executor, kept []*aggGroup) *Results {
 				line[ci] = g.key[col.key]
 			}
 		}
-		res.Rows[i] = line
+		rows[i] = line
 	}
 	text, from := string(arena), 0
-	for _, line := range res.Rows {
+	for _, line := range rows {
 		for ci, col := range s.cols {
 			if cell := &line[ci]; col.num && cell.Datatype != "" {
 				cell.Value, from, ends = text[from:ends[0]], ends[0], ends[1:]
 			}
 		}
 	}
-	return res
+	return rows
 }
 
 // aggFold is an aggSpec compiled against one query's slots: what
@@ -584,7 +577,7 @@ func (ex *executor) compileFold(s *aggSpec) *aggFold {
 // streaming the input rows into partial states: one inline chunk below
 // the parallel threshold, one chunk per worker above it, merged in
 // chunk order.
-func (ex *executor) aggregate(q *Query, rows []row) (*Results, error) {
+func (ex *executor) aggregate(q *Query, rows []row) (*solutions, error) {
 	f := ex.compileFold(newAggSpec(q))
 	rows = ex.extendRows(rows)
 	chunks := [][2]int{{0, len(rows)}}
@@ -603,7 +596,7 @@ func (ex *executor) aggregate(q *Query, rows []row) (*Results, error) {
 	for _, t := range tables[1:] {
 		tables[0].merge(f.spec.ops, t)
 	}
-	return f.spec.emit(tables[0], ex.ctxErr, true)
+	return f.spec.solutions(tables[0], ex.ctxErr)
 }
 
 // foldRows folds a contiguous run of input rows into a fresh table,

@@ -396,7 +396,7 @@ func shardedRows(t *testing.T, src string, triples []rdf.Triple, n int, rng *ran
 
 // checkCut runs the ordered query src with LIMIT and OFFSET, which
 // emit cuts before projecting, against src unlimited — ordered whole
-// by applyModifiers — windowed the same way.
+// by the one finish — windowed the same way.
 func checkCut(t *testing.T, src string, triples []rdf.Triple, limit, offset int) {
 	t.Helper()
 	st := store.New()

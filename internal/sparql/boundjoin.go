@@ -207,17 +207,8 @@ func PlanBoundJoin(q *Query) (*BoundJoinPlan, bool) {
 			if used[r.pos] {
 				continue
 			}
-			if connected {
-				shares := false
-				for _, v := range r.g.Vars {
-					if bound[v] {
-						shares = true
-						break
-					}
-				}
-				if !shares {
-					continue
-				}
+			if connected && !slices.ContainsFunc(r.g.Vars, func(v string) bool { return bound[v] }) {
+				continue
 			}
 			if best == nil || r.hint < best.hint {
 				best = r
@@ -356,14 +347,7 @@ func (e *BoundJoinExec) StepQueries(chunk int) []string {
 	// The probe layout is the group's variable order; split it into
 	// join positions (hash key) and new positions (appended columns).
 	for i, v := range g.Vars {
-		isJoin := false
-		for _, j := range jv {
-			if v == j {
-				isJoin = true
-				break
-			}
-		}
-		if isJoin {
+		if slices.Contains(jv, v) {
 			e.probeKey = append(e.probeKey, i)
 		} else {
 			e.probeNew = append(e.probeNew, i)
@@ -375,7 +359,7 @@ func (e *BoundJoinExec) StepQueries(chunk int) []string {
 
 	jIdx := make([]int, len(jv))
 	for i, v := range jv {
-		jIdx[i] = e.columnOf(v)
+		jIdx[i] = slices.Index(e.vars, v)
 	}
 	e.hash = make(map[string][]int, len(e.rows))
 	type keyedBinding struct {
@@ -407,10 +391,7 @@ func (e *BoundJoinExec) StepQueries(chunk int) []string {
 	}
 	var texts []string
 	for lo := 0; lo < len(distinct); lo += chunk {
-		hi := lo + chunk
-		if hi > len(distinct) {
-			hi = len(distinct)
-		}
+		hi := min(lo+chunk, len(distinct))
 		bindings := make([][]rdf.Term, 0, hi-lo)
 		for _, kb := range distinct[lo:hi] {
 			bindings = append(bindings, kb.row)
@@ -418,17 +399,6 @@ func (e *BoundJoinExec) StepQueries(chunk int) []string {
 		texts = append(texts, e.plan.stepQuery(e.step, bindings).String())
 	}
 	return texts
-}
-
-// columnOf returns a variable's position in the accumulated layout,
-// or -1. Caller holds e.mu.
-func (e *BoundJoinExec) columnOf(v string) int {
-	for i, n := range e.vars {
-		if n == v {
-			return i
-		}
-	}
-	return -1
 }
 
 // Feed streams one shard response of the current step into the join.
@@ -483,14 +453,14 @@ func (e *BoundJoinExec) EndStep() {
 }
 
 // Finalize applies the residual filters, evaluates the projection,
-// and canonically finalizes with the original query's modifiers. For
-// ASK the boolean is whether any row survived. Filter errors drop
-// the row and projection errors leave the cell unbound, matching the
-// engine's semantics. When LIMIT cuts the answer and the ORDER BY keys
-// read only plain projected variables, the keys come from the joined
-// rows and a row is projected only once the canonical tie-break or the
-// answer needs it. Rows seldom tie on their keys, so most rows the cut
-// drops are never projected; the answer is MergeFinalize's either way.
+// and finishes with the original query's modifiers, ties broken
+// canonically. For ASK the boolean is whether any row survived. Filter
+// errors drop the row and projection errors leave the cell unbound,
+// matching the engine's semantics. The ORDER BY keys, in SPARQL's
+// scope, are read off the joined rows, and a row is projected only once
+// the canonical tie-break, DISTINCT or the answer needs it: rows seldom
+// tie on their keys, so most rows an ordered LIMIT drops are never
+// projected.
 func (e *BoundJoinExec) Finalize() (*Results, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -517,64 +487,11 @@ func (e *BoundJoinExec) Finalize() (*Results, error) {
 	if q.Ask {
 		return &Results{IsAsk: true, Boolean: len(rows) > 0}, nil
 	}
-	res := &Results{}
+	vars := make([]string, len(q.Select))
 	cells := make([]evalFn, len(q.Select))
 	for i, it := range q.Select {
-		res.Vars = append(res.Vars, it.Var)
+		vars[i] = it.Var
 		cells[i] = c.value(it.cell())
 	}
-	project := func(row []rdf.Term) []rdf.Term {
-		line := make([]rdf.Term, len(q.Select))
-		for i, cell := range cells {
-			if v, err := cell(nil, nil, row); err == nil && v.Bound {
-				line[i] = v.Term
-			}
-		}
-		return line
-	}
-	if keep := cutSize(q, len(rows)); keep < len(rows) && keysProjected(q) {
-		lines := make([][]rdf.Term, len(rows))
-		line := func(i int) []rdf.Term {
-			if lines[i] == nil {
-				lines[i] = project(rows[i])
-			}
-			return lines[i]
-		}
-		perm := firstRows(len(rows), keep, canonicalOrder(q.OrderBy, sortKeys(q.OrderBy, e.vars, rows), line))
-		res.Rows = make([][]rdf.Term, len(perm))
-		for i, p := range perm {
-			res.Rows[i] = line(p)
-		}
-		res.Rows = window(q, res.Rows)
-		return res, nil
-	}
-	res.Rows = make([][]rdf.Term, len(rows))
-	for ri, row := range rows {
-		res.Rows[ri] = project(row)
-	}
-	MergeFinalize(q, res)
-	return res, nil
-}
-
-// keysProjected reports whether every variable q's ORDER BY reads is a
-// column q projects as that plain variable: then a key evaluates to the
-// same value over a joined row as over its projected line.
-func keysProjected(q *Query) bool {
-	for _, o := range q.OrderBy {
-		for _, v := range exprVars(o.Expr, nil, true) {
-			plain := false
-			for _, it := range q.Select {
-				if it.Var == v {
-					if it.Expr != nil {
-						return false
-					}
-					plain = true
-				}
-			}
-			if !plain {
-				return false
-			}
-		}
-	}
-	return true
+	return termSolutions(c, orderScope(q, nil), rows, vars, cells).finish(q, false), nil
 }

@@ -21,16 +21,17 @@ import (
 // shards the data is split across. A single store has a natural row
 // order (its join emission order); a federation does not, so wherever
 // the language leaves order unspecified the coordinator imposes a
-// canonical one (see MergeFinalize). Everything here lives in package
-// sparql because it reuses the executor's value semantics — orderLess,
-// numValue, expression evaluation — which is exactly what makes the
-// merged output byte-compatible with a 1-shard topology.
+// canonical one (the canonical tie-break of finish). Everything here
+// lives in package sparql because it reuses the executor's value
+// semantics — orderLess, numValue, expression evaluation — which is
+// exactly what makes the merged output byte-compatible with a 1-shard
+// topology.
 
 // CanonicalRowKey serializes a result row into a byte-comparable key.
 // Its order is the tie-break (and, absent ORDER BY, the entire sort
 // order) the coordinator uses to give merged results a deterministic
-// order; MergeFinalize compares rows in that order without building the
-// keys (compareRows).
+// order; finish compares rows in that order without building the keys
+// (compareRows).
 func CanonicalRowKey(row []rdf.Term) string {
 	var b strings.Builder
 	for _, t := range row {
@@ -173,62 +174,6 @@ func escapeRun(s string) (head, rest string) {
 	return s[:i], s[i:]
 }
 
-// MergeFinalize applies the query's solution modifiers to a merged,
-// cross-shard result set: rows are sorted by the ORDER BY keys with
-// the CanonicalRowKey order (compareRows) as the final tie-break — or
-// by it alone when the query has no ORDER BY — then DISTINCT, OFFSET,
-// and LIMIT apply exactly as in the sequential engine, DISTINCT keeping
-// the first row of each canonical key in sorted order. When LIMIT cuts
-// the answer and there is no DISTINCT, only the rows the cut keeps are
-// sorted (cutSize, firstRows); the order is a total one up to identical
-// keys, so the answer is the same.
-//
-// The canonical tie-break is what makes a scatter-gather merge
-// deterministic: a stable sort (the engine's choice) would leave ties
-// in arrival order, which depends on the shard topology.
-func MergeFinalize(q *Query, res *Results) {
-	if res.IsAsk || res.IsConstruct {
-		return
-	}
-	rows := res.Rows
-	order := canonicalOrder(q.OrderBy, sortKeys(q.OrderBy, res.Vars, rows), func(i int) []rdf.Term { return rows[i] })
-	rows = pick(rows, firstRows(len(rows), cutSize(q, len(rows)), order))
-	if q.Distinct {
-		// Group sorted positions by canonical key, stably: the first of a
-		// run of equal keys is the first of them in sorted order.
-		pos := make([]int, len(rows))
-		for i := range pos {
-			pos[i] = i
-		}
-		sort.SliceStable(pos, func(i, j int) bool { return compareRows(rows[pos[i]], rows[pos[j]]) < 0 })
-		dup := make([]bool, len(rows))
-		for i := 1; i < len(pos); i++ {
-			dup[pos[i]] = compareRows(rows[pos[i-1]], rows[pos[i]]) == 0
-		}
-		out := rows[:0]
-		for i, r := range rows {
-			if !dup[i] {
-				out = append(out, r)
-			}
-		}
-		rows = out
-	}
-	res.Rows = window(q, rows)
-}
-
-// canonicalOrder is the coordinator's order over row positions: by the
-// ORDER BY keys (laid out as sortKeys lays them out), then by
-// compareRows over the rows line returns.
-func canonicalOrder(order []OrderKey, keys []Value, line func(i int) []rdf.Term) func(i, j int) int {
-	n := len(order)
-	return func(i, j int) int {
-		if c := orderCmp(order, keys[i*n:], keys[j*n:]); c != 0 {
-			return c
-		}
-		return compareRows(line(i), line(j))
-	}
-}
-
 // partialCols names the shard-result columns carrying one aggregate's
 // partial state (cnt is the AVG count column, empty otherwise).
 type partialCols struct{ val, cnt string }
@@ -240,8 +185,8 @@ const partialColPrefix = "_sg"
 
 // PartialAggPlan is a decomposed GROUP BY query: ShardQuery pushes
 // partial aggregation down to each shard, Merge combines the shards'
-// partial states and finalizes HAVING and the projection. The caller
-// applies MergeFinalize afterwards.
+// partial states and finalizes HAVING, the projection and the solution
+// modifiers.
 type PartialAggPlan struct {
 	// spec is the original query's aggregate spec with vars set to the
 	// GROUP BY variables and every SAMPLE replaced by the MIN it is
@@ -282,25 +227,12 @@ func PlanPartialAggregation(q *Query) (*PartialAggPlan, bool) {
 			return nil, false
 		}
 	}
-	inGroupBy := map[string]bool{}
-	for _, v := range q.GroupBy {
-		inGroupBy[v] = true
-	}
-	// Every non-aggregated variable reaching the output must be a
-	// GROUP BY key, or its value would come from a topology-dependent
-	// representative row.
+	// Every non-aggregated variable reaching the output or an ORDER BY
+	// key must be a GROUP BY key, or its value would come from a
+	// topology-dependent representative row.
 	for _, v := range spec.vars {
-		if !inGroupBy[v] {
+		if !slices.Contains(q.GroupBy, v) {
 			return nil, false
-		}
-	}
-	for _, o := range q.OrderBy {
-		// ORDER BY may also reference projection aliases, which are
-		// resolved over the output row; only reject free variables.
-		for _, v := range exprVars(o.Expr, nil, false) {
-			if !inGroupBy[v] && !selectsVar(q, v) {
-				return nil, false
-			}
 		}
 	}
 	spec.vars = q.GroupBy
@@ -348,23 +280,12 @@ func PlanPartialAggregation(q *Query) (*PartialAggPlan, bool) {
 	return p, true
 }
 
-// selectsVar reports whether the query projects a column named v.
-func selectsVar(q *Query, v string) bool {
-	for _, it := range q.Select {
-		if it.Var == v {
-			return true
-		}
-	}
-	return false
-}
-
 // Merge combines per-shard partial-aggregate results (one *Results
 // per shard, in shard order; nil entries — failed shards in degraded
 // mode — are skipped) into the final result rows: each shard row loads
 // into a partial state that merges into its group, then groups
-// finalize and emit as on a single node. Group order is canonical (by
-// CanonicalRowKey); the caller applies MergeFinalize for ORDER BY /
-// DISTINCT / LIMIT.
+// finalize and emit as on a single node, with the solution modifiers
+// breaking ties canonically, so the answer is final.
 //
 // Groups are found by integers, not by rendered keys: every key cell
 // is interned once, the distinct terms are ranked by their rendering
@@ -446,6 +367,8 @@ func (p *PartialAggPlan) Merge(shardResults []*Results) (*Results, error) {
 			}
 		}
 	}
+	// Canonical key order: lines usually start with the group's keys, so
+	// this cheap sort leaves the finish's compareRows little to sort.
 	sort.Strings(t.order)
 	return p.spec.emit(t, func() error { return nil }, false)
 }

@@ -456,7 +456,20 @@ func cutRowsCase(seed int64) (*Query, *Results) {
 // LIMIT.
 func refModifiers(q *Query, res *Results, tie func(a, b []rdf.Term) int, key func([]rdf.Term) string) [][]rdf.Term {
 	n := len(q.OrderBy)
-	keys := sortKeys(q.OrderBy, res.Vars, res.Rows)
+	keys := make([]Value, len(res.Rows)*n)
+	for i, r := range res.Rows {
+		b := refBinding{}
+		for j, v := range res.Vars {
+			if Bound(r[j]) {
+				b[v] = r[j]
+			}
+		}
+		for k, o := range q.OrderBy {
+			if v, err := evalExpr(o.Expr, refEnv{b: b}); err == nil {
+				keys[i*n+k] = v
+			}
+		}
+	}
 	perm := make([]int, len(res.Rows))
 	for i := range perm {
 		perm[i] = i
@@ -482,10 +495,10 @@ func refModifiers(q *Query, res *Results, tie func(a, b []rdf.Term) int, key fun
 	return window(q, out)
 }
 
-// FuzzMergeFinalize holds both users of the ordered-LIMIT kernel to a
+// FuzzMergeFinalize holds the one finish, under both tie rules, to a
 // full sort plus a cut: MergeFinalize (canonical tie-break) as
-// CanonicalRowKey sequences, and the engine's applyModifiers (ties by
-// input position, as a stable sort leaves them) row for row.
+// CanonicalRowKey sequences, and the single node's stable finish (ties
+// by input position, as a stable sort leaves them) row for row.
 func FuzzMergeFinalize(f *testing.F) {
 	for seed := int64(0); seed < 32; seed++ {
 		f.Add(seed)
@@ -507,18 +520,18 @@ func FuzzMergeFinalize(f *testing.F) {
 			t.Fatalf("MergeFinalize (seed %d, %s):\n got %q\nwant %q", seed, q, g, want)
 		}
 
-		engineKey := func(r []rdf.Term) string { return fmt.Sprint(r) }
-		wantRows := refModifiers(q, res, nil, engineKey)
-		got = &Results{Vars: res.Vars, Rows: slices.Clone(res.Rows)}
-		if err := applyModifiers(q, got); err != nil {
-			t.Fatal(err)
+		wantRows := refModifiers(q, res, nil, CanonicalRowKey)
+		exprs := make([]Expr, len(q.OrderBy))
+		for i, o := range q.OrderBy {
+			exprs[i] = o.Expr
 		}
-		if len(got.Rows) != len(wantRows) {
-			t.Fatalf("applyModifiers (seed %d, %s): %d rows, want %d", seed, q, len(got.Rows), len(wantRows))
+		gotRows := termSolutions(termCompiler(res.Vars), exprs, res.Rows, res.Vars, nil).finish(q, true).Rows
+		if len(gotRows) != len(wantRows) {
+			t.Fatalf("stable finish (seed %d, %s): %d rows, want %d", seed, q, len(gotRows), len(wantRows))
 		}
 		for i := range wantRows {
-			if !slices.Equal(got.Rows[i], wantRows[i]) {
-				t.Fatalf("applyModifiers (seed %d, %s): row %d is %v, want %v", seed, q, i, got.Rows[i], wantRows[i])
+			if !slices.Equal(gotRows[i], wantRows[i]) {
+				t.Fatalf("stable finish (seed %d, %s): row %d is %v, want %v", seed, q, i, gotRows[i], wantRows[i])
 			}
 		}
 	})

@@ -1,10 +1,8 @@
 package sparql
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"math/bits"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -158,17 +156,18 @@ func (e *Engine) queryPhased(ctx context.Context, q *Query, view *store.View, re
 			pn.Workers = ex.workers
 		}
 	}
-	res, err := stage(q, rows)
+	sol, err := stage(q, rows)
 	aggregated := rec.lap()
 	if err != nil {
 		return nil, err
 	}
-	ex.prof.closeAt(pn, aggregated, len(res.Rows))
+	ex.prof.closeAt(pn, aggregated, sol.n)
 	var mn *ProfileNode
 	if ex.prof != nil {
-		mn = ex.prof.openAt(aggregated, "modifiers", modifierDetail(q), len(res.Rows))
+		mn = ex.prof.openAt(aggregated, "modifiers", modifierDetail(q), sol.n)
 	}
-	if err := applyModifiers(q, res); err != nil {
+	res := sol.finish(q, true)
+	if err := ex.ctxErr(); err != nil {
 		return nil, err
 	}
 	ex.prof.closeAt(mn, rec.lap(), len(res.Rows))
@@ -892,8 +891,12 @@ func (ex *executor) applyFilterSeq(rows []row, test condFn) []row {
 	return out
 }
 
-// project builds the result set for a non-aggregate query.
-func (ex *executor) project(q *Query, rows []row) (*Results, error) {
+// project is the stage of a non-aggregate query: the ORDER BY keys are
+// read off the ID rows, and a line is rendered only for a row the
+// answer keeps, or for every row up front under DISTINCT. Rendering
+// fans out over the workers when rows are many, each writing its own
+// index range.
+func (ex *executor) project(q *Query, rows []row) (*solutions, error) {
 	items := q.Select
 	if q.Star {
 		items = nil
@@ -901,28 +904,41 @@ func (ex *executor) project(q *Query, rows []row) (*Results, error) {
 			items = append(items, SelectItem{Var: name})
 		}
 	}
-	res := &Results{}
+	vars := make([]string, len(items))
 	cells := make([]evalFn, len(items))
 	for i, it := range items {
-		res.Vars = append(res.Vars, it.Var)
+		vars[i] = it.Var
 		cells[i] = ex.compile(it.cell())
 	}
-	// Rendering decodes one term per output cell; with many rows it
-	// fans out over the workers, each writing its own index range.
-	res.Rows = make([][]rdf.Term, len(rows))
-	ex.runIndexed(len(rows), ex.parallel(len(rows)), func(w *executor, ri int) {
+	render := func(w *executor, r row) []rdf.Term {
 		line := make([]rdf.Term, len(items))
 		for i, cell := range cells {
-			if v, err := cell(w, rows[ri], nil); err == nil && v.Bound {
+			if v, err := cell(w, r, nil); err == nil && v.Bound {
 				line[i] = v.Term
 			}
 		}
-		res.Rows[ri] = line
-	})
-	if err := ex.ctxErr(); err != nil {
-		return nil, err
+		return line
 	}
-	return res, nil
+	keys := orderValues(compiler{slots: ex.slots, aggBase: -1}.orderKeys(orderScope(q, nil)), len(rows), func(i int) (*executor, row, []rdf.Term) {
+		return ex, rows[i], nil
+	})
+	var lines [][]rdf.Term
+	if q.Distinct {
+		lines = make([][]rdf.Term, len(rows))
+		ex.runIndexed(len(rows), ex.parallel(len(rows)), func(w *executor, i int) { lines[i] = render(w, rows[i]) })
+	}
+	return &solutions{
+		vars: vars, n: len(rows), keys: keys,
+		line: func(i int) []rdf.Term { return lines[i] },
+		lines: func(perm []int) [][]rdf.Term {
+			if q.Distinct {
+				return pick(lines, perm)
+			}
+			out := make([][]rdf.Term, len(perm))
+			ex.runIndexed(len(perm), ex.parallel(len(perm)), func(w *executor, i int) { out[i] = render(w, rows[perm[i]]) })
+			return out
+		},
+	}, nil
 }
 
 // starVars is what SELECT * projects: the variables in scope of the
@@ -1016,182 +1032,4 @@ func (ex *executor) construct(q *Query, rows []row) *Results {
 	// Respect LIMIT/OFFSET on the constructed graph.
 	res.Triples = window(q, res.Triples)
 	return res
-}
-
-// sortKeys evaluates the ORDER BY keys of every row, compiled once
-// against the columns vars: row i's keys start at keys[i*len(order)].
-// A key that errors sorts as unbound; a bound key carries its numeric
-// value, parsed here once rather than in every comparison.
-func sortKeys(order []OrderKey, vars []string, rows [][]rdf.Term) []Value {
-	c := termCompiler(vars)
-	fns := make([]evalFn, len(order))
-	for j, o := range order {
-		fns[j] = c.value(o.Expr)
-	}
-	keys := make([]Value, len(rows)*len(order))
-	for i, r := range rows {
-		for j, f := range fns {
-			v, err := f(nil, nil, r)
-			switch {
-			case err != nil:
-				continue
-			case v.Bound && v.numState == 0:
-				v = constValue(v.Term)
-			}
-			keys[i*len(order)+j] = v
-		}
-	}
-	return keys
-}
-
-// orderCmp compares two rows' ORDER BY keys: negative when a sorts
-// first, zero when no key tells them apart.
-func orderCmp(order []OrderKey, a, b []Value) int {
-	for k, o := range order {
-		if c := orderCompare(a[k], b[k]); c != 0 {
-			if o.Desc {
-				return -c
-			}
-			return c
-		}
-	}
-	return 0
-}
-
-// cutSize is the number of leading rows of an ordered answer of n rows
-// that OFFSET and LIMIT can keep: OFFSET + LIMIT for a query with a
-// LIMIT and no DISTINCT (DISTINCT has to see every row before it knows
-// which come first), n otherwise.
-func cutSize(q *Query, n int) int {
-	offset := max(q.Offset, 0)
-	if q.Distinct || q.Limit < 0 || q.Limit >= n || offset >= n-q.Limit {
-		return n
-	}
-	return offset + q.Limit
-}
-
-// firstRows is the ordered-LIMIT kernel: the positions of the first
-// keep of n rows, in the order compare puts positions in. compare must
-// be a total order up to interchangeable rows, so the answer does not
-// depend on which of two tied rows the selection meets first. It
-// partitions around the cut in expected O(n) and sorts only the kept
-// positions.
-func firstRows(n, keep int, compare func(i, j int) int) []int {
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	lo, hi := 0, n
-	// Invariant: perm[:lo] <= perm[lo:hi] <= perm[hi:] and lo <= keep <= hi.
-	// Past the depth budget (an adversarial pivot sequence) or on a
-	// short range the rest is sorted, so the worst case is O(n log n).
-	for budget := 2 * bits.Len(uint(n)); lo < keep && keep < hi; budget-- {
-		if budget == 0 || hi-lo <= 16 {
-			slices.SortFunc(perm[lo:hi], compare)
-			break
-		}
-		lt, gt := partition3(perm[lo:hi], compare)
-		switch lt, gt = lo+lt, lo+gt; {
-		case keep < lt:
-			hi = lt
-		case keep > gt:
-			lo = gt
-		default:
-			// perm[lt:gt] all tie with the pivot: any of them may be kept.
-			lo = keep
-		}
-	}
-	perm = perm[:keep]
-	slices.SortFunc(perm, compare)
-	return perm
-}
-
-// partition3 splits p around the median of its first, middle and last
-// entries: p[:lt] sorts before that pivot, p[lt:gt] ties with it and
-// p[gt:] sorts after it.
-func partition3(p []int, compare func(i, j int) int) (lt, gt int) {
-	a, pivot, c := p[0], p[len(p)/2], p[len(p)-1]
-	if compare(a, pivot) > 0 {
-		a, pivot = pivot, a
-	}
-	if compare(pivot, c) > 0 {
-		pivot = c
-		if compare(a, pivot) > 0 {
-			pivot = a
-		}
-	}
-	lt, gt = 0, len(p)
-	for i := 0; i < gt; {
-		switch c := compare(p[i], pivot); {
-		case c < 0:
-			p[lt], p[i] = p[i], p[lt]
-			lt++
-			i++
-		case c > 0:
-			gt--
-			p[i], p[gt] = p[gt], p[i]
-		default:
-			i++
-		}
-	}
-	return lt, gt
-}
-
-// pick returns the rows at positions perm, in that order.
-func pick[T any](rows []T, perm []int) []T {
-	out := make([]T, len(perm))
-	for i, p := range perm {
-		out[i] = rows[p]
-	}
-	return out
-}
-
-// window applies OFFSET and LIMIT to an ordered answer.
-func window[T any](q *Query, xs []T) []T {
-	if q.Offset > 0 {
-		if q.Offset >= len(xs) {
-			return nil
-		}
-		xs = xs[q.Offset:]
-	}
-	if q.Limit >= 0 && q.Limit < len(xs) {
-		xs = xs[:q.Limit]
-	}
-	return xs
-}
-
-// applyModifiers applies ORDER BY, DISTINCT, OFFSET, and LIMIT to a
-// materialized result set. ORDER BY breaks ties by input position, so
-// the order is a stable sort's; when LIMIT cuts the answer only the
-// rows the cut keeps are sorted (cutSize, firstRows).
-func applyModifiers(q *Query, res *Results) error {
-	if n := len(q.OrderBy); n > 0 {
-		keys := sortKeys(q.OrderBy, res.Vars, res.Rows)
-		res.Rows = pick(res.Rows, firstRows(len(res.Rows), cutSize(q, len(res.Rows)), func(i, j int) int {
-			if c := orderCmp(q.OrderBy, keys[i*n:], keys[j*n:]); c != 0 {
-				return c
-			}
-			return cmp.Compare(i, j)
-		}))
-	}
-	if q.Distinct {
-		seen := map[string]struct{}{}
-		out := res.Rows[:0]
-		for _, r := range res.Rows {
-			var kb strings.Builder
-			for _, t := range r {
-				kb.WriteString(t.String())
-				kb.WriteByte('\x00')
-			}
-			k := kb.String()
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
-			out = append(out, r)
-		}
-		res.Rows = out
-	}
-	res.Rows = window(q, res.Rows)
-	return nil
 }

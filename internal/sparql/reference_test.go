@@ -1381,27 +1381,189 @@ func (g *bgpGen) where() string {
 func refValues(blocks []ValuesElement) []refBinding {
 	seed := []refBinding{{}}
 	for _, v := range blocks {
-		var next []refBinding
-		for _, b := range seed {
-		rows:
-			for _, r := range v.Rows {
-				nb := refBinding{}
-				for k, t := range b {
-					nb[k] = t
-				}
-				for i, t := range r {
-					if t == nil {
-						continue
-					}
-					if cur, ok := nb[v.Vars[i]]; ok && cur != *t {
-						continue rows
-					}
-					nb[v.Vars[i]] = *t
-				}
-				next = append(next, nb)
-			}
-		}
-		seed = next
+		seed = refJoinSeed(seed, v)
 	}
 	return seed
+}
+
+// ModifiersReference answers q over triples reading the solution
+// modifiers as SPARQL 1.1 §18.2.5 writes them, one step after another
+// over whole solutions: after grouping, when q groups, each group is a
+// solution of its keys and its aggregates; then Extend by the SELECT
+// aliases in order, OrderBy (a stable sort), Project, Distinct (the
+// first of each CanonicalRowKey), Slice. WHERE is triple patterns,
+// FILTERs and subselects, each subselect answered the same way first
+// and its rows seeding the join; aggregates are COUNT, SUM, AVG, MIN and
+// MAX over a variable or *. It shares with the engine only the value
+// semantics: the expression walk, orderCompare and the aggRef rewrite.
+// It is exported for TestModifiersMatchReference, which also drives the
+// shard coordinator and so lives in the external test package.
+func ModifiersReference(q *Query, triples []rdf.Triple) (vars []string, rows [][]rdf.Term) {
+	return refModifierAnswer(q, &refGraph{tail: triples, work: 1 << 40})
+}
+
+func refModifierAnswer(q *Query, g *refGraph) ([]string, [][]rdf.Term) {
+	seed := []refBinding{{}}
+	var patterns []TriplePattern
+	var filters []Expr
+	for _, el := range q.Where {
+		switch x := el.(type) {
+		case TriplePattern:
+			patterns = append(patterns, x)
+		case FilterElement:
+			filters = append(filters, x.Expr)
+		case SubSelectElement:
+			vars, rows := refModifierAnswer(x.Query, g)
+			block := ValuesElement{Vars: vars}
+			for _, r := range rows {
+				line := make([]*rdf.Term, len(r))
+				for i := range r {
+					if Bound(r[i]) {
+						line[i] = &r[i]
+					}
+				}
+				block.Rows = append(block.Rows, line)
+			}
+			seed = refJoinSeed(seed, block)
+		}
+	}
+	sols := refBGP(g, seed, patterns, nil, filters)
+
+	// A solution is its bindings and, after grouping, its group's
+	// aggregates.
+	type solution struct {
+		b    refBinding
+		aggs []Value
+	}
+	env := func(s solution) binding {
+		if s.aggs != nil {
+			return refGroup{mapBinding(s.b), s.aggs}
+		}
+		return mapBinding(s.b)
+	}
+	var omega []solution
+	aggs, idx := collectAggs(q)
+	if q.IsAggregate() {
+		var order []string
+		members := map[string][]refBinding{}
+		for _, s := range sols {
+			key := make([]rdf.Term, len(q.GroupBy))
+			for i, v := range q.GroupBy {
+				key[i] = s[v]
+			}
+			k := CanonicalRowKey(key)
+			if _, ok := members[k]; !ok {
+				order = append(order, k)
+			}
+			members[k] = append(members[k], s)
+		}
+		if len(order) == 0 && len(q.GroupBy) == 0 {
+			order = []string{""}
+		}
+		for _, k := range order {
+			b := refBinding{}
+			if ms := members[k]; len(ms) > 0 {
+				for _, v := range q.GroupBy {
+					if t, ok := ms[0][v]; ok {
+						b[v] = t
+					}
+				}
+			}
+			vals := make([]Value, len(aggs))
+			for i, a := range aggs {
+				vals[i] = refGroupAggregate(a, members[k])
+			}
+			omega = append(omega, solution{b, vals})
+		}
+	} else {
+		for _, s := range sols {
+			omega = append(omega, solution{b: s})
+		}
+	}
+	// Extend: each alias binds its expression's value, if it has one.
+	for i := range omega {
+		b := refBinding{}
+		for k, t := range omega[i].b {
+			b[k] = t
+		}
+		omega[i].b = b
+		for _, it := range q.Select {
+			if it.Expr == nil {
+				continue
+			}
+			if v, err := evalExpr(resolveAggregates(it.Expr, idx), env(omega[i])); err == nil && v.Bound {
+				b[it.Var] = v.Term
+			}
+		}
+	}
+	// OrderBy: a key that errors is unbound.
+	key := func(s solution, o OrderKey) Value {
+		v, err := evalExpr(resolveAggregates(o.Expr, idx), env(s))
+		if err != nil {
+			return Value{}
+		}
+		return v
+	}
+	slices.SortStableFunc(omega, func(x, y solution) int {
+		for _, o := range q.OrderBy {
+			if c := orderCompare(key(x, o), key(y, o)); c != 0 {
+				if o.Desc {
+					return -c
+				}
+				return c
+			}
+		}
+		return 0
+	})
+	// Project, Distinct, Slice.
+	vars := make([]string, len(q.Select))
+	for i, it := range q.Select {
+		vars[i] = it.Var
+	}
+	seen := map[string]bool{}
+	var rows [][]rdf.Term
+	for _, s := range omega {
+		line := make([]rdf.Term, len(vars))
+		for i, v := range vars {
+			line[i] = s.b[v]
+		}
+		if q.Distinct {
+			if seen[CanonicalRowKey(line)] {
+				continue
+			}
+			seen[CanonicalRowKey(line)] = true
+		}
+		rows = append(rows, line)
+	}
+	rows = rows[min(max(q.Offset, 0), len(rows)):]
+	if q.Limit >= 0 && q.Limit < len(rows) {
+		rows = rows[:q.Limit]
+	}
+	return vars, rows
+}
+
+// refJoinSeed joins seed solutions with the rows of one inline block,
+// where a nil cell leaves the variable as the solution has it.
+func refJoinSeed(seed []refBinding, block ValuesElement) []refBinding {
+	var next []refBinding
+	for _, b := range seed {
+	rows:
+		for _, r := range block.Rows {
+			nb := refBinding{}
+			for k, t := range b {
+				nb[k] = t
+			}
+			for i, t := range r {
+				if t == nil {
+					continue
+				}
+				if cur, ok := nb[block.Vars[i]]; ok && cur != *t {
+					continue rows
+				}
+				nb[block.Vars[i]] = *t
+			}
+			next = append(next, nb)
+		}
+	}
+	return next
 }

@@ -42,6 +42,36 @@ func WalkExpr(e Expr, fn func(Expr) bool) {
 	}
 }
 
+// mapExpr returns e with every node f replaces replaced, trying f on a
+// node before its children; a replacement is not visited. The walk
+// enters what an expression evaluates over the current row — operands,
+// IN lists, function arguments — and leaves an aggregate's argument
+// and an EXISTS block as they are.
+func mapExpr(e Expr, f func(Expr) (Expr, bool)) Expr {
+	if y, ok := f(e); ok {
+		return y
+	}
+	switch x := e.(type) {
+	case BinaryExpr:
+		return BinaryExpr{Op: x.Op, L: mapExpr(x.L, f), R: mapExpr(x.R, f)}
+	case UnaryExpr:
+		return UnaryExpr{Op: x.Op, E: mapExpr(x.E, f)}
+	case InExpr:
+		list := make([]Expr, len(x.List))
+		for i, y := range x.List {
+			list[i] = mapExpr(y, f)
+		}
+		return InExpr{E: mapExpr(x.E, f), List: list, Not: x.Not}
+	case FuncExpr:
+		args := make([]Expr, len(x.Args))
+		for i, y := range x.Args {
+			args[i] = mapExpr(y, f)
+		}
+		return FuncExpr{Name: x.Name, Args: args}
+	}
+	return e
+}
+
 // WalkPatterns calls fn on every triple pattern, closure pattern and
 // subselect reachable from q, in textual order: the elements of
 // q.Where, of its OPTIONAL blocks and UNION branches, and of the
