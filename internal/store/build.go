@@ -96,10 +96,7 @@ func (s *Store) ingest(next func() (rdf.Triple, error)) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.layers.len() > 0 {
-		n, err := drain(next, func(t rdf.Triple) {
-			enc := spoTriple{s.dict.Encode(t.S), s.dict.Encode(t.P), s.dict.Encode(t.O)}
-			s.addLocked(enc, t.O)
-		})
+		n, err := drain(next, s.addLocked)
 		if err == nil {
 			s.compactLocked()
 		}

@@ -83,6 +83,39 @@ func (d *Dict) Encode(t rdf.Term) ID {
 	return id
 }
 
+// resolve sets every zero entry of ids to the ID of the term at the
+// same position, minting the missing terms under one write-lock hold
+// that publishes the read snapshot once, and reports whether it minted
+// any.
+func (d *Dict) resolve(terms *[3]rdf.Term, ids *spoTriple) bool {
+	missing := false
+	d.mu.RLock()
+	for i, id := range ids {
+		if id == 0 {
+			ids[i] = d.ids[terms[i]]
+			missing = missing || ids[i] == 0
+		}
+	}
+	d.mu.RUnlock()
+	if !missing {
+		return false
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	minted := false
+	for i, id := range ids {
+		if id == 0 {
+			var fresh bool
+			ids[i], fresh = d.internLocked(terms[i])
+			minted = minted || fresh
+		}
+	}
+	if minted {
+		d.publishLocked()
+	}
+	return minted
+}
+
 // internLocked returns the ID for t, appending it when new (reported
 // by the second result). The caller holds the write lock and must
 // call publishLocked before releasing it if anything was appended;

@@ -135,6 +135,33 @@ func SortTriples(ts [][3]ID) [][3]ID {
 	return slices.Compact(ts)
 }
 
+// packBits is the width of one ID in a packed triple: when every ID is
+// below 2^packBits a triple fits one uint64 whose integer order is the
+// triple order, so a handful of them sort without a comparison function.
+const packBits = 21
+
+// sortPacked sorts distinct triples in place through their packed form,
+// using keys (as long as ts) as scratch. It reports false, leaving ts
+// as it was, when an ID is too large to pack.
+func sortPacked(ts []spoTriple, keys []uint64) bool {
+	var all ID
+	for _, t := range ts {
+		all |= t[0] | t[1] | t[2]
+	}
+	if all >= 1<<packBits {
+		return false
+	}
+	for i, t := range ts {
+		keys[i] = uint64(t[0])<<(2*packBits) | uint64(t[1])<<packBits | uint64(t[2])
+	}
+	slices.Sort(keys)
+	const mask = 1<<packBits - 1
+	for i, k := range keys {
+		ts[i] = spoTriple{ID(k >> (2 * packBits)), ID(k >> packBits & mask), ID(k & mask)}
+	}
+	return true
+}
+
 // buildOffsets derives the offset array from the sorted entries in one
 // pass. It covers the IDs up to the largest leading one, so it costs
 // at most 4 bytes per dictionary term.
@@ -222,35 +249,66 @@ func (ix *index) scan(p perm, key spoTriple, fn func(s, p, o ID) bool) (int, boo
 	return hi - lo, true
 }
 
-// merge inserts the (sorted, deduplicated) batch into the index,
-// preserving order. The merged entries are a new slice unless one side
-// is empty, so readers of the old entries are undisturbed.
-func (ix *index) merge(batch []spoTriple) {
-	if len(batch) == 0 {
-		return
+// has reports whether the index holds the entry e, given in its key
+// order: an offset lookup (on the base) and one binary search, after
+// two comparisons rule out an entry outside the index's key range.
+func (ix *index) has(e spoTriple) bool {
+	lo, hi := 0, len(ix.entries)
+	if hi == 0 || tripleLess(e, ix.entries[0]) || tripleLess(ix.entries[hi-1], e) {
+		return false
 	}
-	if len(ix.entries) == 0 {
-		ix.entries = batch
-		return
+	if ix.off != nil { // e[0] is in range: the last entry is not below it
+		lo, hi = int(ix.off[e[0]]), int(ix.off[e[0]+1])
 	}
-	merged := make([]spoTriple, 0, len(ix.entries)+len(batch))
-	i, j := 0, 0
-	for i < len(ix.entries) && j < len(batch) {
-		a, b := ix.entries[i], batch[j]
-		switch {
-		case a == b:
-			merged = append(merged, a)
-			i++
-			j++
-		case tripleLess(a, b):
-			merged = append(merged, a)
-			i++
-		default:
-			merged = append(merged, b)
-			j++
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if tripleLess(ix.entries[m], e) {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
-	merged = append(merged, ix.entries[i:]...)
-	merged = append(merged, batch[j:]...)
-	ix.entries = merged
+	return lo < len(ix.entries) && ix.entries[lo] == e
+}
+
+// mergeEntries returns the union of sorted, deduplicated parts in one
+// pass, so each entry is copied once however many parts there are. The
+// parts are kept ordered by their first entry: the first gives up its
+// entries below the second's head in one block, then moves back to its
+// place. parts is modified; a single non-empty part is returned as it is.
+func mergeEntries(parts [][]spoTriple) []spoTriple {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	parts = slices.DeleteFunc(parts, func(p []spoTriple) bool { return len(p) == 0 })
+	switch len(parts) {
+	case 0:
+		return nil
+	case 1:
+		return parts[0]
+	}
+	slices.SortFunc(parts, func(a, b []spoTriple) int { return tripleCmp(a[0], b[0]) })
+	out := make([]spoTriple, 0, n)
+	for len(parts) > 1 {
+		p, bound := parts[0], parts[1][0]
+		j := 0
+		for j < len(p) && tripleLess(p[j], bound) {
+			j++
+		}
+		out = append(out, p[:j]...)
+		if j < len(p) && p[j] == bound { // the second part has it too
+			j++
+		}
+		if p = p[j:]; len(p) == 0 {
+			parts = parts[1:]
+			continue
+		}
+		i := 1
+		for ; i < len(parts) && tripleLess(parts[i][0], p[0]); i++ {
+			parts[i-1] = parts[i]
+		}
+		parts[i-1] = p
+	}
+	return append(out, parts[0]...)
 }

@@ -1,5 +1,7 @@
 package store
 
+import "slices"
+
 // run is one immutable sorted triple set: its three permutations,
 // indexed by perm.
 type run [3]index
@@ -136,6 +138,21 @@ func matches(t, want spoTriple) bool {
 		(want[2] == 0 || t[2] == want[2])
 }
 
+// contains reports whether the layers hold the triple: a point probe of
+// the SPO permutation of the base and of every run (see index.has),
+// then of the tail.
+func (l *layers) contains(t spoTriple) bool {
+	if l.base[permSPO].has(t) {
+		return true
+	}
+	for i := range l.runs {
+		if l.runs[i][permSPO].has(t) {
+			return true
+		}
+	}
+	return slices.Contains(l.tail, t)
+}
+
 // add appends a triple the layers do not hold yet to the tail, turning
 // a full tail into a run.
 func (l *layers) add(t spoTriple) {
@@ -148,44 +165,44 @@ func (l *layers) add(t spoTriple) {
 	}
 }
 
-// flushTail sorts the tail into a run and restores the run invariant
-// by merging it into its older neighbours while they are too small.
+// flushTail sorts the tail into a run and restores the run invariant:
+// the new run absorbs its older neighbours while they are too small,
+// all of them in one merge. No triple is in two layers, so the merged
+// size is the sum of the sizes.
 func (l *layers) flushTail() {
 	if len(l.tail) == 0 {
 		return
 	}
 	r := newRun(l.tail)
-	n := len(l.runs)
-	for n > 0 && l.runs[n-1].size() < runGrowth*r.size() {
-		r = mergeRuns(l.runs[n-1], r)
+	n, size := len(l.runs), r.size()
+	for n > 0 && l.runs[n-1].size() < runGrowth*size {
 		n--
+		size += l.runs[n].size()
+	}
+	if n < len(l.runs) {
+		r = mergeRuns(append(l.runs[n:len(l.runs):len(l.runs)], r)) // appends to a copy
 	}
 	l.runs = append(l.runs[:n:n], r) // a new slice: readers hold the old one
 	l.tail = nil
 }
 
-// compact merges every pending triple into the base and reports
-// whether there was one.
+// compact merges every pending triple into the base, in one merge, and
+// reports whether there was one.
 func (l *layers) compact() bool {
 	l.flushTail()
 	if len(l.runs) == 0 {
 		return false
 	}
-	// Newest into oldest: the small runs are copied often, the large
-	// ones once.
-	r := l.runs[len(l.runs)-1]
-	for i := len(l.runs) - 2; i >= 0; i-- {
-		r = mergeRuns(l.runs[i], r)
-	}
-	l.base = mergeRuns(l.base, r)
+	l.base = mergeRuns(append([]run{l.base}, l.runs...))
 	l.base.buildOffsets()
 	l.runs = nil
 	return true
 }
 
-// newRun builds the three sorted permutations of distinct SPO-ordered
-// triples, which it copies.
+// newRun builds the three sorted permutations of at most tailCap
+// distinct SPO-ordered triples, which it copies.
 func newRun(triples []spoTriple) run {
+	var keys [tailCap]uint64
 	var r run
 	for i := range r {
 		p := perm(i)
@@ -193,17 +210,24 @@ func newRun(triples []spoTriple) run {
 		for j, t := range triples {
 			e[j] = p.reorder(t)
 		}
+		if !sortPacked(e, keys[:len(e)]) {
+			e = SortTriples(e)
+		}
 		r[i].entries = e
-		r[i].sortEntries()
 	}
 	return r
 }
 
-// mergeRuns returns the union of two runs; neither is modified.
-func mergeRuns(older, newer run) run {
-	for i := range older {
-		older[i].merge(newer[i].entries)
-		older[i].off = nil
+// mergeRuns returns the union of runs; none is modified. The result has
+// no offset arrays.
+func mergeRuns(runs []run) run {
+	var r run
+	parts := make([][]spoTriple, len(runs))
+	for p := range r {
+		for i := range runs {
+			parts[i] = runs[i][p].entries
+		}
+		r[p].entries = mergeEntries(parts)
 	}
-	return older
+	return r
 }

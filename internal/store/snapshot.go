@@ -2,10 +2,11 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"strings"
+	"slices"
 
 	"re2xolap/internal/rdf"
 )
@@ -88,8 +89,9 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 	// A forged count ends in an EOF error below, not in an allocation
 	// the input never backs.
 	terms := make([]rdf.Term, 0, min(nTerms, snapshotPresize))
+	tr := termReader{r: br, interned: map[string]string{}}
 	for i := uint64(0); i < nTerms; i++ {
-		t, err := readTerm(br)
+		t, err := tr.term()
 		if err != nil {
 			return nil, fmt.Errorf("store: term %d: %w", i, err)
 		}
@@ -130,26 +132,53 @@ func writeString(w *bufio.Writer, s string) error {
 	return err
 }
 
-func readString(r *bufio.Reader) (string, error) {
-	n, err := binary.ReadUvarint(r)
+// termReader reads a snapshot's terms. Strings go through one reused
+// buffer, and each datatype IRI and language tag, which literals
+// repeat, is kept once.
+type termReader struct {
+	r        *bufio.Reader
+	buf      []byte
+	interned map[string]string
+}
+
+// bytes reads a length-prefixed string. Up to snapshotPresize bytes it
+// lands in the reused buffer; a longer one grows only as far as the
+// input backs its length.
+func (tr *termReader) bytes() ([]byte, error) {
+	n, err := binary.ReadUvarint(tr.r)
+	if err != nil {
+		return nil, err
+	}
+	if n > 1<<28 {
+		return nil, fmt.Errorf("string length %d too large", n)
+	}
+	if n > snapshotPresize {
+		var b bytes.Buffer
+		_, err := io.CopyN(&b, tr.r, int64(n))
+		return b.Bytes(), err
+	}
+	tr.buf = slices.Grow(tr.buf[:0], int(n))[:n]
+	_, err = io.ReadFull(tr.r, tr.buf)
+	return tr.buf, err
+}
+
+func (tr *termReader) str() (string, error) {
+	b, err := tr.bytes()
+	return string(b), err
+}
+
+// spelling reads a datatype IRI or language tag as its one copy.
+func (tr *termReader) spelling() (string, error) {
+	b, err := tr.bytes()
 	if err != nil {
 		return "", err
 	}
-	if n > 1<<28 {
-		return "", fmt.Errorf("string length %d too large", n)
+	s, ok := tr.interned[string(b)]
+	if !ok {
+		s = string(b)
+		tr.interned[s] = s
 	}
-	if n > snapshotPresize {
-		var sb strings.Builder
-		if _, err := io.CopyN(&sb, r, int64(n)); err != nil {
-			return "", err
-		}
-		return sb.String(), nil
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
+	return s, nil
 }
 
 // term kind encoding: low 2 bits = TermKind; bit 2 = has datatype,
@@ -181,8 +210,8 @@ func writeTerm(w *bufio.Writer, t rdf.Term) error {
 	return nil
 }
 
-func readTerm(r *bufio.Reader) (rdf.Term, error) {
-	kind, err := r.ReadByte()
+func (tr *termReader) term() (rdf.Term, error) {
+	kind, err := tr.r.ReadByte()
 	if err != nil {
 		return rdf.Term{}, err
 	}
@@ -191,16 +220,16 @@ func readTerm(r *bufio.Reader) (rdf.Term, error) {
 		return rdf.Term{}, fmt.Errorf("bad term kind %d", k)
 	}
 	t := rdf.Term{Kind: k}
-	if t.Value, err = readString(r); err != nil {
+	if t.Value, err = tr.str(); err != nil {
 		return rdf.Term{}, err
 	}
 	if kind&(1<<2) != 0 {
-		if t.Datatype, err = readString(r); err != nil {
+		if t.Datatype, err = tr.spelling(); err != nil {
 			return rdf.Term{}, err
 		}
 	}
 	if kind&(1<<3) != 0 {
-		if t.Lang, err = readString(r); err != nil {
+		if t.Lang, err = tr.spelling(); err != nil {
 			return rdf.Term{}, err
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"re2xolap/internal/rdf"
 )
@@ -176,5 +177,39 @@ func TestSnapshotVersusNTriples(t *testing.T) {
 	fromSnap := snapshotRoundTrip(t, s)
 	if fromNT.Len() != fromSnap.Len() {
 		t.Errorf("NT = %d triples, snapshot = %d", fromNT.Len(), fromSnap.Len())
+	}
+}
+
+// TestReadSnapshotInternsSpellings: the literals ReadSnapshot returns
+// share one copy of each datatype IRI and language tag.
+func TestReadSnapshotInternsSpellings(t *testing.T) {
+	s := New()
+	for i := 0; i < 4; i++ {
+		sub := iri(fmt.Sprint("s", i))
+		for _, o := range []rdf.Term{rdf.NewInteger(int64(i)), rdf.NewLangString(fmt.Sprint("name ", i), "en")} {
+			if err := s.Add(rdf.Triple{S: sub, P: iri("p"), O: o}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	got := snapshotRoundTrip(t, s)
+	copies := map[string]map[*byte]bool{}
+	for _, tm := range got.dict.terms {
+		for _, sp := range []string{tm.Datatype, tm.Lang} {
+			if sp != "" {
+				if copies[sp] == nil {
+					copies[sp] = map[*byte]bool{}
+				}
+				copies[sp][unsafe.StringData(sp)] = true
+			}
+		}
+	}
+	if len(copies) != 2 {
+		t.Fatalf("spellings %v, want the integer datatype and one language tag", copies)
+	}
+	for sp, c := range copies {
+		if len(c) != 1 {
+			t.Errorf("%q is held in %d copies, want 1", sp, len(c))
+		}
 	}
 }

@@ -32,6 +32,9 @@ type Store struct {
 
 	text *fullText
 
+	// recent is the writer's memo of the terms it resolved last.
+	recent writerMemo
+
 	// autoCompact is the number of pending triples that triggers an
 	// automatic Compact during Add. Zero disables automatic compaction.
 	autoCompact int
@@ -65,10 +68,9 @@ func (s *Store) Add(t rdf.Triple) error {
 	if err := t.Validate(); err != nil {
 		return err
 	}
-	enc := spoTriple{s.dict.Encode(t.S), s.dict.Encode(t.P), s.dict.Encode(t.O)}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.addLocked(enc, t.O)
+	s.addLocked(t)
 	return nil
 }
 
@@ -86,17 +88,73 @@ func (s *Store) AddAll(ts []rdf.Triple) error {
 	return err
 }
 
-func (s *Store) addLocked(enc spoTriple, obj rdf.Term) {
-	if s.scan(enc[0], enc[1], enc[2], nil) > 0 {
+// addLocked encodes and inserts one valid triple; the caller holds s.mu.
+// A triple with a term this call minted is new without a probe: that
+// term had no ID before, so no stored triple can hold it, and no other
+// writer can store one between the mint and the insert because the
+// mint happens under s.mu too. (Dict.Encode, which mints outside s.mu,
+// never inserts.)
+func (s *Store) addLocked(t rdf.Triple) {
+	ids := spoTriple{s.recent.subject(t.S), s.recent.predicate(t.P)}
+	minted := s.dict.resolve(&[3]rdf.Term{t.S, t.P, t.O}, &ids)
+	s.recent.note(t.S, t.P, ids)
+	if !minted && s.contains(ids) {
 		return
 	}
-	s.layers.add(enc)
+	s.layers.add(ids)
 	s.gen.Add(1)
-	if obj.IsLiteral() {
-		s.text.add(enc[2], obj.Value)
+	if t.O.IsLiteral() {
+		s.text.add(ids[2], t.O.Value)
 	}
 	if s.autoCompact > 0 && s.pending() >= s.autoCompact {
 		s.compactLocked()
+	}
+}
+
+// writerMemo remembers the IDs of the subject and the few predicates
+// the writer resolved last, so a writer that adds a subject's triples
+// in a row resolves them by comparison instead of by hashing. IDs never
+// change, so an entry cannot go stale. It is guarded by Store.mu.
+type writerMemo struct {
+	subj  memoTerm
+	preds [8]memoTerm // in the order first seen, overwritten round robin
+	last  int         // the slot of the predicate resolved last
+	fill  int         // the slot the next new predicate takes
+}
+
+type memoTerm struct {
+	t  rdf.Term
+	id ID
+}
+
+// subject returns the ID of t if it is the last subject, else 0.
+func (m *writerMemo) subject(t rdf.Term) ID {
+	if m.subj.id != 0 && t == m.subj.t {
+		return m.subj.id
+	}
+	return 0
+}
+
+// predicate returns the ID of t if it is a recent predicate, else 0. A
+// writer that repeats its predicates in the same order finds each one
+// at the first slot it tries.
+func (m *writerMemo) predicate(t rdf.Term) ID {
+	for i := 1; i <= len(m.preds); i++ {
+		k := (m.last + i) % len(m.preds)
+		if e := &m.preds[k]; e.id != 0 && e.t == t {
+			m.last = k
+			return e.id
+		}
+	}
+	return 0
+}
+
+// note records the IDs resolved for a triple's subject and predicate.
+func (m *writerMemo) note(sub, pred rdf.Term, ids spoTriple) {
+	m.subj = memoTerm{sub, ids[0]}
+	if m.preds[m.last].id != ids[1] { // not in the memo yet
+		m.preds[m.fill] = memoTerm{pred, ids[1]}
+		m.last, m.fill = m.fill, (m.fill+1)%len(m.preds)
 	}
 }
 
@@ -153,7 +211,7 @@ func (s *Store) Contains(t rdf.Triple) bool {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.scan(sid, pid, oid, nil) > 0
+	return s.contains(spoTriple{sid, pid, oid})
 }
 
 // Match streams every triple matching the pattern, where a zero ID is a

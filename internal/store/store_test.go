@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -346,16 +347,10 @@ func TestIndexPermutations(t *testing.T) {
 }
 
 func TestIndexMerge(t *testing.T) {
-	ix := index{entries: []spoTriple{{1, 1, 1}, {3, 3, 3}}}
-	ix.merge([]spoTriple{{2, 2, 2}, {3, 3, 3}, {4, 4, 4}})
+	got := mergeEntries([][]spoTriple{{{1, 1, 1}, {3, 3, 3}}, {{2, 2, 2}, {3, 3, 3}, {4, 4, 4}}})
 	want := []spoTriple{{1, 1, 1}, {2, 2, 2}, {3, 3, 3}, {4, 4, 4}}
-	if len(ix.entries) != len(want) {
-		t.Fatalf("merged = %v", ix.entries)
-	}
-	for i := range want {
-		if ix.entries[i] != want[i] {
-			t.Fatalf("merged = %v, want %v", ix.entries, want)
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("merged = %v, want %v", got, want)
 	}
 }
 
