@@ -525,6 +525,9 @@ func benchResults(rows int) *sparql.Results {
 // repeated IRI allocates at most one object per cell and 26 besides, so
 // no per-document map is built before a document shows repetition.
 func TestCodecAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not pinned under the race detector")
+	}
 	encodeAllocs := func(rows int) float64 {
 		res := benchResults(rows)
 		dst, err := appendResults(nil, res)

@@ -563,7 +563,7 @@ func (ex *executor) compileFold(s *aggSpec) *aggFold {
 	}
 	for i, v := range s.vars {
 		f.varSlots[i] = -1
-		if slot, ok := ex.slots[v]; ok {
+		if slot, ok := ex.vars.lookup(v); ok {
 			f.varSlots[i] = slot
 		}
 	}

@@ -57,6 +57,9 @@ func emitSetup(tb testing.TB, n int, sizes ...int) (*aggSpec, []*aggTable) {
 // the answer's arena — so ten times the groups cost the same
 // allocations, up to the growth of those two.
 func TestAggregateEmitAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not pinned under the race detector")
+	}
 	spec, tabs := emitSetup(t, 10000, 1000, 10000)
 	noErr := func() error { return nil }
 	emits := make([]float64, len(tabs))

@@ -48,14 +48,14 @@ func planOrder(eng *Engine, st *store.Store, w whereParts, b refBinding) []Tripl
 	for name := range b {
 		ex.slot(name)
 	}
-	seed := make(row, len(ex.varSeq))
+	seed := make(row, len(ex.vars.names))
 	for name := range b {
-		seed[ex.slots[name]] = 1
+		seed[ex.slot(name)] = 1
 	}
-	_, plans := ex.planSeed([]row{seed}, w.patterns, w.filters, w.open())
+	segs := ex.planSeed([]row{seed}, w.patterns, w.filters, w.open())
 	var order []TriplePattern
-	for _, st := range plans[0].steps {
-		order = append(order, st.tp)
+	for _, st := range segs[0].plan.steps {
+		order = append(order, *st.tp)
 	}
 	return order
 }

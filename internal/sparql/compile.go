@@ -27,8 +27,8 @@ type condFn func(ex *executor, r row, t []rdf.Term) (bool, error)
 
 // compiler resolves variables for one row kind.
 type compiler struct {
-	slots map[string]int // ID rows: the executor's slot table; nil for term rows
-	cols  []string       // term rows: the column names
+	slots *slotTable // ID rows: the executor's slot table; nil for term rows
+	cols  []string   // term rows: the column names
 	// aggBase >= 0 gives an aggRef a value (see aggregate): over term
 	// rows of a group's key columns, which emit passes with the group's
 	// finalized aggregates in ex.group, or which hold the rendered
@@ -38,12 +38,12 @@ type compiler struct {
 
 // compile compiles e against ex's current slot table.
 func (ex *executor) compile(e Expr) evalFn {
-	return compiler{slots: ex.slots, aggBase: -1}.value(e)
+	return compiler{slots: &ex.vars, aggBase: -1}.value(e)
 }
 
 // compileCond is compile for a filter.
 func (ex *executor) compileCond(e Expr) condFn {
-	return compiler{slots: ex.slots, aggBase: -1}.cond(e)
+	return compiler{slots: &ex.vars, aggBase: -1}.cond(e)
 }
 
 // termCompiler compiles against term rows with the given columns.
@@ -174,7 +174,7 @@ func (c compiler) cond(e Expr) condFn {
 		// solution, and planned per row: what the row binds decides the
 		// plan.
 		return func(ex *executor, r row, _ []rdf.Term) (bool, error) {
-			segs, _ := ex.planSeed([]row{r}, x.Patterns, x.Filters, false)
+			segs := ex.planSeed([]row{r}, x.Patterns, x.Filters, false)
 			rows, err := ex.joinSegs(segs, 1)
 			return (err == nil && len(rows) > 0) != x.Not, nil
 		}
@@ -273,7 +273,7 @@ func (c compiler) variable(name string) evalFn {
 		}
 		return columns(cols)
 	}
-	s, ok := c.slots[name]
+	s, ok := c.slots.lookup(name)
 	if !ok {
 		return func(*executor, row, []rdf.Term) (Value, error) { return Value{}, nil }
 	}

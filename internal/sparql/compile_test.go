@@ -341,6 +341,9 @@ func aggFoldSetup(tb testing.TB, n int) (*executor, []row, *aggFold) {
 // TestAggregateFoldAllocations: folding rows into a group allocates
 // nothing per row, so ten times the rows cost the same allocations.
 func TestAggregateFoldAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not pinned under the race detector")
+	}
 	ex, rows, f := aggFoldSetup(t, 10000)
 	fold := func(n int) float64 {
 		return testing.AllocsPerRun(5, func() { ex.foldRows(f, rows[:n]) })

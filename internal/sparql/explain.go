@@ -75,12 +75,11 @@ func (e *Engine) Explain(q *Query) string {
 	for _, name := range seedVars {
 		ex.slot(name)
 	}
-	seed := make(row, len(ex.varSeq))
+	seed := make(row, len(ex.vars.names))
 	for _, name := range seedVars {
-		seed[ex.slots[name]] = 1 // any ID: the plan only asks whether it is bound
+		seed[ex.slot(name)] = 1 // any ID: the plan only asks whether it is bound
 	}
-	_, plans := ex.planSeed([]row{seed}, w.patterns, w.filters, w.open())
-	plan := plans[0]
+	plan := ex.planSeed([]row{seed}, w.patterns, w.filters, w.open())[0].plan
 	for _, f := range plan.seed {
 		fmt.Fprintf(&b, "  seed filter: %s\n", f.expr)
 	}

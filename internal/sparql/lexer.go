@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -18,12 +19,13 @@ const (
 	tokPunct   // { } ( ) . , ; * / + - = ! < > <= >= != && || ^
 )
 
+// token is a kind and a source span, [pos, end): the text is sliced
+// from the query when the parser asks for it, so lexing allocates
+// nothing per token. A string token's span runs to the end of its
+// language tag or datatype IRI; body marks its closing quote.
 type token struct {
-	kind tokenKind
-	text string
-	// lang / datatype for string tokens
-	lang, dtype string
-	pos         int
+	kind           tokenKind
+	pos, end, body int32
 }
 
 // SyntaxError reports a SPARQL syntax error with byte offset.
@@ -36,100 +38,99 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("sparql: syntax error at offset %d: %s", e.Pos, e.Msg)
 }
 
+// lexer splits a query into tokens. Spans are int32, so a query is at
+// most math.MaxInt32 bytes long.
 type lexer struct {
-	src  string
-	pos  int
-	toks []token
+	src string
+	pos int
 }
 
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+// lex appends every token of src to toks, ending with tokEOF, or
+// reports the first lexical error.
+func lex(src string, toks []token) ([]token, error) {
+	if len(src) > math.MaxInt32 {
+		return nil, &SyntaxError{0, "query too long"}
+	}
+	l := lexer{src: src}
 	for {
 		t, err := l.next()
 		if err != nil {
 			return nil, err
 		}
-		l.toks = append(l.toks, t)
+		toks = append(toks, t)
 		if t.kind == tokEOF {
-			return l.toks, nil
+			return toks, nil
 		}
 	}
 }
 
+// tok is the token of the given kind from start to the current offset.
+func (l *lexer) tok(kind tokenKind, start int) token {
+	return token{kind: kind, pos: int32(start), end: int32(l.pos)}
+}
+
 func (l *lexer) next() (token, error) {
 	l.skipSpace()
-	if l.pos >= len(l.src) {
-		return token{kind: tokEOF, pos: l.pos}, nil
-	}
 	start := l.pos
+	if l.pos >= len(l.src) {
+		return l.tok(tokEOF, start), nil
+	}
 	c := l.src[l.pos]
 	switch {
 	case c == '<':
 		// IRI if a '>' occurs before whitespace; otherwise comparison.
 		if end := l.iriEnd(); end > 0 {
-			iri := l.src[l.pos+1 : end]
 			l.pos = end + 1
-			return token{kind: tokIRI, text: iri, pos: start}, nil
-		}
-		if l.peekAt(1) == '=' {
-			l.pos += 2
-			return token{kind: tokPunct, text: "<=", pos: start}, nil
+			return l.tok(tokIRI, start), nil
 		}
 		l.pos++
-		return token{kind: tokPunct, text: "<", pos: start}, nil
+		if l.peekAt(0) == '=' {
+			l.pos++
+		}
+		return l.tok(tokPunct, start), nil
 	case c == '?' || c == '$':
 		l.pos++
-		name := l.readName()
-		if name == "" {
+		if l.readName() == "" {
 			return token{}, &SyntaxError{start, "empty variable name"}
 		}
-		return token{kind: tokVar, text: name, pos: start}, nil
+		return l.tok(tokVar, start), nil
 	case c == '"' || c == '\'':
 		return l.readString(c)
 	case c >= '0' && c <= '9' || (c == '.' && l.digitAt(1)) ||
 		((c == '+' || c == '-') && l.digitAt(1)):
-		return l.readNumber()
+		return l.readNumber(), nil
 	case c == '{' || c == '}' || c == '(' || c == ')' || c == '.' || c == ',' || c == ';' || c == '*' || c == '/' || c == '+' || c == '-' || c == '=' || c == '^':
 		l.pos++
-		return token{kind: tokPunct, text: string(c), pos: start}, nil
-	case c == '!':
-		if l.peekAt(1) == '=' {
-			l.pos += 2
-			return token{kind: tokPunct, text: "!=", pos: start}, nil
-		}
+		return l.tok(tokPunct, start), nil
+	case c == '!' || c == '>':
 		l.pos++
-		return token{kind: tokPunct, text: "!", pos: start}, nil
-	case c == '>':
-		if l.peekAt(1) == '=' {
-			l.pos += 2
-			return token{kind: tokPunct, text: ">=", pos: start}, nil
+		if l.peekAt(0) == '=' {
+			l.pos++
 		}
-		l.pos++
-		return token{kind: tokPunct, text: ">", pos: start}, nil
+		return l.tok(tokPunct, start), nil
 	case c == '&':
 		if l.peekAt(1) == '&' {
 			l.pos += 2
-			return token{kind: tokPunct, text: "&&", pos: start}, nil
+			return l.tok(tokPunct, start), nil
 		}
 		return token{}, &SyntaxError{start, "single '&'"}
 	case c == '|':
 		if l.peekAt(1) == '|' {
 			l.pos += 2
-			return token{kind: tokPunct, text: "||", pos: start}, nil
+			return l.tok(tokPunct, start), nil
 		}
 		return token{}, &SyntaxError{start, "single '|' (alternative paths unsupported)"}
 	default:
-		word := l.readName()
-		if word == "" {
+		if l.readName() == "" {
 			return token{}, &SyntaxError{start, fmt.Sprintf("unexpected character %q", c)}
 		}
 		// prefixed name?
 		if l.pos < len(l.src) && l.src[l.pos] == ':' {
 			l.pos++
-			local := l.readName()
-			return token{kind: tokPName, text: word + ":" + local, pos: start}, nil
+			l.readName()
+			return l.tok(tokPName, start), nil
 		}
-		return token{kind: tokKeyword, text: word, pos: start}, nil
+		return l.tok(tokKeyword, start), nil
 	}
 }
 
@@ -189,59 +190,44 @@ func (l *lexer) readName() string {
 	return l.src[start:l.pos]
 }
 
+// readString scans a quoted literal with its optional @lang or
+// ^^<datatype>; the parser unescapes the body (see stringBody).
 func (l *lexer) readString(quote byte) (token, error) {
 	start := l.pos
 	l.pos++ // opening quote
-	var b strings.Builder
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		if c == '\\' && l.pos+1 < len(l.src) {
-			l.pos++
-			switch l.src[l.pos] {
-			case 'n':
-				b.WriteByte('\n')
-			case 't':
-				b.WriteByte('\t')
-			case 'r':
-				b.WriteByte('\r')
-			case '"', '\'', '\\':
-				b.WriteByte(l.src[l.pos])
-			default:
-				b.WriteByte('\\')
-				b.WriteByte(l.src[l.pos])
-			}
+			l.pos += 2
+			continue
+		}
+		if c != quote {
 			l.pos++
 			continue
 		}
-		if c == quote {
-			l.pos++
-			tok := token{kind: tokString, text: b.String(), pos: start}
-			// optional @lang
-			if l.pos < len(l.src) && l.src[l.pos] == '@' {
-				l.pos++
-				tok.lang = l.readName()
-			} else if l.pos+1 < len(l.src) && l.src[l.pos] == '^' && l.src[l.pos+1] == '^' {
-				l.pos += 2
-				if l.pos < len(l.src) && l.src[l.pos] == '<' {
-					if end := l.iriEnd(); end > 0 {
-						tok.dtype = l.src[l.pos+1 : end]
-						l.pos = end + 1
-					} else {
-						return token{}, &SyntaxError{l.pos, "malformed datatype IRI"}
-					}
-				} else {
-					return token{}, &SyntaxError{l.pos, "expected <IRI> after ^^"}
-				}
-			}
-			return tok, nil
-		}
-		b.WriteByte(c)
+		tok := token{kind: tokString, pos: int32(start), body: int32(l.pos)}
 		l.pos++
+		if l.pos < len(l.src) && l.src[l.pos] == '@' {
+			l.pos++
+			l.readName()
+		} else if l.pos+1 < len(l.src) && l.src[l.pos] == '^' && l.src[l.pos+1] == '^' {
+			l.pos += 2
+			if l.pos >= len(l.src) || l.src[l.pos] != '<' {
+				return token{}, &SyntaxError{l.pos, "expected <IRI> after ^^"}
+			}
+			end := l.iriEnd()
+			if end < 0 {
+				return token{}, &SyntaxError{l.pos, "malformed datatype IRI"}
+			}
+			l.pos = end + 1
+		}
+		tok.end = int32(l.pos)
+		return tok, nil
 	}
 	return token{}, &SyntaxError{start, "unterminated string"}
 }
 
-func (l *lexer) readNumber() (token, error) {
+func (l *lexer) readNumber() token {
 	start := l.pos
 	if c := l.src[l.pos]; c == '+' || c == '-' {
 		l.pos++
@@ -262,8 +248,54 @@ func (l *lexer) readNumber() (token, error) {
 				l.pos++
 			}
 		default:
-			return token{kind: tokNumber, text: l.src[start:l.pos], pos: start}, nil
+			return l.tok(tokNumber, start)
 		}
 	}
-	return token{kind: tokNumber, text: l.src[start:l.pos], pos: start}, nil
+	return l.tok(tokNumber, start)
+}
+
+// stringBody is the unescaped text between a string token's quotes:
+// a slice of src when it has no escape, else a fresh string.
+func stringBody(src string, t token) string {
+	body := src[t.pos+1 : t.body]
+	if strings.IndexByte(body, '\\') < 0 {
+		return body
+	}
+	var b strings.Builder
+	b.Grow(len(body))
+	for i := 0; i < len(body); i++ {
+		c := body[i]
+		if c != '\\' || i+1 == len(body) {
+			b.WriteByte(c)
+			continue
+		}
+		i++
+		switch body[i] {
+		case 'n':
+			b.WriteByte('\n')
+		case 't':
+			b.WriteByte('\t')
+		case 'r':
+			b.WriteByte('\r')
+		case '"', '\'', '\\':
+			b.WriteByte(body[i])
+		default:
+			b.WriteByte('\\')
+			b.WriteByte(body[i])
+		}
+	}
+	return b.String()
+}
+
+// stringSuffix is a string token's language tag or datatype IRI, one of
+// them empty.
+func stringSuffix(src string, t token) (lang, dtype string) {
+	suffix := src[t.body+1 : t.end]
+	switch {
+	case strings.HasPrefix(suffix, "@"):
+		return suffix[1:], ""
+	case strings.HasPrefix(suffix, "^^<"):
+		return "", suffix[3 : len(suffix)-1]
+	}
+	return "", ""
 }

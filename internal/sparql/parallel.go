@@ -41,23 +41,19 @@ func (ex *executor) parallel(n int) bool {
 }
 
 // clone returns an executor that shares this executor's engine, store
-// view, dictionary, context, and cancellation latch, but owns its
-// mutable per-evaluation state (slot table, tick counter). Worker
-// goroutines run on clones so that state mutated mid-evaluation —
-// fresh variables registered by EXISTS groups — never races across
+// view, dictionary, local terms, context, and cancellation latch, but
+// owns its mutable per-evaluation state (slot table, tick counter).
+// Worker goroutines run on clones so that state mutated mid-evaluation
+// — fresh variables registered by EXISTS groups — never races across
 // workers. Clones are sequential (workers=1): fan-out happens at one
 // level only.
 func (ex *executor) clone() *executor {
-	slots := make(map[string]int, len(ex.slots))
-	for k, v := range ex.slots {
-		slots[k] = v
-	}
 	return &executor{
 		eng:       ex.eng,
 		view:      ex.view,
 		dict:      ex.dict,
-		slots:     slots,
-		varSeq:    append([]string(nil), ex.varSeq...),
+		local:     ex.local,
+		vars:      ex.vars.clone(),
 		ctx:       ex.ctx,
 		dead:      ex.dead,
 		workers:   1,
