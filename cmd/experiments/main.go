@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -37,13 +38,13 @@ func main() {
 		p.MaxRetries = *retries
 		policy = &p
 	}
-	if err := run(*exp, *scaleName, *seed, *perSize, *csvDir, policy, *workers); err != nil {
+	if err := run(os.Stdout, *exp, *scaleName, *seed, *perSize, *csvDir, policy, *workers); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(exp, scaleName string, seed int64, perSize int, csvDir string, policy *endpoint.Policy, workers int) error {
+func run(w io.Writer, exp, scaleName string, seed int64, perSize int, csvDir string, policy *endpoint.Policy, workers int) error {
 	var scale bench.Scale
 	switch scaleName {
 	case "small":
@@ -60,7 +61,6 @@ func run(exp, scaleName string, seed int64, perSize int, csvDir string, policy *
 		want[strings.TrimSpace(e)] = true
 	}
 	all := want["all"]
-	w := os.Stdout
 
 	fmt.Fprintf(w, "preparing datasets at scale %q (eurostat=%d production=%d dbpedia=%d observations)...\n",
 		scaleName, scale.Eurostat, scale.Production, scale.DBpedia)

@@ -41,7 +41,6 @@ import (
 	"re2xolap/internal/qb"
 	"re2xolap/internal/refine"
 	"re2xolap/internal/session"
-	"re2xolap/internal/store"
 	"re2xolap/internal/vgraph"
 )
 
@@ -94,44 +93,22 @@ func main() {
 
 func buildClient(endpointURL, data, gen string, obsCount int, class string, policy endpoint.Policy, copts []endpoint.Option) (endpoint.Client, qb.Config, error) {
 	cfg := qb.Config{ObservationClass: class}
-	switch {
-	case endpointURL != "":
+	if endpointURL != "" {
 		// A remote endpoint can flake: wrap the HTTP client in the
 		// resilience decorator (deadlines, retries, circuit breaker).
 		// The metrics and slow-query options attach to the outer
 		// decorator so every query is observed exactly once.
 		return endpoint.NewResilient(endpoint.NewHTTPClient(endpointURL),
 			append([]endpoint.Option{endpoint.WithPolicy(policy)}, copts...)...), cfg, nil
-	case data != "":
-		f, err := os.Open(data)
-		if err != nil {
-			return nil, cfg, err
-		}
-		defer f.Close()
-		var st *store.Store
-		if strings.HasSuffix(data, ".snap") {
-			st, err = store.ReadSnapshot(f)
-		} else {
-			st = store.New()
-			_, err = st.Load(f)
-		}
-		if err != nil {
-			return nil, cfg, err
-		}
-		return endpoint.NewInProcess(st, copts...), cfg, nil
-	case gen != "":
-		spec, err := datagen.Preset(gen, obsCount)
-		if err != nil {
-			return nil, cfg, err
-		}
-		st, err := spec.BuildStore()
-		if err != nil {
-			return nil, cfg, err
-		}
-		return endpoint.NewInProcess(st, copts...), spec.Config(), nil
-	default:
-		return nil, cfg, fmt.Errorf("one of -endpoint, -data, or -gen is required")
 	}
+	st, genCfg, err := datagen.Load(data, gen, obsCount)
+	if err != nil {
+		return nil, cfg, err
+	}
+	if gen != "" {
+		cfg = genCfg
+	}
+	return endpoint.NewInProcess(st, copts...), cfg, nil
 }
 
 // repl drives the interactive loop, reading commands from in and

@@ -49,6 +49,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -58,7 +59,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -477,39 +477,12 @@ func newHTTPServer(addr string, handler http.Handler, queryTimeout time.Duration
 	}
 }
 
+// buildStore loads the dataset -data or -gen names (datagen.Load).
 func buildStore(data, gen string, obs int) (*store.Store, error) {
-	switch {
-	case data != "" && gen != "":
-		return nil, fmt.Errorf("-data and -gen are mutually exclusive")
-	case data != "":
-		f, err := os.Open(data)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		if strings.HasSuffix(data, ".snap") {
-			st, err := store.ReadSnapshot(f)
-			if err != nil {
-				return nil, fmt.Errorf("loading snapshot %s: %w", data, err)
-			}
-			log.Printf("sparqld: loaded %d triples from snapshot %s", st.Len(), data)
-			return st, nil
-		}
-		st := store.New()
-		n, err := st.Load(f)
-		if err != nil {
-			return nil, fmt.Errorf("loading %s: %w", data, err)
-		}
-		log.Printf("sparqld: loaded %d triples from %s", n, data)
-		return st, nil
-	case gen != "":
-		spec, err := datagen.Preset(gen, obs)
-		if err != nil {
-			return nil, err
-		}
-		log.Printf("sparqld: generating %s with %d observations...", gen, obs)
-		return spec.BuildStore()
-	default:
-		return nil, fmt.Errorf("one of -data or -gen is required")
+	st, _, err := datagen.Load(data, gen, obs)
+	if err != nil {
+		return nil, err
 	}
+	log.Printf("sparqld: loaded %d triples from %s", st.Len(), cmp.Or(data, gen))
+	return st, nil
 }

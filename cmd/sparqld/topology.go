@@ -95,7 +95,7 @@ func parseShardSlot(s string) (i, n int, err error) {
 // and then split.
 func buildPartitions(data, gen string, obsCount, n int) ([]*store.Store, error) {
 	p := shard.Partitioner{N: n}
-	if data != "" && !strings.HasSuffix(data, ".snap") {
+	if data != "" && gen == "" && !strings.HasSuffix(data, ".snap") {
 		f, err := os.Open(data)
 		if err != nil {
 			return nil, err

@@ -11,18 +11,14 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
-	"os"
-	"strings"
 	"time"
 
 	"re2xolap/internal/core"
 	"re2xolap/internal/datagen"
 	"re2xolap/internal/endpoint"
 	"re2xolap/internal/qb"
-	"re2xolap/internal/store"
 	"re2xolap/internal/vgraph"
 	"re2xolap/internal/webui"
 )
@@ -60,37 +56,15 @@ func main() {
 
 func buildClient(endpointURL, data, gen string, obs int, class string) (endpoint.Client, qb.Config, error) {
 	cfg := qb.Config{ObservationClass: class}
-	switch {
-	case endpointURL != "":
+	if endpointURL != "" {
 		return endpoint.NewHTTPClient(endpointURL), cfg, nil
-	case data != "":
-		f, err := os.Open(data)
-		if err != nil {
-			return nil, cfg, err
-		}
-		defer f.Close()
-		var st *store.Store
-		if strings.HasSuffix(data, ".snap") {
-			st, err = store.ReadSnapshot(f)
-		} else {
-			st = store.New()
-			_, err = st.Load(f)
-		}
-		if err != nil {
-			return nil, cfg, err
-		}
-		return endpoint.NewInProcess(st), cfg, nil
-	case gen != "":
-		spec, err := datagen.Preset(gen, obs)
-		if err != nil {
-			return nil, cfg, err
-		}
-		st, err := spec.BuildStore()
-		if err != nil {
-			return nil, cfg, err
-		}
-		return endpoint.NewInProcess(st), spec.Config(), nil
-	default:
-		return nil, cfg, fmt.Errorf("one of -endpoint, -data, or -gen is required")
 	}
+	st, genCfg, err := datagen.Load(data, gen, obs)
+	if err != nil {
+		return nil, cfg, err
+	}
+	if gen != "" {
+		cfg = genCfg
+	}
+	return endpoint.NewInProcess(st), cfg, nil
 }

@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 
 	"re2xolap/internal/rdf"
+	"re2xolap/internal/vgraph"
 )
 
 // This file implements the extensions the paper lists as future work
@@ -48,48 +48,35 @@ func (e *Engine) SynthesizeWithNegatives(ctx context.Context, positives []Exampl
 }
 
 // negativeWitnessed reports whether the negative tuple is witnessed by
-// the data at the candidate's levels. Negative tuples shorter than the
-// candidate's dimensionality apply to the first len(neg) dimensions.
+// the data at the candidate's levels: whether the witness query over the
+// candidate's first len(neg) levels, with the members each negative item
+// matches there, finds an observation. Negative tuples longer than the
+// candidate's dimensionality never hit.
 func (e *Engine) negativeWitnessed(ctx context.Context, cand Candidate, neg ExampleTuple) (bool, error) {
 	if len(neg) == 0 || len(neg) > len(cand.Query.Dims) {
 		return false, nil
 	}
-	// Resolve each negative item to members at the corresponding level.
-	var memberLists [][]rdf.Term
+	levels := make([]*vgraph.Level, len(neg))
+	members := make([][][]Match, len(neg))
 	for i, item := range neg {
 		ms, err := e.MatchItem(ctx, item)
 		if err != nil {
 			return false, err
 		}
-		level := cand.Query.Dims[i].Level
-		var members []rdf.Term
+		levels[i] = cand.Query.Dims[i].Level
+		var at []Match
 		for _, m := range ms {
-			if m.Level.Key() == level.Key() {
-				members = append(members, m.Member)
+			if m.Level.Key() == levels[i].Key() {
+				at = append(at, m)
 			}
 		}
-		if len(members) == 0 {
+		if len(at) == 0 {
 			return false, nil // negative item not at this level: no hit
 		}
-		memberLists = append(memberLists, members)
+		members[i] = [][]Match{at}
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "ASK { ?o a <%s> . ", e.Config.ObservationClass)
-	for i, members := range memberLists {
-		level := cand.Query.Dims[i].Level
-		fmt.Fprintf(&b, "?o %s ?n%d . VALUES ?n%d {", pathExpr(level.Path), i, i)
-		for _, m := range members {
-			b.WriteByte(' ')
-			b.WriteString(m.String())
-		}
-		b.WriteString(" } ")
-	}
-	b.WriteString("}")
-	res, err := e.query(ctx, "negative-check", b.String())
-	if err != nil {
-		return false, fmt.Errorf("core: checking negative example: %w", err)
-	}
-	return res.Boolean, nil
+	w, err := e.witness(ctx, levels, members, 0)
+	return w != nil, err
 }
 
 // ContrastRow is one measure comparison between the two example
@@ -134,24 +121,9 @@ func (e *Engine) ContrastSets(ctx context.Context, a, b ExampleTuple) ([]Contras
 	}
 	var out []Contrast
 	for _, cand := range cands {
-		levels := make([]string, len(cand.Query.Dims))
-		for i, d := range cand.Query.Dims {
-			levels[i] = d.Level.Key()
-		}
-		anchorA := make([]rdf.Term, len(cand.Query.Dims))
-		for i, d := range cand.Query.Dims {
-			if d.Example == nil {
-				return nil, fmt.Errorf("core: contrast candidate lacks example anchor")
-			}
-			anchorA[i] = *d.Example
-		}
-		anchorB, err := e.resolveAnchor(ctx, cand, b)
-		if err != nil {
-			return nil, err
-		}
-		if anchorB == nil {
-			continue
-		}
+		// Validation witnessed both tuples at the candidate's levels;
+		// their witnesses are the anchors.
+		anchorA, anchorB := cand.witnesses[0], cand.witnesses[1]
 		rs, err := e.Execute(ctx, cand.Query)
 		if err != nil {
 			return nil, err
@@ -178,47 +150,6 @@ func (e *Engine) ContrastSets(ctx context.Context, a, b ExampleTuple) ([]Contras
 		out = append(out, c)
 	}
 	return out, nil
-}
-
-// resolveAnchor finds the member combination of tuple t at the
-// candidate's levels, witnessed by one observation.
-func (e *Engine) resolveAnchor(ctx context.Context, cand Candidate, t ExampleTuple) ([]rdf.Term, error) {
-	var b strings.Builder
-	b.WriteString("SELECT")
-	for i := range cand.Query.Dims {
-		fmt.Fprintf(&b, " ?x%d", i)
-	}
-	fmt.Fprintf(&b, " WHERE { ?o a <%s> . ", e.Config.ObservationClass)
-	for i, d := range cand.Query.Dims {
-		ms, err := e.MatchItem(ctx, t[i])
-		if err != nil {
-			return nil, err
-		}
-		var members []rdf.Term
-		for _, m := range ms {
-			if m.Level.Key() == d.Level.Key() {
-				members = append(members, m.Member)
-			}
-		}
-		if len(members) == 0 {
-			return nil, nil
-		}
-		fmt.Fprintf(&b, "?o %s ?x%d . VALUES ?x%d {", pathExpr(d.Level.Path), i, i)
-		for _, m := range members {
-			b.WriteByte(' ')
-			b.WriteString(m.String())
-		}
-		b.WriteString(" } ")
-	}
-	b.WriteString("} LIMIT 1")
-	res, err := e.query(ctx, "contrast-anchor", b.String())
-	if err != nil {
-		return nil, fmt.Errorf("core: resolving contrast anchor: %w", err)
-	}
-	if res.Len() == 0 {
-		return nil, nil
-	}
-	return res.Rows[0], nil
 }
 
 // findTuple locates the result tuple whose dimension members equal the

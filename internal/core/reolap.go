@@ -22,8 +22,6 @@ const (
 	maxCandidates = 1000
 	// maxCombinations caps the interpretation combinations explored.
 	maxCombinations = 5000
-	// valuesChunk is the VALUES block size for membership queries.
-	valuesChunk = 500
 )
 
 // Engine runs ReOLAP query synthesis against a SPARQL endpoint, using a
@@ -200,40 +198,17 @@ func (e *Engine) matchItemUncached(ctx context.Context, item ExampleItem) ([]Mat
 }
 
 // levelMembership filters candidate terms down to those that are
-// members of level l. Small candidate sets use one early-exiting ASK
-// per term (cost independent of the observation count); large sets
-// fall back to chunked VALUES queries.
+// members of level l, with one early-exiting ASK per term (cost
+// independent of the observation count).
 func (e *Engine) levelMembership(ctx context.Context, l *vgraph.Level, terms []rdf.Term) ([]rdf.Term, error) {
 	var out []rdf.Term
-	if len(terms) <= 32 {
-		for _, t := range terms {
-			res, err := e.query(ctx, "membership-ask", "ASK { "+e.classPattern+e.levelPaths[l.ID]+t.String()+" . }")
-			if err != nil {
-				return nil, fmt.Errorf("core: membership check on level %s: %w", l, err)
-			}
-			if res.Boolean {
-				out = append(out, t)
-			}
-		}
-		return out, nil
-	}
-	for start := 0; start < len(terms); start += valuesChunk {
-		end := start + valuesChunk
-		if end > len(terms) {
-			end = len(terms)
-		}
-		var vals strings.Builder
-		for _, t := range terms[start:end] {
-			vals.WriteString(t.String())
-			vals.WriteByte(' ')
-		}
-		q := "SELECT DISTINCT ?m WHERE { VALUES ?m { " + vals.String() + "} " + e.classPattern + e.levelPaths[l.ID] + "?m . }"
-		res, err := e.query(ctx, "membership-values", q)
+	for _, t := range terms {
+		res, err := e.query(ctx, "membership-ask", "ASK { "+e.classPattern+e.levelPaths[l.ID]+t.String()+" . }")
 		if err != nil {
 			return nil, fmt.Errorf("core: membership check on level %s: %w", l, err)
 		}
-		for _, row := range res.Rows {
-			out = append(out, row[0])
+		if res.Boolean {
+			out = append(out, t)
 		}
 	}
 	return out, nil
@@ -245,6 +220,11 @@ type Candidate struct {
 	Query *OLAPQuery
 	// Matches holds, per example item, the interpretation used.
 	Matches []Match
+
+	// witnesses holds, per example tuple, the members the observation
+	// witnessing it links, aligned with Query.Dims; the first tuple's
+	// anchor the query example.
+	witnesses [][]rdf.Term
 }
 
 // Synthesize implements Algorithm 1 for a single example tuple: it
@@ -477,7 +457,7 @@ func (e *Engine) validateCombination(ctx context.Context, tuples []ExampleTuple,
 	// Validate: every tuple must be witnessed by an observation linking
 	// all its members simultaneously (correctness, Section 5.3). The
 	// first tuple's witnessing members anchor the query example.
-	var anchor []rdf.Term
+	witnesses := make([][]rdf.Term, len(tuples))
 	for ti := range tuples {
 		witness, err := e.witness(ctx, levels, members, ti)
 		if err != nil {
@@ -486,11 +466,10 @@ func (e *Engine) validateCombination(ctx context.Context, tuples []ExampleTuple,
 		if witness == nil {
 			return Candidate{}, false, nil
 		}
-		if ti == 0 {
-			anchor = witness
-		}
+		witnesses[ti] = witness
 	}
 
+	anchor := witnesses[0]
 	examples := make([]*rdf.Term, len(levels))
 	matches := make([]Match, len(levels))
 	for i := range levels {
@@ -506,7 +485,7 @@ func (e *Engine) validateCombination(ctx context.Context, tuples []ExampleTuple,
 	}
 	q := NewOLAPQuery(e.Config.ObservationClass, levels, examples, e.Graph.Measures)
 	q.Description = q.Describe()
-	return Candidate{Query: q, Matches: matches}, true, nil
+	return Candidate{Query: q, Matches: matches, witnesses: witnesses}, true, nil
 }
 
 // witness finds one observation linking a member choice for every item

@@ -245,3 +245,27 @@ func TestMissingRateSparsity(t *testing.T) {
 		t.Errorf("levels = %d", g.Stats().Levels)
 	}
 }
+
+// TestLoad: the commands' one -data/-gen loader takes exactly one
+// source and hands a generated preset's configuration back.
+func TestLoad(t *testing.T) {
+	if _, _, err := Load("x.nt", "eurostat", 10); err == nil {
+		t.Error("-data together with -gen accepted")
+	}
+	if _, _, err := Load("", "", 10); err == nil {
+		t.Error("no source accepted")
+	}
+	if _, _, err := Load("", "nope", 10); err == nil {
+		t.Error("unknown preset accepted")
+	}
+	if _, _, err := Load("/nonexistent/file.nt", "", 0); err == nil {
+		t.Error("missing file accepted")
+	}
+	st, cfg, err := Load("", "eurostat", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Len() == 0 || cfg.ObservationClass != EurostatLike(10).ObservationClass() {
+		t.Errorf("generated %d triples with class %q", st.Len(), cfg.ObservationClass)
+	}
+}

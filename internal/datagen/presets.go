@@ -1,6 +1,13 @@
 package datagen
 
-import "fmt"
+import (
+	"fmt"
+	"os"
+	"strings"
+
+	"re2xolap/internal/qb"
+	"re2xolap/internal/store"
+)
 
 // EurostatLike mirrors the paper's Eurostat asylum-applications KG
 // (Table 3: |D|=4, |M|=1, |L̄|=9, |N_D|=373): origin and destination
@@ -172,4 +179,41 @@ func Preset(name string, observations int) (Spec, error) {
 		return DBpediaLike(observations), nil
 	}
 	return Spec{}, fmt.Errorf("unknown preset %q (want eurostat, production, or dbpedia)", name)
+}
+
+// Load returns the store the commands' -data and -gen flags name: the
+// N-Triples/Turtle file data (a binary snapshot when its name ends in
+// .snap), or the preset gen generated with obs observations together
+// with the preset's cube configuration (the zero Config for a file).
+// Exactly one of data and gen must be set.
+func Load(data, gen string, obs int) (*store.Store, qb.Config, error) {
+	switch {
+	case data != "" && gen != "":
+		return nil, qb.Config{}, fmt.Errorf("-data and -gen are mutually exclusive")
+	case gen != "":
+		spec, err := Preset(gen, obs)
+		if err != nil {
+			return nil, qb.Config{}, err
+		}
+		st, err := spec.BuildStore()
+		return st, spec.Config(), err
+	case data == "":
+		return nil, qb.Config{}, fmt.Errorf("one of -data or -gen is required")
+	}
+	f, err := os.Open(data)
+	if err != nil {
+		return nil, qb.Config{}, err
+	}
+	defer f.Close()
+	var st *store.Store
+	if strings.HasSuffix(data, ".snap") {
+		st, err = store.ReadSnapshot(f)
+	} else {
+		st = store.New()
+		_, err = st.Load(f)
+	}
+	if err != nil {
+		return nil, qb.Config{}, fmt.Errorf("loading %s: %w", data, err)
+	}
+	return st, qb.Config{}, nil
 }

@@ -14,14 +14,14 @@ import (
 	"sync/atomic"
 )
 
-// active counts worker goroutines currently running across every Do
-// call in the process; Active exposes it so the observability layer
-// can publish pool occupancy as a gauge. The sequential inline path
-// (workers <= 1) runs on the caller's goroutine and is not counted.
+// active counts the goroutines working in Do calls process-wide, each
+// call's caller included; Active exposes it so the observability layer
+// can publish pool occupancy as a gauge.
 var active atomic.Int64
 
-// Active returns the number of pool worker goroutines currently
-// running process-wide.
+// Active returns the number of goroutines currently working in Do
+// calls process-wide, the callers among them included: inside fn, a
+// call of Do with w workers over at least w items counts w.
 func Active() int64 { return active.Load() }
 
 // Workers resolves a worker-count setting: n > 0 is taken as-is, and
@@ -33,58 +33,53 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Do runs fn(0), fn(1), …, fn(n-1) on at most workers goroutines and
-// returns the error from the lowest index that failed, or nil. Every
-// index is invoked exactly once regardless of other indexes' errors;
-// callers that want early abort should latch their own flag inside fn
-// (see core.SynthesizeAll). With workers <= 1 the calls run inline on
-// the caller's goroutine, in index order, which is the sequential
+// Do runs fn(0), fn(1), …, fn(n-1) on at most workers goroutines, the
+// caller's one of them, and returns the error from the lowest index
+// that failed, or nil. Indexes are handed out in increasing order, and
+// every index is invoked exactly once regardless of other indexes'
+// errors; callers that want early abort should latch their own flag
+// inside fn (see core.SynthesizeAll). With workers <= 1 the caller runs
+// every index itself, in index order, which is the sequential
 // debugging path.
 func Do(workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		var first error
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil && first == nil {
-				first = err
+	workers = max(1, min(workers, n))
+	var (
+		next  atomic.Int64
+		mu    sync.Mutex
+		first = n // the lowest failed index, n while none has failed
+		err   error
+		wg    sync.WaitGroup
+	)
+	work := func() {
+		active.Add(1)
+		defer active.Add(-1)
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
+			}
+			if e := fn(i); e != nil {
+				mu.Lock()
+				if i < first {
+					first, err = i, e
+				}
+				mu.Unlock()
 			}
 		}
-		return first
 	}
-	errs := make([]error, n)
-	var next int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	wg.Add(workers - 1)
+	for range workers - 1 {
 		go func() {
-			active.Add(1)
-			defer active.Add(-1)
 			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= n {
-					return
-				}
-				errs[i] = fn(i)
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
 // Chunks splits the half-open range [0, n) into at most workers

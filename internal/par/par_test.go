@@ -3,8 +3,10 @@ package par
 import (
 	"errors"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestWorkers(t *testing.T) {
@@ -56,6 +58,57 @@ func TestDoFirstErrorByIndex(t *testing.T) {
 func TestDoZeroItems(t *testing.T) {
 	if err := Do(4, 0, func(int) error { return errors.New("never") }); err != nil {
 		t.Fatalf("Do over zero items: %v", err)
+	}
+}
+
+// TestActiveCountsEveryWorker pins what the pool gauge reads: inside
+// fn, a Do with w workers over w items counts all w of them, the caller
+// included, and the count falls back once Do returns. Every call reads
+// the gauge only once all w are in fn, and leaves only once all w have
+// read it, so each runs on a goroutine of its own.
+func TestActiveCountsEveryWorker(t *testing.T) {
+	// meet returns a barrier for n goroutines that gives up after a
+	// while, so a pool short of goroutines fails instead of hanging.
+	meet := func(n int) func() error {
+		var wg sync.WaitGroup
+		wg.Add(n)
+		all := make(chan struct{})
+		go func() {
+			wg.Wait()
+			close(all)
+		}()
+		return func() error {
+			wg.Done()
+			select {
+			case <-all:
+				return nil
+			case <-time.After(10 * time.Second):
+				return errors.New("workers never met: fewer goroutines than workers")
+			}
+		}
+	}
+	for _, workers := range []int{1, 2, 4} {
+		before := Active()
+		in, read := meet(workers), meet(workers)
+		seen := make([]int64, workers)
+		err := Do(workers, workers, func(i int) error {
+			if err := in(); err != nil {
+				return err
+			}
+			seen[i] = Active() - before
+			return read()
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i, n := range seen {
+			if n != int64(workers) {
+				t.Errorf("workers=%d: index %d saw %d active, want %d", workers, i, n, workers)
+			}
+		}
+		if n := Active(); n != before {
+			t.Errorf("workers=%d: %d active after Do returned, want %d", workers, n, before)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 
-	"re2xolap/internal/par"
 	"re2xolap/internal/rdf"
 )
 
@@ -580,13 +579,10 @@ func (ex *executor) compileFold(s *aggSpec) *aggFold {
 func (ex *executor) aggregate(q *Query, rows []row) (*solutions, error) {
 	f := ex.compileFold(newAggSpec(q))
 	rows = ex.extendRows(rows)
-	chunks := [][2]int{{0, len(rows)}}
-	if ex.parallel(len(rows)) {
-		chunks = par.Chunks(len(rows), ex.workers)
-	}
-	tables := make([]*aggTable, len(chunks))
-	ex.runIndexed(len(chunks), true, func(w *executor, i int) {
-		tables[i] = w.foldRows(f, rows[chunks[i][0]:chunks[i][1]])
+	tables := make([]*aggTable, ex.width(len(rows)))
+	ex.fanOut(len(rows), len(tables), func(w *executor, c, lo, hi int) error {
+		tables[c] = w.foldRows(f, rows[lo:hi])
+		return nil
 	})
 	// A cancelled fold stops mid-chunk; do not emit rows built from
 	// what it had seen.
@@ -594,7 +590,9 @@ func (ex *executor) aggregate(q *Query, rows []row) (*solutions, error) {
 		return nil, err
 	}
 	for _, t := range tables[1:] {
-		tables[0].merge(f.spec.ops, t)
+		if t != nil { // the split may make fewer chunks than workers
+			tables[0].merge(f.spec.ops, t)
+		}
 	}
 	return f.spec.solutions(tables[0], ex.ctxErr)
 }

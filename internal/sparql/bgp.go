@@ -374,20 +374,23 @@ func (ex *executor) joinPlan(rows []row, plan *bgpPlan, budget int) ([]row, erro
 		return rows, nil
 	}
 	var mu sync.Mutex
-	out, err := ex.runRowChunks(rows, func(w *executor, chunk []row) ([]row, error) {
+	outs := make([][]row, ex.workers)
+	err := ex.fanOut(len(rows), ex.workers, func(w *executor, c, lo, hi int) error {
 		counts := make([]stepCount, len(plan.counts))
-		res, err := w.run(chunk, plan, from, n, budget, counts)
+		var err error
+		outs[c], err = w.run(rows[lo:hi], plan, from, n, budget, counts)
 		mu.Lock()
 		for i, c := range counts {
 			plan.counts[i].in += c.in
 			plan.counts[i].out += c.out
 		}
 		mu.Unlock()
-		return res, err
+		return err
 	})
 	for i := from; i < n; i++ {
 		plan.counts[i].workers = ex.workers
 	}
+	out, err := ex.mergeChunks(outs, err)
 	if budget > 0 && len(out) > budget {
 		out = out[:budget]
 	}

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"re2xolap/internal/obs"
-	"re2xolap/internal/par"
 	"re2xolap/internal/rdf"
 	"re2xolap/internal/store"
 )
@@ -877,26 +876,21 @@ func (ex *executor) joinUnion(rows []row, u UnionElement) ([]row, error) {
 	// Branches are independent inner joins over the same seed, so they
 	// run concurrently (each on a clone); concatenating the branch
 	// results in branch order reproduces the sequential output exactly.
-	concurrent := ex.workers > 1 && len(branches) > 1
+	k := 1
+	if ex.workers > 1 {
+		k = len(branches)
+	}
 	outs := make([][]row, len(branches))
-	err := par.Do(ex.workers, len(branches), func(i int) error {
-		w := ex
-		if concurrent {
-			w = ex.clone()
+	err := ex.fanOut(len(branches), k, func(w *executor, _, lo, hi int) error {
+		for b := lo; b < hi; b++ {
+			var err error
+			if outs[b], err = w.joinSegs(branches[b], 0); err != nil {
+				return err
+			}
 		}
-		var berr error
-		if outs[i], berr = w.joinSegs(branches[i], 0); berr != nil {
-			ex.dead.Store(true)
-		}
-		return berr
+		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	if err := ex.ctxErr(); err != nil {
-		return nil, err
-	}
-	return slices.Concat(outs...), nil
+	return ex.mergeChunks(outs, err)
 }
 
 // joinOptional left-joins an OPTIONAL block: every row is extended by
@@ -975,32 +969,25 @@ func (ex *executor) encode(t rdf.Term) store.ID {
 }
 
 // applyFilter keeps the rows satisfying f, compiled once for all of
-// them. Large inputs are filtered in parallel chunks; since chunks are
-// contiguous and merged in order, the surviving rows keep their input
-// order either way.
+// them, in place: a chunk per worker when the rows are many, one
+// otherwise. Since chunks are contiguous and merged in order, the
+// surviving rows keep their input order either way.
 func (ex *executor) applyFilter(rows []row, f Expr) []row {
 	test := ex.compileCond(f)
-	if ex.parallel(len(rows)) {
-		out, err := ex.runRowChunks(rows, func(w *executor, chunk []row) ([]row, error) {
-			return w.applyFilterSeq(chunk, test), nil
-		})
-		if err != nil {
-			// Only a context error can land here; drop the rows and let
-			// the caller's context check surface it.
-			return nil
+	outs := make([][]row, ex.width(len(rows)))
+	err := ex.fanOut(len(rows), len(outs), func(w *executor, c, lo, hi int) error {
+		out := rows[lo:lo]
+		for _, r := range rows[lo:hi] {
+			if keep, err := test(w, r, nil); err == nil && keep {
+				out = append(out, r)
+			}
 		}
-		return out
-	}
-	return ex.applyFilterSeq(rows, test)
-}
-
-func (ex *executor) applyFilterSeq(rows []row, test condFn) []row {
-	out := rows[:0]
-	for _, r := range rows {
-		if keep, err := test(ex, r, nil); err == nil && keep {
-			out = append(out, r)
-		}
-	}
+		outs[c] = out
+		return nil
+	})
+	// Only a context error can fail the merge; drop the rows and let
+	// the caller's context check surface it.
+	out, _ := ex.mergeChunks(outs, err)
 	return out
 }
 
@@ -1017,7 +1004,8 @@ func (ex *executor) project(q *Query, rows []row) (*solutions, error) {
 			items = append(items, SelectItem{Var: name})
 		}
 	}
-	pj := &projection{rows: rows, slots: make([]int, len(items))}
+	pj := &projection{rows: rows}
+	pj.slots = slices.Grow(pj.slotBuf[:0], len(items))[:len(items)]
 	vars := make([]string, len(items))
 	for i, it := range items {
 		vars[i] = it.Var
@@ -1034,14 +1022,11 @@ func (ex *executor) project(q *Query, rows []row) (*solutions, error) {
 		out := make([][]rdf.Term, len(perm))
 		w := len(items)
 		terms := make([]rdf.Term, len(perm)*w)
-		if !ex.parallel(len(perm)) {
-			for i, k := range perm {
-				out[i] = pj.render(ex, k, terms[i*w:(i+1)*w:(i+1)*w])
+		ex.fanOut(len(perm), ex.width(len(perm)), func(x *executor, _, lo, hi int) error {
+			for i := lo; i < hi; i++ {
+				out[i] = pj.render(x, perm[i], terms[i*w:(i+1)*w:(i+1)*w])
 			}
-			return out
-		}
-		ex.runIndexed(len(perm), true, func(x *executor, i int) {
-			out[i] = pj.render(x, perm[i], terms[i*w:(i+1)*w:(i+1)*w])
+			return nil
 		})
 		return out
 	}
@@ -1068,6 +1053,8 @@ type projection struct {
 	rows  []row
 	slots []int
 	cells []evalFn // nil when every item is a variable
+	// slotBuf backs slots for a projection of few items.
+	slotBuf [4]int
 }
 
 // render fills line with row k's projection and returns it.

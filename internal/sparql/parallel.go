@@ -1,7 +1,7 @@
 package sparql
 
 import (
-	"sync"
+	"slices"
 
 	"re2xolap/internal/par"
 )
@@ -40,6 +40,15 @@ func (ex *executor) parallel(n int) bool {
 	return ex.workers > 1 && n >= ex.threshold
 }
 
+// width is how many chunks a stage over n input rows splits into: one
+// below the parallel threshold, one per worker above it.
+func (ex *executor) width(n int) int {
+	if ex.parallel(n) {
+		return ex.workers
+	}
+	return 1
+}
+
 // clone returns an executor that shares this executor's engine, store
 // view, dictionary, local terms, context, and cancellation latch, but
 // owns its mutable per-evaluation state (slot table, tick counter).
@@ -61,83 +70,46 @@ func (ex *executor) clone() *executor {
 	}
 }
 
-// runRowChunks partitions rows into one contiguous chunk per worker,
-// runs fn over the chunks concurrently (each on a cloned executor),
-// and concatenates the chunk outputs in input order. Because chunks
-// are contiguous and merged in order, the result is byte-identical to
-// running fn over the whole input sequentially, provided fn itself is
-// order-preserving per chunk (all executor stages are). The first
-// error by chunk order wins; the shared cancellation latch makes the
-// remaining workers drain promptly.
-func (ex *executor) runRowChunks(rows []row, fn func(w *executor, chunk []row) ([]row, error)) ([]row, error) {
-	chunks := par.Chunks(len(rows), ex.workers)
-	if len(chunks) <= 1 {
-		return fn(ex, rows)
+// fanOut is the executor's one fan-out: it splits [0, n) into at most k
+// contiguous chunks (par.Chunks) and runs fn(w, c, lo, hi) for chunk c
+// = [lo, hi). A single chunk runs on ex itself; more run through
+// par.Do, each on a clone of ex, all taken before the fan-out starts so
+// no clone copies state a running worker is changing. Every executor
+// stage is order-preserving per chunk, so merging the chunk outputs in
+// chunk order reproduces the one-chunk output byte for byte. The first
+// error by chunk wins and latches the query's cancellation flag, so the
+// sibling workers stop promptly; a worker that saw the context end
+// latches it too, and the caller surfaces that through ctxErr.
+func (ex *executor) fanOut(n, k int, fn func(w *executor, c, lo, hi int) error) error {
+	if k <= 1 || n <= 1 {
+		return fn(ex, 0, 0, n)
 	}
-	outs := make([][]row, len(chunks))
-	errs := make([]error, len(chunks))
-	var wg sync.WaitGroup
-	wg.Add(len(chunks))
-	for i, c := range chunks {
-		go func(i int, lo, hi int) {
-			defer wg.Done()
-			w := ex.clone()
-			outs[i], errs[i] = fn(w, rows[lo:hi])
-			if errs[i] != nil {
-				// Latch so sibling workers stop scanning; the error is
-				// propagated below, so the latch can't silently truncate
-				// results.
-				ex.dead.Store(true)
-			}
-		}(i, c[0], c[1])
+	chunks := par.Chunks(n, k)
+	ws := make([]*executor, len(chunks))
+	for c := range ws {
+		ws[c] = ex.clone()
 	}
-	wg.Wait()
-	for _, err := range errs {
+	return par.Do(ex.workers, len(chunks), func(c int) error {
+		err := fn(ws[c], c, chunks[c][0], chunks[c][1])
 		if err != nil {
-			return nil, err
+			ex.dead.Store(true)
 		}
-	}
-	// The latch may also have been set by a context check in a worker;
-	// surface the context error rather than merging partial chunks.
-	if err := ex.ctxErr(); err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, o := range outs {
-		total += len(o)
-	}
-	merged := make([]row, 0, total)
-	for _, o := range outs {
-		merged = append(merged, o...)
-	}
-	return merged, nil
+		return err
+	})
 }
 
-// runIndexed runs fn for every index in [0, n), partitioned into
-// contiguous chunks over the worker pool, each chunk on a cloned
-// executor. fn must only write to index-addressed state (no shared
-// appends). wide says whether fan-out is worthwhile (callers gate on
-// the row threshold for cheap per-item work, or on item count alone
-// when each item is expensive); when false, fn runs inline on this
-// executor.
-func (ex *executor) runIndexed(n int, wide bool, fn func(w *executor, i int)) {
-	chunks := par.Chunks(n, ex.workers)
-	if !wide || ex.workers <= 1 || len(chunks) <= 1 {
-		for i := 0; i < n; i++ {
-			fn(ex, i)
-		}
-		return
+// mergeChunks concatenates the row outputs of a fanOut in chunk order
+// (a lone chunk's rows as they are), unless the fan-out failed or a
+// worker saw the context end: partial chunks are never merged.
+func (ex *executor) mergeChunks(outs [][]row, err error) ([]row, error) {
+	if err == nil {
+		err = ex.ctxErr()
 	}
-	var wg sync.WaitGroup
-	wg.Add(len(chunks))
-	for _, c := range chunks {
-		go func(lo, hi int) {
-			defer wg.Done()
-			w := ex.clone()
-			for i := lo; i < hi; i++ {
-				fn(w, i)
-			}
-		}(c[0], c[1])
+	switch {
+	case err != nil:
+		return nil, err
+	case len(outs) == 1:
+		return outs[0], nil
 	}
-	wg.Wait()
+	return slices.Concat(outs...), nil
 }

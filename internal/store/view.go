@@ -1,5 +1,7 @@
 package store
 
+import "slices"
+
 // View is a consistent, immutable read-only view of the store, taken at
 // a point in time by Store.View. It exists for the parallel query
 // pipeline: Store.Match takes the store's read lock on every call,
@@ -18,6 +20,10 @@ package store
 type View struct {
 	st *Store
 	l  layers // read-only: the slices are shared with the store
+	// terms is the dictionary's length when the view was taken: every
+	// literal the text index held then has an ID up to it, and every
+	// literal a writer indexes later one above it (see TextSearch).
+	terms ID
 }
 
 // View returns a consistent read-only view of the store's current
@@ -26,7 +32,10 @@ type View struct {
 func (s *Store) View() *View {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return &View{st: s, l: s.layers}
+	// Every writer that mints and indexes a literal publishes the
+	// dictionary snapshot before it releases s.mu, so under s.mu the
+	// snapshot counts every indexed literal.
+	return &View{st: s, l: s.layers, terms: ID(len(s.dict.snap.Load().terms))}
 }
 
 // Dict returns the term dictionary. The dictionary is shared with the
@@ -52,8 +61,16 @@ func (v *View) MatchCount(sub, pred, obj ID) int {
 func (v *View) Len() int { return v.l.len() }
 
 // TextSearch resolves a full-text keyword against the store's inverted
-// index. The text index has no snapshot (it is a set of mutable
-// posting maps), so this delegates to the locked store path; it runs
-// once per keyword filter during query rewrite, not per row, so the
-// lock is off the hot path.
-func (v *View) TextSearch(keyword string) []ID { return v.st.TextSearch(keyword) }
+// index as the view sees it. The text index has no snapshot (it is a
+// set of mutable posting maps), so this searches it on the locked store
+// path and drops the IDs minted after the view was taken. That is
+// exact because every write path mints a literal and indexes it in one
+// hold of s.mu; only a literal interned through Dict.Encode before the
+// view and first stored after it would still show, and no write path
+// interns that way. It runs once per keyword filter during query
+// rewrite, not per row, so the lock is off the hot path.
+func (v *View) TextSearch(keyword string) []ID {
+	ids := v.st.TextSearch(keyword) // ascending
+	n, _ := slices.BinarySearch(ids, v.terms+1)
+	return ids[:n]
+}

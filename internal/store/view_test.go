@@ -79,6 +79,30 @@ func TestViewSnapshotIsolation(t *testing.T) {
 	}
 }
 
+// TestViewTextSearchIsSnapshot: a view's keyword search finds the
+// literals stored when it was taken, not those a writer adds after,
+// while a later view finds both.
+func TestViewTextSearchIsSnapshot(t *testing.T) {
+	s := New()
+	label := func(sub, lit string) rdf.Triple {
+		return rdf.NewTriple(rdf.NewIRI(sub), rdf.NewIRI("http://ex/label"), rdf.NewString(lit))
+	}
+	if err := s.Add(label("http://ex/a", "kw old")); err != nil {
+		t.Fatal(err)
+	}
+	v := s.View()
+	if err := s.Add(label("http://ex/b", "kw new")); err != nil {
+		t.Fatal(err)
+	}
+	old, _ := s.Dict().Lookup(rdf.NewString("kw old"))
+	if got := v.TextSearch("kw"); len(got) != 1 || got[0] != old {
+		t.Errorf("view search = %v, want only the literal stored before it (%d)", got, old)
+	}
+	if got := s.View().TextSearch("kw"); len(got) != 2 {
+		t.Errorf("later view search = %v, want both literals", got)
+	}
+}
+
 // TestViewConcurrentWithWrites hammers view scans while a writer keeps
 // adding and compacting; run under -race this is the regression test
 // for the lock-free read path.
