@@ -165,7 +165,8 @@ func (c *HTTPClient) QueryX(ctx context.Context, req Request) (*sparql.Results, 
 }
 
 // do POSTs an application/x-www-form-urlencoded query, per the SPARQL
-// 1.1 protocol. The second return is the serving store's generation
+// 1.1 protocol, asking for TSV before JSON and decoding the answer by
+// its Content-Type. The second return is the serving store's generation
 // token parsed from the X-Re2xolap-Generation response header (zero
 // when the endpoint does not send one).
 func (c *HTTPClient) do(ctx context.Context, query string) (*sparql.Results, uint64, error) {
@@ -175,7 +176,7 @@ func (c *HTTPClient) do(ctx context.Context, query string) (*sparql.Results, uin
 		return nil, 0, fmt.Errorf("endpoint: build request: %w", err)
 	}
 	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-	req.Header.Set("Accept", ResultsContentType)
+	req.Header.Set("Accept", acceptResults)
 	// Propagate the ambient trace across the process boundary: the
 	// serving side continues the same trace ID (W3C Trace Context), so
 	// coordinator fan-out spans and shard-side engine spans stitch into
@@ -207,7 +208,11 @@ func (c *HTTPClient) do(ctx context.Context, query string) (*sparql.Results, uin
 		return nil, 0, &StatusError{Code: resp.StatusCode, Body: strings.TrimSpace(string(body))}
 	}
 	gen, _ := strconv.ParseUint(resp.Header.Get(GenerationHeader), 10, 64)
-	res, err := decodeBody(resp.Body, resp.ContentLength)
+	decode := decodeBody
+	if isTSV(resp.Header.Get("Content-Type")) {
+		decode = decodeTSVBody
+	}
+	res, err := decode(resp.Body, resp.ContentLength)
 	if err != nil {
 		// A malformed or truncated body on a 200 is a delivery failure
 		// (connection cut mid-response, broken proxy), not a bad query.

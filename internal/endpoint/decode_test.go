@@ -132,8 +132,9 @@ func TestWantsXMLOrdering(t *testing.T) {
 }
 
 // TestServerNegotiationPrecedence pins the server's tie-breaking rules:
-// JSON wins over CSV whenever both are acceptable, and over XML when
-// listed first.
+// JSON wins over CSV whenever both are acceptable, and over XML and TSV
+// when listed first; of XML and TSV the first listed wins, and TSV wins
+// over CSV.
 func TestServerNegotiationPrecedence(t *testing.T) {
 	srv := httptest.NewServer(NewServer(testStore(t)))
 	defer srv.Close()
@@ -150,6 +151,12 @@ func TestServerNegotiationPrecedence(t *testing.T) {
 		{ResultsContentType + ", " + CSVResultsContentType, ResultsContentType},
 		{ResultsContentType + ", " + XMLResultsContentType, ResultsContentType},
 		{XMLResultsContentType + ", " + ResultsContentType, XMLResultsContentType},
+		{tsvResultsContentType, tsvResultsContentType},
+		{acceptResults, tsvResultsContentType},
+		{ResultsContentType + ", " + tsvResultsContentType, ResultsContentType},
+		{tsvResultsContentType + ", " + XMLResultsContentType, tsvResultsContentType},
+		{XMLResultsContentType + ", " + tsvResultsContentType, XMLResultsContentType},
+		{CSVResultsContentType + ", " + tsvResultsContentType, tsvResultsContentType},
 	}
 	for _, tt := range tests {
 		t.Run("accept="+tt.accept, func(t *testing.T) {

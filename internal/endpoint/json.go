@@ -3,7 +3,8 @@
 // [that] sends SPARQL queries to a standard RDF triplestore". The
 // Client interface abstracts that triplestore; InProcess wraps a local
 // store directly, while Server/HTTPClient speak the SPARQL protocol
-// with application/sparql-results+json bodies over HTTP.
+// over HTTP: application/sparql-results+json by default, and the SPARQL
+// 1.1 TSV format between the two (tsv.go).
 package endpoint
 
 import (
@@ -294,9 +295,19 @@ func DecodeResults(r io.Reader) (*sparql.Results, error) {
 	return decodeBody(r, 0)
 }
 
-// decodeBody reads r to its end into a pooled buffer, presized when the
-// caller knows the length (a Content-Length), and decodes what it read.
+// decodeBody reads a SPARQL-JSON body, presized by its Content-Length
+// when that is known, and decodes it.
 func decodeBody(r io.Reader, size int64) (*sparql.Results, error) {
+	return readBody(r, size, func(data []byte) (*sparql.Results, error) {
+		d := decoder{data: data}
+		return d.document()
+	})
+}
+
+// readBody reads r to its end into a pooled buffer, presized when the
+// caller knows the length (a Content-Length), and decodes what it read.
+// A body of another length than a known one is an error.
+func readBody(r io.Reader, size int64, decode func([]byte) (*sparql.Results, error)) (*sparql.Results, error) {
 	bp := bodyPool.Get().(*[]byte)
 	buf := bytes.NewBuffer((*bp)[:0])
 	if size > 0 {
@@ -304,11 +315,13 @@ func decodeBody(r io.Reader, size int64) (*sparql.Results, error) {
 		// one that reports EOF included.
 		buf.Grow(int(min(size, maxPooledBody)) + bytes.MinRead)
 	}
-	_, err := buf.ReadFrom(r)
+	n, err := buf.ReadFrom(r)
+	if err == nil && size > 0 && n != size {
+		err = fmt.Errorf("%w: read %d of %d bytes", io.ErrUnexpectedEOF, n, size)
+	}
 	var res *sparql.Results
 	if err == nil {
-		d := decoder{data: buf.Bytes()}
-		res, err = d.document()
+		res, err = decode(buf.Bytes())
 	}
 	*bp = buf.Bytes()
 	putBody(bp)

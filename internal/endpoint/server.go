@@ -22,7 +22,8 @@ import (
 // Server is an http.Handler implementing the SPARQL 1.1 protocol query
 // operation over a Client: GET with ?query=, POST with a form body, or
 // POST with an application/sparql-query body, returning
-// application/sparql-results+json by default. Every request is one
+// application/sparql-results+json by default and SPARQL 1.1 TSV to a
+// client that lists it first (HTTPClient does). Every request is one
 // QueryX call on the client and one record in the request sinks. With
 // WithRegistry it publishes request metrics and can expose /metrics,
 // /healthz, and pprof through Routes.
@@ -303,8 +304,8 @@ func (s *Server) account(query string, start time.Time, meta QueryMeta, rows int
 	recordQuery(s.slow, s.queries, query, meta, ser, err)
 }
 
-// serialize writes res in the negotiated format. The error is a JSON
-// body that could not be built, reported before anything is written; a
+// serialize writes res in the negotiated format. The error is a JSON or
+// TSV body that could not be built, reported before anything is written; a
 // failed write (the client went away) is nobody's to report.
 func (s *Server) serialize(w http.ResponseWriter, r *http.Request, res *sparql.Results) error {
 	if res.IsConstruct {
@@ -319,28 +320,39 @@ func (s *Server) serialize(w http.ResponseWriter, r *http.Request, res *sparql.R
 		_ = enc.Flush()
 		return nil
 	}
-	// Content negotiation: XML or CSV when the client asks for them,
-	// JSON otherwise (the SPARQL protocol default here).
+	// Content negotiation: XML, TSV or CSV when the client asks for
+	// them, JSON otherwise (the SPARQL protocol default here). XML and
+	// TSV must be listed before JSON, and the first listed of the two
+	// wins; CSV only when JSON is not listed at all.
 	accept := r.Header.Get("Accept")
-	if wantsXML(accept) {
+	tsv := listedBefore(accept, tsvResultsContentType, ResultsContentType)
+	if wantsXML(accept) && !listedBefore(accept, tsvResultsContentType, XMLResultsContentType) {
 		w.Header().Set("Content-Type", XMLResultsContentType)
 		_ = EncodeResultsXML(w, res)
 		return nil
 	}
-	if strings.Contains(accept, CSVResultsContentType) && !strings.Contains(accept, ResultsContentType) {
+	if !tsv && strings.Contains(accept, CSVResultsContentType) && !strings.Contains(accept, ResultsContentType) {
 		w.Header().Set("Content-Type", CSVResultsContentType)
 		_ = EncodeResultsCSV(w, res)
 		return nil
 	}
 	// The whole body is built before the first byte is sent, so the
-	// response carries its length and goes out in one write.
+	// response carries its length and goes out in one write. A result
+	// without a TSV form (an ASK answer) goes out as JSON.
 	bp := bodyPool.Get().(*[]byte)
 	defer putBody(bp)
-	var err error
-	if *bp, err = appendResults((*bp)[:0], res); err != nil {
+	ct, err := tsvResultsContentType, errNotTSV
+	if tsv {
+		*bp, err = appendResultsTSV((*bp)[:0], res)
+	}
+	if err == errNotTSV {
+		ct = ResultsContentType
+		*bp, err = appendResults((*bp)[:0], res)
+	}
+	if err != nil {
 		return err
 	}
-	w.Header().Set("Content-Type", ResultsContentType)
+	w.Header().Set("Content-Type", ct)
 	w.Header().Set("Content-Length", strconv.Itoa(len(*bp)))
 	_, _ = w.Write(*bp)
 	return nil
@@ -431,10 +443,16 @@ func joinInts(xs []int) string {
 // format: it lists the XML media type and does not list the JSON one
 // earlier.
 func wantsXML(accept string) bool {
-	xmlPos := strings.Index(accept, XMLResultsContentType)
-	if xmlPos < 0 {
+	return listedBefore(accept, XMLResultsContentType, ResultsContentType)
+}
+
+// listedBefore reports whether the Accept header lists media type a and
+// does not list b earlier.
+func listedBefore(accept, a, b string) bool {
+	aPos := strings.Index(accept, a)
+	if aPos < 0 {
 		return false
 	}
-	jsonPos := strings.Index(accept, ResultsContentType)
-	return jsonPos < 0 || xmlPos < jsonPos
+	bPos := strings.Index(accept, b)
+	return bPos < 0 || aPos < bPos
 }

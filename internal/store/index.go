@@ -184,13 +184,18 @@ func (ix *index) buildOffsets() {
 
 // scanRange returns the half-open [lo, hi) range of entries matching
 // the bound key prefix (k1, then k2, then k3; 0 means unbound, and
-// nothing bound may follow an unbound component).
+// nothing bound may follow an unbound component). Without offsets (a
+// run), a k1 outside the first and last entries' range is answered
+// without a search.
 func (ix *index) scanRange(k1, k2, k3 ID) (int, int) {
 	lo, hi := 0, len(ix.entries)
 	switch {
 	case k1 == 0:
 		return lo, hi
 	case ix.off == nil:
+		if hi == 0 || k1 < ix.entries[0][0] || k1 > ix.entries[hi-1][0] {
+			return hi, hi
+		}
 		lo, hi = equalRange(ix.entries, lo, hi, 0, k1)
 	case int(k1) < len(ix.off)-1:
 		lo, hi = int(ix.off[k1]), int(ix.off[k1+1])

@@ -443,3 +443,61 @@ func TestScanRange(t *testing.T) {
 		t.Errorf("empty index: scan = %d, %v", n, more)
 	}
 }
+
+// TestPendingLayersPrunedByKeyRange: reads of subjects below, inside,
+// between and above the subject ranges of the base, of two runs and of
+// the tail, where a run or the tail is skipped on its range, agree with
+// the model through Match and MatchCount, on the store and on a view.
+func TestPendingLayersPrunedByKeyRange(t *testing.T) {
+	s := New()
+	s.autoCompact = 0
+	subs := make([]rdf.Term, 100)
+	for i := range subs {
+		subs[i] = iri(fmt.Sprintf("s%02d", i))
+		s.Dict().Encode(subs[i])
+	}
+	preds := []rdf.Term{iri("p0"), iri("p1"), iri("p2")}
+	m := &storeModel{set: map[spoTriple]struct{}{}}
+	triple := func(i, j int) rdf.Triple {
+		return rdf.Triple{S: subs[i], P: preds[j%3], O: rdf.NewInteger(int64(j))}
+	}
+	enc := func(tr rdf.Triple) spoTriple {
+		var e spoTriple
+		for i, tm := range []rdf.Term{tr.S, tr.P, tr.O} {
+			e[i], _ = s.Dict().Lookup(tm)
+		}
+		return e
+	}
+	// Subjects 40-49 in the base, 20-29 in the older run (two tails
+	// merged), 60-69 in the younger run and 80-84 in the tail.
+	var base []rdf.Triple
+	for n := 0; n < 100; n++ {
+		base = append(base, triple(40+n%10, n))
+	}
+	if err := s.AddAll(base); err != nil {
+		t.Fatal(err)
+	}
+	add := func(lo, width, count int) {
+		for n := 0; n < count; n++ {
+			tr := triple(lo+n%width, n)
+			if err := s.Add(tr); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	add(20, 10, 2*tailCap)
+	add(60, 10, tailCap)
+	add(80, 5, 10)
+	for _, tr := range s.Triples() {
+		m.add(enc(tr), 0)
+	}
+	if len(s.runs) != 2 || len(s.tail) != 10 {
+		t.Fatalf("layers: %d runs, a tail of %d; want 2 and 10", len(s.runs), len(s.tail))
+	}
+	var probes []spoTriple
+	for _, i := range []int{0, 19, 20, 25, 29, 30, 35, 40, 45, 49, 50, 55, 59, 60, 65, 69, 70, 79, 80, 82, 84, 85, 99} {
+		probes = append(probes, enc(triple(i, i)), enc(triple(i, 7)))
+	}
+	checkReads(t, "store", s, m.list, probes)
+	checkReads(t, "view", s.View(), m.list, probes)
+}
