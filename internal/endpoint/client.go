@@ -165,10 +165,11 @@ func (c *HTTPClient) QueryX(ctx context.Context, req Request) (*sparql.Results, 
 }
 
 // do POSTs an application/x-www-form-urlencoded query, per the SPARQL
-// 1.1 protocol, asking for TSV before JSON and decoding the answer by
-// its Content-Type. The second return is the serving store's generation
-// token parsed from the X-Re2xolap-Generation response header (zero
-// when the endpoint does not send one).
+// 1.1 protocol, asking for the private TSV type before JSON and
+// decoding the answer by its Content-Type. The second return is the
+// serving store's generation token parsed from the
+// X-Re2xolap-Generation response header (zero when the endpoint does
+// not send one).
 func (c *HTTPClient) do(ctx context.Context, query string) (*sparql.Results, uint64, error) {
 	form := url.Values{"query": {query}}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Endpoint, strings.NewReader(form.Encode()))
@@ -209,7 +210,7 @@ func (c *HTTPClient) do(ctx context.Context, query string) (*sparql.Results, uin
 	}
 	gen, _ := strconv.ParseUint(resp.Header.Get(GenerationHeader), 10, 64)
 	decode := decodeBody
-	if isTSV(resp.Header.Get("Content-Type")) {
+	if isPrivateTSV(resp.Header.Get("Content-Type")) {
 		decode = decodeTSVBody
 	}
 	res, err := decode(resp.Body, resp.ContentLength)

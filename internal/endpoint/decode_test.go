@@ -152,7 +152,11 @@ func TestServerNegotiationPrecedence(t *testing.T) {
 		{ResultsContentType + ", " + XMLResultsContentType, ResultsContentType},
 		{XMLResultsContentType + ", " + ResultsContentType, XMLResultsContentType},
 		{tsvResultsContentType, tsvResultsContentType},
-		{acceptResults, tsvResultsContentType},
+		{acceptResults, privateTSVContentType},
+		{privateTSVContentType, privateTSVContentType},
+		{ResultsContentType + ", " + privateTSVContentType, ResultsContentType},
+		{privateTSVContentType + ", " + tsvResultsContentType, privateTSVContentType},
+		{XMLResultsContentType + ", " + privateTSVContentType, XMLResultsContentType},
 		{ResultsContentType + ", " + tsvResultsContentType, ResultsContentType},
 		{tsvResultsContentType + ", " + XMLResultsContentType, tsvResultsContentType},
 		{XMLResultsContentType + ", " + tsvResultsContentType, XMLResultsContentType},

@@ -1015,7 +1015,7 @@ func (d *decoder) unescape(start int) ([]byte, error) {
 			case 't':
 				b = append(b, '\t')
 			case 'u':
-				r := hex4(d.data[i:])
+				r := hexRune(d.data[i:], 4)
 				if r < 0 {
 					return nil, d.syntax("four hex digits after \\")
 				}
@@ -1023,7 +1023,7 @@ func (d *decoder) unescape(start int) ([]byte, error) {
 				if utf16.IsSurrogate(r) {
 					pair := utf8.RuneError
 					if i+1 < len(d.data) && d.data[i] == '\\' && d.data[i+1] == 'u' {
-						pair = utf16.DecodeRune(r, hex4(d.data[i+2:]))
+						pair = utf16.DecodeRune(r, hexRune(d.data[i+2:], 4))
 					}
 					if r = pair; r != utf8.RuneError {
 						i += 6
@@ -1046,13 +1046,16 @@ func (d *decoder) unescape(start int) ([]byte, error) {
 	return nil, d.syntax(`a closing '"'`)
 }
 
-// hex4 is the value of the four hex digits b starts with, or -1.
-func hex4(b []byte) rune {
-	if len(b) < 4 {
+// hexRune is the value of the n hex digits b starts with, or -1. Both
+// decoders read their \u escapes with it: JSON over the body's bytes,
+// TSV over the document string.
+func hexRune[T string | []byte](b T, n int) rune {
+	if len(b) < n {
 		return -1
 	}
 	var r rune
-	for _, c := range b[:4] {
+	for i := 0; i < n; i++ {
+		c := b[i]
 		switch {
 		case '0' <= c && c <= '9':
 			c -= '0'

@@ -23,10 +23,10 @@ import (
 // operation over a Client: GET with ?query=, POST with a form body, or
 // POST with an application/sparql-query body, returning
 // application/sparql-results+json by default and SPARQL 1.1 TSV to a
-// client that lists it first (HTTPClient does). Every request is one
-// QueryX call on the client and one record in the request sinks. With
-// WithRegistry it publishes request metrics and can expose /metrics,
-// /healthz, and pprof through Routes.
+// client that lists it first (HTTPClient does, under a private type).
+// Every request is one QueryX call on the client and one record in the
+// request sinks. With WithRegistry it publishes request metrics and can
+// expose /metrics, /healthz, and pprof through Routes.
 type Server struct {
 	client Client
 	// st is the local store at the end of the client's Unwrap chain, nil
@@ -325,13 +325,13 @@ func (s *Server) serialize(w http.ResponseWriter, r *http.Request, res *sparql.R
 	// TSV must be listed before JSON, and the first listed of the two
 	// wins; CSV only when JSON is not listed at all.
 	accept := r.Header.Get("Accept")
-	tsv := listedBefore(accept, tsvResultsContentType, ResultsContentType)
-	if wantsXML(accept) && !listedBefore(accept, tsvResultsContentType, XMLResultsContentType) {
+	tsv := tsvType(accept)
+	if wantsXML(accept) && (tsv == "" || !listedBefore(accept, tsv, XMLResultsContentType)) {
 		w.Header().Set("Content-Type", XMLResultsContentType)
 		_ = EncodeResultsXML(w, res)
 		return nil
 	}
-	if !tsv && strings.Contains(accept, CSVResultsContentType) && !strings.Contains(accept, ResultsContentType) {
+	if tsv == "" && strings.Contains(accept, CSVResultsContentType) && !strings.Contains(accept, ResultsContentType) {
 		w.Header().Set("Content-Type", CSVResultsContentType)
 		_ = EncodeResultsCSV(w, res)
 		return nil
@@ -341,8 +341,8 @@ func (s *Server) serialize(w http.ResponseWriter, r *http.Request, res *sparql.R
 	// without a TSV form (an ASK answer) goes out as JSON.
 	bp := bodyPool.Get().(*[]byte)
 	defer putBody(bp)
-	ct, err := tsvResultsContentType, errNotTSV
-	if tsv {
+	ct, err := tsv, errNotTSV
+	if tsv != "" {
 		*bp, err = appendResultsTSV((*bp)[:0], res)
 	}
 	if err == errNotTSV {
@@ -444,6 +444,17 @@ func joinInts(xs []int) string {
 // earlier.
 func wantsXML(accept string) bool {
 	return listedBefore(accept, XMLResultsContentType, ResultsContentType)
+}
+
+// tsvType is the TSV media type that the Accept header lists before the
+// JSON type, the private one first, or "" when it lists neither.
+func tsvType(accept string) string {
+	for _, ct := range [...]string{privateTSVContentType, tsvResultsContentType} {
+		if listedBefore(accept, ct, ResultsContentType) {
+			return ct
+		}
+	}
+	return ""
 }
 
 // listedBefore reports whether the Accept header lists media type a and

@@ -14,14 +14,22 @@ import (
 
 // tsvResultsContentType is the media type of the SPARQL 1.1 Query
 // Results TSV Format. Server answers in it when the Accept header lists
-// it before the JSON type, and HTTPClient asks for it first
-// (acceptResults), so answers between the two travel as TSV: about a
-// quarter of the bytes of SPARQL-JSON for the same result.
+// it before the JSON type.
 const tsvResultsContentType = "text/tab-separated-values"
 
+// privateTSVContentType names the same TSV body between HTTPClient and
+// Server only. HTTPClient asks for it first (acceptResults), so answers
+// between the two travel as TSV: about a quarter of the bytes of
+// SPARQL-JSON for the same result. Other stores do not know the type
+// and answer JSON; asking them for text/tab-separated-values instead
+// would get their own TSV dialects, such as an ASK answer as a
+// one-column table.
+const privateTSVContentType = "application/x-re2xolap-tsv"
+
 // acceptResults is the Accept header HTTPClient sends. An endpoint
-// without TSV answers JSON, and the client decodes by Content-Type.
-const acceptResults = tsvResultsContentType + ", " + ResultsContentType + ";q=0.9"
+// without the private type answers JSON, and the client decodes by
+// Content-Type.
+const acceptResults = privateTSVContentType + ", " + ResultsContentType + ";q=0.9"
 
 // errNotTSV is appendResultsTSV's report that the result has no TSV
 // form: an ASK answer, or a variable name, blank node label or language
@@ -29,10 +37,11 @@ const acceptResults = tsvResultsContentType + ", " + ResultsContentType + ";q=0.
 // instead.
 var errNotTSV = errors.New("endpoint: result has no TSV form")
 
-// isTSV reports whether a Content-Type header names the TSV format.
-func isTSV(contentType string) bool {
+// isPrivateTSV reports whether a Content-Type header names the private
+// TSV type, the only TSV that HTTPClient decodes.
+func isPrivateTSV(contentType string) bool {
 	mt, _, _ := strings.Cut(contentType, ";")
-	return strings.EqualFold(strings.TrimSpace(mt), tsvResultsContentType)
+	return strings.EqualFold(strings.TrimSpace(mt), privateTSVContentType)
 }
 
 // tsvField says where a string goes in a TSV document, which decides
@@ -548,8 +557,8 @@ func (d *tsvDecoder) unescape(start, end int, iri bool) (string, error) {
 			if e == 'U' {
 				n = 8
 			}
-			r, ok := hexRune(s[i+1:], n)
-			if !ok {
+			r := hexRune(s[i+1:], n)
+			if r < 0 || !utf8.ValidRune(r) {
 				return "", fmt.Errorf("bad \\%c escape before offset %d", e, d.pos)
 			}
 			b.WriteRune(r)
@@ -573,27 +582,3 @@ var unechar = func() (t [256]byte) {
 	}
 	return t
 }()
-
-// hexRune is the rune of the n hex digits s starts with; false when
-// they are not n hex digits or not a Unicode scalar value.
-func hexRune(s string, n int) (rune, bool) {
-	if len(s) < n {
-		return 0, false
-	}
-	var r rune
-	for i := 0; i < n; i++ {
-		c := s[i]
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		case 'A' <= c && c <= 'F':
-			c -= 'A' - 10
-		default:
-			return 0, false
-		}
-		r = r<<4 | rune(c)
-	}
-	return r, utf8.ValidRune(r)
-}

@@ -424,7 +424,7 @@ func TestHTTPClientAsksForTSV(t *testing.T) {
 	if !ask.IsAsk || !ask.Boolean {
 		t.Errorf("ASK = %+v", ask)
 	}
-	if want := []string{tsvResultsContentType, ResultsContentType}; !reflect.DeepEqual(contentTypes, want) {
+	if want := []string{privateTSVContentType, ResultsContentType}; !reflect.DeepEqual(contentTypes, want) {
 		t.Errorf("content types %q, want %q", contentTypes, want)
 	}
 
@@ -464,6 +464,57 @@ func TestHTTPClientJSONOnlyEndpoint(t *testing.T) {
 	}
 }
 
+// TestHTTPClientThirdPartyTSVEndpoint: a store that serves its own TSV
+// dialect for text/tab-separated-values, with an ASK answer as a
+// one-column table as Jena Fuseki writes it, does not know HTTPClient's
+// private type and so answers it JSON, which the client reads.
+func TestHTTPClientThirdPartyTSVEndpoint(t *testing.T) {
+	sel := drillDownResults(30)
+	var accepts []string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		accept := r.Header.Get("Accept")
+		accepts = append(accepts, accept)
+		ask := strings.HasPrefix(r.FormValue("query"), "ASK")
+		if strings.Contains(accept, tsvResultsContentType) {
+			w.Header().Set("Content-Type", tsvResultsContentType)
+			if ask {
+				_, _ = io.WriteString(w, "?_askResult\ntrue\n")
+			} else {
+				doc, _ := appendResultsTSV(nil, sel)
+				_, _ = w.Write(doc)
+			}
+			return
+		}
+		w.Header().Set("Content-Type", ResultsContentType)
+		if ask {
+			_ = EncodeResults(w, &sparql.Results{IsAsk: true, Boolean: true})
+		} else {
+			_ = EncodeResults(w, sel)
+		}
+	}))
+	defer srv.Close()
+	hc := NewHTTPClient(srv.URL)
+	got, err := hc.Query(context.Background(), "SELECT * WHERE { ?s ?p ?o }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, sel) {
+		t.Errorf("SELECT decoded %+v", got)
+	}
+	ask, err := hc.Query(context.Background(), "ASK { ?s ?p ?o }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ask.IsAsk || !ask.Boolean {
+		t.Errorf("ASK = %+v, want true", ask)
+	}
+	for _, accept := range accepts {
+		if strings.Contains(accept, tsvResultsContentType) {
+			t.Errorf("Accept %q lists the standard TSV type", accept)
+		}
+	}
+}
+
 // TestHTTPClientTruncatedTSV: a TSV body cut mid-row, or short of its
 // Content-Length at a row boundary, is a retryable error.
 func TestHTTPClientTruncatedTSV(t *testing.T) {
@@ -483,7 +534,7 @@ func TestHTTPClientTruncatedTSV(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				w.Header().Set("Content-Type", tsvResultsContentType)
+				w.Header().Set("Content-Type", privateTSVContentType)
 				serve(w)
 			}))
 			defer srv.Close()

@@ -40,10 +40,6 @@ type layers struct {
 	base run
 	runs []run
 	tail []spoTriple
-	// tailLo and tailHi are the least and greatest subject in the tail,
-	// kept by add: a lookup of a subject outside them skips the tail. A
-	// copy of the headers carries the range of the tail it captured.
-	tailLo, tailHi ID
 }
 
 // pending returns the number of triples not yet compacted.
@@ -78,9 +74,7 @@ func choosePerm(sub, pred, obj ID) (perm, spoTriple) {
 // matching the pattern (a zero ID is a wildcard) — the base in index
 // order, then the runs oldest first, then the tail — until fn returns
 // false, and returns the number of matches when it ran to the end. A
-// nil fn only counts, which costs a range lookup per sorted layer. A
-// bound subject outside a run's or the tail's subject range skips that
-// layer with two comparisons.
+// nil fn only counts, which costs a range lookup per sorted layer.
 func (l *layers) scan(sub, pred, obj ID, fn func(s, p, o ID) bool) int {
 	p, key := choosePerm(sub, pred, obj)
 	n, more := l.base[p].scan(p, key, fn)
@@ -90,9 +84,6 @@ func (l *layers) scan(sub, pred, obj ID, fn func(s, p, o ID) bool) int {
 		n += m
 	}
 	if !more {
-		return n
-	}
-	if sub != 0 && (sub < l.tailLo || sub > l.tailHi) {
 		return n
 	}
 	want := spoTriple{sub, pred, obj}
@@ -165,13 +156,9 @@ func (l *layers) contains(t spoTriple) bool {
 // add appends a triple the layers do not hold yet to the tail, turning
 // a full tail into a run.
 func (l *layers) add(t spoTriple) {
-	if len(l.tail) == 0 {
-		if l.tail == nil {
-			l.tail = make([]spoTriple, 0, tailCap)
-		}
-		l.tailLo, l.tailHi = t[0], t[0]
+	if l.tail == nil {
+		l.tail = make([]spoTriple, 0, tailCap)
 	}
-	l.tailLo, l.tailHi = min(l.tailLo, t[0]), max(l.tailHi, t[0])
 	l.tail = append(l.tail, t)
 	if len(l.tail) == tailCap {
 		l.flushTail()

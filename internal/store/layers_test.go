@@ -446,8 +446,8 @@ func TestScanRange(t *testing.T) {
 
 // TestPendingLayersPrunedByKeyRange: reads of subjects below, inside,
 // between and above the subject ranges of the base, of two runs and of
-// the tail, where a run or the tail is skipped on its range, agree with
-// the model through Match and MatchCount, on the store and on a view.
+// the tail, where a run is skipped on its range, agree with the model
+// through Match and MatchCount, on the store and on a view.
 func TestPendingLayersPrunedByKeyRange(t *testing.T) {
 	s := New()
 	s.autoCompact = 0
