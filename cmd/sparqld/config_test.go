@@ -15,6 +15,7 @@ import (
 
 	"re2xolap/internal/endpoint"
 	"re2xolap/internal/obs"
+	"re2xolap/internal/shard"
 )
 
 func writeConfig(t *testing.T, body string) string {
@@ -199,7 +200,7 @@ func TestBuildHandlerTopologies(t *testing.T) {
 	// Shard servers hold disjoint, complete partitions.
 	total := 0
 	for i := 0; i < 3; i++ {
-		parts, err := buildPartitions("", genName, obsN, 3)
+		parts, err := buildPartitions("", genName, obsN, 3, shard.Partitioner{N: 3}.Shard)
 		if err != nil {
 			t.Fatal(err)
 		}

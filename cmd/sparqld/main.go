@@ -21,9 +21,9 @@
 //     (-hedge-after) — with answers byte-identical to a single node
 //     over the union.
 //
-// Coordinator topologies can change at runtime: SIGHUP re-resolves
-// the -topology file immediately, and -topology-poll watches its
-// mtime. In-flight queries drain on the topology they started with.
+// Coordinator topologies can change at runtime: SIGHUP re-reads the
+// -topology file immediately, and -topology-poll re-reads it on a
+// timer. In-flight queries drain on the topology they started with.
 //
 // Every flag can also come from a JSON config file (-config); flags
 // given explicitly on the command line override the file.
@@ -66,6 +66,7 @@ import (
 	"re2xolap/internal/datagen"
 	"re2xolap/internal/endpoint"
 	"re2xolap/internal/obs"
+	"re2xolap/internal/rdf"
 	"re2xolap/internal/serve"
 	"re2xolap/internal/shard"
 	"re2xolap/internal/store"
@@ -87,7 +88,7 @@ func main() {
 	shardSlot := flag.String("shard", "", "shard-server mode: serve only partition i of n, as 'i/n'")
 	degraded := flag.Bool("degraded", false, "coordinator: answer with partial results when shards fail (sets X-Re2xolap-Incomplete)")
 	topology := flag.String("topology", "", "coordinator mode: JSON topology file naming replica URLs per shard (reloaded on SIGHUP)")
-	topologyPoll := flag.Duration("topology-poll", 0, "poll the -topology file's mtime this often and reload on change (0 disables)")
+	topologyPoll := flag.Duration("topology-poll", 0, "re-read the -topology file this often and reload on change (0 disables)")
 	healthInterval := flag.Duration("health-interval", 0, "coordinator: probe every replica this often (0 disables health probing)")
 	healthTimeout := flag.Duration("health-timeout", time.Second, "coordinator: per-probe deadline")
 	hedgeAfter := flag.Duration("hedge-after", 0, "coordinator: hedge a shard call to the next replica after this budget (0 disables)")
@@ -185,6 +186,14 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	// A coordinator catches SIGHUP from the start, so one that arrives
+	// while the topology is still being built is applied afterwards
+	// instead of killing the process.
+	hup := make(chan os.Signal, 1)
+	if hcfg.Topology != "" || hcfg.Shards != "" {
+		signal.Notify(hup, syscall.SIGHUP)
+	}
+
 	var coord atomic.Pointer[shard.Coordinator]
 	go func() {
 		handler, c, ft, err := buildHandler(hcfg, reg, opts)
@@ -200,7 +209,7 @@ func main() {
 		}))
 		if c != nil {
 			coord.Store(c)
-			go watchTopology(ctx, c, ft, *topologyPoll)
+			go watchTopology(ctx, c, ft, *topologyPoll, hup)
 		}
 	}()
 
@@ -256,16 +265,12 @@ func loadingHandler() http.Handler {
 }
 
 // watchTopology applies live topology changes to a running
-// coordinator: SIGHUP forces a re-resolve, and — when the topology
-// came from a file and -topology-poll is set — the file's mtime is
-// polled so edits apply without any signal. Reload is cheap and
-// idempotent (an unchanged view is a no-op), so spurious wakeups are
-// harmless.
-func watchTopology(ctx context.Context, c *shard.Coordinator, ft *shard.FileTopology, poll time.Duration) {
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	defer signal.Stop(hup)
-
+// coordinator: a signal on hup (SIGHUP) re-reads the -topology file at
+// once, and with -topology-poll the file is re-read every tick, so
+// edits apply without any signal. Applying an unchanged file is a
+// no-op, so spurious wakeups are harmless. ft is nil for -shards,
+// whose replica set is fixed.
+func watchTopology(ctx context.Context, c *shard.Coordinator, ft *fileTopology, poll time.Duration, hup <-chan os.Signal) {
 	var tick <-chan time.Time
 	if ft != nil && poll > 0 {
 		t := time.NewTicker(poll)
@@ -273,7 +278,14 @@ func watchTopology(ctx context.Context, c *shard.Coordinator, ft *shard.FileTopo
 		tick = t.C
 	}
 	reload := func(trigger string) {
-		changed, err := c.Reload()
+		changed := false
+		var err error
+		if ft != nil {
+			changed, err = ft.apply(func(groups [][]endpoint.Client) error {
+				_, err := c.Reload(groups)
+				return err
+			})
+		}
 		switch {
 		case err != nil:
 			log.Printf("sparqld: topology reload (%s): %v", trigger, err)
@@ -292,14 +304,7 @@ func watchTopology(ctx context.Context, c *shard.Coordinator, ft *shard.FileTopo
 		case <-hup:
 			reload("sighup")
 		case <-tick:
-			changed, err := ft.Changed()
-			if err != nil {
-				log.Printf("sparqld: topology poll: %v", err)
-				continue
-			}
-			if changed {
-				reload("poll")
-			}
+			reload("poll")
 		}
 	}
 }
@@ -372,54 +377,46 @@ func (cfg handlerConfig) shardOptions(reg *obs.Registry) []shard.Option {
 }
 
 // buildHandler assembles the SPARQL handler for whichever of the
-// roles the flags select. The returned coordinator and file topology
-// are nil except in the coordinator modes (and the file topology only
-// for -topology).
-func buildHandler(cfg handlerConfig, reg *obs.Registry, opts []endpoint.Option) (*endpoint.Server, *shard.Coordinator, *shard.FileTopology, error) {
-	shardOpts := cfg.shardOptions(reg)
+// roles the flags select. The returned coordinator is nil except in
+// the coordinator modes, and the file topology is nil except for
+// -topology.
+func buildHandler(cfg handlerConfig, reg *obs.Registry, opts []endpoint.Option) (*endpoint.Server, *shard.Coordinator, *fileTopology, error) {
+	var groups [][]endpoint.Client
+	var ft *fileTopology
 	switch {
 	case cfg.ShardSlot != "":
 		i, n, err := parseShardSlot(cfg.ShardSlot)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		parts, err := buildPartitions(cfg.Data, cfg.Gen, cfg.ObsCount, n)
+		// Only partition i is built: the others' triples are read and
+		// skipped.
+		p := shard.Partitioner{N: n}
+		parts, err := buildPartitions(cfg.Data, cfg.Gen, cfg.ObsCount, 1, func(s rdf.Term) int {
+			if p.Shard(s) == i {
+				return 0
+			}
+			return -1
+		})
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		st := parts[i]
 		log.Printf("sparqld: serving shard %d/%d (%d triples) on %s/sparql (metrics on /metrics)",
-			i, n, st.Len(), cfg.Addr)
-		return cfg.storeServer(st, reg, opts), nil, nil, nil
+			i, n, parts[0].Len(), cfg.Addr)
+		return cfg.storeServer(parts[0], reg, opts), nil, nil, nil
 	case cfg.Topology != "":
-		ft := shard.NewFileTopology(cfg.Topology)
-		coord, err := shard.NewDynamic(ft, remoteDialer, shardOpts...)
-		if err != nil {
+		ft = &fileTopology{path: cfg.Topology}
+		if _, err := ft.apply(func(g [][]endpoint.Client) error { groups = g; return nil }); err != nil {
 			return nil, nil, nil, err
 		}
-		log.Printf("sparqld: coordinating %d shards (replicas %v) from %s on %s/sparql (degraded=%v, metrics on /metrics)",
-			coord.Shards(), coord.Replicas(), cfg.Topology, cfg.Addr, cfg.Degraded)
-		opts = append(opts, endpoint.WithReadiness(coord.Ready))
-		return endpoint.NewClientServer(cfg.wrapServe(coord, reg), opts...), coord, ft, nil
 	case cfg.Shards != "":
-		groups, err := parseShards(cfg.Shards)
+		specs, err := parseShards(cfg.Shards)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		dial, err := localDialer(groups, cfg.Data, cfg.Gen, cfg.ObsCount, cfg.Workers)
-		if err != nil {
+		if groups, err = dialShards(specs, cfg.Data, cfg.Gen, cfg.ObsCount, cfg.Workers); err != nil {
 			return nil, nil, nil, err
 		}
-		// A static view of the replica specs, dialed on demand: the
-		// coordinator's view names each replica by its -shards spec.
-		coord, err := shard.NewDynamic(shard.Static{View: shard.TopologyView{Groups: groups}}, dial, shardOpts...)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		log.Printf("sparqld: coordinating %d shards (replicas %v) on %s/sparql (degraded=%v, metrics on /metrics)",
-			coord.Shards(), coord.Replicas(), cfg.Addr, cfg.Degraded)
-		opts = append(opts, endpoint.WithReadiness(coord.Ready))
-		return endpoint.NewClientServer(cfg.wrapServe(coord, reg), opts...), coord, nil, nil
 	default:
 		st, err := buildStore(cfg.Data, cfg.Gen, cfg.ObsCount)
 		if err != nil {
@@ -430,6 +427,14 @@ func buildHandler(cfg handlerConfig, reg *obs.Registry, opts []endpoint.Option) 
 			stats.Triples, stats.Terms, stats.Predicates, cfg.Addr)
 		return cfg.storeServer(st, reg, opts), nil, nil, nil
 	}
+	coord, err := shard.NewReplicated(groups, cfg.shardOptions(reg)...)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	log.Printf("sparqld: coordinating %d shards (replicas %v) from %s on %s/sparql (degraded=%v, metrics on /metrics)",
+		coord.Shards(), coord.Replicas(), cmp.Or(cfg.Topology, "-shards"), cfg.Addr, cfg.Degraded)
+	opts = append(opts, endpoint.WithReadiness(coord.Ready))
+	return endpoint.NewClientServer(cfg.wrapServe(coord, reg), opts...), coord, ft, nil
 }
 
 // storeServer serves a local store: an in-process client, behind the

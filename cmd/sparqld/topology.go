@@ -1,13 +1,19 @@
 package main
 
 import (
+	"cmp"
+	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
+	"re2xolap/internal/datagen"
 	"re2xolap/internal/endpoint"
+	"re2xolap/internal/rdf"
 	"re2xolap/internal/shard"
 	"re2xolap/internal/store"
 )
@@ -62,10 +68,15 @@ func parseShards(s string) ([][]string, error) {
 
 // validateReplicaSpec checks one replica spec's shape.
 func validateReplicaSpec(spec string) error {
-	if spec == "local" || strings.HasPrefix(spec, "http://") || strings.HasPrefix(spec, "https://") {
+	if spec == "local" || isURL(spec) {
 		return nil
 	}
 	return fmt.Errorf("-shards replica %q: want a shard count, %q, or an http(s) URL", spec, "local")
+}
+
+// isURL reports whether a replica spec names a remote /sparql endpoint.
+func isURL(spec string) bool {
+	return strings.HasPrefix(spec, "http://") || strings.HasPrefix(spec, "https://")
 }
 
 // parseShardSlot interprets the -shard flag's "i/n" form: this
@@ -87,90 +98,183 @@ func parseShardSlot(s string) (i, n int, err error) {
 	return i, n, nil
 }
 
-// buildPartitions splits the dataset named by -data/-gen into n
-// stores using the shared subject-hash partitioner, so every node
-// that runs this function with the same inputs agrees on which shard
-// owns which subject. Plain N-Triples files stream straight into the
-// partitions; snapshots and generated datasets are materialized once
-// and then split.
-func buildPartitions(data, gen string, obsCount, n int) ([]*store.Store, error) {
-	p := shard.Partitioner{N: n}
-	if data != "" && gen == "" && !strings.HasSuffix(data, ".snap") {
+// openTriples opens the dataset named by -data/-gen as a triple
+// source for store.LoadPartitioned. A plain file streams through the
+// decoder. A generated dataset is collected as generated, with no
+// store built, and a snapshot is loaded; both are then walked in
+// memory. A bad flag combination is reported by buildStore. done
+// releases the source.
+func openTriples(data, gen string, obsCount int) (next func() (rdf.Triple, error), done func() error, err error) {
+	var ts []rdf.Triple
+	switch {
+	case data != "" && gen == "" && !strings.HasSuffix(data, ".snap"):
 		f, err := os.Open(data)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		defer f.Close()
-		stores, total, err := store.LoadPartitioned(f, n, p.Shard)
+		return rdf.NewDecoder(f).Decode, f.Close, nil
+	case gen != "" && data == "":
+		spec, err := datagen.Preset(gen, obsCount)
 		if err != nil {
-			return nil, fmt.Errorf("partitioning %s: %w", data, err)
+			return nil, nil, err
 		}
-		log.Printf("sparqld: partitioned %d triples from %s into %d shards", total, data, n)
-		return stores, nil
+		spec.Generate(func(t rdf.Triple) { ts = append(ts, t) })
+	default:
+		st, err := buildStore(data, gen, obsCount)
+		if err != nil {
+			return nil, nil, err
+		}
+		ts = st.Triples()
 	}
-	full, err := buildStore(data, gen, obsCount)
+	return func() (rdf.Triple, error) {
+		if len(ts) == 0 {
+			return rdf.Triple{}, io.EOF
+		}
+		t := ts[0]
+		ts = ts[1:]
+		return t, nil
+	}, func() error { return nil }, nil
+}
+
+// buildPartitions reads the dataset named by -data/-gen once and
+// routes each triple by route(subject) into one of n stores
+// (store.LoadPartitioned; -1 skips the triple). Routing by the shared
+// subject-hash partitioner is what makes every node that runs this
+// with the same inputs agree on which shard owns which subject.
+func buildPartitions(data, gen string, obsCount, n int, route func(subject rdf.Term) int) ([]*store.Store, error) {
+	next, done, err := openTriples(data, gen, obsCount)
 	if err != nil {
 		return nil, err
 	}
-	parts := p.Split(full.Triples())
-	stores := make([]*store.Store, n)
-	for i, ts := range parts {
-		stores[i] = store.New()
-		if err := stores[i].AddAll(ts); err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		stores[i].Compact()
+	defer done()
+	stores, total, err := store.LoadPartitioned(next, n, route)
+	if err != nil {
+		return nil, fmt.Errorf("partitioning %s: %w", cmp.Or(data, gen), err)
 	}
-	log.Printf("sparqld: partitioned %d triples into %d shards", full.Len(), n)
+	log.Printf("sparqld: read %d triples from %s into %d partition stores", total, cmp.Or(data, gen), n)
 	return stores, nil
 }
 
-// localDialer turns the -shards replica groups into a shard.Dialer.
-// Local partitions are only built when at least one spec asks for one,
-// so an all-remote coordinator needs no -data/-gen. All "local"
-// replicas of shard i share partition store i (the store is read-only
-// under query), which is exactly the identical-copy contract replica
-// failover relies on.
-func localDialer(groups [][]string, data, gen string, obsCount, workers int) (shard.Dialer, error) {
-	needLocal := false
-	for _, g := range groups {
-		for _, spec := range g {
-			if spec == "local" {
-				needLocal = true
+// dialShards turns the -shards replica groups into clients: a "local"
+// replica of shard i queries partition i in process, a URL dials over
+// HTTP. All "local" replicas of shard i share partition store i (the
+// store is read-only under query), which is exactly the identical-copy
+// contract replica failover relies on. Partitions are only built when
+// a spec asks for one, so an all-remote coordinator needs no
+// -data/-gen.
+func dialShards(groups [][]string, data, gen string, obsCount, workers int) ([][]endpoint.Client, error) {
+	var parts []*store.Store
+	out := make([][]endpoint.Client, len(groups))
+	for i, g := range groups {
+		for j, spec := range g {
+			if spec != "local" {
+				out[i] = append(out[i], dialRemote(i, j, spec))
+				continue
+			}
+			if parts == nil {
+				var err error
+				parts, err = buildPartitions(data, gen, obsCount, len(groups), shard.Partitioner{N: len(groups)}.Shard)
+				if err != nil {
+					return nil, err
+				}
+			}
+			log.Printf("sparqld: shard %d replica %d: in-process, %d triples", i, j, parts[i].Len())
+			out[i] = append(out[i], endpoint.NewInProcess(parts[i], endpoint.WithWorkers(workers)))
+		}
+	}
+	return out, nil
+}
+
+// dialRemote dials one remote replica (spec is an http(s) URL).
+func dialRemote(shardIdx, replica int, spec string) endpoint.Client {
+	log.Printf("sparqld: shard %d replica %d: remote %s", shardIdx, replica, spec)
+	return endpoint.NewHTTPClient(spec)
+}
+
+// fileTopology is the coordinator's -topology file, a JSON object
+// listing each shard's replica URLs in preference order:
+//
+//	{"shards": [["http://a:8085/sparql", "http://b:8085/sparql"],
+//	            ["http://c:8085/sparql"]]}
+//
+// sparqld reads it at startup, on SIGHUP, and on every -topology-poll
+// tick, and applies it whenever it names a different replica set than
+// the one applied last. It is used from one goroutine at a time.
+type fileTopology struct {
+	path    string
+	specs   [][]string          // the replica set applied last
+	clients [][]endpoint.Client // clients[i][j] serves specs[i][j]
+}
+
+// readTopology reads and validates the file: at least one shard, no
+// shard without replicas, every replica an http(s) URL. "local" is
+// rejected: an in-process partition needs a shard count fixed at
+// startup, which a file that can change shape contradicts.
+func readTopology(path string) ([][]string, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("-topology file: %w", err)
+	}
+	var f struct {
+		Shards [][]string `json:"shards"`
+	}
+	if err := json.Unmarshal(raw, &f); err != nil {
+		return nil, fmt.Errorf("-topology file %s: %w", path, err)
+	}
+	if len(f.Shards) == 0 {
+		return nil, fmt.Errorf("-topology file %s: no shards", path)
+	}
+	for i, g := range f.Shards {
+		if len(g) == 0 {
+			return nil, fmt.Errorf("-topology file %s: shard %d has no replicas", path, i)
+		}
+		for j, spec := range g {
+			switch {
+			case spec == "local":
+				return nil, fmt.Errorf("-topology file %s: shard %d replica %d: %q replicas are not supported in file topologies (use -shards for in-process partitions)", path, i, j, spec)
+			case !isURL(spec):
+				return nil, fmt.Errorf("-topology file %s: shard %d replica %d: %q is not an http(s) URL", path, i, j, spec)
 			}
 		}
 	}
-	var parts []*store.Store
-	if needLocal {
-		var err error
-		parts, err = buildPartitions(data, gen, obsCount, len(groups))
-		if err != nil {
-			return nil, err
-		}
-	}
-	return func(shardIdx, replica int, spec string) (endpoint.Client, error) {
-		if spec == "local" {
-			log.Printf("sparqld: shard %d replica %d: in-process, %d triples", shardIdx, replica, parts[shardIdx].Len())
-			return endpoint.NewInProcess(parts[shardIdx], endpoint.WithWorkers(workers)), nil
-		}
-		if err := validateReplicaSpec(spec); err != nil {
-			return nil, err
-		}
-		log.Printf("sparqld: shard %d replica %d: remote %s", shardIdx, replica, spec)
-		return endpoint.NewHTTPClient(spec), nil
-	}, nil
+	return f.Shards, nil
 }
 
-// remoteDialer is the shard.Dialer behind -topology: file topologies
-// name remote replicas only ("local" needs a partition count fixed at
-// startup, which contradicts a topology that can change shape).
-func remoteDialer(shardIdx, replica int, spec string) (endpoint.Client, error) {
-	if spec == "local" {
-		return nil, fmt.Errorf("-topology file: shard %d replica %d: %q replicas are not supported in file topologies (use -shards for in-process partitions)", shardIdx, replica, spec)
+// apply re-reads the file and, when it names a different replica set
+// than the one applied last, hands use the new client groups and, if
+// use succeeds, records them as applied. Only added specs are dialed:
+// a spec a shard keeps gets its old client back, which is how the
+// coordinator knows to keep that replica's breaker and health state.
+// It reports whether use ran.
+func (f *fileTopology) apply(use func([][]endpoint.Client) error) (bool, error) {
+	specs, err := readTopology(f.path)
+	if err != nil || slices.EqualFunc(specs, f.specs, slices.Equal[[]string]) {
+		return false, err
 	}
-	if err := validateReplicaSpec(spec); err != nil {
-		return nil, err
+	type slot struct {
+		shard int
+		spec  string
 	}
-	log.Printf("sparqld: shard %d replica %d: remote %s", shardIdx, replica, spec)
-	return endpoint.NewHTTPClient(spec), nil
+	kept := map[slot][]endpoint.Client{}
+	for i, g := range f.specs {
+		for j, spec := range g {
+			kept[slot{i, spec}] = append(kept[slot{i, spec}], f.clients[i][j])
+		}
+	}
+	clients := make([][]endpoint.Client, len(specs))
+	for i, g := range specs {
+		for j, spec := range g {
+			if cs := kept[slot{i, spec}]; len(cs) > 0 {
+				clients[i] = append(clients[i], cs[0])
+				kept[slot{i, spec}] = cs[1:]
+			} else {
+				clients[i] = append(clients[i], dialRemote(i, j, spec))
+			}
+		}
+	}
+	if err := use(clients); err != nil {
+		return false, err
+	}
+	f.specs, f.clients = specs, clients
+	return true, nil
 }

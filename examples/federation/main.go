@@ -1,8 +1,9 @@
 // Federation: partition a statistical KG across in-process shards,
-// stand up a scatter-gather coordinator with the options API, and run
-// the full example-driven synthesis stack over the federation. Swap
-// ShardClients for ShardURLs to federate remote sparqld processes —
-// nothing above the coordinator changes.
+// stand up a scatter-gather coordinator with the options API, run the
+// full example-driven synthesis stack over the federation, and add a
+// replica to every shard live. Build the groups with ShardURLs instead
+// to federate remote sparqld processes — nothing above the coordinator
+// changes.
 //
 //	go run ./examples/federation
 package main
@@ -30,12 +31,14 @@ func main() {
 	const shards = 3
 	parts := re2xolap.ShardPartitioner{N: shards}.Split(st.Triples())
 	groups := make([][]re2xolap.Client, shards)
+	stores := make([]*re2xolap.Store, shards)
 	for i, ts := range parts {
 		s := re2xolap.NewStore()
 		if err := s.AddAll(ts); err != nil {
 			log.Fatal(err)
 		}
 		s.Compact()
+		stores[i] = s
 		groups[i] = []re2xolap.Client{re2xolap.NewInProcessClient(s)}
 		fmt.Printf("shard %d: %d triples\n", i, s.Len())
 	}
@@ -44,8 +47,7 @@ func main() {
 	//    answering (marked Incomplete) if a shard dies, and hedging caps
 	//    tail latency.
 	reg := re2xolap.NewRegistry()
-	coord, err := re2xolap.NewCoordinatorClient(
-		re2xolap.ShardClients(groups...),
+	coord, err := re2xolap.NewCoordinatorClient(groups,
 		re2xolap.WithDegraded(true),
 		re2xolap.WithHedge(250*time.Millisecond),
 		re2xolap.WithShardRegistry(reg),
@@ -88,4 +90,17 @@ func main() {
 		fmt.Printf("  shard %d: %d rows in %.2fms (attempts=%d)\n",
 			call.Shard, call.Rows, call.WallMS, call.Attempts)
 	}
+
+	// 5. Live topology change: hand Reload the groups by value with a
+	//    second replica per shard (here a second client over the same
+	//    partition store). The clients passed back unchanged keep their
+	//    breaker and health state; in-flight queries finish on the
+	//    groups they started with.
+	for i, g := range groups {
+		groups[i] = append(g, re2xolap.NewInProcessClient(stores[i]))
+	}
+	if _, err := coord.Reload(groups); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nreloaded: replicas per shard %v\n", coord.Replicas())
 }

@@ -1,6 +1,9 @@
 package re2xolap
 
 import (
+	"fmt"
+	"strings"
+
 	"re2xolap/internal/obs"
 	"re2xolap/internal/shard"
 )
@@ -10,16 +13,17 @@ import (
 // NewSession, QueryX). The coordinator classifies each query into a
 // plan class — colocated, partial_agg, bound_join, or gather — and
 // reports it in QueryMeta.Plan along with per-shard accounting.
+//
+// A coordinator is built from replica groups of Clients: groups[i]
+// lists shard i's replicas in preference order, every one holding an
+// identical copy of partition i. CoordinatorClient.Reload swaps in new
+// groups while queries are in flight; a client handed back unchanged
+// keeps its replica's breaker and health state.
 type (
 	// CoordinatorClient is the scatter-gather federation client. It
 	// implements Client and QuerierX; results are byte-identical to a
 	// single node over the union of the partitions.
 	CoordinatorClient = shard.Coordinator
-	// ShardTopology names the replica endpoints behind a coordinator:
-	// one ordered group of replica specs per logical shard.
-	ShardTopology = shard.Topology
-	// ShardTopologyView is one resolved topology.
-	ShardTopologyView = shard.TopologyView
 	// ShardOption configures NewCoordinatorClient (see WithHedge,
 	// WithHealth, WithDegraded, WithShardWorkers,
 	// WithShardRegistry, WithShardPolicy).
@@ -30,9 +34,6 @@ type (
 	// (rows, wall time, attempts, retries, failovers), reported in
 	// QueryMeta.Shards.
 	ShardCall = obs.ShardCall
-	// ShardDialer turns a replica spec from a ShardTopology into a
-	// Client.
-	ShardDialer = shard.Dialer
 	// ShardPartitioner is the subject-hash partitioner; data split
 	// with it satisfies the coordinator's colocation contract.
 	ShardPartitioner = shard.Partitioner
@@ -54,47 +55,42 @@ var (
 	WithShardRegistry = shard.WithRegistry
 	// WithShardPolicy sets the per-replica resilience policy.
 	WithShardPolicy = shard.WithPolicy
-
-	// NewFileShardTopology reads the topology from a JSON file and
-	// re-resolves it on CoordinatorClient.Reload.
-	NewFileShardTopology = shard.NewFileTopology
 )
 
-// NewCoordinatorClient builds a federation coordinator over the given
-// topology. URL topologies (ShardURLs, NewFileShardTopology) are
-// dialed over HTTP; a topology that brings its own dialer — any
-// ShardTopology implementing shard.DialerProvider, such as
-// ShardClients — is dialed through it.
+// NewCoordinatorClient builds a federation coordinator over replica
+// groups: groups[i] lists shard i's replicas in preference order.
+// In-process shards, custom transports, and remote endpoints (see
+// ShardURLs) mix freely.
 //
-//	coord, err := re2xolap.NewCoordinatorClient(
-//		re2xolap.ShardURLs(
-//			[]string{"http://a:8080/sparql", "http://a2:8080/sparql"},
-//			[]string{"http://b:8080/sparql"},
-//		),
+//	groups, err := re2xolap.ShardURLs(
+//		[]string{"http://a:8080/sparql", "http://a2:8080/sparql"},
+//		[]string{"http://b:8080/sparql"},
+//	)
+//	...
+//	coord, err := re2xolap.NewCoordinatorClient(groups,
 //		re2xolap.WithDegraded(true),
 //		re2xolap.WithHedge(50*time.Millisecond),
 //	)
 //
 // The coordinator is a Client: point Bootstrap at it and the whole
 // synthesis/refinement stack runs federated.
-func NewCoordinatorClient(topo ShardTopology, opts ...ShardOption) (*CoordinatorClient, error) {
-	dial := shard.HTTPDialer()
-	if p, ok := topo.(shard.DialerProvider); ok {
-		dial = p.Dialer()
+func NewCoordinatorClient(groups [][]Client, opts ...ShardOption) (*CoordinatorClient, error) {
+	return shard.NewReplicated(groups, opts...)
+}
+
+// ShardURLs dials replica URL groups over HTTP, in the shape
+// NewCoordinatorClient and CoordinatorClient.Reload take: groups[i]
+// lists shard i's replica endpoint URLs in preference order, every
+// replica holding the identical partition i.
+func ShardURLs(groups ...[]string) ([][]Client, error) {
+	out := make([][]Client, len(groups))
+	for i, g := range groups {
+		for j, u := range g {
+			if !strings.HasPrefix(u, "http://") && !strings.HasPrefix(u, "https://") {
+				return nil, fmt.Errorf("shard %d replica %d: %q is not an http(s) URL", i, j, u)
+			}
+			out[i] = append(out[i], NewHTTPClient(u))
+		}
 	}
-	return shard.NewDynamic(topo, dial, opts...)
-}
-
-// ShardURLs builds a static topology from replica URL groups:
-// groups[i] lists shard i's replica endpoint URLs in preference
-// order, every replica holding the identical partition i.
-func ShardURLs(groups ...[]string) ShardTopology {
-	return shard.Static{View: shard.TopologyView{Groups: groups}}
-}
-
-// ShardClients builds a static topology from pre-built clients (for
-// in-process shards, custom transports, or tests): groups[i] lists
-// shard i's replica clients in preference order.
-func ShardClients(groups ...[]Client) ShardTopology {
-	return shard.NewClientTopology(groups...)
+	return out, nil
 }

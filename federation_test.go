@@ -26,8 +26,8 @@ func shardStores(t *testing.T, st *Store, n int) []*Store {
 	return out
 }
 
-// TestCoordinatorClientOverClients federates in-process shards through
-// ShardClients and checks plan classification, result parity with a
+// TestCoordinatorClientOverClients federates in-process shard clients
+// and checks plan classification, result parity with a
 // single node, and that the whole synthesis stack runs on top.
 func TestCoordinatorClientOverClients(t *testing.T) {
 	ctx := context.Background()
@@ -40,7 +40,7 @@ func TestCoordinatorClientOverClients(t *testing.T) {
 	for i, s := range shardStores(t, st, 3) {
 		groups[i] = []Client{NewInProcessClient(s)}
 	}
-	coord, err := NewCoordinatorClient(ShardClients(groups...))
+	coord, err := NewCoordinatorClient(groups)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +92,8 @@ func TestCoordinatorClientOverClients(t *testing.T) {
 	}
 }
 
-// TestCoordinatorClientOverURLs federates HTTP shard endpoints through
-// ShardURLs and the default HTTP dialer.
+// TestCoordinatorClientOverURLs federates HTTP shard endpoints dialed
+// by ShardURLs.
 func TestCoordinatorClientOverURLs(t *testing.T) {
 	ctx := context.Background()
 	spec := EurostatLike(300)
@@ -108,7 +108,11 @@ func TestCoordinatorClientOverURLs(t *testing.T) {
 		defer srv.Close()
 		groups[i] = []string{srv.URL}
 	}
-	coord, err := NewCoordinatorClient(ShardURLs(groups...))
+	clients, err := ShardURLs(groups...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinatorClient(clients)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +137,7 @@ func TestCoordinatorClientOverURLs(t *testing.T) {
 	}
 
 	// A spec that is not a URL must be rejected by the default dialer.
-	if _, err := NewCoordinatorClient(ShardURLs([]string{"not-a-url"})); err == nil {
+	if _, err := ShardURLs([]string{"not-a-url"}); err == nil {
 		t.Fatal("non-URL spec accepted by HTTP dialer")
 	}
 }

@@ -59,6 +59,13 @@ type queryPlan struct {
 	kind  planKind
 	agg   *sparql.PartialAggPlan
 	bound *sparql.BoundJoinPlan
+	// shardText is the text scattered to every shard by the one-round
+	// plans, rendered once here so a plan-cache hit prints nothing:
+	// the query without its solution modifiers for colocated SELECT
+	// and CONSTRUCT, the query itself for colocated ASK, the partial
+	// aggregation for partial_agg. Empty for the other plans, whose
+	// shard texts depend on what earlier rounds returned.
+	shardText string
 }
 
 // classify plans a parsed query.
@@ -66,7 +73,7 @@ func classify(q *sparql.Query) queryPlan {
 	if colocated(q) {
 		if q.IsAggregate() {
 			if p, ok := sparql.PlanPartialAggregation(q); ok {
-				return queryPlan{query: q, kind: planPartialAgg, agg: p}
+				return queryPlan{query: q, kind: planPartialAgg, agg: p, shardText: p.ShardQuery().String()}
 			}
 			// A colocated but non-decomposable aggregate (DISTINCT inside,
 			// GROUP_CONCAT, representative-row projection) still cannot be
@@ -75,7 +82,11 @@ func classify(q *sparql.Query) queryPlan {
 			return queryPlan{query: q, kind: planGather}
 		}
 		if keysOnOutput(q) {
-			return queryPlan{query: q, kind: planColocated}
+			text := q.String()
+			if !q.Ask {
+				text = stripModifiers(q).String()
+			}
+			return queryPlan{query: q, kind: planColocated, shardText: text}
 		}
 	}
 	if p, ok := sparql.PlanBoundJoin(q); ok {

@@ -3,7 +3,9 @@ package shard
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"re2xolap/internal/corpus"
@@ -313,4 +315,85 @@ func FuzzClassify(f *testing.F) {
 			}
 		}
 	})
+}
+
+// recordingClient records every query text that reaches a backend.
+type recordingClient struct {
+	inner endpoint.Client
+	mu    *sync.Mutex
+	sent  *[]string
+}
+
+func (c recordingClient) Query(ctx context.Context, query string) (*sparql.Results, error) {
+	c.mu.Lock()
+	*c.sent = append(*c.sent, query)
+	c.mu.Unlock()
+	return c.inner.Query(ctx, query)
+}
+
+// TestCachedShardTexts: a plan-cache hit sends the shards exactly the
+// texts a miss does, for every plan class, and the texts the one-round
+// plans render once at classification are byte-identical to rendering
+// them from a fresh parse per query: the query without its solution
+// modifiers (colocated), the query itself (colocated ASK), the partial
+// aggregation (partial_agg).
+func TestCachedShardTexts(t *testing.T) {
+	parts := Partitioner{N: 2}.Split(determinismTriples())
+	var mu sync.Mutex
+	var sent []string
+	backends := make([]endpoint.Client, len(parts))
+	for i, ts := range parts {
+		backends[i] = recordingClient{inner: endpoint.NewInProcess(storeFromTriples(t, ts)), mu: &mu, sent: &sent}
+	}
+	c, err := New(backends, WithoutResilience())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	run := func(query string) []string {
+		t.Helper()
+		sent = nil
+		if _, _, err := c.QueryX(context.Background(), endpoint.Request{Query: query}); err != nil {
+			t.Fatal(err)
+		}
+		out := slices.Clone(sent)
+		slices.Sort(out)
+		return out
+	}
+	classes := map[string]bool{}
+	for _, cq := range determinismCorpus() {
+		run(cq.query) // warms the plan cache and the gather plan's predicate facts
+		hit := run(cq.query)
+		c.cache = newPlanCache(planCacheSize, c.m)
+		if miss := run(cq.query); !slices.Equal(hit, miss) {
+			t.Errorf("%s: a plan-cache hit sent\n%q\na miss sent\n%q", cq.name, hit, miss)
+		}
+		q, err := sparql.Parse(cq.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := classify(q)
+		var want string
+		switch {
+		case p.kind == planColocated && q.Ask:
+			want = q.String()
+			classes["ask"] = true
+		case p.kind == planColocated:
+			want = stripModifiers(q).String()
+		case p.kind == planPartialAgg:
+			want = p.agg.ShardQuery().String()
+		}
+		classes[p.kind.String()] = true
+		if want == "" {
+			continue
+		}
+		if len(hit) != len(parts) || hit[0] != want || hit[1] != want {
+			t.Errorf("%s: shards got\n%q\nwant %q on each", cq.name, hit, want)
+		}
+	}
+	for _, k := range []string{"colocated", "ask", "partial_agg", "bound_join", "gather"} {
+		if !classes[k] {
+			t.Errorf("corpus exercises no %s query", k)
+		}
+	}
 }

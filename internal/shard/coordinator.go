@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,13 +59,14 @@ type config struct {
 	Registry *obs.Registry
 }
 
-// view is one immutable resolved topology generation. Queries load
-// the pointer once and use that view end to end, so a concurrent
-// Reload never mutates anything an in-flight query can see — old
-// views drain naturally as their queries finish.
+// view is one immutable topology generation: the replica sets and the
+// reload epoch that built them. Queries load the pointer once and use
+// that view end to end, so a concurrent Reload never mutates anything
+// an in-flight query can see — old views drain naturally as their
+// queries finish.
 type view struct {
-	tv     TopologyView
 	groups []*replicaSet
+	epoch  int64
 }
 
 // Coordinator federates N logical shards — each an ordered replica
@@ -73,13 +76,9 @@ type Coordinator struct {
 	cfg   config
 	m     *metrics
 	cache *planCache
-	topo  Topology
-	dial  Dialer
 
-	view  atomic.Pointer[view]
-	epoch atomic.Int64
-
-	reloadMu sync.Mutex // serializes Reload's read-build-swap
+	view     atomic.Pointer[view]
+	reloadMu sync.Mutex // serializes Reload's compare-build-swap
 
 	probeCancel context.CancelFunc
 	probeDone   chan struct{}
@@ -90,40 +89,47 @@ type Coordinator struct {
 
 // New builds a coordinator over single-replica shards: backends[i]
 // serves shard i under the Partitioner that split the data. It is
-// NewDynamic over a ClientTopology, so Reload resolves the same view
-// and reports no change.
+// NewReplicated with one replica per shard.
 func New(backends []endpoint.Client, opts ...Option) (*Coordinator, error) {
 	groups := make([][]endpoint.Client, len(backends))
 	for i, b := range backends {
 		groups[i] = []endpoint.Client{b}
 	}
-	topo := NewClientTopology(groups...)
-	return NewDynamic(topo, topo.Dialer(), opts...)
+	return NewReplicated(groups, opts...)
 }
 
-// NewDynamic builds a coordinator whose topology can change at
-// runtime: topo names the replica endpoints, dial turns each spec
-// into a client, and Reload re-resolves the topology and swaps the
-// serving view without dropping in-flight queries. Replicas whose
-// spec persists across a reload keep their client, breaker, and
-// health state.
-func NewDynamic(topo Topology, dial Dialer, opts ...Option) (*Coordinator, error) {
-	if topo == nil || dial == nil {
-		return nil, errors.New("shard: NewDynamic needs a topology and a dialer")
+// NewReplicated builds a coordinator over replica groups: groups[i]
+// lists shard i's replicas in preference order, every one holding an
+// identical copy of partition i. The coordinator routes each shard
+// call to the first healthy replica and fails over down the list.
+// Reload swaps in new groups while queries are in flight.
+func NewReplicated(groups [][]endpoint.Client, opts ...Option) (*Coordinator, error) {
+	if err := checkGroups(groups); err != nil {
+		return nil, err
 	}
 	c := newCoordinator(applyOptions(opts))
-	c.topo, c.dial = topo, dial
-	tv, err := topo.Resolve()
-	if err != nil {
-		return nil, err
-	}
-	v, err := c.buildView(tv, nil)
-	if err != nil {
-		return nil, err
-	}
-	c.view.Store(v)
+	c.view.Store(c.buildView(groups, nil))
 	c.startProber()
 	return c, nil
+}
+
+// checkGroups rejects groups no coordinator can serve: no shards, a
+// shard without replicas, a nil client.
+func checkGroups(groups [][]endpoint.Client) error {
+	if len(groups) == 0 {
+		return errors.New("shard: topology has no shards")
+	}
+	for i, clients := range groups {
+		if len(clients) == 0 {
+			return fmt.Errorf("shard: shard %d has no replicas", i)
+		}
+		for j, b := range clients {
+			if b == nil {
+				return fmt.Errorf("shard: shard %d replica %d is nil", i, j)
+			}
+		}
+	}
+	return nil
 }
 
 // newCoordinator sets up the shared shell: config, metrics whose
@@ -145,9 +151,9 @@ func newCoordinator(cfg config) *Coordinator {
 
 // planFor resolves a query text to its plan, consulting the cache
 // first. Plans are pure functions of the text, so a hit skips parse,
-// classification, and rewrite entirely. Parse failures are not
-// cached: the caller turns them into permanent errors and malformed
-// text should not occupy capacity.
+// classification, rewrite, and rendering the shard text entirely.
+// Parse failures are not cached: the caller turns them into permanent
+// errors and malformed text should not occupy capacity.
 func (c *Coordinator) planFor(text string) (queryPlan, error) {
 	if p, ok := c.cache.get(text); ok {
 		return p, nil
@@ -170,14 +176,13 @@ func (c *Coordinator) currentView() *view {
 	return &view{}
 }
 
-// newReplica wraps one dialed client as a replica: resilient wrapping
-// on the query path (unless disabled or already resilient), the raw
+// newReplica wraps one client as a replica: resilient wrapping on
+// the query path (unless disabled or already resilient), the raw
 // client on the probe path, fresh health state, and metric handles.
-func (c *Coordinator) newReplica(shard, index int, spec string, b endpoint.Client) *replica {
+func (c *Coordinator) newReplica(shard, index int, b endpoint.Client) *replica {
 	r := &replica{
 		shard:  shard,
 		index:  index,
-		spec:   spec,
 		raw:    b,
 		client: b,
 		health: newHealthState(),
@@ -195,77 +200,96 @@ func (c *Coordinator) newReplica(shard, index int, spec string, b endpoint.Clien
 	return r
 }
 
-// buildView materializes a resolved topology, reusing replicas from
-// old whose (shard, spec) persists — their clients, breakers, and
-// health history carry over, so a reload that only adds a replica
-// does not reset anyone else's state.
-func (c *Coordinator) buildView(tv TopologyView, old *view) (*view, error) {
-	reuse := map[string][]*replica{}
+// buildView materializes checked groups as the view after old (nil at
+// construction). A client that shard i already had in old keeps its
+// replica — client, breaker, and health history carry over, so a
+// reload that only adds a replica does not reset anyone else's state.
+// Nothing old holds is modified: in-flight queries may still read it.
+func (c *Coordinator) buildView(groups [][]endpoint.Client, old *view) *view {
+	nv := &view{groups: make([]*replicaSet, len(groups))}
+	var kept [][]*replica // per shard, old's replicas not yet reused
+	var published []*obs.Gauge
 	if old != nil {
+		nv.epoch = old.epoch + 1
 		for _, g := range old.groups {
+			kept = append(kept, slices.Clone(g.replicas))
 			for _, r := range g.replicas {
-				k := fmt.Sprintf("%d|%s", r.shard, r.spec)
-				reuse[k] = append(reuse[k], r)
+				published = append(published, r.mUp)
 			}
 		}
 	}
-	groups := make([]*replicaSet, len(tv.Groups))
-	for i, specs := range tv.Groups {
+	for i, clients := range groups {
 		set := &replicaSet{shard: i}
 		c.m.wireShard(set)
-		for j, spec := range specs {
-			k := fmt.Sprintf("%d|%s", i, spec)
-			if rs := reuse[k]; len(rs) > 0 {
-				r := rs[0]
-				reuse[k] = rs[1:]
-				if r.index != j {
-					// Same endpoint, new slot: re-wire the per-replica
-					// series under the new index, keep all state.
-					r.index = j
-					c.m.wireReplica(r)
+		for j, b := range clients {
+			var r *replica
+			if i < len(kept) {
+				if k := slices.IndexFunc(kept[i], func(r *replica) bool { return sameClient(r.raw, b) }); k >= 0 {
+					r = kept[i][k]
+					kept[i] = slices.Delete(kept[i], k, k+1)
 				}
-				set.replicas = append(set.replicas, r)
-				continue
 			}
-			b, err := c.dial(i, j, spec)
-			if err != nil {
-				return nil, fmt.Errorf("shard %d replica %d (%s): %w", i, j, spec, err)
+			switch {
+			case r == nil:
+				r = c.newReplica(i, j, b)
+			case r.index != j:
+				// Same client, new slot: a replica under the new index,
+				// with that slot's series, sharing the client, breaker
+				// and health state.
+				moved := &replica{shard: i, index: j, client: r.client, raw: r.raw, health: r.health}
+				moved.lastGen.Store(r.lastGen.Load())
+				c.m.wireReplica(moved)
+				r = moved
 			}
-			set.replicas = append(set.replicas, c.newReplica(i, j, spec, b))
+			set.replicas = append(set.replicas, r)
 		}
-		groups[i] = set
+		nv.groups[i] = set
 	}
-	// Replicas dropped by the new view: zero their up gauge so the
-	// exposition does not keep advertising a healthy slot that no
-	// longer exists (the registry cannot unregister).
-	for _, rs := range reuse {
-		for _, r := range rs {
-			r.mUp.Set(0)
+	// Zero every up gauge the old view published, then publish the new
+	// view's: a slot no replica holds any more reads 0 instead of
+	// advertising a healthy slot that no longer exists (the registry
+	// cannot unregister), and a slot a new or moved replica took over
+	// reads that replica's state.
+	for _, g := range published {
+		g.Set(0)
+	}
+	for _, g := range nv.groups {
+		for _, r := range g.replicas {
+			r.publishUp()
 		}
 	}
-	return &view{tv: tv, groups: groups}, nil
+	return nv
 }
 
-// Reload re-resolves the topology and atomically swaps the serving
-// view. In-flight queries keep the view they started with and drain
-// on it. Returns whether the view actually changed.
-func (c *Coordinator) Reload() (bool, error) {
+// sameClient reports whether a and b are one client value. Clients of
+// a type that cannot be compared (a struct holding a func) are never
+// the same, so a reload builds fresh replicas for them.
+func sameClient(a, b endpoint.Client) bool {
+	return reflect.ValueOf(a).Comparable() && reflect.ValueOf(b).Comparable() && a == b
+}
+
+// Reload swaps in new replica groups, in the shape NewReplicated
+// takes, and atomically replaces the serving view. A client that
+// shard i already had keeps its replica's breaker, health state, and
+// metric series, so callers pass the same client value back for every
+// replica they keep. In-flight queries keep the view they started
+// with and drain on it. Returns whether anything changed: the same
+// clients in the same slots are a no-op.
+func (c *Coordinator) Reload(groups [][]endpoint.Client) (bool, error) {
+	if err := checkGroups(groups); err != nil {
+		return false, err
+	}
 	c.reloadMu.Lock()
 	defer c.reloadMu.Unlock()
-	tv, err := c.topo.Resolve()
-	if err != nil {
-		return false, err
-	}
 	old := c.view.Load()
-	if old.tv.Equal(tv) {
+	if slices.EqualFunc(old.groups, groups, func(g *replicaSet, clients []endpoint.Client) bool {
+		return slices.EqualFunc(g.replicas, clients, func(r *replica, b endpoint.Client) bool { return sameClient(r.raw, b) })
+	}) {
 		return false, nil
 	}
-	nv, err := c.buildView(tv, old)
-	if err != nil {
-		return false, err
-	}
+	nv := c.buildView(groups, old)
 	c.view.Store(nv)
-	c.m.reloaded(c.epoch.Add(1))
+	c.m.reloaded(nv.epoch)
 	return true, nil
 }
 
@@ -292,13 +316,13 @@ func (c *Coordinator) Close() {
 }
 
 // Generation implements endpoint.GenerationSource with a composed
-// token over the current topology: an FNV-1a hash folding every
-// shard's index, replica spec, and replica generation (a live store
-// read for in-process backends, the last query-reported value for
-// remote ones). It is a hash, not a counter — per-replica counters are
-// not comparable across failover — so the contract is "equal tokens ⇒
-// same data version for cache purposes": any shard mutation, topology
-// change, or replica switch changes the token and invalidates cached
+// token over the current view: an FNV-1a hash folding the view's
+// reload epoch and every replica's generation (a live store read for
+// in-process backends, the last query-reported value for remote
+// ones). It is a hash, not a counter — per-replica counters are not
+// comparable across failover — so the contract is "equal tokens ⇒
+// same data version for cache purposes": any shard mutation, applied
+// reload, or replica switch changes the token and invalidates cached
 // answers. A spurious change only costs a cache miss.
 func (c *Coordinator) Generation() uint64 {
 	const (
@@ -314,13 +338,9 @@ func (c *Coordinator) Generation() uint64 {
 		}
 	}
 	v := c.currentView()
-	for i, g := range v.groups {
-		mix(uint64(i))
+	mix(uint64(v.epoch))
+	for _, g := range v.groups {
 		for _, r := range g.replicas {
-			for j := 0; j < len(r.spec); j++ {
-				h ^= uint64(r.spec[j])
-				h *= prime64
-			}
 			mix(r.generation())
 		}
 	}
@@ -404,9 +424,9 @@ func (c *Coordinator) QueryX(ctx context.Context, req endpoint.Request) (*sparql
 	var skipped []int
 	switch p.kind {
 	case planColocated:
-		res, calls, skipped, err = c.runColocated(ctx, v, p.query, req.Opts.Step)
+		res, calls, skipped, err = c.runColocated(ctx, v, p, req.Opts.Step)
 	case planPartialAgg:
-		res, calls, skipped, err = c.runPartialAgg(ctx, v, p.agg, req.Opts.Step)
+		res, calls, skipped, err = c.runPartialAgg(ctx, v, p, req.Opts.Step)
 	case planBoundJoin:
 		res, calls, skipped, err = c.runBoundJoin(ctx, v, p.bound, req.Opts.Step)
 	default:
@@ -552,15 +572,15 @@ func (c *Coordinator) scatterText(ctx context.Context, v *view, query, step stri
 	return results, calls, skipped, err
 }
 
-// runColocated executes the colocated plan: strip the solution
-// modifiers (they only apply to the global result), scatter, union
-// the rows, and canonically finalize.
-func (c *Coordinator) runColocated(ctx context.Context, v *view, q *sparql.Query, step string) (*sparql.Results, []obs.ShardCall, []int, error) {
+// runColocated executes the colocated plan: scatter the query with
+// its solution modifiers stripped (they only apply to the global
+// result), union the rows, and canonically finalize.
+func (c *Coordinator) runColocated(ctx context.Context, v *view, p queryPlan, step string) (*sparql.Results, []obs.ShardCall, []int, error) {
+	q := p.query
 	if q.Ask {
-		return c.runAsk(ctx, v, q, step)
+		return c.runAsk(ctx, v, p.shardText, step)
 	}
-	shardQ := stripModifiers(q)
-	results, calls, skipped, err := c.scatterText(ctx, v, shardQ.String(), step)
+	results, calls, skipped, err := c.scatterText(ctx, v, p.shardText, step)
 	if err != nil {
 		return nil, calls, nil, err
 	}
@@ -577,8 +597,8 @@ func (c *Coordinator) runColocated(ctx context.Context, v *view, q *sparql.Query
 }
 
 // runAsk scatters a colocated ASK and ORs the shard booleans.
-func (c *Coordinator) runAsk(ctx context.Context, v *view, q *sparql.Query, step string) (*sparql.Results, []obs.ShardCall, []int, error) {
-	results, calls, skipped, err := c.scatterText(ctx, v, q.String(), step)
+func (c *Coordinator) runAsk(ctx context.Context, v *view, text, step string) (*sparql.Results, []obs.ShardCall, []int, error) {
+	results, calls, skipped, err := c.scatterText(ctx, v, text, step)
 	if err != nil {
 		return nil, calls, nil, err
 	}
@@ -594,14 +614,14 @@ func (c *Coordinator) runAsk(ctx context.Context, v *view, q *sparql.Query, step
 
 // runPartialAgg pushes partial aggregation to the shards and
 // finalizes groups at the coordinator.
-func (c *Coordinator) runPartialAgg(ctx context.Context, v *view, plan *sparql.PartialAggPlan, step string) (*sparql.Results, []obs.ShardCall, []int, error) {
-	results, calls, skipped, err := c.scatterText(ctx, v, plan.ShardQuery().String(), step)
+func (c *Coordinator) runPartialAgg(ctx context.Context, v *view, p queryPlan, step string) (*sparql.Results, []obs.ShardCall, []int, error) {
+	results, calls, skipped, err := c.scatterText(ctx, v, p.shardText, step)
 	if err != nil {
 		return nil, calls, nil, err
 	}
 	// Merge finishes too: the ORDER BY keys read the merged groups.
 	mergeStart := time.Now()
-	merged, err := plan.Merge(results)
+	merged, err := p.agg.Merge(results)
 	c.m.mergePhase["merge"].ObserveDuration(time.Since(mergeStart))
 	if err != nil {
 		return nil, calls, nil, err

@@ -39,19 +39,12 @@ func newReplicatedFaults(t *testing.T, ts []rdf.Triple, n, replicas int, opts []
 			groups[i] = append(groups[i], f)
 		}
 	}
-	c, err := newReplicated(groups, opts...)
+	c, err := NewReplicated(groups, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
 	return c, faults
-}
-
-// newReplicated builds a coordinator over replica groups of pre-built
-// clients: groups[i] lists shard i's replicas in preference order.
-func newReplicated(groups [][]endpoint.Client, opts ...Option) (*Coordinator, error) {
-	topo := NewClientTopology(groups...)
-	return NewDynamic(topo, topo.Dialer(), opts...)
 }
 
 // runCorpusComplete runs the full determinism corpus against c and
@@ -263,7 +256,7 @@ func (c permClient) Query(ctx context.Context, query string) (*sparql.Results, e
 func TestNoFailoverOnPermanentError(t *testing.T) {
 	st := storeFromTriples(t, determinismTriples())
 	secondCalls := 0
-	c, err := newReplicated([][]endpoint.Client{{
+	c, err := NewReplicated([][]endpoint.Client{{
 		permClient{calls: new(int)},
 		countingClient{inner: endpoint.NewInProcess(st), calls: &secondCalls},
 	}}, WithoutResilience())
@@ -569,7 +562,7 @@ func benchScatter(b *testing.B, replicas int) {
 			groups[i] = append(groups[i], endpoint.NewInProcess(st))
 		}
 	}
-	c, err := newReplicated(groups, WithoutResilience())
+	c, err := NewReplicated(groups, WithoutResilience())
 	if err != nil {
 		b.Fatal(err)
 	}

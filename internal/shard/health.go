@@ -51,8 +51,8 @@ func (h HealthConfig) withDefaults() HealthConfig {
 // without a prober routes normally) but unprobed (so readiness can
 // insist on at least one confirmed-healthy replica per shard).
 //
-// The state survives topology reloads: a replica that keeps its spec
-// keeps its client, its breaker, and its health history.
+// The state survives topology reloads: a replica whose client a
+// reload hands back keeps its breaker and its health history.
 type healthState struct {
 	up     atomic.Bool
 	probed atomic.Bool
@@ -163,11 +163,7 @@ func (c *Coordinator) probeOne(ctx context.Context, cfg HealthConfig, r *replica
 	if r.health.observe(err == nil, cfg) {
 		c.m.transition(err == nil)
 	}
-	if r.health.up.Load() {
-		r.mUp.Set(1)
-	} else {
-		r.mUp.Set(0)
-	}
+	r.publishUp()
 }
 
 // Ready reports coordinator readiness: every shard needs at least one

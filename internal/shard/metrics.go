@@ -106,14 +106,18 @@ func (m *metrics) wireShard(g *replicaSet) {
 }
 
 // wireReplica attaches the per-replica series at view build: the
-// up/down gauge (initialized from the current health state) and the
-// probe-latency histogram.
+// up/down gauge (buildView publishes it once the view is complete) and
+// the probe-latency histogram.
 func (m *metrics) wireReplica(r *replica) {
 	ls := []obs.Label{obs.L("shard", fmt.Sprint(r.shard)), obs.L("replica", fmt.Sprint(r.index))}
 	r.mUp = m.reg.Gauge("re2xolap_replica_up",
 		"1 while the replica is considered healthy by the prober.", ls...)
 	r.mProbe = m.reg.Histogram("re2xolap_replica_probe_seconds",
 		"Health-probe latency, by replica.", nil, ls...)
+}
+
+// publishUp sets the replica's up gauge from its health state.
+func (r *replica) publishUp() {
 	if r.health.up.Load() {
 		r.mUp.Set(1)
 	} else {

@@ -9,11 +9,11 @@ const planCacheSize = 512
 
 // planCache memoizes parse + classify + rewrite by query text. Every
 // cached artifact — the parsed AST, the plan kind, the partial-agg
-// and bound-join rewrites — is a pure function of the text and is
-// read-only after construction, so entries are shared across
-// concurrent queries without copying. Eviction is plain LRU: plans
-// never go stale (there is nothing to invalidate them against), they
-// only fall out of a full cache.
+// and bound-join rewrites, the rendered shard text — is a pure
+// function of the text and is read-only after construction, so
+// entries are shared across concurrent queries without copying.
+// Eviction is plain LRU: plans never go stale (there is nothing to
+// invalidate them against), they only fall out of a full cache.
 type planCache struct {
 	lru *lru.Cache[queryPlan]
 	m   *metrics

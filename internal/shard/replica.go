@@ -14,13 +14,13 @@ import (
 
 // replica is one backend of a replica set: the resilient-wrapped
 // query client, the raw client the prober checks, and the health
-// state routing reads. Replicas that keep their spec across topology
-// reloads are reused wholesale, preserving breaker and health state.
+// state routing reads. A replica whose client a topology reload hands
+// back in its old slot is reused wholesale; in a new slot it gets a
+// replica sharing its client, breaker and health state.
 type replica struct {
 	shard, index int
-	spec         string
 	client       endpoint.Client // query path (resilient-wrapped)
-	raw          endpoint.Client // probe path (as dialed)
+	raw          endpoint.Client // probe path, and the reload identity (as given)
 	health       *healthState
 
 	// lastGen is the store generation this replica last reported on a

@@ -7,17 +7,20 @@ import (
 	"re2xolap/internal/rdf"
 )
 
-// LoadPartitioned streams N-Triples from r into n fresh stores,
-// routing each triple by shardOf(subject) — the shard-aware bulk-load
-// path a scatter-gather coordinator uses to split one dataset across
-// in-process shard stores in a single pass. Each shard takes the bulk
-// path Load takes on an empty store, so shard i ends up exactly as
-// Load of its triples would leave it, generation included. shardOf
-// must return a value in [0, n); internal/shard.Partitioner.Shard is
-// the standard choice (injected as a function so this package does not
-// depend on the shard layer). Returns the stores and the total triple
-// count.
-func LoadPartitioned(r io.Reader, n int, shardOf func(subject rdf.Term) int) ([]*Store, int, error) {
+// LoadPartitioned reads triples from next until io.EOF into n fresh
+// stores, routing each triple by shardOf(subject) — the shard-aware
+// bulk-load path a scatter-gather coordinator uses to split one
+// dataset across in-process shard stores in a single pass. next is
+// any triple source: an rdf.Decoder's Decode, or a walk over triples
+// already in memory. shardOf returns a store index in [0, n), or -1
+// for a triple this load skips (a shard server building only its own
+// partition). Each shard takes the bulk path Load takes on an empty
+// store, so shard i ends up exactly as Load of its triples would leave
+// it, generation included. internal/shard.Partitioner.Shard is the
+// standard shardOf (injected as a function so this package does not
+// depend on the shard layer). Returns the stores and the count of
+// triples read.
+func LoadPartitioned(next func() (rdf.Triple, error), n int, shardOf func(subject rdf.Term) int) ([]*Store, int, error) {
 	if n < 1 {
 		return nil, 0, fmt.Errorf("store: load partitioned: shard count %d < 1", n)
 	}
@@ -34,9 +37,8 @@ func LoadPartitioned(r io.Reader, n int, shardOf func(subject rdf.Term) int) ([]
 			stores[i].mu.Unlock()
 		}
 	}()
-	dec := rdf.NewDecoder(r)
 	for total := 0; ; total++ {
-		t, err := dec.Decode()
+		t, err := next()
 		if err == io.EOF {
 			return stores, total, nil
 		}
@@ -46,10 +48,11 @@ func LoadPartitioned(r io.Reader, n int, shardOf func(subject rdf.Term) int) ([]
 		if err != nil {
 			return nil, total, fmt.Errorf("store: load partitioned: %w", err)
 		}
-		i := shardOf(t.S)
-		if i < 0 || i >= n {
+		switch i := shardOf(t.S); {
+		case i >= 0 && i < n:
+			bulks[i].add(t)
+		case i != -1:
 			return nil, total, fmt.Errorf("store: load partitioned: shard %d out of range [0,%d)", i, n)
 		}
-		bulks[i].add(t)
 	}
 }

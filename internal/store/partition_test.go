@@ -17,7 +17,7 @@ func TestLoadPartitioned(t *testing.T) {
 `
 	// Route by last byte of the subject IRI: a→0, b→1, c→2.
 	shardOf := func(s rdf.Term) int { return int(s.Value[len(s.Value)-1] - 'a') }
-	stores, n, err := LoadPartitioned(strings.NewReader(nt), 3, shardOf)
+	stores, n, err := LoadPartitioned(rdf.NewDecoder(strings.NewReader(nt)).Decode, 3, shardOf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,12 +40,24 @@ func TestLoadPartitioned(t *testing.T) {
 		t.Errorf("shard 0 subject a: %d triples, want 2", count)
 	}
 
-	if _, _, err := LoadPartitioned(strings.NewReader(nt), 0, shardOf); err == nil {
+	if _, _, err := LoadPartitioned(rdf.NewDecoder(strings.NewReader(nt)).Decode, 0, shardOf); err == nil {
 		t.Error("shard count 0 must fail")
 	}
 	bad := func(rdf.Term) int { return 7 }
-	if _, _, err := LoadPartitioned(strings.NewReader(nt), 3, bad); err == nil {
+	if _, _, err := LoadPartitioned(rdf.NewDecoder(strings.NewReader(nt)).Decode, 3, bad); err == nil {
 		t.Error("out-of-range shard must fail")
+	}
+
+	// -1 skips a triple: a load of partition b alone reads all four.
+	onlyB := func(s rdf.Term) int {
+		if shardOf(s) == 1 {
+			return 0
+		}
+		return -1
+	}
+	stores, n, err = LoadPartitioned(rdf.NewDecoder(strings.NewReader(nt)).Decode, 1, onlyB)
+	if err != nil || n != 4 || stores[0].Len() != 1 {
+		t.Fatalf("load of partition b: %d read, err %v; want 4 read and 1 kept", n, err)
 	}
 }
 
@@ -67,7 +79,7 @@ func TestLoadPartitionedEqualsLoad(t *testing.T) {
 			fmt.Fprintln(&all, tr)
 			fmt.Fprintln(&parts[shardOf(tr.S)], tr)
 		}
-		stores, total, err := LoadPartitioned(strings.NewReader(all.String()), n, shardOf)
+		stores, total, err := LoadPartitioned(rdf.NewDecoder(strings.NewReader(all.String())).Decode, n, shardOf)
 		if err != nil || total != len(ts) {
 			t.Fatalf("LoadPartitioned = %d triples, %v; want %d", total, err, len(ts))
 		}
