@@ -171,9 +171,7 @@ func repl(ctx context.Context, engine *core.Engine, g *vgraph.Graph, client endp
 				fmt.Fprintln(out, "error:", err)
 			}
 			if rc, ok := client.(*endpoint.ResilientClient); ok {
-				s := rc.Stats()
-				fmt.Fprintf(out, "# resilient: %d queries, %d retries, %d breaker trips, breaker %s\n",
-					s.Queries, s.Retries, s.BreakerTrips, rc.State())
+				fmt.Fprintf(out, "# resilient: breaker %s\n", rc.State())
 			}
 		case "profile":
 			if rest != "" {

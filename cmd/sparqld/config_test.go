@@ -198,16 +198,16 @@ func TestBuildHandlerTopologies(t *testing.T) {
 	}
 
 	// Shard servers hold disjoint, complete partitions.
+	parts, err := buildPartitions("", genName, obsN, 3, shard.Partitioner{N: 3}.Shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parts) != 3 {
+		t.Fatalf("want 3 partitions, got %d", len(parts))
+	}
 	total := 0
-	for i := 0; i < 3; i++ {
-		parts, err := buildPartitions("", genName, obsN, 3, shard.Partitioner{N: 3}.Shard)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(parts) != 3 {
-			t.Fatalf("want 3 partitions, got %d", len(parts))
-		}
-		total += parts[i].Len()
+	for _, p := range parts {
+		total += p.Len()
 	}
 	full, err := buildStore("", genName, obsN)
 	if err != nil {

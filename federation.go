@@ -16,17 +16,18 @@ import (
 //
 // A coordinator is built from replica groups of Clients: groups[i]
 // lists shard i's replicas in preference order, every one holding an
-// identical copy of partition i. CoordinatorClient.Reload swaps in new
-// groups while queries are in flight; a client handed back unchanged
-// keeps its replica's breaker and health state.
+// identical copy of partition i. A shard call tries them in order,
+// failing over on transient errors and, under WithHedge, hedging a
+// silent one; a replica passed in as a ResilientClient keeps its own
+// policy. Reload swaps in groups of the same shard count while queries
+// run; a client handed back unchanged keeps its breaker and health.
 type (
 	// CoordinatorClient is the scatter-gather federation client. It
 	// implements Client and QuerierX; results are byte-identical to a
 	// single node over the union of the partitions.
 	CoordinatorClient = shard.Coordinator
 	// ShardOption configures NewCoordinatorClient (see WithHedge,
-	// WithHealth, WithDegraded, WithShardWorkers,
-	// WithShardRegistry, WithShardPolicy).
+	// WithHealth, WithDegraded, WithShardWorkers, WithShardRegistry).
 	ShardOption = shard.Option
 	// ShardHealthConfig configures the background replica prober.
 	ShardHealthConfig = shard.HealthConfig
@@ -53,8 +54,6 @@ var (
 	WithShardWorkers = shard.WithWorkers
 	// WithShardRegistry wires coordinator metrics into a Registry.
 	WithShardRegistry = shard.WithRegistry
-	// WithShardPolicy sets the per-replica resilience policy.
-	WithShardPolicy = shard.WithPolicy
 )
 
 // NewCoordinatorClient builds a federation coordinator over replica

@@ -23,9 +23,6 @@ type QueryOpts struct {
 	// issued it ("keyword-search", "witness", "refine:topk", ...), so
 	// traces and the slow-query log explain *why* a query ran.
 	Step string
-	// Span, when non-nil, overrides the trace span from the context as
-	// the parent for this query's spans.
-	Span *obs.Span
 }
 
 // QueryMeta is the per-query execution metadata QuerierX reports
@@ -229,21 +226,13 @@ func recordQuery(slow *obs.SlowLog, ring *obs.QueryRing, query string, meta Quer
 // ms converts a duration to the records' fractional milliseconds.
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// querySpan opens the per-query trace span: the explicit span from
-// the request wins, the ambient context span otherwise. Returns the
-// (possibly re-derived) context and the span to end, both untouched
+// querySpan opens the per-query trace span under the context's span.
+// Returns the re-derived context and the span to end, both untouched
 // when tracing is off.
 func querySpan(ctx context.Context, req Request, name string) (context.Context, *obs.Span) {
-	parent := req.Opts.Span
-	if parent == nil {
-		parent = obs.SpanFrom(ctx)
-	}
-	if parent == nil {
-		return ctx, nil
-	}
-	sp := parent.Start(name)
-	if req.Opts.Step != "" {
+	ctx, sp := obs.StartSpan(ctx, name)
+	if sp != nil && req.Opts.Step != "" {
 		sp.SetAttr("step", req.Opts.Step)
 	}
-	return obs.ContextWith(ctx, sp), sp
+	return ctx, sp
 }

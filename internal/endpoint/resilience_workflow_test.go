@@ -23,6 +23,7 @@ import (
 	"re2xolap/internal/core"
 	"re2xolap/internal/datagen"
 	"re2xolap/internal/endpoint"
+	"re2xolap/internal/obs"
 	"re2xolap/internal/sparql"
 	"re2xolap/internal/vgraph"
 )
@@ -52,7 +53,8 @@ func TestWorkflowSurvivesFaultyEndpoint(t *testing.T) {
 	}
 	inner := endpoint.NewInProcess(st)
 	fault := endpoint.NewFault(inner, endpoint.FaultConfig{Seed: 1, FailureRate: 0.3})
-	rc := endpoint.NewResilient(fault, endpoint.WithPolicy(fastPolicy()))
+	reg := obs.NewRegistry()
+	rc := endpoint.NewResilient(fault, endpoint.WithPolicy(fastPolicy()), endpoint.WithRegistry(reg))
 	ctx := context.Background()
 
 	// Bootstrap crawls the schema with dozens of queries — every one
@@ -91,15 +93,15 @@ func TestWorkflowSurvivesFaultyEndpoint(t *testing.T) {
 	if fault.Injected() == 0 {
 		t.Error("fault injector never fired; the test proved nothing")
 	}
-	stats := rc.Stats()
-	if stats.Retries == 0 {
+	retries := reg.Counter("re2xolap_resilient_retries_total", "").Value()
+	if retries == 0 {
 		t.Errorf("workflow finished without a single retry despite %d injected faults", fault.Injected())
 	}
-	if stats.BreakerTrips != 0 {
-		t.Errorf("breaker tripped %d times under independent 30%% faults", stats.BreakerTrips)
+	if trips := reg.Counter("re2xolap_resilient_breaker_trips_total", "").Value(); trips != 0 {
+		t.Errorf("breaker tripped %d times under independent 30%% faults", trips)
 	}
-	t.Logf("workflow done: %d queries, %d attempts, %d retries, %d faults injected",
-		stats.Queries, stats.Attempts, stats.Retries, fault.Injected())
+	t.Logf("workflow done: %d queries, %d retries, %d faults injected",
+		reg.Counter("re2xolap_endpoint_queries_total", "", obs.L("client", "resilient")).Value(), retries, fault.Injected())
 }
 
 func TestHardDownEndpointTripsBreakerWithinDeadline(t *testing.T) {
@@ -113,7 +115,8 @@ func TestHardDownEndpointTripsBreakerWithinDeadline(t *testing.T) {
 	p.MaxRetries = 2
 	p.BreakerThreshold = 3
 	p.BreakerCooldown = time.Minute
-	rc := endpoint.NewResilient(down, endpoint.WithPolicy(p))
+	reg := obs.NewRegistry()
+	rc := endpoint.NewResilient(down, endpoint.WithPolicy(p), endpoint.WithRegistry(reg))
 
 	ctx := context.Background()
 	t0 := time.Now()
@@ -133,7 +136,7 @@ func TestHardDownEndpointTripsBreakerWithinDeadline(t *testing.T) {
 	if rc.State() != "open" {
 		t.Errorf("breaker state = %q, want open", rc.State())
 	}
-	if trips := rc.Stats().BreakerTrips; trips != 1 {
+	if trips := reg.Counter("re2xolap_resilient_breaker_trips_total", "").Value(); trips != 1 {
 		t.Errorf("trips = %d, want 1", trips)
 	}
 

@@ -18,9 +18,6 @@ type Policy struct {
 	// Timeout bounds one Query call end to end, across all retries.
 	// 0 means no client-imposed deadline.
 	Timeout time.Duration
-	// AttemptTimeout bounds a single attempt; 0 means attempts share
-	// the overall deadline only.
-	AttemptTimeout time.Duration
 	// MaxRetries is how many times a failed attempt is retried (so the
 	// worst case issues MaxRetries+1 requests). Only retryable failures
 	// are retried; permanent ones return immediately.
@@ -72,16 +69,6 @@ const (
 	breakerHalfOpen
 )
 
-// ResilientStats is a snapshot of the client's counters.
-type ResilientStats struct {
-	Queries      int64 // Query calls accepted
-	Attempts     int64 // requests issued to the inner client
-	Retries      int64 // attempts beyond the first
-	Timeouts     int64 // queries that died on the overall deadline
-	BreakerTrips int64 // closed/half-open → open transitions
-	Rejected     int64 // queries rejected by the open breaker
-}
-
 // ResilientClient decorates a Client with per-query deadlines, bounded
 // exponential backoff with jitter on retryable failures, a circuit
 // breaker, and an in-flight limiter. It is safe for concurrent use.
@@ -97,15 +84,13 @@ type ResilientClient struct {
 	p     Policy
 	sem   chan struct{}
 
-	mu        sync.Mutex
-	state     int
-	consec    int       // consecutive transient failures while closed
-	openedAt  time.Time // when the breaker last opened
-	probing   bool      // a half-open probe is in flight
-	rng       *rand.Rand
-	now       func() time.Time // injectable clock (tests)
-	stats     ResilientStats
-	statsLock sync.Mutex
+	mu       sync.Mutex
+	state    int
+	consec   int       // consecutive transient failures while closed
+	openedAt time.Time // when the breaker last opened
+	probing  bool      // a half-open probe is in flight
+	rng      *rand.Rand
+	now      func() time.Time // injectable clock (tests)
 
 	// Registry series (nil handles without WithRegistry, which
 	// no-op).
@@ -161,19 +146,6 @@ func NewResilient(inner Client, opts ...Option) *ResilientClient {
 // of a concrete client (e.g. InProcess.Engine for explain plans).
 func (c *ResilientClient) Unwrap() Client { return c.inner }
 
-// Stats returns a snapshot of the client's counters.
-func (c *ResilientClient) Stats() ResilientStats {
-	c.statsLock.Lock()
-	defer c.statsLock.Unlock()
-	return c.stats
-}
-
-func (c *ResilientClient) count(f func(*ResilientStats)) {
-	c.statsLock.Lock()
-	f(&c.stats)
-	c.statsLock.Unlock()
-}
-
 // State returns the breaker state as a string: "closed", "open", or
 // "half-open" (for logs and health endpoints).
 func (c *ResilientClient) State() string {
@@ -201,14 +173,9 @@ func (c *ResilientClient) Query(ctx context.Context, query string) (*sparql.Resu
 // propagates from the successful attempt. Retry and breaker decisions
 // are recorded as events on the active trace span.
 func (c *ResilientClient) QueryX(ctx context.Context, req Request) (*sparql.Results, QueryMeta, error) {
-	c.count(func(s *ResilientStats) { s.Queries++ })
 	meta := QueryMeta{Source: "resilient", Step: req.Opts.Step}
 	start := time.Now()
 	ctx, span := querySpan(ctx, req, "resilient-query")
-	// The span now rides the context; clearing the explicit one keeps
-	// the inner client from double-parenting its spans.
-	innerReq := req
-	innerReq.Opts.Span = nil
 	finish := func(res *sparql.Results, err error) (*sparql.Results, QueryMeta, error) {
 		meta.Wall = time.Since(start)
 		if res != nil {
@@ -247,7 +214,7 @@ func (c *ResilientClient) QueryX(ctx context.Context, req Request) (*sparql.Resu
 			return finish(nil, err)
 		}
 		meta.Attempts++
-		res, im, err := c.attempt(ctx, innerReq)
+		res, im, err := QueryX(ctx, c.inner, req)
 		if err == nil {
 			c.recordSuccess()
 			meta.Phases, meta.HasPhases = im.Phases, im.HasPhases
@@ -269,9 +236,6 @@ func (c *ResilientClient) QueryX(ctx context.Context, req Request) (*sparql.Resu
 		// The overall deadline is gone (or the caller cancelled):
 		// stop regardless of the retry budget.
 		if ctx.Err() != nil {
-			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				c.count(func(s *ResilientStats) { s.Timeouts++ })
-			}
 			return finish(nil, err)
 		}
 		if attempt >= c.p.MaxRetries || !Retryable(err) {
@@ -280,31 +244,10 @@ func (c *ResilientClient) QueryX(ctx context.Context, req Request) (*sparql.Resu
 		meta.Retries++
 		c.mRetries.Inc()
 		span.Event(fmt.Sprintf("retry %d after: %v", attempt+1, err))
-		c.count(func(s *ResilientStats) { s.Retries++ })
 		if err := c.backoff(ctx, attempt); err != nil {
-			c.count(func(s *ResilientStats) { s.Timeouts++ })
 			return finish(nil, classifyCtx(ctx, fmt.Errorf("endpoint: backoff interrupted before retry %d: %w (last failure: %v)", attempt+1, err, lastErr)))
 		}
 	}
-}
-
-// attempt issues one request to the inner client under the per-attempt
-// deadline.
-func (c *ResilientClient) attempt(ctx context.Context, req Request) (*sparql.Results, QueryMeta, error) {
-	c.count(func(s *ResilientStats) { s.Attempts++ })
-	if c.p.AttemptTimeout > 0 {
-		actx, cancel := context.WithTimeout(ctx, c.p.AttemptTimeout)
-		defer cancel()
-		res, im, err := QueryX(actx, c.inner, req)
-		// A per-attempt deadline expiring is retryable: the next attempt
-		// gets a fresh one (unless the overall deadline is also gone,
-		// which the caller checks).
-		if err != nil && actx.Err() == context.DeadlineExceeded && ctx.Err() == nil {
-			return nil, im, MarkRetryable(fmt.Errorf("endpoint: attempt timed out after %s: %w", c.p.AttemptTimeout, err))
-		}
-		return res, im, err
-	}
-	return QueryX(ctx, c.inner, req)
 }
 
 // admit consults the breaker: closed admits everything, open rejects
@@ -320,7 +263,6 @@ func (c *ResilientClient) admit() error {
 		return nil
 	case breakerOpen:
 		if c.now().Sub(c.openedAt) < c.p.BreakerCooldown {
-			c.count(func(s *ResilientStats) { s.Rejected++ })
 			c.mReject.Inc()
 			return fmt.Errorf("%w (cooling down, %s of %s elapsed)",
 				ErrCircuitOpen, c.now().Sub(c.openedAt).Round(time.Millisecond), c.p.BreakerCooldown)
@@ -331,7 +273,6 @@ func (c *ResilientClient) admit() error {
 		return nil
 	default: // half-open
 		if c.probing {
-			c.count(func(s *ResilientStats) { s.Rejected++ })
 			c.mReject.Inc()
 			return fmt.Errorf("%w (probe in flight)", ErrCircuitOpen)
 		}
@@ -364,7 +305,6 @@ func (c *ResilientClient) recordFailure() {
 		c.state = breakerOpen
 		c.openedAt = c.now()
 		c.probing = false
-		c.count(func(s *ResilientStats) { s.BreakerTrips++ })
 		c.mTrips.Inc()
 		return
 	}
@@ -372,7 +312,6 @@ func (c *ResilientClient) recordFailure() {
 	if c.state == breakerClosed && c.consec >= c.p.BreakerThreshold {
 		c.state = breakerOpen
 		c.openedAt = c.now()
-		c.count(func(s *ResilientStats) { s.BreakerTrips++ })
 		c.mTrips.Inc()
 	}
 }

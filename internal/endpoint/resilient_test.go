@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"re2xolap/internal/obs"
 	"re2xolap/internal/sparql"
 )
 
@@ -60,13 +61,19 @@ func testPolicy() Policy {
 	}
 }
 
+// resilientCount reads one of a ResilientClient's registry counters.
+func resilientCount(reg *obs.Registry, name string, labels ...obs.Label) int64 {
+	return reg.Counter(name, "", labels...).Value()
+}
+
 func TestResilientRetriesTransient(t *testing.T) {
 	inner := &scriptClient{script: []error{
 		MarkRetryable(errors.New("reset")),
 		&StatusError{Code: 503},
 		nil,
 	}}
-	c := NewResilient(inner, WithPolicy(testPolicy()))
+	reg := obs.NewRegistry()
+	c := NewResilient(inner, WithPolicy(testPolicy()), WithRegistry(reg))
 	res, err := c.Query(context.Background(), "SELECT * WHERE {}")
 	if err != nil {
 		t.Fatalf("retryable failures not retried: %v", err)
@@ -74,9 +81,10 @@ func TestResilientRetriesTransient(t *testing.T) {
 	if res == nil || inner.callCount() != 3 {
 		t.Errorf("calls = %d, want 3", inner.callCount())
 	}
-	st := c.Stats()
-	if st.Retries != 2 || st.Attempts != 3 || st.Queries != 1 {
-		t.Errorf("stats = %+v", st)
+	retries := resilientCount(reg, "re2xolap_resilient_retries_total")
+	queries := resilientCount(reg, "re2xolap_endpoint_queries_total", obs.L("client", "resilient"))
+	if retries != 2 || queries != 1 {
+		t.Errorf("retries = %d, queries = %d, want 2 and 1", retries, queries)
 	}
 }
 
@@ -145,24 +153,6 @@ func TestResilientOverallDeadline(t *testing.T) {
 	}
 }
 
-func TestResilientAttemptTimeoutIsRetryable(t *testing.T) {
-	// First attempt hangs past the attempt deadline, second succeeds.
-	var first atomic.Bool
-	inner := clientFunc(func(ctx context.Context, q string) (*sparql.Results, error) {
-		if first.CompareAndSwap(false, true) {
-			<-ctx.Done() // hang until the attempt deadline
-			return nil, ctx.Err()
-		}
-		return &sparql.Results{}, nil
-	})
-	p := testPolicy()
-	p.AttemptTimeout = 20 * time.Millisecond
-	c := NewResilient(inner, WithPolicy(p))
-	if _, err := c.Query(context.Background(), "SELECT * WHERE {}"); err != nil {
-		t.Fatalf("attempt timeout not retried: %v", err)
-	}
-}
-
 // clientFunc adapts a function to the Client interface.
 type clientFunc func(ctx context.Context, query string) (*sparql.Results, error)
 
@@ -184,7 +174,8 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 		BreakerCooldown:  time.Hour, // only the fake clock moves it
 		Sleep:            noSleep,
 	}
-	c := NewResilient(inner, WithPolicy(p))
+	reg := obs.NewRegistry()
+	c := NewResilient(inner, WithPolicy(p), WithRegistry(reg))
 	now := time.Now()
 	c.now = func() time.Time { return now }
 
@@ -225,7 +216,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	if got := c.State(); got != "closed" {
 		t.Fatalf("state after recovery = %s, want closed", got)
 	}
-	if trips := c.Stats().BreakerTrips; trips != 2 {
+	if trips := resilientCount(reg, "re2xolap_resilient_breaker_trips_total"); trips != 2 {
 		t.Errorf("trips = %d, want 2", trips)
 	}
 }
@@ -301,8 +292,8 @@ func TestResilientInFlightLimit(t *testing.T) {
 }
 
 // TestResilientConcurrent hammers one client from many goroutines over
-// a flaky inner client; run with -race to check the breaker and stats
-// locking.
+// a flaky inner client; run with -race to check the breaker locking
+// and the registry counters.
 func TestResilientConcurrent(t *testing.T) {
 	var n atomic.Int64
 	inner := clientFunc(func(ctx context.Context, q string) (*sparql.Results, error) {
@@ -322,7 +313,8 @@ func TestResilientConcurrent(t *testing.T) {
 		MaxInFlight:      8,
 		Jitter:           0.5,
 	}
-	c := NewResilient(inner, WithPolicy(p))
+	reg := obs.NewRegistry()
+	c := NewResilient(inner, WithPolicy(p), WithRegistry(reg))
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for i := 0; i < 64; i++ {
@@ -339,7 +331,7 @@ func TestResilientConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Errorf("concurrent query failed despite retries: %v", err)
 	}
-	if got := c.Stats().Queries; got != 64 {
+	if got := resilientCount(reg, "re2xolap_endpoint_queries_total", obs.L("client", "resilient")); got != 64 {
 		t.Errorf("queries = %d, want 64", got)
 	}
 }

@@ -17,9 +17,9 @@ import (
 )
 
 // config is what the With* Options (options.go) fold into. The zero
-// value is usable: full resilience with the default policy, strict
-// (non-degraded) failure handling, scatter width = shard count, no
-// prober, no hedging, no metrics.
+// value is usable: full resilience with the default policy (see
+// newReplica), strict (non-degraded) failure handling, scatter width =
+// shard count, no prober, no hedging, no metrics.
 type config struct {
 	// Workers bounds scatter concurrency — shards in flight, and one
 	// shard's queries of a round in flight — and the local engine
@@ -33,11 +33,6 @@ type config struct {
 	// An all-shards failure is an error in either mode. A shard only
 	// counts as failed once every one of its replicas has been tried.
 	Degraded bool
-	// Policy is the per-replica resilience policy; nil means
-	// endpoint.DefaultPolicy(). Each replica not already resilient is
-	// wrapped in its own endpoint.NewResilient, so one misbehaving
-	// replica trips only its own breaker.
-	Policy *endpoint.Policy
 	// NoResilience skips the per-replica ResilientClient wrapping
 	// (tests, or callers that bring their own).
 	NoResilience bool
@@ -176,9 +171,13 @@ func (c *Coordinator) currentView() *view {
 	return &view{}
 }
 
-// newReplica wraps one client as a replica: resilient wrapping on
-// the query path (unless disabled or already resilient), the raw
-// client on the probe path, fresh health state, and metric handles.
+// newReplica wraps one client as a replica: the raw client on the
+// probe path, fresh health state, metric handles, and on the query
+// path the client in its own endpoint.NewResilient with
+// endpoint.DefaultPolicy(), so one misbehaving replica trips only its
+// own breaker. A client that already is a *endpoint.ResilientClient is
+// used as given: wrapping one is how a caller chooses a replica's
+// policy. WithoutResilience leaves every client unwrapped.
 func (c *Coordinator) newReplica(shard, index int, b endpoint.Client) *replica {
 	r := &replica{
 		shard:  shard,
@@ -187,14 +186,8 @@ func (c *Coordinator) newReplica(shard, index int, b endpoint.Client) *replica {
 		client: b,
 		health: newHealthState(),
 	}
-	if !c.cfg.NoResilience {
-		if _, ok := b.(*endpoint.ResilientClient); !ok {
-			pol := endpoint.DefaultPolicy()
-			if c.cfg.Policy != nil {
-				pol = *c.cfg.Policy
-			}
-			r.client = endpoint.NewResilient(b, endpoint.WithPolicy(pol))
-		}
+	if _, ok := b.(*endpoint.ResilientClient); !ok && !c.cfg.NoResilience {
+		r.client = endpoint.NewResilient(b)
 	}
 	c.m.wireReplica(r)
 	return r
@@ -275,6 +268,12 @@ func sameClient(a, b endpoint.Client) bool {
 // replica they keep. In-flight queries keep the view they started
 // with and drain on it. Returns whether anything changed: the same
 // clients in the same slots are a no-op.
+//
+// The shard count is fixed at construction: the data was split into
+// that many partitions, and a view over fewer (or more) of them would
+// answer from part of the data with nothing marking the answer
+// incomplete. Groups of another length are an error, and the view,
+// its epoch and Generation stay as they were.
 func (c *Coordinator) Reload(groups [][]endpoint.Client) (bool, error) {
 	if err := checkGroups(groups); err != nil {
 		return false, err
@@ -282,6 +281,9 @@ func (c *Coordinator) Reload(groups [][]endpoint.Client) (bool, error) {
 	c.reloadMu.Lock()
 	defer c.reloadMu.Unlock()
 	old := c.view.Load()
+	if len(groups) != len(old.groups) {
+		return false, fmt.Errorf("shard: reload has %d shards, want the %d the data is split into", len(groups), len(old.groups))
+	}
 	if slices.EqualFunc(old.groups, groups, func(g *replicaSet, clients []endpoint.Client) bool {
 		return slices.EqualFunc(g.replicas, clients, func(r *replica, b endpoint.Client) bool { return sameClient(r.raw, b) })
 	}) {
@@ -404,20 +406,13 @@ func (c *Coordinator) QueryX(ctx context.Context, req endpoint.Request) (*sparql
 	// generation even if a Reload lands mid-flight.
 	v := c.currentView()
 
-	parent := req.Opts.Span
-	if parent == nil {
-		parent = obs.SpanFrom(ctx)
-	}
-	span := parent.Start("scatter-gather")
+	ctx, span := obs.StartSpan(ctx, "scatter-gather")
 	span.SetAttr("plan", p.kind.String())
 	span.SetAttr("shards", fmt.Sprint(len(v.groups)))
 	if req.Opts.Step != "" {
 		span.SetAttr("step", req.Opts.Step)
 	}
 	defer span.End()
-	if span != nil {
-		ctx = obs.ContextWith(ctx, span)
-	}
 
 	var res *sparql.Results
 	var calls []obs.ShardCall
@@ -461,23 +456,22 @@ func (c *Coordinator) QueryX(ctx context.Context, req endpoint.Request) (*sparql
 func (c *Coordinator) scatter(ctx context.Context, v *view, step string, queries []string, calls []obs.ShardCall, errs []error, use func(i int, answers []*sparql.Results) error) {
 	roundStart := time.Now()
 	defer func() { c.m.mergePhase["scatter"].ObserveDuration(time.Since(roundStart)) }()
-	span := obs.SpanFrom(ctx)
 	n := len(v.groups)
 	_ = par.Do(c.workersFor(n), n, func(i int) error {
 		if errs[i] != nil {
 			return nil
 		}
 		g := v.groups[i]
-		sp := span.Start(fmt.Sprintf("shard-%d", i))
+		sctx, sp := obs.StartSpan(ctx, fmt.Sprintf("shard-%d", i))
 		defer sp.End()
 		shardStart := time.Now()
 		outs := make([]groupResult, len(queries))
 		_ = par.Do(c.workersFor(len(queries)), len(queries), func(k int) error {
 			c.m.inflight.Inc()
 			callStart := time.Now()
-			outs[k] = g.query(ctx, endpoint.Request{
+			outs[k] = g.query(sctx, endpoint.Request{
 				Query: queries[k],
-				Opts:  endpoint.QueryOpts{Step: step, Span: sp},
+				Opts:  endpoint.QueryOpts{Step: step},
 			}, c.cfg.HedgeAfter)
 			c.m.inflight.Dec()
 			g.shardCallMetrics(time.Since(callStart), outs[k].err)

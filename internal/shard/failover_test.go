@@ -329,35 +329,32 @@ func TestSkippedShardIndices(t *testing.T) {
 	}
 }
 
-// TestHealthStateMachine unit-tests the up/down thresholds.
+// TestHealthStateMachine unit-tests the up/down thresholds (both 2).
 func TestHealthStateMachine(t *testing.T) {
-	cfg := HealthConfig{FailThreshold: 2, RecoverThreshold: 3}.withDefaults()
 	h := newHealthState()
 	if !h.up.Load() || h.probed.Load() {
 		t.Fatal("want optimistic-up, unprobed start")
 	}
-	if h.observe(false, cfg) {
+	if h.observe(false) {
 		t.Fatal("one failure must not flip with threshold 2")
 	}
 	if !h.probed.Load() {
 		t.Fatal("observe must mark probed")
 	}
-	if !h.observe(false, cfg) || h.up.Load() {
+	if !h.observe(false) || h.up.Load() {
 		t.Fatal("second consecutive failure must flip down")
 	}
-	if h.observe(false, cfg) {
+	if h.observe(false) {
 		t.Fatal("already down: no flip")
 	}
-	// Recovery needs 3 consecutive OKs; a failure resets the streak.
-	h.observe(true, cfg)
-	h.observe(true, cfg)
-	h.observe(false, cfg)
-	h.observe(true, cfg)
-	if h.observe(true, cfg) || h.up.Load() {
+	// Recovery needs 2 consecutive OKs; a failure resets the streak.
+	h.observe(true)
+	h.observe(false)
+	if h.observe(true) || h.up.Load() {
 		t.Fatal("interrupted OK streak must not recover early")
 	}
-	if !h.observe(true, cfg) || !h.up.Load() {
-		t.Fatal("third consecutive OK must flip up")
+	if !h.observe(true) || !h.up.Load() {
+		t.Fatal("second consecutive OK must flip up")
 	}
 }
 
@@ -540,6 +537,84 @@ func TestHedgedSlowPrimary(t *testing.T) {
 	}
 	if !strings.Contains(text, "re2xolap_shard_hedge_wins_total 1") {
 		t.Errorf("hedge win not counted:\n%s", text)
+	}
+}
+
+// TestHedgedThenFailover: a hedge that fails hands the walk on to the
+// next candidate while the silent primary is still out, and that
+// candidate's answer wins without waiting for the primary.
+func TestHedgedThenFailover(t *testing.T) {
+	reg := obs.NewRegistry()
+	c, _ := newReplicatedFaults(t, determinismTriples(), 1, 3, []Option{
+		WithoutResilience(),
+		WithRegistry(reg),
+		WithHedge(15 * time.Millisecond),
+	}, func(shard, rep int) endpoint.FaultConfig {
+		switch rep {
+		case 0:
+			return endpoint.FaultConfig{Latency: 2 * time.Second}
+		case 1:
+			return endpoint.FaultConfig{Down: true}
+		}
+		return endpoint.FaultConfig{}
+	})
+	start := time.Now()
+	_, meta, err := c.QueryX(context.Background(),
+		endpoint.Request{Query: `SELECT ?s ?v WHERE { ?s <http://t/value> ?v } ORDER BY ?s`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wall := time.Since(start); wall >= 2*time.Second {
+		t.Fatalf("walk waited for the silent primary: wall %s", wall)
+	}
+	if call := meta.Shards[0]; call.Replica != 2 || call.Failovers != 1 {
+		t.Fatalf("replica %d after %d failovers, want 2 after 1", call.Replica, call.Failovers)
+	}
+	for name, want := range map[string]int64{
+		"re2xolap_shard_hedges_total":     1,
+		"re2xolap_shard_hedge_wins_total": 0,
+	} {
+		if got := reg.Counter(name, "").Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}
+
+// TestFailoverPreWrappedReplica: a replica passed in already wrapped in
+// a ResilientClient keeps its own policy. With BreakerThreshold 1, one
+// failure opens its breaker, and the next query fails over on
+// ErrCircuitOpen without reaching the wrapped client; a second,
+// coordinator-made wrapper would have retried the first failure.
+func TestFailoverPreWrappedReplica(t *testing.T) {
+	st := storeFromTriples(t, determinismTriples())
+	down := endpoint.NewFault(endpoint.NewInProcess(st), endpoint.FaultConfig{Down: true})
+	reg := obs.NewRegistry()
+	wrapped := endpoint.NewResilient(down, endpoint.WithRegistry(reg),
+		endpoint.WithPolicy(endpoint.Policy{BreakerThreshold: 1, BreakerCooldown: time.Hour}))
+	c, err := NewReplicated([][]endpoint.Client{{wrapped, endpoint.NewInProcess(st)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	query := endpoint.Request{Query: `SELECT ?s ?v WHERE { ?s <http://t/value> ?v } ORDER BY ?s`}
+	for i := 0; i < 2; i++ {
+		_, meta, err := c.QueryX(context.Background(), query)
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		if call := meta.Shards[0]; call.Replica != 1 || call.Failovers != 1 || call.Retries != 0 {
+			t.Fatalf("query %d: replica %d, %d failovers, %d retries; want 1, 1, 0",
+				i, call.Replica, call.Failovers, call.Retries)
+		}
+	}
+	if n := down.Calls(); n != 1 {
+		t.Fatalf("wrapped client reached %d times, want once (the breaker must stop the second)", n)
+	}
+	if wrapped.State() != "open" {
+		t.Fatalf("breaker %s, want open", wrapped.State())
+	}
+	if n := reg.Counter("re2xolap_resilient_rejected_total", "").Value(); n != 1 {
+		t.Fatalf("%d queries rejected with ErrCircuitOpen, want 1", n)
 	}
 }
 

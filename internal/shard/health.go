@@ -14,8 +14,8 @@ import (
 // Interval: each replica gets a cheap health check (endpoint.Ping —
 // GET /healthz for HTTP replicas, an ASK probe otherwise) under
 // Timeout, feeding a per-replica up/down state machine. A replica
-// turns down after FailThreshold consecutive failed probes and back
-// up after RecoverThreshold consecutive successes — probing never
+// turns down after failThreshold consecutive failed probes and back
+// up after recoverThreshold consecutive successes — probing never
 // stops while a replica is down, so recovery is automatic.
 type HealthConfig struct {
 	// Interval between probe sweeps; <= 0 disables the prober entirely
@@ -23,24 +23,20 @@ type HealthConfig struct {
 	Interval time.Duration
 	// Timeout bounds one probe; 0 means 1s.
 	Timeout time.Duration
-	// FailThreshold is how many consecutive probe failures mark a
-	// replica down; 0 means 2.
-	FailThreshold int
-	// RecoverThreshold is how many consecutive probe successes mark a
-	// down replica up again; 0 means 2.
-	RecoverThreshold int
 }
+
+// The probe state machine's thresholds: consecutive probe failures
+// that mark a replica down, and consecutive successes that mark a down
+// replica up again.
+const (
+	failThreshold    = 2
+	recoverThreshold = 2
+)
 
 // withDefaults fills the zero fields.
 func (h HealthConfig) withDefaults() HealthConfig {
 	if h.Timeout <= 0 {
 		h.Timeout = time.Second
-	}
-	if h.FailThreshold <= 0 {
-		h.FailThreshold = 2
-	}
-	if h.RecoverThreshold <= 0 {
-		h.RecoverThreshold = 2
 	}
 	return h
 }
@@ -69,12 +65,12 @@ func newHealthState() *healthState {
 
 // observe feeds one probe outcome through the state machine and
 // reports whether the up/down state flipped.
-func (h *healthState) observe(ok bool, cfg HealthConfig) (flipped bool) {
+func (h *healthState) observe(ok bool) (flipped bool) {
 	defer h.probed.Store(true)
 	if ok {
 		h.consecOKs++
 		h.consecFails = 0
-		if !h.up.Load() && h.consecOKs >= cfg.RecoverThreshold {
+		if !h.up.Load() && h.consecOKs >= recoverThreshold {
 			h.up.Store(true)
 			return true
 		}
@@ -82,7 +78,7 @@ func (h *healthState) observe(ok bool, cfg HealthConfig) (flipped bool) {
 	}
 	h.consecFails++
 	h.consecOKs = 0
-	if h.up.Load() && h.consecFails >= cfg.FailThreshold {
+	if h.up.Load() && h.consecFails >= failThreshold {
 		h.up.Store(false)
 		return true
 	}
@@ -160,7 +156,7 @@ func (c *Coordinator) probeOne(ctx context.Context, cfg HealthConfig, r *replica
 		return
 	}
 	r.mProbe.ObserveDuration(time.Since(start))
-	if r.health.observe(err == nil, cfg) {
+	if r.health.observe(err == nil) {
 		c.m.transition(err == nil)
 	}
 	r.publishUp()

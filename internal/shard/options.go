@@ -3,7 +3,6 @@ package shard
 import (
 	"time"
 
-	"re2xolap/internal/endpoint"
 	"re2xolap/internal/obs"
 )
 
@@ -40,15 +39,11 @@ func WithDegraded(on bool) Option {
 	return func(c *config) { c.Degraded = on }
 }
 
-// WithPolicy sets the per-replica resilience policy (each replica not
-// already resilient is wrapped in its own endpoint.NewResilient, so
-// one misbehaving replica trips only its own breaker).
-func WithPolicy(p endpoint.Policy) Option {
-	return func(c *config) { c.Policy = &p }
-}
-
 // WithoutResilience skips the per-replica ResilientClient wrapping
-// (tests, or callers that bring their own).
+// (tests, or callers that bring their own). To give one replica its
+// own policy instead, pass it wrapped:
+// endpoint.NewResilient(client, endpoint.WithPolicy(p)) is used as
+// given.
 func WithoutResilience() Option {
 	return func(c *config) { c.NoResilience = true }
 }

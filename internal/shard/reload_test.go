@@ -14,8 +14,9 @@ import (
 )
 
 // TestReplicaGroupsValidateEqual: construction and Reload reject
-// malformed groups, and Reload tells the same clients in the same
-// slots (a no-op) from any other arrangement of them.
+// malformed groups, Reload rejects another shard count, and Reload
+// tells the same clients in the same slots (a no-op) from any other
+// arrangement of them.
 func TestReplicaGroupsValidateEqual(t *testing.T) {
 	a, b, c := endpoint.NewInProcess(store.New()), endpoint.NewInProcess(store.New()), endpoint.NewInProcess(store.New())
 	for _, bad := range [][][]endpoint.Client{
@@ -45,17 +46,38 @@ func TestReplicaGroupsValidateEqual(t *testing.T) {
 		{{a, b}, {c}},
 	} {
 		changed, err := coord.Reload(other)
+		if len(other) != 2 {
+			if err == nil || changed {
+				t.Errorf("Reload(%v): changed=%v err=%v, want a shard-count error", other, changed, err)
+			}
+			continue
+		}
 		if err != nil || !changed {
 			t.Errorf("Reload(%v): changed=%v err=%v, want a change", other, changed, err)
 		}
 	}
+	// The shard count is fixed: a reload to fewer or more shards is an
+	// error that leaves the view, its epoch and the generation as they
+	// were.
+	v, gen := coord.currentView(), coord.Generation()
+	fn := failingFetch{inner: a, fail: func(string) bool { return false }}
+	for _, other := range [][][]endpoint.Client{
+		{{fn}},
+		{{a, b}, {c}, {a}},
+	} {
+		if changed, err := coord.Reload(other); err == nil || changed {
+			t.Errorf("Reload to %d shards: changed=%v err=%v, want a shard-count error", len(other), changed, err)
+		}
+	}
+	if coord.currentView() != v || coord.Generation() != gen {
+		t.Fatal("a rejected reload swapped the view or moved the generation")
+	}
 	// A client of an uncomparable type is never the one a shard had,
 	// so reloading it builds a fresh replica instead of panicking.
-	fn := failingFetch{inner: a, fail: func(string) bool { return false }}
-	if _, err := coord.Reload([][]endpoint.Client{{fn}}); err != nil {
+	if _, err := coord.Reload([][]endpoint.Client{{fn}, {c}}); err != nil {
 		t.Fatal(err)
 	}
-	if changed, err := coord.Reload([][]endpoint.Client{{fn}}); err != nil || !changed {
+	if changed, err := coord.Reload([][]endpoint.Client{{fn}, {c}}); err != nil || !changed {
 		t.Fatalf("uncomparable client: changed=%v err=%v, want a rebuilt replica", changed, err)
 	}
 }

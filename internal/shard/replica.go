@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -120,126 +119,129 @@ type groupResult struct {
 	err       error
 }
 
-// query runs one request against the set: first healthy replica,
-// failover down the candidate list on retryable/circuit-open/timeout
-// errors, and — when hedge > 0 — a hedged second request to the next
-// candidate once the primary has been silent for the hedge budget.
+// answer is one replica call's outcome as the candidate walk reads it.
+type answer struct {
+	rep    *replica
+	hedged bool // sent because the call before it was silent for the budget
+	res    *sparql.Results
+	meta   endpoint.QueryMeta
+	err    error
+}
+
+// call sends req to one replica.
+func call(ctx context.Context, r *replica, req endpoint.Request, hedged bool) answer {
+	res, meta, err := endpoint.QueryX(ctx, r.client, req)
+	return answer{rep: r, hedged: hedged, res: res, meta: meta, err: err}
+}
+
+// waitAnswer reads the next answer of a call sent off the caller's
+// goroutine. With a non-zero hedgeAt it gives up at that time instead
+// and reports that the walk should hedge.
+func waitAnswer(answers <-chan answer, hedgeAt time.Time) (answer, bool) {
+	if hedgeAt.IsZero() {
+		return <-answers, false
+	}
+	t := time.NewTimer(time.Until(hedgeAt))
+	defer t.Stop()
+	select {
+	case a := <-answers:
+		return a, false
+	case <-t.C:
+		return answer{}, true
+	}
+}
+
+// query runs one request against the set by walking its candidates in
+// order. The first goes out at once; the walk sends to the next one
+// when the call sent last fails with a failoverable error (a
+// failover), or when hedge > 0 and the one call in flight has been
+// silent for the hedge budget (a hedge). The first success wins and
+// the other calls' contexts are cancelled. A permanent error, the
+// caller's context ending, or the last answer failing ends the walk
+// with that error. Replicas hold identical partitions, so whichever
+// answers, the bytes are the same: hedging trades a little duplicate
+// work for tail latency. A call after which no hedge can start (hedge
+// 0, or the last candidate) runs on the caller's goroutine when no
+// other call is in flight.
 func (g *replicaSet) query(ctx context.Context, req endpoint.Request, hedge time.Duration) groupResult {
 	cands := g.candidates()
-	var out groupResult
-	hedged := false // the hedge pair consumed cands[k+1] already
-	for k := 0; k < len(cands); k++ {
-		if hedged {
-			hedged = false
-			continue
-		}
-		if k > 0 {
+	var (
+		out      groupResult
+		cctx     = ctx       // the calls' context, cancelled on return once one leaves this goroutine
+		answers  chan answer // the answers of calls sent off this goroutine
+		inFlight int         // those calls not read yet
+		hedged   bool        // the next send is a hedge, not a failover
+	)
+	for k := 0; ; {
+		// Send to the next candidate.
+		r := cands[k]
+		k++
+		switch {
+		case k == 1:
+		case hedged:
+			g.hedges.Inc()
+		default:
 			out.failovers++
 			g.mFailovers.Inc()
 		}
-		var res *sparql.Results
-		var qmeta endpoint.QueryMeta
-		var err error
-		winRep := cands[k]
-		if hedge > 0 && k+1 < len(cands) {
-			var winner int
-			res, qmeta, winner, err = g.hedgedCall(ctx, cands[k], cands[k+1], req, hedge)
-			if winner == 1 {
-				winRep = cands[k+1]
-				hedged = true
+		var a answer
+		var sent time.Time
+		wait := inFlight > 0 || (hedge > 0 && k < len(cands))
+		if wait {
+			if answers == nil {
+				answers = make(chan answer, len(cands))
+				var cancel context.CancelFunc
+				cctx, cancel = context.WithCancel(ctx)
+				defer cancel()
 			}
-			out.replica = winRep.index
+			inFlight++
+			sent = time.Now()
+			go func(ctx context.Context, r *replica, hedged bool) {
+				answers <- call(ctx, r, req, hedged)
+			}(cctx, r, hedged)
 		} else {
-			res, qmeta, err = endpoint.QueryX(ctx, cands[k].client, req)
-			out.replica = cands[k].index
+			a = call(cctx, r, req, hedged)
 		}
-		out.attempts += qmeta.Attempts
-		out.retries += qmeta.Retries
-		if err == nil {
-			if qmeta.Generation != 0 {
-				winRep.lastGen.Store(qmeta.Generation)
+		hedged = false
+		// Read answers until one ends the walk or calls for the next send.
+		for {
+			if wait {
+				// Only r can be the one call in flight while a candidate
+				// is left: an earlier call still out when r was sent
+				// leaves r alone only by failing.
+				var hedgeAt time.Time
+				if hedge > 0 && inFlight == 1 && k < len(cands) {
+					hedgeAt = sent.Add(hedge)
+				}
+				if a, hedged = waitAnswer(answers, hedgeAt); hedged {
+					break
+				}
+				inFlight--
 			}
-			out.res, out.err = res, nil
-			return out
-		}
-		out.err = err
-		if ctx.Err() != nil || !failoverable(err) {
-			return out
-		}
-	}
-	if out.err == nil {
-		out.err = fmt.Errorf("shard %d: no replicas", g.shard)
-	}
-	return out
-}
-
-// hedgedAnswer is one leg's result in a hedged pair.
-type hedgedAnswer struct {
-	res  *sparql.Results
-	meta endpoint.QueryMeta
-	err  error
-	leg  int
-}
-
-// hedgedCall races primary against a delayed secondary: the secondary
-// only starts once the primary has used up the hedge budget, and the
-// first success wins (the loser's context is cancelled). Both legs
-// hold identical data, so whichever answers, the bytes are the same —
-// hedging trades a little duplicate work for tail latency. Returns
-// the winning leg (0 = primary) for accounting.
-func (g *replicaSet) hedgedCall(ctx context.Context, primary, secondary *replica, req endpoint.Request, hedge time.Duration) (*sparql.Results, endpoint.QueryMeta, int, error) {
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan hedgedAnswer, 2)
-	launch := func(r *replica, leg int) {
-		res, meta, err := endpoint.QueryX(hctx, r.client, req)
-		ch <- hedgedAnswer{res: res, meta: meta, err: err, leg: leg}
-	}
-	go launch(primary, 0)
-
-	timer := time.NewTimer(hedge)
-	defer timer.Stop()
-	inFlight := 1
-	select {
-	case a := <-ch:
-		// Primary answered (either way) within the budget: no hedge.
-		return a.res, a.meta, a.leg, a.err
-	case <-timer.C:
-		g.mHedge(false)
-		go launch(secondary, 1)
-		inFlight = 2
-	case <-ctx.Done():
-		// Caller gone; report through the primary leg.
-		a := <-ch
-		return a.res, a.meta, a.leg, a.err
-	}
-
-	var firstErr *hedgedAnswer
-	for i := 0; i < inFlight; i++ {
-		a := <-ch
-		if a.err == nil {
-			if a.leg == 1 {
-				g.mHedge(true)
+			wait = true
+			out.attempts += a.meta.Attempts
+			out.retries += a.meta.Retries
+			out.replica = a.rep.index
+			if a.err == nil {
+				if a.meta.Generation != 0 {
+					a.rep.lastGen.Store(a.meta.Generation)
+				}
+				if a.hedged {
+					g.hedgeWins.Inc()
+				}
+				out.res, out.err = a.res, nil
+				return out
 			}
-			return a.res, a.meta, a.leg, nil
+			out.err = a.err
+			if ctx.Err() != nil || !failoverable(a.err) {
+				return out
+			}
+			if a.rep == r && k < len(cands) {
+				break // fail over
+			}
+			if inFlight == 0 {
+				return out
+			}
 		}
-		if firstErr == nil {
-			cp := a
-			firstErr = &cp
-		}
-		if !failoverable(a.err) || ctx.Err() != nil {
-			return a.res, a.meta, a.leg, a.err
-		}
-	}
-	return firstErr.res, firstErr.meta, firstErr.leg, firstErr.err
-}
-
-// mHedge counts hedge launches and wins through the owning
-// coordinator's metrics (wired at view build).
-func (g *replicaSet) mHedge(win bool) {
-	if win {
-		g.hedgeWins.Inc()
-	} else {
-		g.hedges.Inc()
 	}
 }
